@@ -68,17 +68,9 @@ def _criterion_01():
             + [R.u2_rep(l, m) for l in range(5) for m in range(-2, 3)])
     worst_hom = worst_unit = 0.0
     for k, rep in enumerate(reps):
-        pair = G.haar_sample(rep.group, 400, RngHandle(SEED, stream=1000 + k))
-        g = G.GroupElement(rep.group, pair.payload[:200])
-        h = G.GroupElement(rep.group, pair.payload[200:])
-        pg = R.rep_eval(rep, g).matrix
-        ph = R.rep_eval(rep, h).matrix
-        pgh = R.rep_eval(rep, G.group_mul(g, h)).matrix
-        prod = np.einsum("...ij,...jk->...ik", pg, ph)
-        worst_hom = max(worst_hom, float(np.max(np.abs(pgh - prod))))
-        gram = np.einsum("...ij,...kj->...ik", pg, np.conj(pg))
-        eye = np.eye(rep.dim)
-        worst_unit = max(worst_unit, float(np.max(np.abs(gram - eye))))
+        hom, unit = R.haar_deviations(rep, 200, RngHandle(SEED, stream=1000 + k))
+        worst_hom = max(worst_hom, hom)
+        worst_unit = max(worst_unit, unit)
     passed = worst_hom <= 1e-10 and worst_unit <= 1e-10
     return passed, (f"{len(reps)} reps x 200 Haar pairs: homomorphism dev "
                     f"{worst_hom:.2e}, unitarity dev {worst_unit:.2e} "

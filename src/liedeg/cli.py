@@ -14,9 +14,7 @@ Subcommands:
   nonzero if any criterion fails.
 
 Exit codes: 0 success; 2 configuration error (including bad CLI
-arguments); 3 numeric guard tripped; 4 I/O failure.  The environment
-variable LIEDEG_THREADS sets the worker count for degree sampling
-(results are independent of it by construction).
+arguments); 3 numeric guard tripped; 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -131,6 +129,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_degree(args) -> int:
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     flow = _make_flow(args.d, _parse_alpha(args.alpha))
     cocycle, _ = build_cocycle(
         flow, {"name": args.cocycle, "params": _parse_params(args.params)})
@@ -180,10 +180,9 @@ def _cmd_corr(args) -> int:
         Path(args.svg).write_text(
             P.render_series_svg(text, title=f"{rep.name} slot {args.slot}"))
         print(f"wrote {args.svg}")
-    if np.any(series.flagged):
-        flagged = int(np.count_nonzero(series.flagged))
-        print(f"warning: {flagged} entries exceed the quadrature error "
-              f"threshold (column err_estimate)", file=sys.stderr)
+    if series.flagged:
+        print(f"warning: {len(series.flagged)} entries exceed the quadrature "
+              f"error threshold (column err_estimate)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -199,19 +198,11 @@ def _cmd_rep_check(args) -> int:
         group = G.torus_group(len(label))
     else:
         group = _GROUPS[args.group]
+    if args.samples < 1 or args.nodes < 0:
+        raise ConfigError("--samples must be >= 1 and --nodes >= 0")
     rep = _rep_from_label(group, label, d=1)
-    pairs = G.haar_sample(group, 2 * args.samples,
-                          RngHandle(args.seed, stream=5))
-    g = G.GroupElement(group, pairs.payload[:args.samples])
-    h = G.GroupElement(group, pairs.payload[args.samples:])
-    pg = R.rep_eval(rep, g).matrix
-    ph = R.rep_eval(rep, h).matrix
-    pgh = R.rep_eval(rep, G.group_mul(g, h)).matrix
-    hom_dev = float(np.max(np.abs(pgh - np.einsum("...ij,...jk->...ik",
-                                                  pg, ph))))
-    eye = np.eye(rep.dim)
-    unit_dev = float(np.max(np.abs(
-        np.einsum("...ij,...kj->...ik", pg, np.conj(pg)) - eye)))
+    hom_dev, unit_dev = R.haar_deviations(rep, args.samples,
+                                          RngHandle(args.seed, stream=5))
     out = {
         "label": rep.name,
         "dim": rep.dim,
@@ -241,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liedeg",
         description="numerical laboratory for degrees of compact-group "
-                    "valued cocycles over torus translations",
-        epilog="LIEDEG_THREADS sets the degree-sampling worker count; "
-               "outputs are independent of it.")
+                    "valued cocycles over torus translations")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--self-test", action="store_true",

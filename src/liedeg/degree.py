@@ -17,8 +17,6 @@ for unique ergodicity / ergodicity of the skew product.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,28 +56,23 @@ def degree_pointwise(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
                      N: int = DEFAULT_N) -> DegreeEstimate:
     """(1/N) sum_{n<N} Ad_{phi^(n)(x)} M(F_n x), batched over x.
 
-    The orbit is walked once, accumulating the running product phi^(n)
-    and the transferred M-field term by term; a snapshot at floor(N/2)
-    provides the convergence diagnostic.
+    One orbit walk accumulates the transferred M-field term by term; a
+    snapshot at floor(N/2) provides the convergence diagnostic.
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
     group = c.group
     half_n = max(N // 2, 1)
-    phases = np.array(x.phases)
-    alpha = flow.alpha_array
-    g = G.identity(group, phases.shape[:-1])
-    total = np.zeros_like(c.m_field(phases))
-    half = total
-    for n in range(N):
+    total = half = None
+
+    def visit(k, phases, g):
+        nonlocal total, half
         term = G.ad(g, G.AlgebraElement(group, c.m_field(phases))).payload
-        total = total + term
-        if n + 1 == half_n:
+        total = term if total is None else total + term
+        if k + 1 == half_n:
             half = total / half_n
-        g = G.group_mul(g, G.GroupElement(group, c.value(phases)))
-        if (n + 1) % 256 == 0:
-            g = G.maybe_renormalize(g)
-        phases = np.mod(phases + alpha, 1.0)
+
+    D.cocycle_iterate(c, flow, x, N, visit)
     return DegreeEstimate(G.AlgebraElement(group, total / N),
                           G.AlgebraElement(group, half), N)
 
@@ -110,51 +103,30 @@ class DegreeField:
         return G.algebra_norm(self.values)
 
 
+SPREAD_BLOCK_ROWS = 16
+
+
 def _pairwise_spread(values: G.AlgebraElement) -> float:
+    """max_{i,j} ||values_i - values_j||, over blocks of rows so memory
+    stays O(P * SPREAD_BLOCK_ROWS) for P points."""
     payload = values.payload
-    diff = payload[:, None] - payload[None, :]
-    return float(np.max(G.algebra_norm(G.AlgebraElement(values.group, diff))))
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(int(threads), 1)
-    env = os.environ.get("LIEDEG_THREADS", "")
-    try:
-        return max(int(env), 1) if env else 1
-    except ValueError:
-        return 1
+    worst = 0.0
+    for start in range(0, payload.shape[0], SPREAD_BLOCK_ROWS):
+        diff = payload[start:start + SPREAD_BLOCK_ROWS, None] - payload[None, :]
+        worst = max(worst, float(np.max(G.algebra_norm(
+            G.AlgebraElement(values.group, diff)))))
+    return worst
 
 
 def degree_field(c: D.Cocycle, flow: D.TranslationFlow, points: D.BasePoint,
-                 N: int = DEFAULT_N, threads: int | None = None) -> DegreeField:
-    """Degree estimates over a point family, optionally thread-parallel.
-
-    Points are processed in fixed order; each point's orbit sum is
-    independent of the others, so results are identical for any thread
-    count (set LIEDEG_THREADS or pass `threads`).
-    """
+                 N: int = DEFAULT_N) -> DegreeField:
+    """Degree estimates over a point family, in one batched orbit walk."""
     phases = np.atleast_2d(points.phases)
-    n_threads = _thread_count(threads)
-    if n_threads == 1 or phases.shape[0] == 1:
-        est = degree_pointwise(c, flow, D.BasePoint(phases), N)
-        values, diags = est.value, est.diagnostic
-    else:
-        chunks = np.array_split(np.arange(phases.shape[0]),
-                                min(n_threads, phases.shape[0]))
-        chunks = [ch for ch in chunks if ch.size]
-
-        def run(idx):
-            return degree_pointwise(c, flow, D.BasePoint(phases[idx]), N)
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run, chunks))
-        values = G.AlgebraElement(
-            c.group, np.concatenate([p.value.payload for p in parts], axis=0))
-        diags = np.concatenate([p.diagnostic for p in parts], axis=0)
-    spread = _pairwise_spread(values)
+    est = degree_pointwise(c, flow, D.BasePoint(phases), N)
+    diags = est.diagnostic
+    spread = _pairwise_spread(est.value)
     tol = CONSTANT_SPREAD_FACTOR * max(float(np.max(diags)), 1e-12)
-    return DegreeField(D.BasePoint(phases), values, N, diags, spread,
+    return DegreeField(D.BasePoint(phases), est.value, N, diags, spread,
                        constant=spread <= tol)
 
 

@@ -61,6 +61,8 @@ class TranslationFlow:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
+        if not all(math.isfinite(a) for a in self.alpha):
+            raise ConfigError(f"flow frequencies must be finite, got {self.alpha}")
 
     @property
     def dim(self) -> int:
@@ -141,8 +143,16 @@ def cocycle_m_field(c: Cocycle, x: BasePoint) -> G.AlgebraElement:
     return G.AlgebraElement(c.group, c.m_field(x.phases))
 
 
-def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int) -> G.GroupElement:
-    """phi^(n) over the time-one map of the flow, any integer n."""
+def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
+                    visit: Callable | None = None) -> G.GroupElement:
+    """phi^(n) over the time-one map of the flow, any integer n.
+
+    The package's one walk along orbits.  For n > 0, `visit(k, phases_k,
+    g_k)` is called for k = 0..n-1 with phases_k those of F_k x and
+    g_k = phi^(k)(x), before phi(F_k x) is multiplied in; `phases_k` is
+    stepped in place, so a visitor copies whatever it keeps.  Drift
+    renormalization happens every 256 steps and on return.
+    """
     if n == 0:
         return G.identity(c.group, x.phases.shape[:-1])
     if n < 0:
@@ -150,10 +160,14 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int) -> 
         return G.group_inv(cocycle_iterate(c, flow, shifted, -n))
     alpha = flow.alpha_array
     phases = np.array(x.phases)
+    if visit is not None:
+        visit(0, phases, G.identity(c.group, phases.shape[:-1]))
     g = G.GroupElement(c.group, c.value(phases))
     for k in range(1, n):
         phases += alpha
         phases %= 1.0
+        if visit is not None:
+            visit(k, phases, g)
         g = G.group_mul(g, G.GroupElement(c.group, c.value(phases)))
         if k % 256 == 0:
             g = G.maybe_renormalize(g)

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import degree as DG
 from . import dynamics as D
 from . import groups as G
 from . import reps as R
@@ -103,6 +104,12 @@ def _check_pair(psi1: FiberVector, psi2: FiberVector):
         raise TagMismatchError("fiber vectors live on different rows")
 
 
+def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
+    _check_pair(psi1, psi2)
+    if psi1.rep.group != c.group:
+        raise TagMismatchError("fiber and cocycle live on different groups")
+
+
 def _ortho(rep: R.Representation) -> R.Representation:
     return replace(rep, convention=R.ORTHONORMAL)
 
@@ -138,27 +145,46 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                            + abs(N) * f_eff) + 1)
 
 
+def _quadrature_mean(rep: R.Representation, conj_v1: np.ndarray,
+                     g: G.GroupElement, v2: np.ndarray) -> complex:
+    """d_pi^{-1} times the grid mean of conj(phi1) pi(g) phi2."""
+    P = R.rep_eval_payload(rep, g.payload)
+    vals = np.einsum("...l,...lk,...k->...", conj_v1, P, v2)
+    return complex(np.mean(vals) / rep.dim)
+
+
 def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                   flow: D.TranslationFlow, N: int, nodes: int) -> complex:
-    rep = _ortho(psi1.rep)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
     x = D.BasePoint(pts)
     gN = D.cocycle_iterate(c, flow, x, N)
-    P = R.rep_eval_payload(rep, gN.payload)
-    v1 = psi1.coefficients(pts)
     v2 = psi2.coefficients(D.flow_advance(flow, x, float(N)).phases)
-    vals = np.einsum("...l,...lk,...k->...", np.conj(v1), P, v2)
-    return complex(np.mean(vals) / rep.dim)
+    return _quadrature_mean(_ortho(psi1.rep), np.conj(psi1.coefficients(pts)),
+                            gN, v2)
+
+
+def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
+                    flow: D.TranslationFlow, N_max: int, nodes: int) -> np.ndarray:
+    """c_0..c_N_max on one grid, from a single orbit walk."""
+    rep = _ortho(psi1.rep)
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    conj_v1 = np.conj(psi1.coefficients(pts))
+    out = np.empty(N_max + 1, dtype=complex)
+
+    def visit(k, phases, g):
+        out[k] = _quadrature_mean(rep, conj_v1, g, psi2.coefficients(phases))
+
+    D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
+    return out
 
 
 def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N: int,
                        quadrature: D.QuadratureSpec) -> tuple[complex, float]:
     """c_N = <psi1, U^N psi2> by quadrature, plus a grid-doubling error
-    estimate (|value - value on a doubled grid|)."""
-    _check_pair(psi1, psi2)
-    if psi1.rep.group != c.group:
-        raise TagMismatchError("fiber and cocycle live on different groups")
+    estimate (|value - value on a doubled grid|).  Any integer N; the
+    reference for `correlation_series`."""
+    _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, N, quadrature.nodes_per_dim)
     value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
     check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes + 1)
@@ -190,19 +216,21 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N_max: int,
                        quadrature: D.QuadratureSpec) -> CorrelationSeries:
     """c_N for N = 0..N_max; entries whose grid-doubling estimate exceeds
-    ERR_FLAG_THRESHOLD are listed in `flagged` (and kept, not hidden)."""
+    ERR_FLAG_THRESHOLD are listed in `flagged` (and kept, not hidden).
+
+    One grid sized for N_max serves every N (an equispaced rule exact
+    at N_max's degree is exact below it), and each of it and its
+    doubled check grid is walked once.
+    """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
-    values, errs, nodes_used, flagged = [], [], [], []
-    for n in range(N_max + 1):
-        nodes_used.append(_sizing_nodes(psi1, psi2, c, n, quadrature.nodes_per_dim))
-        v, e = koopman_apply_corr(psi1, psi2, c, flow, n, quadrature)
-        values.append(v)
-        errs.append(e)
-        if e > ERR_FLAG_THRESHOLD:
-            flagged.append(n)
-    return CorrelationSeries(np.array(values), np.array(errs),
-                             np.array(nodes_used), flagged)
+    _check_fiber_cocycle(psi1, psi2, c)
+    nodes = _sizing_nodes(psi1, psi2, c, N_max, quadrature.nodes_per_dim)
+    values = _series_on_grid(psi1, psi2, c, flow, N_max, nodes)
+    errs = np.abs(values - _series_on_grid(psi1, psi2, c, flow, N_max,
+                                           2 * nodes + 1))
+    return CorrelationSeries(values, errs, np.full(N_max + 1, nodes),
+                             np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +290,16 @@ def d_n_average(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
     """(i/N) sum_{n<N} Ad_{pi(phi^(n)(x))} dpi(M(F_n x)): the finite-N
     multiplication matrix on the fiber at a single base point.
 
-    The partial cocycle is accumulated at group level (with drift
-    renormalization) and mapped through the representation each step, so
-    the conjugators stay unitary for any N.  The result must be
-    Hermitian within 1e-9 relative or a numeric guard trips.
+    Since Ad_{pi(g)} dpi(M) = dpi(Ad_g M), this is i dpi of the Cesaro
+    average `degree_pointwise` accumulates at group level.  The result
+    must be Hermitian within 1e-9 relative or a numeric guard trips.
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
-    phases = np.asarray(x.phases, dtype=float)
-    if phases.ndim != 1:
+    if np.ndim(x.phases) != 1:
         raise ConfigError("expected a single base point, not a batch")
-    ortho = _ortho(rep)
     dpi = _differential_on_basis(rep, c.group)
-    alpha = flow.alpha_array
-    g = G.identity(c.group)
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for _ in range(N):
-        P = R.rep_eval_payload(ortho, g.payload)
-        total = total + P @ dpi(c.m_field(phases)) @ np.conj(P.T)
-        g = G.maybe_renormalize(
-            G.group_mul(g, G.GroupElement(c.group, c.value(phases))))
-        phases = np.mod(phases + alpha, 1.0)
-    out = 1j * total / N
+    out = 1j * dpi(DG.degree_pointwise(c, flow, x, N).value.payload)
     defect = float(np.max(np.abs(out - np.conj(out.T))))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
         raise NumericGuardError(
@@ -537,8 +553,6 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     conditional on the heuristic ones; a vanishing degree yields
     NO-CLAIM because the theory is silent there.
     """
-    from . import degree as DG
-
     hypotheses = []
     if isinstance(degree, DG.DegreeField):
         conv = float(np.max(degree.diagnostics))

@@ -507,3 +507,17 @@ def peter_weyl_check(rep: Representation, scheme=None) -> dict:
         var = np.maximum(sq - np.abs(gram) ** 2, 0.0)
         out["sigma"] = float(np.sqrt(np.max(var) / payload.shape[0]))
     return out
+
+
+def haar_deviations(rep: Representation, samples: int, rng) -> tuple[float, float]:
+    """Homomorphism and unitarity deviations on `samples` Haar pairs (g, h):
+    max |pi(gh) - pi(g) pi(h)| and max |pi(g) pi(g)^* - I|."""
+    pairs = G.haar_sample(rep.group, 2 * samples, rng)
+    g = G.GroupElement(rep.group, pairs.payload[:samples])
+    h = G.GroupElement(rep.group, pairs.payload[samples:])
+    pg = rep_eval(rep, g).matrix
+    ph = rep_eval(rep, h).matrix
+    pgh = rep_eval(rep, G.group_mul(g, h)).matrix
+    hom = float(np.max(np.abs(pgh - np.einsum("...ij,...jk->...ik", pg, ph))))
+    gram = np.einsum("...ij,...kj->...ik", pg, np.conj(pg))
+    return hom, float(np.max(np.abs(gram - np.eye(rep.dim))))

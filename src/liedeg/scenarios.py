@@ -499,7 +499,7 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
             "series_csv": csv_name,
             "series_svg": svg_name,
             "wiener_tail": float(wiener[-1]) if wiener.size else None,
-            "flagged_entries": int(np.count_nonzero(series.flagged)),
+            "flagged_entries": len(series.flagged),
         })
         series_paths[slug] = {"csv": csv_name, "svg": svg_name}
     return entries, series_paths

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from liedeg import acceptance, cli
+from liedeg import koopman as K
 
 
 def _cfg_text(**overrides) -> str:
@@ -157,6 +158,25 @@ class TestCorrCommand:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("flagged", [[0], [0, 2]])
+    def test_warning_counts_every_flagged_entry(self, flagged, monkeypatch,
+                                                capsys):
+        real = K.correlation_series
+
+        def fake(*args, **kwargs):
+            series = real(*args, **kwargs)
+            series.flagged = list(flagged)
+            return series
+
+        monkeypatch.setattr(K, "correlation_series", fake)
+        rc = cli.main(["corr", "--cocycle", "torus-monomial",
+                       "--params", '{"k": [[1]]}', "--rep", "1",
+                       "--n-max", "4", "--nodes", "8"])
+        assert rc == 0
+        assert (f"warning: {len(flagged)} entries exceed"
+                in capsys.readouterr().err)
+
+
 class TestRepCheckCommand:
     def test_su2_check(self, capsys):
         rc = cli.main(["rep-check", "--group", "su2", "--label", "2",
@@ -178,6 +198,26 @@ class TestRepCheckCommand:
         rc = cli.main(["rep-check", "--group", "nope", "--label", "1"])
         assert rc == 2
         capsys.readouterr()
+
+
+_TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",
+                 "--params", '{"k": [[1]]}']
+
+
+@pytest.mark.parametrize("argv", [
+    _TORUS_DEGREE + ["--points", "0"],
+    _TORUS_DEGREE + ["--points", "-1"],
+    _TORUS_DEGREE + ["--alpha", "nan"],
+    _TORUS_DEGREE + ["--alpha", "inf"],
+    ["rep-check", "--group", "su2", "--label", "1", "--samples", "0"],
+    ["rep-check", "--group", "su2", "--label", "1", "--samples", "-3"],
+    ["rep-check", "--group", "su2", "--label", "1", "--nodes", "-1"],
+])
+def test_invalid_input_is_one_line_config_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
 
 
 class TestSelfTestAndHelp:

@@ -98,7 +98,7 @@ def test_w_invariance_of_estimator(manufactured):
 
 
 # ---------------------------------------------------------------------------
-# degree fields, constancy, threading
+# degree fields, constancy, spread
 # ---------------------------------------------------------------------------
 
 def test_degree_field_constant_flag_for_diagonal():
@@ -122,15 +122,17 @@ def test_degree_field_flags_genuine_variation():
     assert fld.spread > 0.1
 
 
-def test_degree_field_thread_determinism(manufactured, monkeypatch):
-    _, _, phi = manufactured
-    pts = D.BasePoint(RNG.random((7, 1)))
-    serial = DG.degree_field(phi, FLOW, pts, 300, threads=1)
-    threaded = DG.degree_field(phi, FLOW, pts, 300, threads=3)
-    assert np.array_equal(serial.values.payload, threaded.values.payload)
-    monkeypatch.setenv("LIEDEG_THREADS", "4")
-    via_env = DG.degree_field(phi, FLOW, pts, 300)
-    assert np.array_equal(serial.values.payload, via_env.values.payload)
+@pytest.mark.parametrize("group", [G.SU2_GROUP, G.U2_GROUP])
+def test_pairwise_spread_blocks_match_one_shot(group):
+    P = 40
+    assert P > DG.SPREAD_BLOCK_ROWS
+    raw = RNG.standard_normal((P, 2, 2)) + 1j * RNG.standard_normal((P, 2, 2))
+    payload = raw - np.conj(np.swapaxes(raw, -1, -2))
+    if group == G.SU2_GROUP:
+        payload = G.su2_alg_from_components(RNG.standard_normal((P, 3)))
+    diff = payload[:, None] - payload[None, :]
+    one_shot = float(np.max(G.algebra_norm(G.AlgebraElement(group, diff))))
+    assert DG._pairwise_spread(G.AlgebraElement(group, payload)) == one_shot
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def test_cocycle_iterate_degenerate_orders():
     assert np.max(np.abs(one.payload - c.value(x.phases))) == 0.0
 
 
+def test_cocycle_iterate_visits_every_partial_product():
+    # visit(k, phases_k, g_k) sees the phases of F_k x and g_k = phi^(k)(x)
+    flow = D.default_flow(1)
+    pts = D.BasePoint(RNG.random((20, 1)))
+    n = 12
+    for c in _sample_cocycles(flow):
+        seen = []
+        D.cocycle_iterate(c, flow, pts, n,
+                          lambda k, phases, g: seen.append((k, phases.copy(), g)))
+        assert [k for k, _, _ in seen] == list(range(n))
+        for k, phases, g in seen:
+            want = D.cocycle_iterate(c, flow, pts, k)
+            assert np.array_equal(g.payload, want.payload), (c.name, k)
+            gap = phases - D.flow_advance(flow, pts, float(k)).phases
+            assert np.max(np.abs((gap + 0.5) % 1.0 - 0.5)) < 1e-12
+
+
 def test_anzai_telescoping_oracle():
     # phi(x) = x: phi^(N)(x) = x^N exp(pi i alpha N(N-1))
     flow = D.default_flow(1)

@@ -231,6 +231,37 @@ def test_series_flags_discontinuous_integrands():
     assert s.err_estimates.max() > K.ERR_FLAG_THRESHOLD
 
 
+def _series_reference_case(name, manufactured):
+    if name == "su2-manufactured":
+        rep = R.su2_rep(2)
+        return (manufactured[2], FLOW,
+                K.monomial_fiber(rep, 0, [[1], [0], [-1]]),
+                K.monomial_fiber(rep, 0, [[0], [1], [1]]))
+    if name == "u2-product":
+        rep = R.u2_rep(2, 1)
+        return (D.u2_product(FLOW, [1], [0], 0.7), FLOW,
+                K.constant_fiber(rep, 0, np.array([1.0, 1.0, 1.0]) / np.sqrt(3)),
+                K.monomial_fiber(rep, 0, [[1], [0], [2]]))
+    flow2 = D.default_flow(2)
+    rep = R.torus_rep((1, -1))
+    return (D.torus_monomial(flow2, [[1, 0], [1, 1]]), flow2,
+            K.monomial_fiber(rep, 0, [[1, 0]]),
+            K.monomial_fiber(rep, 0, [[1, -1]]))
+
+
+@pytest.mark.parametrize("name", ["su2-manufactured", "u2-product", "torus-d2"])
+def test_series_matches_per_n_reference(manufactured, name):
+    # one walk per grid reproduces the per-N path at every N
+    c, flow, psi1, psi2 = _series_reference_case(name, manufactured)
+    s = K.correlation_series(psi1, psi2, c, flow, 8, QUAD)
+    assert s.flagged == []
+    assert np.max(s.err_estimates) < K.ERR_FLAG_THRESHOLD
+    for n in range(9):
+        ref, err = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
+        assert err < K.ERR_FLAG_THRESHOLD
+        assert abs(s.values[n] - ref) < 1e-12, (n, s.values[n], ref)
+
+
 def test_series_validation(manufactured):
     _, _, phi = manufactured
     psi = K.constant_fiber(R.su2_rep(1), 0, [1.0, 0.0])

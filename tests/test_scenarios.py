@@ -8,6 +8,7 @@ import pytest
 
 import liedeg.dynamics as D
 import liedeg.groups as G
+import liedeg.koopman as K
 import liedeg.reps as R
 from liedeg.errors import ConfigError
 from liedeg.scenarios import (COCYCLE_BUILDERS, SCENARIO_NAMES,
@@ -229,12 +230,17 @@ class TestScenarioRun:
         assert ((run_a / "report.json").read_bytes()
                 != (run_b / "report.json").read_bytes())
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        run_a = scenario_run(_small_anzai(tmp_path / "a")).outdir
-        monkeypatch.setenv("LIEDEG_THREADS", "3")
-        run_b = scenario_run(_small_anzai(tmp_path / "b")).outdir
-        for name in _run_dir_files(run_a):
-            assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+    def test_flagged_entries_counts_n_zero(self, tmp_path, monkeypatch):
+        real = K.correlation_series
+
+        def flag_n_zero(*args, **kwargs):
+            series = real(*args, **kwargs)
+            series.flagged = [0]
+            return series
+
+        monkeypatch.setattr(K, "correlation_series", flag_n_zero)
+        rr = scenario_run(_small_anzai(tmp_path / "run"))
+        assert [e["flagged_entries"] for e in rr.report["spectral"]] == [1, 1, 1]
 
     def test_su2_straighten_trimmed(self, tmp_path):
         cfg = default_config("su2-straighten", outdir=str(tmp_path / "run"))
