@@ -159,8 +159,6 @@ def _criterion_05():
         expect_kernel = [] if l % 2 else [l // 2]
         if DG.kernel_indices(R.su2_rep(l), Z) != expect_kernel:
             return False, f"su2 l={l} kernel indices mismatch"
-        if l and K.kernel_indices_of(R.su2_rep(l), Z) != expect_kernel:
-            return False, f"su2 l={l} kernel split mismatch"
     Zc = G.AlgebraElement(G.U2_GROUP, 1j * s * np.eye(2))
     for l in range(5):
         for m in range(-2, 3):

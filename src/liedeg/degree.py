@@ -16,8 +16,7 @@ for unique ergodicity / ergodicity of the skew product.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +25,8 @@ from . import dynamics as D
 from . import groups as G
 from . import reps as R
 from .errors import (ConfigError, DegenerateDegreeError,
-                     InconsistentDegreeError, NumericGuardError,
-                     TagMismatchError)
+                     InconsistentDegreeError, NonHermitianError,
+                     NumericGuardError, TagMismatchError)
 
 DEFAULT_N = 10_000
 CONSTANT_SPREAD_FACTOR = 10.0
@@ -164,13 +163,34 @@ def _cocycle_base_dim(c: D.Cocycle, quadrature: D.QuadratureSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectral floor a_{phi,pi}
+# kernel split and spectral floor a_{phi,pi}
 # ---------------------------------------------------------------------------
 
-def _hermitian_part(rep: R.Representation, Z: G.AlgebraElement) -> np.ndarray:
-    ortho = replace(rep, convention=R.ORTHONORMAL)
-    H = 1j * R.rep_differential(ortho, Z).matrix
-    return 0.5 * (H + np.conj(H.T))
+KERNEL_REL_TOL = 1e-9
+
+
+def kernel_split(Dm: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Diagonalize a Hermitian multiplication matrix.
+
+    Returns (Q, eigenvalues, kernel indices): columns of Q are
+    eigenvectors in ascending eigenvalue order; the kernel collects
+    slots with |lambda| <= KERNEL_REL_TOL * max(1, max |lambda|).  Raises
+    NonHermitianError when the input is not Hermitian within 1e-9.
+    """
+    Dm = np.asarray(Dm, dtype=complex)
+    if Dm.ndim != 2 or Dm.shape[0] != Dm.shape[1]:
+        raise ConfigError("expected a square matrix")
+    defect = float(np.max(np.abs(Dm - np.conj(Dm.T))))
+    if defect > 1e-9 * max(1.0, float(np.max(np.abs(Dm)))):
+        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
+    sym = 0.5 * (Dm + np.conj(Dm.T))
+    lam, Q = np.linalg.eigh(sym)
+    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    kernel = [int(i) for i in np.where(np.abs(lam) <= KERNEL_REL_TOL * scale)[0]]
+    residual = float(np.max(np.abs(np.conj(Q.T) @ sym @ Q - np.diag(lam))))
+    if residual > 1e-10 * scale:
+        raise NumericGuardError(f"diagonalization residual {residual:.3e}")
+    return Q, lam, kernel
 
 
 def a_phi_pi(rep: R.Representation, degree) -> float:
@@ -179,27 +199,16 @@ def a_phi_pi(rep: R.Representation, degree) -> float:
     For a constant degree this is (min |eigenvalue of i dpi(M_star)|)^2;
     for a DegreeField it is the minimum over the sample points — a grid
     surrogate for the essential infimum (see DegreeReport diagnostics).
-    Always computed in the orthonormal convention, where i dpi of an
-    algebra element is Hermitian.
     """
-    if isinstance(degree, DegreeField):
-        best = math.inf
-        for i in range(degree.values.payload.shape[0]):
-            Z = G.AlgebraElement(degree.values.group, degree.values.payload[i])
-            lam = np.linalg.eigvalsh(_hermitian_part(rep, Z))
-            best = min(best, float(np.min(lam ** 2)))
-        return best
-    lam = np.linalg.eigvalsh(_hermitian_part(rep, degree))
+    values = degree.values if isinstance(degree, DegreeField) else degree
+    lam = np.linalg.eigvalsh(R.multiplication_matrix(rep, values))
     return float(np.min(lam ** 2))
 
 
-def kernel_indices(rep: R.Representation, M_star: G.AlgebraElement,
-                   rel_tol: float = 1e-9) -> list[int]:
+def kernel_indices(rep: R.Representation, M_star: G.AlgebraElement) -> list[int]:
     """Indices of near-zero eigenvalues of i dpi(M_star), ascending by
     eigenvalue; empty when the differential is injective on the line."""
-    lam = np.linalg.eigvalsh(_hermitian_part(rep, M_star))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    return [int(i) for i in np.where(np.abs(lam) <= rel_tol * scale)[0]]
+    return kernel_split(R.multiplication_matrix(rep, M_star))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +279,7 @@ def hom_so3_circle_u2() -> Homomorphism:
 
     def alg_map(pair):
         Sp, vp = pair
-        half_lift = 0.5 * G.su2_alg_from_components(G.so3_alg_components(Sp))
+        half_lift = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, Sp)).payload
         return half_lift + 0.5 * vp[..., 0][..., None, None] * np.eye(2)
 
     return Homomorphism("so3-circle-to-u2", G.U2_GROUP, value_map, alg_map)
@@ -350,14 +359,6 @@ def rho_phi(field: DegreeField) -> dict:
     }
 
 
-def _su2_components(payload: np.ndarray):
-    # D = [[i a, b + i c], [-b + i c, -i a]]
-    a = np.imag(payload[..., 0, 0])
-    b = np.real(payload[..., 0, 1])
-    cc = np.imag(payload[..., 0, 1])
-    return a, b, cc
-
-
 def su2_transfer_zeta(Dz: G.AlgebraElement, rho, branch_tol: float = 1e-9,
                       norm_tol: float = 1e-6) -> G.GroupElement:
     """The unitary that conjugates D in su(2) to diag(i rho, -i rho).
@@ -370,7 +371,9 @@ def su2_transfer_zeta(Dz: G.AlgebraElement, rho, branch_tol: float = 1e-9,
     """
     if Dz.group.tag != G.SU2:
         raise TagMismatchError("transfer construction lives in su(2)")
-    a, b, cc = _su2_components(Dz.payload)
+    # D = [[i a, b + i c], [-b + i c, -i a]]
+    b, minus_c, a = np.moveaxis(G.su2_alg_components(Dz.payload), -1, 0)
+    cc = -minus_c
     rho_arr = np.broadcast_to(np.asarray(rho, dtype=float), a.shape)
     if np.any(rho_arr <= 0):
         raise DegenerateDegreeError("transfer requires rho > 0")
@@ -516,12 +519,13 @@ def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
     """
     per_rep = []
     for rep in reps:
-        lam = np.linalg.eigvalsh(_hermitian_part(rep, M_star))
+        Dm = R.multiplication_matrix(rep, M_star)
+        lam = np.linalg.eigvalsh(Dm)
         per_rep.append({
             "label": rep.name,
             "eigenvalues": [float(v) for v in lam],
-            "a_phi_pi": a_phi_pi(rep, M_star),
-            "kernel_indices": kernel_indices(rep, M_star),
+            "a_phi_pi": float(np.min(lam ** 2)),
+            "kernel_indices": kernel_split(Dm)[2],
         })
     return {
         "group": group.name,

@@ -137,12 +137,6 @@ def cocycle_value(c: Cocycle, x: BasePoint) -> G.GroupElement:
     return G.GroupElement(c.group, c.value(x.phases))
 
 
-def cocycle_m_field(c: Cocycle, x: BasePoint) -> G.AlgebraElement:
-    if c.m_field is None:
-        raise ConfigError(f"cocycle {c.name!r} carries no M-field")
-    return G.AlgebraElement(c.group, c.m_field(x.phases))
-
-
 def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
                     visit: Callable | None = None) -> G.GroupElement:
     """phi^(n) over the time-one map of the flow, any integer n.
@@ -329,8 +323,8 @@ def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
     """
     k = _winding(k, flow.dim)
     front = np.array([math.cos(c0), math.sin(c0)], dtype=complex)  # exp(c0 E1)
-    fmat = G.su2_matrix(front)
-    mconst = 2 * np.pi * float(k @ flow.alpha_array) * (fmat @ G.E3 @ np.conj(fmat.T))
+    mconst = 2 * np.pi * float(k @ flow.alpha_array) * G.ad(
+        G.GroupElement(G.SU2_GROUP, front), G.AlgebraElement(G.SU2_GROUP, G.E3)).payload
 
     def value(phases):
         th = 2 * np.pi * (phases @ k)
@@ -371,9 +365,8 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
     def m_field(phases):
         th1, _ = angles(phases)
         a = np.stack([np.cos(th1), np.sin(th1)], axis=-1).astype(complex)
-        amat = G.su2_matrix(a)
-        ade2 = amat @ G.E2 @ np.conj(np.swapaxes(amat, -1, -2))
-        return t1p * G.E1 + t2p * ade2
+        ade2 = G.ad(G.GroupElement(G.SU2_GROUP, a), G.AlgebraElement(G.SU2_GROUP, G.E2))
+        return t1p * G.E1 + t2p * ade2.payload
 
     return Cocycle(G.SU2_GROUP, value, m_field,
                    int(np.max(np.abs(m1)) + np.max(np.abs(m2))),
@@ -433,16 +426,12 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
             out[..., 1, 1] = np.exp(1j * b)
             return out
     else:
+        rotation = so3_x3_rotation(flow, kr, theta0).value
+
         def value(phases):
             w = np.exp(2j * np.pi * (phases @ kt))
-            th = 2 * np.pi * (phases @ kr) + theta0
-            c, s = np.cos(th), np.sin(th)
-            R = np.zeros(th.shape + (3, 3))
-            R[..., 0, 0], R[..., 0, 1] = c, s
-            R[..., 1, 0], R[..., 1, 1] = -s, c
-            R[..., 2, 2] = 1.0
-            u = G.iso_so3_torus_to_u2(G.GroupElement(G.SO3_GROUP, R), w, +1)
-            return u.payload
+            R = G.GroupElement(G.SO3_GROUP, rotation(phases))
+            return G.iso_so3_torus_to_u2(R, w, +1).payload
 
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()

@@ -23,7 +23,7 @@ representation matrices are genuinely unitary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +32,10 @@ from . import degree as DG
 from . import dynamics as D
 from . import groups as G
 from . import reps as R
-from .errors import ConfigError, NonHermitianError, NumericGuardError, TagMismatchError
+from .errors import ConfigError, NumericGuardError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
-KERNEL_REL_TOL = 1e-9
+MAX_GRID_BYTES = 2 ** 28  # representation values on one check grid
 
 SUPPORTED = "SUPPORTED"
 NO_CLAIM = "NO-CLAIM"
@@ -110,10 +110,6 @@ def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
         raise TagMismatchError("fiber and cocycle live on different groups")
 
 
-def _ortho(rep: R.Representation) -> R.Representation:
-    return replace(rep, convention=R.ORTHONORMAL)
-
-
 def inner_product(psi1: FiberVector, psi2: FiberVector,
                   quadrature: D.QuadratureSpec, d: int = 1) -> complex:
     """<psi1, psi2> = d_pi^{-1} sum_k integral conj(phi1_k) phi2_k."""
@@ -135,14 +131,25 @@ def fiber_norm(psi: FiberVector, quadrature: D.QuadratureSpec, d: int = 1) -> fl
 # ---------------------------------------------------------------------------
 
 def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
-                  N: int, floor: int) -> int:
+                  flow: D.TranslationFlow, N: int, floor: int) -> int:
     """Node count guaranteeing exactness for trig-polynomial data: the
     integrand conj(phi1) pi(phi^(N)) (phi2 o F_N) has per-dimension trig
     degree at most max(B1, B2) + |N| * freq(cocycle) * weight(pi), and an
-    equispaced rule with more than twice that many nodes is exact."""
+    equispaced rule with more than twice that many nodes is exact.
+
+    Raises ConfigError, before any grid exists, when the representation
+    values on the doubled check grid would exceed MAX_GRID_BYTES."""
     f_eff = c.freq_bound * R.rep_weight(psi1.rep)
-    return max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
-                           + abs(N) * f_eff) + 1)
+    nodes = max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
+                            + abs(N) * f_eff) + 1)
+    check = 2 * nodes + 1
+    need = check ** flow.dim * psi1.rep.dim ** 2 * 16
+    if need > MAX_GRID_BYTES:
+        raise ConfigError(
+            f"correlation at N={N} needs a {check}^{flow.dim}-node check grid "
+            f"({need} bytes of representation values, cap {MAX_GRID_BYTES}); "
+            f"lower the horizon, the cocycle degree or the representation")
+    return nodes
 
 
 def _quadrature_mean(rep: R.Representation, conj_v1: np.ndarray,
@@ -159,14 +166,14 @@ def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     x = D.BasePoint(pts)
     gN = D.cocycle_iterate(c, flow, x, N)
     v2 = psi2.coefficients(D.flow_advance(flow, x, float(N)).phases)
-    return _quadrature_mean(_ortho(psi1.rep), np.conj(psi1.coefficients(pts)),
+    return _quadrature_mean(R.orthonormal(psi1.rep), np.conj(psi1.coefficients(pts)),
                             gN, v2)
 
 
 def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                     flow: D.TranslationFlow, N_max: int, nodes: int) -> np.ndarray:
     """c_0..c_N_max on one grid, from a single orbit walk."""
-    rep = _ortho(psi1.rep)
+    rep = R.orthonormal(psi1.rep)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
     conj_v1 = np.conj(psi1.coefficients(pts))
     out = np.empty(N_max + 1, dtype=complex)
@@ -185,7 +192,7 @@ def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     estimate (|value - value on a doubled grid|).  Any integer N; the
     reference for `correlation_series`."""
     _check_fiber_cocycle(psi1, psi2, c)
-    nodes = _sizing_nodes(psi1, psi2, c, N, quadrature.nodes_per_dim)
+    nodes = _sizing_nodes(psi1, psi2, c, flow, N, quadrature.nodes_per_dim)
     value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
     check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes + 1)
     return value, abs(value - check)
@@ -225,7 +232,7 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
     _check_fiber_cocycle(psi1, psi2, c)
-    nodes = _sizing_nodes(psi1, psi2, c, N_max, quadrature.nodes_per_dim)
+    nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
     values = _series_on_grid(psi1, psi2, c, flow, N_max, nodes)
     errs = np.abs(values - _series_on_grid(psi1, psi2, c, flow, N_max,
                                            2 * nodes + 1))
@@ -234,56 +241,8 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
 
 
 # ---------------------------------------------------------------------------
-# finite-N commutator average and kernel split
+# finite-N commutator average
 # ---------------------------------------------------------------------------
-
-def _differential_on_basis(rep: R.Representation, group: G.GroupSpec):
-    """d pi as an exact linear map on algebra payloads, assembled once
-    from the images of an algebra basis (so per-sample evaluation is a
-    linear combination, never a fresh finite-difference run)."""
-    if group != rep.group:
-        raise TagMismatchError("algebra and representation on different groups")
-    rep = _ortho(rep)
-    tag = group.tag
-    if tag == G.TORUS:
-        dim = group.torus_dim
-        stack = []
-        for i in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[i] = 1j
-            stack.append(R.rep_differential(rep, G.AlgebraElement(group, e)).matrix)
-        images = np.stack(stack)
-
-        def apply(payload):
-            comps = np.imag(np.asarray(payload))
-            return np.einsum("...i,ijk->...jk", comps, images)
-    elif tag in (G.SU2, G.SO3):
-        basis = G.SU2_BASIS if tag == G.SU2 else G.SO3_BASIS
-        comp_fn = G.su2_alg_components if tag == G.SU2 else G.so3_alg_components
-        images = np.stack([
-            R.rep_differential(rep, G.AlgebraElement(group, np.asarray(b))).matrix
-            for b in basis])
-
-        def apply(payload):
-            comps = comp_fn(np.asarray(payload))
-            return np.einsum("...i,ijk->...jk", comps, images)
-    else:  # U2: traceless part in the three-dimensional basis + central line
-        images = np.stack([
-            R.rep_differential(rep, G.AlgebraElement(group, np.asarray(b, dtype=complex))).matrix
-            for b in G.SU2_BASIS])
-        central = R.rep_differential(
-            rep, G.AlgebraElement(group, 1j * np.eye(2))).matrix
-
-        def apply(payload):
-            payload = np.asarray(payload)
-            t = np.imag(np.trace(payload, axis1=-2, axis2=-1)) / 2.0
-            traceless = payload - 1j * t[..., None, None] * np.eye(2)
-            comps = G.su2_alg_components(traceless)
-            out = np.einsum("...i,ijk->...jk", comps, images)
-            return out + t[..., None, None] * central
-
-    return apply
-
 
 def d_n_average(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
                 x: D.BasePoint, N: int) -> np.ndarray:
@@ -298,46 +257,13 @@ def d_n_average(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
         raise ConfigError("N must be >= 1")
     if np.ndim(x.phases) != 1:
         raise ConfigError("expected a single base point, not a batch")
-    dpi = _differential_on_basis(rep, c.group)
-    out = 1j * dpi(DG.degree_pointwise(c, flow, x, N).value.payload)
+    out = 1j * R.rep_differential(R.orthonormal(rep),
+                                  DG.degree_pointwise(c, flow, x, N).value).matrix
     defect = float(np.max(np.abs(out - np.conj(out.T))))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
         raise NumericGuardError(
             f"commutator average drifted off Hermitian by {defect:.3e}")
     return out
-
-
-def multiplication_matrix(rep: R.Representation,
-                          M_star: G.AlgebraElement) -> np.ndarray:
-    """The limit matrix D = i dpi(M_star) for a constant degree,
-    symmetrized to scrub finite-difference round-off."""
-    dpi = _differential_on_basis(rep, M_star.group)
-    out = 1j * dpi(M_star.payload)
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-
-
-def kernel_split(Dm: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Diagonalize a Hermitian multiplication matrix.
-
-    Returns (Q, eigenvalues, kernel indices): columns of Q are
-    eigenvectors in ascending eigenvalue order; the kernel collects
-    slots with |lambda| <= 1e-9 * max(1, max |lambda|).  Raises
-    NonHermitianError when the input is not Hermitian within 1e-9.
-    """
-    Dm = np.asarray(Dm, dtype=complex)
-    if Dm.ndim != 2 or Dm.shape[0] != Dm.shape[1]:
-        raise ConfigError("expected a square matrix")
-    defect = float(np.max(np.abs(Dm - np.conj(Dm.T))))
-    if defect > 1e-9 * max(1.0, float(np.max(np.abs(Dm)))):
-        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
-    sym = 0.5 * (Dm + np.conj(Dm.T))
-    lam, Q = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    kernel = [int(i) for i in np.where(np.abs(lam) <= KERNEL_REL_TOL * scale)[0]]
-    residual = float(np.max(np.abs(np.conj(Q.T) @ sym @ Q - np.diag(lam))))
-    if residual > 1e-10 * scale:
-        raise NumericGuardError(f"diagonalization residual {residual:.3e}")
-    return Q, lam, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +279,7 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
     phi'(x) = pi(zeta(x)^{-1}) phi(x).  Correlations then match:
     <S psi1, U_phi^N S psi2> = <psi1, U_delta^N psi2>.
     """
-    rep = _ortho(psi.rep)
+    rep = R.orthonormal(psi.rep)
     if rep.group != zeta.group:
         raise TagMismatchError("transfer function lives on a different group")
 
@@ -427,9 +353,9 @@ def _hypothesis(name: str, status: str, value) -> dict:
 def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
                      flow: D.TranslationFlow, nodes: int = 128) -> list[dict]:
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
-    m_sup = float(np.max(G.algebra_norm(G.AlgebraElement(c.group, c.m_field(pts)))))
-    dpi = _differential_on_basis(rep, c.group)
-    dm_sup = float(np.max(np.abs(dpi(c.m_field(pts)))))
+    M = G.AlgebraElement(c.group, c.m_field(pts))
+    m_sup = float(np.max(G.algebra_norm(M)))
+    dm_sup = float(np.max(np.abs(R.rep_differential(R.orthonormal(rep), M).matrix)))
     return [
         _hypothesis("derivative field bounded (grid sup)", "checked-on-grid", m_sup),
         _hypothesis("fiber multiplication bounded (grid sup)", "checked-on-grid", dm_sup),
@@ -458,7 +384,7 @@ def default_probes(rep: R.Representation, M_star: G.AlgebraElement,
     (empty when D vanishes on the whole fiber).  Meaningful for constant
     degree fields only; see `mixing_verdict` for the scope discussion.
     """
-    Q, _, kernel = kernel_split(multiplication_matrix(rep, M_star))
+    Q, _, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
     return [constant_fiber(rep, j, Q[:, s], name=f"eigenslot-{s}")
             for s in range(rep.dim) if s not in kernel]
 
@@ -467,7 +393,8 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
                    flow: D.TranslationFlow, M_star: G.AlgebraElement,
                    N_max: int = 50,
                    quadrature: D.QuadratureSpec | None = None,
-                   probes: Sequence[FiberVector] | None = None) -> dict:
+                   probes: Sequence[FiberVector] | None = None,
+                   ) -> tuple[dict, list[CorrelationSeries | None]]:
     """Correlation-decay check on the kernel complement of D = i dpi(M*).
 
     Default probes are the non-kernel eigenvectors of D as constant
@@ -485,24 +412,27 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     coefficient mass lies entirely in the kernel directions are out of
     the claim's scope and reported NOT-IN-SCOPE; if no probe is in
     scope the verdict is NO-CLAIM.
+
+    Returns (verdict, series): series[i] is probe i's correlation series,
+    None when probe i is NOT-IN-SCOPE.
     """
     quadrature = quadrature or D.QuadratureSpec(32)
     if N_max < 4:
         raise ConfigError("N_max must be >= 4")
-    Dm = multiplication_matrix(rep, M_star)
-    Q, lam, kernel = kernel_split(Dm)
+    Q, lam, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
     if probes is None:
         probes = default_probes(rep, M_star, j)
 
     probe_reports = []
-    statuses = []
+    walked = []
     for probe in probes:
         if _kernel_mass_fraction(probe, Q, kernel, flow.dim) >= 1.0 - 1e-12:
             probe_reports.append({"probe": probe.name, "status": NOT_IN_SCOPE,
                                   "reason": "coefficients lie in ker D"})
-            statuses.append(NOT_IN_SCOPE)
+            walked.append(None)
             continue
         series = correlation_series(probe, probe, c, flow, N_max, quadrature)
+        walked.append(series)
         c0 = abs(series.values[0])
         head = np.abs(series.values[1:N_max // 2])
         tail = np.abs(series.values[N_max // 2:])
@@ -518,8 +448,8 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
             "tail_max": float(np.max(tail)),
             "flagged_entries": series.flagged,
         })
-        statuses.append(status)
 
+    statuses = [p["status"] for p in probe_reports]
     if any(s == VIOLATED for s in statuses):
         verdict = VIOLATED
     elif any(s == SUPPORTED for s in statuses):
@@ -537,7 +467,7 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
         "notes": ("decay of probe correlations on the kernel complement is "
                   "an observable consequence of the mixing prediction, not "
                   "a proof"),
-    }
+    }, walked
 
 
 def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
@@ -568,9 +498,10 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
         raise ConfigError("degree must be an AlgebraElement or a DegreeField")
 
     if dini is None:
-        dpi = _differential_on_basis(rep, c.group)
-        dini = dini_modulus(lambda ph: dpi(c.m_field(ph)), flow,
-                            np.logspace(-4, 0, 17))
+        ortho = R.orthonormal(rep)
+        dini = dini_modulus(lambda ph: R.rep_differential(
+            ortho, G.AlgebraElement(c.group, c.m_field(ph))).matrix,
+            flow, np.logspace(-4, 0, 17))
     samples = np.asarray(dini["samples"])
     peak = float(np.max(samples)) if samples.size else 0.0
     shrinking = bool(samples[0] <= 0.5 * peak + 1e-12) if peak > 0 else True
@@ -603,13 +534,8 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     return {
         "rep_label": rep.name,
         "j": j,
-        "kernel_indices": kernel_indices_of(rep, M_rep),
+        "kernel_indices": DG.kernel_indices(rep, M_rep),
         "hypotheses": hypotheses,
         "verdict": verdict,
         "notes": notes,
     }
-
-
-def kernel_indices_of(rep: R.Representation, M_star: G.AlgebraElement) -> list[int]:
-    _, _, kernel = kernel_split(multiplication_matrix(rep, M_star))
-    return kernel

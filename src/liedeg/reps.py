@@ -333,6 +333,14 @@ def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> com
 # differential
 # ---------------------------------------------------------------------------
 
+STENCIL_STEP = 1e-3  # base step of the Richardson difference for basis images
+
+
+def orthonormal(rep: Representation) -> Representation:
+    """The same representation in the ORTHONORMAL convention."""
+    return rep if rep.convention == ORTHONORMAL else Representation(rep.group, rep.label)
+
+
 def _diag_matrix(values: np.ndarray) -> np.ndarray:
     d = values.shape[-1]
     out = np.zeros(values.shape[:-1] + (d, d), dtype=complex)
@@ -348,54 +356,100 @@ def _paper_rescale(mat: np.ndarray, rep: Representation) -> np.ndarray:
     return mat * (n[:, None] * n[None, :])
 
 
-def rep_differential(rep: Representation, Z: G.AlgebraElement,
-                     h: float = 1e-3) -> RepMatrix:
-    """d pi (Z), closed forms for the standard diagonal data, Richardson-
-    extrapolated central differences otherwise.
+def _closed_form(rep: Representation, p: np.ndarray) -> np.ndarray | None:
+    """d pi on torus data and on batches of standard diagonal data; None
+    when some batch element is off the diagonal."""
+    tag = rep.group.tag
+    if tag == G.TORUS:
+        q = np.array(rep.label)
+        return np.einsum("...i,i->...", np.imag(p), 1j * q)[..., None, None]
+    if tag == G.SU2 and np.all(p[..., 0, 1] == 0):
+        l = rep.label[0]
+        s = np.imag(p[..., 0, 0])
+        jj = np.arange(l + 1)
+        diag = 1j * s[..., None] * (2 * jj - l)
+        return _paper_rescale(_diag_matrix(diag), rep)
+    if tag == G.SO3:
+        a = G.so3_alg_components(p)
+        if np.all(a[..., 0] == 0) and np.all(a[..., 1] == 0):
+            l = rep.label[0]
+            jj = np.arange(-l, l + 1)
+            return _diag_matrix(1j * a[..., 2:3] * jj)
+    if tag == G.U2 and np.all(p[..., 0, 1] == 0) and np.all(p[..., 1, 0] == 0):
+        l, m = rep.label
+        x = _coordinates(rep.group, p)
+        jj = np.arange(l + 1)
+        diag = 1j * (x[..., 2:3] * (2 * jj - l) + x[..., 3:4] * (2 * m - l))
+        return _paper_rescale(_diag_matrix(diag), rep)
+    return None
+
+
+def _richardson(rep: Representation, p: np.ndarray) -> np.ndarray:
+    """d/dt pi(exp(t Z)) at t = 0: fourth-order central differences at
+    steps h and h/2, Richardson-extrapolated."""
+    def at(t):
+        return rep_eval_payload(rep, G.exp_alg(G.AlgebraElement(rep.group, t * p)).payload)
+
+    def central(step):
+        return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
+
+    return (16 * central(STENCIL_STEP / 2) - central(STENCIL_STEP)) / 15
+
+
+@lru_cache(maxsize=None)
+def _basis_images(rep: Representation) -> np.ndarray:
+    """d pi of the algebra basis, stacked: E1..E3 (SU(2)), J1..J3 (SO(3)),
+    E1..E3 and i I (U(2)); closed forms where diagonal, one Richardson
+    difference each otherwise."""
+    basis = {G.SU2: G.SU2_BASIS, G.SO3: G.SO3_BASIS,
+             G.U2: G.SU2_BASIS + (1j * np.eye(2),)}[rep.group.tag]
+    images = []
+    for b in basis:
+        closed = _closed_form(rep, b)
+        images.append(_richardson(rep, b) if closed is None else closed)
+    out = np.stack(images)
+    out.flags.writeable = False
+    return out
+
+
+def _coordinates(group: G.GroupSpec, p: np.ndarray) -> np.ndarray:
+    """Coordinates of algebra payloads against the `_basis_images` basis;
+    for U(2), the traceless components followed by t = Im tr / 2."""
+    if group.tag == G.SU2:
+        return G.su2_alg_components(p)
+    if group.tag == G.SO3:
+        return G.so3_alg_components(p)
+    t = np.imag(np.trace(p, axis1=-2, axis2=-1)) / 2.0
+    traceless = p - 1j * t[..., None, None] * np.eye(2)
+    return np.concatenate([G.su2_alg_components(traceless), t[..., None]], axis=-1)
+
+
+def rep_differential(rep: Representation, Z: G.AlgebraElement) -> RepMatrix:
+    """d pi (Z), batched: closed forms for torus and standard diagonal
+    data, otherwise the linear combination of the cached basis images.
 
     Closed forms (ORTHONORMAL scaling; PAPER multiplies entry (j,k) by
     ||p_j|| ||p_k||):
       torus                 sum_i q_i Z_i
       su2,  Z=diag(is,-is)  diag(i s (2j - l)),        j = 0..l
       so3,  Z=a J3          diag(i j a),               j = -l..l
-      u2,   Z=diag(is1,is2) diag(i[s1(m+j-l)+s2(m-j)]) j = 0..l
+      u2,   Z=diag(is1,is2) diag(i[x(2j-l)+t(2m-l)])   j = 0..l,
+                            x = (s1-s2)/2, t = (s1+s2)/2
     """
     if Z.group != rep.group:
         raise TagMismatchError("algebra element and rep on different groups")
-    tag = rep.group.tag
     p = Z.payload
-    if tag == G.TORUS:
-        q = np.array(rep.label)
-        return RepMatrix(rep, np.sum(q * p, axis=-1)[..., None, None])
-    if tag == G.SU2 and np.all(p[..., 0, 1] == 0):
-        l = rep.label[0]
-        s = np.imag(p[..., 0, 0])
-        jj = np.arange(l + 1)
-        diag = 1j * s[..., None] * (2 * jj - l)
-        return RepMatrix(rep, _paper_rescale(_diag_matrix(diag), rep))
-    if tag == G.SO3:
-        a = G.so3_alg_components(p)
-        if np.all(a[..., 0] == 0) and np.all(a[..., 1] == 0):
-            l = rep.label[0]
-            jj = np.arange(-l, l + 1)
-            diag = 1j * a[..., 2:3] * jj
-            return RepMatrix(rep, _diag_matrix(diag))
-    if tag == G.U2 and np.all(p[..., 0, 1] == 0) and np.all(p[..., 1, 0] == 0):
-        l, m = rep.label
-        s1, s2 = np.imag(p[..., 0, 0]), np.imag(p[..., 1, 1])
-        jj = np.arange(l + 1)
-        diag = 1j * (s1[..., None] * (m + jj - l) + s2[..., None] * (m - jj))
-        return RepMatrix(rep, _paper_rescale(_diag_matrix(diag), rep))
+    out = _closed_form(rep, p)
+    if out is None:
+        out = np.einsum("...i,ijk->...jk", _coordinates(rep.group, p), _basis_images(rep))
+    return RepMatrix(rep, out)
 
-    def at(t):
-        return rep_eval_payload(rep, G.exp_alg(G.AlgebraElement(Z.group, t * p)).payload)
 
-    def central(step):
-        return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
-
-    d1 = central(h)
-    d2 = central(h / 2)
-    return RepMatrix(rep, (16 * d2 - d1) / 15)
+def multiplication_matrix(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
+    """The fiber multiplication matrix i dpi(Z), batched, in the
+    ORTHONORMAL convention and Hermitian-symmetrized against round-off."""
+    out = 1j * rep_differential(orthonormal(rep), Z).matrix
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +528,7 @@ def peter_weyl_check(rep: Representation, scheme=None) -> dict:
     its deviation is pure round-off.
     """
     scheme = ProductQuadrature() if scheme is None else scheme
-    ortho = Representation(rep.group, rep.label, ORTHONORMAL)
+    ortho = orthonormal(rep)
     d = rep.dim
     if isinstance(scheme, MonteCarloQuadrature):
         g = G.haar_sample(rep.group, scheme.samples, RngHandle(scheme.seed))

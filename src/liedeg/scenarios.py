@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -439,8 +439,7 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
             "degree_nonzero": degree_nonzero}
 
 
-def _series_probe(rep: R.Representation, M_star: G.AlgebraElement,
-                  probes: list) -> K.FiberVector:
+def _series_probe(rep: R.Representation, probes: list) -> K.FiberVector:
     """Probe whose correlation series goes to disk for this fiber.
 
     First mixing probe when one exists; otherwise a fiber that shows
@@ -467,23 +466,18 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     zeta = extras.get("zeta")
     entries, series_paths = [], {}
     for rep in reps:
-        base_probes = K.default_probes(rep, M_star)
+        probes = K.default_probes(rep, M_star)
         if zeta is not None:
-            probes = [K.conjugate_vector(pr, zeta) for pr in base_probes]
-            probes = [K.FiberVector(pr.rep, pr.j, pr.coefficients,
-                                    pr.degree_bound,
-                                    name=f"{base.name}-conjugated")
-                      for pr, base in zip(probes, base_probes)]
-        else:
-            probes = base_probes
-        mixing = K.mixing_verdict(rep, 0, phi, flow, M_star,
-                                  N_max=config.n_corr, quadrature=quad,
-                                  probes=probes if zeta is not None else None)
+            probes = [replace(K.conjugate_vector(pr, zeta), name=f"{pr.name}-conjugated")
+                      for pr in probes]
+        mixing, walked = K.mixing_verdict(rep, 0, phi, flow, M_star,
+                                          N_max=config.n_corr,
+                                          quadrature=quad, probes=probes)
         ac = K.ac_verdict(rep, 0, phi, flow,
                           deg_field if deg_field is not None else M_star)
-        probe = _series_probe(rep, M_star, probes)
-        series = K.correlation_series(probe, probe, phi, flow,
-                                      config.n_corr, quad)
+        probe = _series_probe(rep, probes)
+        series = (walked[0] if walked and walked[0] is not None else
+                  K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))
         slug = _slug(rep)
         csv_name, svg_name = f"series-{slug}.csv", f"series-{slug}.svg"
         (outdir / csv_name).write_text(series.to_csv_text())

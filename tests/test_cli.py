@@ -5,6 +5,7 @@ import json
 import pytest
 
 from liedeg import acceptance, cli
+from liedeg import dynamics as D
 from liedeg import koopman as K
 
 
@@ -157,6 +158,22 @@ class TestCorrCommand:
         assert rc == 2
         capsys.readouterr()
 
+    def test_oversized_grid_is_refused_before_allocation(self, monkeypatch,
+                                                         capsys):
+        # N = 1000 at winding 3 and weight 3 needs a 36003^2-node check grid
+        real = D.quadrature_points
+
+        def bounded(spec, d):
+            assert spec.nodes_per_dim ** d <= 10 ** 6, "oversized grid built"
+            return real(spec, d)
+
+        monkeypatch.setattr(D, "quadrature_points", bounded)
+        rc = cli.main(["corr", "--cocycle", "torus-monomial",
+                       "--params", '{"k": [[3, 0]]}', "--d", "2",
+                       "--rep", "3", "--n-max", "1000"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     @pytest.mark.parametrize("flagged", [[0], [0, 2]])
     def test_warning_counts_every_flagged_entry(self, flagged, monkeypatch,

@@ -206,6 +206,15 @@ def test_a_phi_pi_field_takes_grid_minimum():
     assert abs(got - rho ** 2) < 1e-10
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_a_phi_pi_field_is_pointwise_minimum(manufactured_field, l):
+    rep = R.su2_rep(l)
+    values = manufactured_field.values
+    per_point = [DG.a_phi_pi(rep, G.AlgebraElement(values.group, p))
+                 for p in values.payload]
+    assert DG.a_phi_pi(rep, manufactured_field) == min(per_point)
+
+
 def test_kernel_indices_su2_parity():
     M = G.AlgebraElement(G.SU2_GROUP, 0.9 * G.E3)
     assert DG.kernel_indices(R.su2_rep(2), M) == [1]

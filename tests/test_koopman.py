@@ -378,8 +378,8 @@ def test_d_n_average_guards(manufactured):
 def test_multiplication_matrix_weight_pattern():
     s = 2 * np.pi * ALPHA
     M_star = G.AlgebraElement(G.SU2_GROUP, s * G.E3)
-    Dm = K.multiplication_matrix(R.su2_rep(2), M_star)
-    Q, lam, kernel = K.kernel_split(Dm)
+    Dm = R.multiplication_matrix(R.su2_rep(2), M_star)
+    Q, lam, kernel = DG.kernel_split(Dm)
     assert np.allclose(lam, [-2 * s, 0.0, 2 * s], atol=1e-10)
     assert kernel == [1]
     assert np.max(np.abs(np.conj(Q.T) @ Q - np.eye(3))) < 1e-12
@@ -387,13 +387,13 @@ def test_multiplication_matrix_weight_pattern():
 
 def test_kernel_split_guards():
     with pytest.raises(NonHermitianError):
-        K.kernel_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        DG.kernel_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ConfigError):
-        K.kernel_split(np.zeros((2, 3)))
+        DG.kernel_split(np.zeros((2, 3)))
     # a defect below the relative guard is absorbed by symmetrization
     A = np.diag([1.0, -1.0]).astype(complex)
     A[0, 1] = 1e-12
-    Q, lam, kernel = K.kernel_split(A)
+    Q, lam, kernel = DG.kernel_split(A)
     assert kernel == []
 
 
@@ -402,20 +402,21 @@ def test_kernel_split_u2_patterns():
     M_full = G.AlgebraElement(G.U2_GROUP, np.diag([1j * s, 0.0]))
     expected_full = {(1, 1): [1], (2, 1): [1], (1, 0): [0]}
     for (l, m), ker in expected_full.items():
-        got = K.kernel_indices_of(R.u2_rep(l, m), M_full)
+        got = DG.kernel_indices(R.u2_rep(l, m), M_full)
         assert got == ker, (l, m)
     M_central = G.p_ad(M_full)
-    assert K.kernel_indices_of(R.u2_rep(1, 1), M_central) == []
-    assert K.kernel_indices_of(R.u2_rep(2, 1), M_central) == [0, 1, 2]
+    assert DG.kernel_indices(R.u2_rep(1, 1), M_central) == []
+    assert DG.kernel_indices(R.u2_rep(2, 1), M_central) == [0, 1, 2]
 
 
 def test_kernel_split_matches_degree_lab(manufactured_degree):
-    field = manufactured_degree
-    for l in (1, 2, 3):
-        rep = R.su2_rep(l)
-        via_split = K.kernel_indices_of(rep, field.mean_value)
-        via_degree = DG.kernel_indices(rep, field.mean_value)
-        assert via_split == via_degree
+    # the averaged manufactured degree keeps the SU(2) weight parity:
+    # a zero weight (kernel slot) exactly for even l
+    M_star = manufactured_degree.mean_value
+    expected = {1: [], 2: [1], 3: []}
+    for l, kernel in expected.items():
+        Dm = R.multiplication_matrix(R.su2_rep(l), M_star)
+        assert DG.kernel_split(Dm)[2] == kernel, l
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +483,9 @@ def test_dini_modulus_validation():
 def test_mixing_verdict_winding_fiber_supported():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
-    v = K.mixing_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star, N_max=50)
+    v, series = K.mixing_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star, N_max=50)
     assert v["verdict"] == K.SUPPORTED
+    assert len(series) == 1 and series[0].n_max == 50
     assert v["kernel_indices"] == []
     assert [p["status"] for p in v["probes"]] == [K.SUPPORTED]
     assert all("value" in h for h in v["hypotheses"])
@@ -494,8 +496,9 @@ def test_mixing_verdict_kernel_probe_not_in_scope():
     rep0 = R.torus_rep((0,))
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     probe = K.monomial_fiber(rep0, 0, [[1]])
-    v = K.mixing_verdict(rep0, 0, anzai, FLOW, zero, N_max=50, probes=[probe])
+    v, series = K.mixing_verdict(rep0, 0, anzai, FLOW, zero, N_max=50, probes=[probe])
     assert v["verdict"] == K.NO_CLAIM
+    assert series == [None]
     assert v["probes"][0]["status"] == K.NOT_IN_SCOPE
 
 
@@ -506,15 +509,15 @@ def test_mixing_verdict_rotating_kernel_scope(manufactured, manufactured_degree)
     _, zeta, phi = manufactured
     rep = R.su2_rep(2)
     M_star = manufactured_degree.mean_value
-    v_const = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30)
+    v_const, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30)
     assert v_const["verdict"] == K.VIOLATED
     probes = [K.conjugate_vector(K.constant_fiber(rep, 0, np.eye(3)[j]), zeta)
               for j in (0, 2)]
-    v_conj = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=probes)
+    v_conj, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=probes)
     assert v_conj["verdict"] == K.SUPPORTED
     assert all(p["tail_max"] < 1e-12 for p in v_conj["probes"])
     middle = [K.conjugate_vector(K.constant_fiber(rep, 0, np.eye(3)[1]), zeta)]
-    v_mid = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=middle)
+    v_mid, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=middle)
     assert v_mid["verdict"] == K.VIOLATED
     assert abs(v_mid["probes"][0]["tail_max"] - 1.0 / 3.0) < 1e-10
 
@@ -522,11 +525,11 @@ def test_mixing_verdict_rotating_kernel_scope(manufactured, manufactured_degree)
 def test_mixing_verdict_u2_fibers():
     u2 = D.u2_product(FLOW, [1], [1])
     M_star = DG.degree_constant_diagonal(u2, D.QuadratureSpec(64))
-    v = K.mixing_verdict(R.u2_rep(1, 1), 0, u2, FLOW, M_star, N_max=40)
+    v, _ = K.mixing_verdict(R.u2_rep(1, 1), 0, u2, FLOW, M_star, N_max=40)
     assert v["kernel_indices"] == [1]
     assert v["verdict"] == K.SUPPORTED
     central = G.p_ad(M_star)
-    v2 = K.mixing_verdict(R.u2_rep(2, 1), 0, u2, FLOW, central, N_max=40)
+    v2, _ = K.mixing_verdict(R.u2_rep(2, 1), 0, u2, FLOW, central, N_max=40)
     assert v2["kernel_indices"] == [0, 1, 2]
     assert v2["verdict"] == K.NO_CLAIM
     assert v2["probes"] == []

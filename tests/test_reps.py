@@ -191,7 +191,7 @@ def test_differential_skew_linear_commutator(rep):
 
 
 def test_differential_closed_forms_match_fd():
-    # route the same diagonal data through the generic FD path by adding
+    # route the same diagonal data through the basis-image path by adding
     # a numerically-zero off-diagonal entry
     rho = 0.9
     closed = R.rep_differential(R.su2_rep(4), G.AlgebraElement(
@@ -202,6 +202,58 @@ def test_differential_closed_forms_match_fd():
     assert np.max(np.abs(closed - fd)) < 1e-9
     want = np.diag(1j * rho * (2 * np.arange(5) - 4))
     assert np.max(np.abs(closed - want)) == 0.0
+
+
+def _richardson_on_z(rep, Z, h=1e-3):
+    """Reference d pi(Z): Richardson-extrapolated central differences of
+    t -> pi(exp(t Z)), taken on Z itself rather than on a basis."""
+    def at(t):
+        return R.rep_eval_payload(
+            rep, G.exp_alg(G.AlgebraElement(rep.group, t * Z.payload)).payload)
+
+    def central(step):
+        return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
+
+    return (16 * central(h / 2) - central(h)) / 15
+
+
+def _offdiagonal_batch(group, n=5, seed=4):
+    """Batched algebra elements with unit-scale, nonzero off-diagonal
+    coordinates (plus a central part for U(2))."""
+    gen = np.random.default_rng(seed)
+    x = gen.uniform(0.2, 1.0, (n, 3)) * gen.choice([-1.0, 1.0], (n, 3))
+    if group.tag == G.SO3:
+        return G.AlgebraElement(group, G.so3_alg_from_components(x))
+    payload = G.su2_alg_from_components(x)
+    if group.tag == G.U2:
+        payload = payload + 1j * gen.uniform(-1, 1, n)[:, None, None] * np.eye(2)
+    return G.AlgebraElement(group, payload)
+
+
+DIFFERENTIAL_LABELS = ([(G.SU2_GROUP, (l,)) for l in range(5)]
+                       + [(G.SO3_GROUP, (l,)) for l in range(3)]
+                       + [(G.U2_GROUP, (l, m)) for l in range(4) for m in (-1, 0, 2)])
+
+
+@pytest.mark.parametrize("convention", [R.ORTHONORMAL, R.PAPER])
+@pytest.mark.parametrize("group, label", DIFFERENTIAL_LABELS,
+                         ids=lambda v: getattr(v, "tag", str(v)))
+def test_differential_matches_richardson_on_z(group, label, convention):
+    rep = R.Representation(group, label, convention)
+    Z = _offdiagonal_batch(group)
+    got = R.rep_differential(rep, Z).matrix
+    assert got.shape == (5, rep.dim, rep.dim)
+    assert np.max(np.abs(got - _richardson_on_z(rep, Z))) < 1e-9
+
+
+@pytest.mark.parametrize("rep", [R.su2_rep(3), R.u2_rep(2, 1)], ids=lambda r: r.name)
+def test_differential_paper_images_rescale_orthonormal(rep):
+    Z = _offdiagonal_batch(rep.group)
+    n = R.su2_norms(rep.label[0])
+    ortho = R.rep_differential(rep, Z).matrix
+    paper = R.rep_differential(R.Representation(rep.group, rep.label, R.PAPER), Z).matrix
+    assert np.max(np.abs(paper - ortho * n[:, None] * n[None, :])) < 1e-12
+    assert np.array_equal(R.rep_differential(rep, Z).matrix, ortho)
 
 
 def test_differential_eigenvalue_patterns():
