@@ -132,7 +132,7 @@ def _criterion_04():
         dev = G.algebra_norm(G.AlgebraElement(
             c.group, est.value.payload - np.array([target])))
         worst_pt = max(worst_pt, float(np.max(dev)))
-        closed = DG.degree_constant_diagonal(c, D.QuadratureSpec(8), 1)
+        closed = DG.degree_constant_diagonal(c, D.QuadratureSpec(8))
         worst_quad = max(worst_quad, float(
             np.max(np.abs(closed.payload - np.array([target])))))
     passed = worst_pt <= 1e-3 and worst_quad <= 1e-12

@@ -51,29 +51,32 @@ class DegreeEstimate:
             self.value.group, self.value.payload - self.half.payload))
 
 
-def degree_pointwise(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
-                     N: int = DEFAULT_N) -> DegreeEstimate:
-    """(1/N) sum_{n<N} Ad_{phi^(n)(x)} M(F_n x), batched over x.
-
-    One orbit walk accumulates the transferred M-field term by term; a
-    snapshot at floor(N/2) provides the convergence diagnostic.
-    """
-    if N < 1:
+def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) -> dict:
+    """Running sums S_n(x) = sum_{k<n} Ad_{phi^(k)(x)} M(F_k x) for each n
+    in `counts`, batched over x, from one orbit walk of max(counts) steps."""
+    if min(counts) < 1:
         raise ConfigError("N must be >= 1")
-    group = c.group
-    half_n = max(N // 2, 1)
-    total = half = None
+    sums, total = {}, None
 
     def visit(k, phases, g):
-        nonlocal total, half
-        term = G.ad(g, G.AlgebraElement(group, c.m_field(phases))).payload
+        nonlocal total
+        term = G.ad(g, G.AlgebraElement(c.group, c.m_field(phases))).payload
         total = term if total is None else total + term
-        if k + 1 == half_n:
-            half = total / half_n
+        if k + 1 in counts:
+            sums[k + 1] = total
 
-    D.cocycle_iterate(c, flow, x, N, visit)
-    return DegreeEstimate(G.AlgebraElement(group, total / N),
-                          G.AlgebraElement(group, half), N)
+    D.cocycle_iterate(c, flow, x, max(counts), visit)
+    return sums
+
+
+def degree_pointwise(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
+                     N: int = DEFAULT_N) -> DegreeEstimate:
+    """(1/N) sum_{n<N} Ad_{phi^(n)(x)} M(F_n x), batched over x, with the
+    partial sum at floor(N/2) as convergence diagnostic."""
+    half_n = max(N // 2, 1)
+    sums = _cesaro_sums(c, flow, x, {half_n, N})
+    return DegreeEstimate(G.AlgebraElement(c.group, sums[N] / N),
+                          G.AlgebraElement(c.group, sums[half_n] / half_n), N)
 
 
 @dataclass
@@ -117,49 +120,37 @@ def _pairwise_spread(values: G.AlgebraElement) -> float:
     return worst
 
 
+def _field_from_estimate(points: D.BasePoint, est: DegreeEstimate) -> DegreeField:
+    diags, spread = est.diagnostic, _pairwise_spread(est.value)
+    tol = CONSTANT_SPREAD_FACTOR * max(float(np.max(diags)), 1e-12)
+    return DegreeField(points, est.value, est.n_used, diags, spread,
+                       constant=spread <= tol)
+
+
 def degree_field(c: D.Cocycle, flow: D.TranslationFlow, points: D.BasePoint,
                  N: int = DEFAULT_N) -> DegreeField:
     """Degree estimates over a point family, in one batched orbit walk."""
-    phases = np.atleast_2d(points.phases)
-    est = degree_pointwise(c, flow, D.BasePoint(phases), N)
-    diags = est.diagnostic
-    spread = _pairwise_spread(est.value)
-    tol = CONSTANT_SPREAD_FACTOR * max(float(np.max(diags)), 1e-12)
-    return DegreeField(D.BasePoint(phases), est.value, N, diags, spread,
-                       constant=spread <= tol)
+    points = D.BasePoint(np.atleast_2d(points.phases))
+    return _field_from_estimate(points, degree_pointwise(c, flow, points, N))
 
 
 # ---------------------------------------------------------------------------
 # constant closed forms
 # ---------------------------------------------------------------------------
 
-def degree_constant_diagonal(c: D.Cocycle, quadrature: D.QuadratureSpec,
-                             d: int | None = None) -> G.AlgebraElement:
+def degree_constant_diagonal(c: D.Cocycle, quadrature: D.QuadratureSpec) -> G.AlgebraElement:
     """Quadrature of the M-field over the base torus: the constant-degree
     closed form on the diagonal route (base map uniquely ergodic and the
     composed representation diagonal)."""
-    dim = d if d is not None else _cocycle_base_dim(c, quadrature)
-    pts = D.quadrature_points(quadrature, dim)
+    pts = D.quadrature_points(quadrature, c.base_dim)
     return G.AlgebraElement(c.group, np.mean(c.m_field(pts), axis=0))
 
 
-def degree_constant_ergodic(c: D.Cocycle, quadrature: D.QuadratureSpec,
-                            d: int | None = None) -> G.AlgebraElement:
+def degree_constant_ergodic(c: D.Cocycle, quadrature: D.QuadratureSpec) -> G.AlgebraElement:
     """Ad-average projection of the integrated M-field: the constant-degree
     closed form on the ergodic route (whole skew product uniquely ergodic).
     Identically zero for SU(2)/SO(3), where no Ad-invariant vector exists."""
-    return G.p_ad(degree_constant_diagonal(c, quadrature, d))
-
-
-def _cocycle_base_dim(c: D.Cocycle, quadrature: D.QuadratureSpec) -> int:
-    # probe the value callable for the base dimension it accepts
-    for d in (1, 2, 3):
-        try:
-            c.value(np.zeros((1, d)))
-            return d
-        except Exception:
-            continue
-    raise ConfigError("could not infer base dimension; pass d explicitly")
+    return G.p_ad(degree_constant_diagonal(c, quadrature))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +290,12 @@ def hom_apply_cocycle(h: Homomorphism, delta) -> D.Cocycle:
             return h.alg_map((rot.m_field(ph), tor.m_field(ph)))
 
         return D.Cocycle(h.codomain, value, m_field,
-                         rot.freq_bound + tor.freq_bound,
+                         rot.freq_bound + tor.freq_bound, rot.base_dim,
                          name=f"{h.name}[{rot.name}, {tor.name}]",
                          branch_discontinuous=True)
     return D.Cocycle(h.codomain, lambda ph: h.value_map(delta.value(ph)),
                      lambda ph: h.alg_map(delta.m_field(ph)),
-                     delta.freq_bound, name=f"{h.name}[{delta.name}]",
+                     delta.freq_bound, delta.base_dim, name=f"{h.name}[{delta.name}]",
                      branch_discontinuous=delta.branch_discontinuous)
 
 
@@ -409,8 +400,31 @@ def su2_transfer_zeta(Dz: G.AlgebraElement, rho, branch_tol: float = 1e-9,
     return zeta
 
 
+def _walk_with_shift(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
+                     n_shift: int, N: int) -> tuple[DegreeEstimate, DegreeEstimate]:
+    """One walk of N + 1 steps over x: estimates on the rows [y; F_1 y] for
+    y the first `n_shift` points, F_1 y unwalked by the cocycle identity
+    S_n(F_1 y) = Ad_{phi(y)^-1}(S_{n+1}(y) - M(y)), and at the other points."""
+    half_n = max(N // 2, 1)
+    S = _cesaro_sums(c, flow, x, {1, half_n, half_n + 1, N, N + 1})
+    phi_inv = G.group_inv(G.GroupElement(c.group, c.value(x.phases[:n_shift])))
+
+    def with_shift(n):
+        moved = G.ad(phi_inv, G.AlgebraElement(
+            c.group, S[n + 1][:n_shift] - S[1][:n_shift])).payload
+        return G.AlgebraElement(c.group, np.concatenate(
+            [S[n][:n_shift] / n, moved / n], axis=0))
+
+    def rest(n):
+        return G.AlgebraElement(c.group, S[n][n_shift:] / n)
+
+    return (DegreeEstimate(with_shift(N), with_shift(half_n), N),
+            DegreeEstimate(rest(N), rest(half_n), N))
+
+
 def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
-                   grid: D.BasePoint, rho_threshold: float = 1e-3) -> dict:
+                   grid: D.BasePoint, rho_threshold: float = 1e-3,
+                   field_points: D.BasePoint | None = None) -> dict:
     """Conjugate an SU(2) cocycle toward diagonal form on a grid.
 
     Estimates the degree at the grid points and their unit-time shifts,
@@ -419,14 +433,19 @@ def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
     delta is exactly diagonal, so the reported max off-diagonal magnitude
     measures the degree-estimation error amplified by the conditioning of
     the transfer construction.
+
+    Only the grid is walked (`_walk_with_shift`); `field_points` ride along
+    and their DegreeField is returned as "degree_field" (else None).
     """
     if phi.group.tag != G.SU2:
         raise TagMismatchError("straightening lives in SU(2)")
     phases = np.atleast_2d(grid.phases)
-    shifted = np.mod(phases + flow.alpha_array, 1.0)
-    both = D.BasePoint(np.concatenate([phases, shifted], axis=0))
-    est = degree_pointwise(phi, flow, both, N)
     n_pts = phases.shape[0]
+    walked = phases if field_points is None else np.concatenate(
+        [phases, np.atleast_2d(field_points.phases)], axis=0)
+    est, at_field = _walk_with_shift(phi, flow, D.BasePoint(walked), n_pts, N)
+    field = None if field_points is None else _field_from_estimate(
+        D.BasePoint(walked[n_pts:]), at_field)
     norms = G.algebra_norm(est.value)
     rho_est = float(np.mean(norms[:n_pts]))
     if rho_est <= rho_threshold:
@@ -451,6 +470,7 @@ def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
         "cesaro_diagnostic": cesaro,
         "conditioning_ratio": off_diag / cesaro if cesaro > 0 else float("inf"),
         "n_used": N,
+        "degree_field": field,
         "interpolation_note": ("delta sampled on the grid only; use the "
                                "manufactured pathway for a closed form"),
     }

@@ -121,13 +121,15 @@ class Cocycle:
     `value` / `m_field` act on raw phase arrays (..., d) and return
     batched payloads; `freq_bound` is the per-dimension trigonometric
     degree of the matrix entries of phi in the defining representation,
-    used by the correlation quadrature sizing rule.
+    used by the correlation quadrature sizing rule; `base_dim` is the
+    dimension d of the base torus the callables accept.
     """
 
     group: G.GroupSpec
     value: Callable[[np.ndarray], np.ndarray]
     m_field: Callable[[np.ndarray], np.ndarray] | None
     freq_bound: int
+    base_dim: int
     name: str = ""
     smoothness_note: str = "real-analytic trigonometric polynomial"
     branch_discontinuous: bool = False
@@ -251,6 +253,7 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
 
     return Cocycle(group, value, m_field,
                    freq_bound=2 * zeta.freq_bound + delta.freq_bound,
+                   base_dim=delta.base_dim,
                    name=name or f"cohomologous[{zeta.name} ; {delta.name}]")
 
 
@@ -283,8 +286,8 @@ def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
     def m_field(phases):
         return np.broadcast_to(const, phases.shape[:-1] + (dprime,)).copy()
 
-    return Cocycle(G.torus_group(dprime), value, m_field,
-                   int(np.max(np.abs(k))), name=f"torus-monomial k={k.tolist()}")
+    return Cocycle(G.torus_group(dprime), value, m_field, int(np.max(np.abs(k))),
+                   flow.dim, name=f"torus-monomial k={k.tolist()}")
 
 
 def torus_power(c: Cocycle, p: int) -> Cocycle:
@@ -293,7 +296,7 @@ def torus_power(c: Cocycle, p: int) -> Cocycle:
         raise TagMismatchError("torus_power applies to torus cocycles")
     return Cocycle(c.group, lambda ph: c.value(ph) ** p,
                    (lambda ph: p * c.m_field(ph)) if c.m_field else None,
-                   abs(p) * c.freq_bound, name=f"({c.name})^{p}")
+                   abs(p) * c.freq_bound, c.base_dim, name=f"({c.name})^{p}")
 
 
 def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
@@ -310,7 +313,7 @@ def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
 
-    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))),
+    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))), flow.dim,
                    name=f"su2-diagonal k={k.tolist()}")
 
 
@@ -334,7 +337,7 @@ def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
 
-    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))),
+    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))), flow.dim,
                    name=f"su2-twisted-diagonal k={k.tolist()} c0={c0}")
 
 
@@ -369,7 +372,7 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
         return t1p * G.E1 + t2p * ade2.payload
 
     return Cocycle(G.SU2_GROUP, value, m_field,
-                   int(np.max(np.abs(m1)) + np.max(np.abs(m2))),
+                   int(np.max(np.abs(m1)) + np.max(np.abs(m2))), flow.dim,
                    name=f"su2-two-angle m1={m1.tolist()} m2={m2.tolist()}")
 
 
@@ -392,7 +395,7 @@ def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
         return np.broadcast_to(mconst, phases.shape[:-1] + (3, 3)).copy()
 
     return Cocycle(G.SO3_GROUP, value, m_field, int(np.max(np.abs(k), initial=0)),
-                   name=f"so3-x3-rotation k={k.tolist()}")
+                   flow.dim, name=f"so3-x3-rotation k={k.tolist()}")
 
 
 def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Cocycle:
@@ -441,7 +444,7 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
         freq = int(max(np.max(np.abs(kp)), np.max(np.abs(km)))) // 2
     else:
         freq = int(np.max(np.abs(kt)) + np.max(np.abs(kr)))
-    return Cocycle(G.U2_GROUP, value, m_field, max(freq, 1),
+    return Cocycle(G.U2_GROUP, value, m_field, max(freq, 1), flow.dim,
                    name=f"u2-product k_torus={kt.tolist()} k_rot={kr.tolist()}",
                    smoothness_note=("real-analytic trigonometric polynomial" if matched
                                     else "discontinuous branch cut (parity mismatch)"),
@@ -463,5 +466,5 @@ def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:
         return dconst * np.eye(2) + inner.m_field(phases)
 
     return Cocycle(G.U2_GROUP, value, m_field if inner.m_field else None,
-                   int(np.max(np.abs(k))) + inner.freq_bound,
+                   int(np.max(np.abs(k))) + inner.freq_bound, flow.dim,
                    name=f"u2-scalar k={k.tolist()} times [{inner.name}]")

@@ -65,6 +65,10 @@ _CONFIG_FIELDS = ("name", "d", "alpha", "cocycle", "reps", "n_degree",
                   "n_corr", "nodes", "seed", "outdir")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class ScenarioConfig:
     """Complete description of one pipeline run.
@@ -92,31 +96,40 @@ class ScenarioConfig:
         if self.name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.name!r}; expected one "
                               f"of {', '.join(SCENARIO_NAMES)}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ConfigError("d must be a positive integer")
         if self.alpha is not None:
-            arr = list(self.alpha)
-            if len(arr) != self.d:
+            if not isinstance(self.alpha, (list, tuple)) or not all(
+                    (_is_int(a) or isinstance(a, float)) and abs(a) < 1e300
+                    for a in self.alpha):
+                raise ConfigError("alpha must be a list of finite numbers")
+            if len(self.alpha) != self.d:
                 raise ConfigError("alpha length must equal d")
-            self.alpha = [float(a) for a in arr]
-        if not isinstance(self.cocycle, dict) or "name" not in self.cocycle:
-            raise ConfigError("cocycle must be a dict with a 'name' key")
+            self.alpha = [float(a) for a in self.alpha]
+        if not isinstance(self.cocycle, dict) or not isinstance(
+                self.cocycle.get("name"), str):
+            raise ConfigError("cocycle must be a dict with a 'name' string")
         if self.cocycle["name"] not in COCYCLE_BUILDERS:
             raise ConfigError(
                 f"unknown cocycle {self.cocycle['name']!r}; expected one of "
                 f"{', '.join(sorted(COCYCLE_BUILDERS))}")
-        if not self.reps:
+        if not isinstance(self.cocycle.get("params", {}), dict):
+            raise ConfigError("cocycle params must be a dict")
+        if not isinstance(self.reps, (list, tuple)) or not self.reps:
             raise ConfigError("at least one representation label is required")
-        self.reps = [[int(v) for v in np.atleast_1d(label)]
-                     for label in self.reps]
-        if self.n_degree < 2:
-            raise ConfigError("n_degree must be at least 2")
-        if self.n_corr < 4:
-            raise ConfigError("n_corr must be at least 4")
-        if self.nodes < 3:
-            raise ConfigError("nodes must be at least 3")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        labels = [list(label) if isinstance(label, (list, tuple)) else [label]
+                  for label in self.reps]
+        if not all(label and all(_is_int(v) for v in label) for label in labels):
+            raise ConfigError("each representation label must be an integer "
+                              "or a nonempty list of integers")
+        self.reps = [[int(v) for v in label] for label in labels]
+        for key, least in (("n_degree", 2), ("n_corr", 4), ("nodes", 3)):
+            if not _is_int(getattr(self, key)) or getattr(self, key) < least:
+                raise ConfigError(f"{key} must be an integer of at least {least}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
+        if self.outdir is not None and not isinstance(self.outdir, (str, Path)):
+            raise ConfigError("outdir must be a path string")
 
     def to_dict(self) -> dict:
         """Config echo for the report; deliberately omits `outdir`."""
@@ -231,7 +244,7 @@ def build_cocycle(flow: D.TranslationFlow, spec: dict):
     that manufactured a cohomologous pair).
     """
     name = spec.get("name")
-    if name not in COCYCLE_BUILDERS:
+    if not isinstance(name, str) or name not in COCYCLE_BUILDERS:
         raise ConfigError(f"unknown cocycle {name!r}")
     params = spec.get("params", {})
     try:
@@ -239,6 +252,10 @@ def build_cocycle(flow: D.TranslationFlow, spec: dict):
     except KeyError as exc:
         raise ConfigError(
             f"cocycle {name!r} is missing parameter {exc.args[0]!r}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"cocycle {name!r} has a bad parameter: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +407,7 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     if group.tag == G.TORUS:
         # exact quadrature of the (trigonometric polynomial) M-field
         exact_nodes = max(config.nodes, 2 * phi.freq_bound + 2)
-        M_star = DG.degree_constant_diagonal(
-            phi, D.QuadratureSpec(exact_nodes), config.d)
+        M_star = DG.degree_constant_diagonal(phi, D.QuadratureSpec(exact_nodes))
         constant_form = "diagonal-route"
         spot = DG.degree_field(phi, flow, sample,
                                N=min(config.n_degree, 4000))
@@ -403,18 +419,22 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
         degree_nonzero = float(G.algebra_norm(M_star)) > \
             DEGREE_NONZERO_THRESHOLD
     else:
-        deg_field = DG.degree_field(phi, flow, sample, N=config.n_degree)
+        straight = None
+        if group.tag == G.SU2 and "zeta" in extras:
+            # the sample points ride along in the straightening grid's walk
+            grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(64), config.d))
+            straight = DG.su2_straighten(phi, flow, config.n_degree, grid,
+                                         field_points=sample)
+        deg_field = straight["degree_field"] if straight else DG.degree_field(
+            phi, flow, sample, N=config.n_degree)
+        constant_form = "pointwise-cesaro"
         diagnostics["field_spread"] = float(deg_field.spread)
         diagnostics["field_constant"] = bool(deg_field.constant)
         diagnostics["field_diagnostic_max"] = float(
             np.max(deg_field.diagnostics))
-        if group.tag == G.SU2 and "zeta" in extras:
-            grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(64),
-                                                   config.d))
-            straight = DG.su2_straighten(phi, flow, config.n_degree, grid)
+        if straight is not None:
             rho_hat = straight["rho_estimate"]
             M_star = G.AlgebraElement(G.SU2_GROUP, rho_hat * G.E3)
-            constant_form = "pointwise-cesaro"
             for key in ("rho_estimate", "max_off_diagonal",
                         "min_diagonal_magnitude", "cesaro_diagnostic",
                         "conditioning_ratio"):
@@ -422,14 +442,13 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
             degree_nonzero = rho_hat > DEGREE_NONZERO_THRESHOLD
         else:
             M_star = deg_field.mean_value
-            constant_form = "pointwise-cesaro"
             degree_nonzero = float(G.algebra_norm(M_star)) > \
                 DEGREE_NONZERO_THRESHOLD
         if group.tag == G.U2:
             diagnostics["s_phi"] = float(
                 np.imag(np.trace(M_star.payload)) / 2.0)
 
-    integral_M = DG.degree_constant_diagonal(phi, quad, config.d)
+    integral_M = DG.degree_constant_diagonal(phi, quad)
     verdict = DG.ergodicity_verdict(group, integral_M, degree_nonzero)
     report = DG.degree_report(group, M_star, reps, verdict,
                               n_used=config.n_degree,

@@ -229,6 +229,9 @@ _TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",
     ["rep-check", "--group", "su2", "--label", "1", "--samples", "0"],
     ["rep-check", "--group", "su2", "--label", "1", "--samples", "-3"],
     ["rep-check", "--group", "su2", "--label", "1", "--nodes", "-1"],
+    ["degree", "--cocycle", "su2-diagonal", "--params", '{"k": "a"}'],
+    ["degree", "--cocycle", "cohomologous-su2-pair",
+     "--params", '{"k": 1, "c0": "x"}'],
 ])
 def test_invalid_input_is_one_line_config_error(argv, capsys):
     assert cli.main(argv) == 2

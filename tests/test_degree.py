@@ -156,6 +156,18 @@ def test_constant_diagonal_anzai_and_su2():
     assert abs(float(G.algebra_norm(got)) - 6 * np.pi * ALPHA) < 1e-12
 
 
+def test_constant_diagonal_reads_base_dim_from_cocycle():
+    # value accepts any trailing dimension, so a d = 1 probe would succeed;
+    # the M-field only broadcasts on the 2-torus the cocycle lives over
+    flow = D.default_flow(2)
+    const = 2j * np.pi * flow.alpha_array
+    c = D.Cocycle(G.torus_group(2), lambda ph: np.exp(2j * np.pi * ph),
+                  lambda ph: np.broadcast_to(const, ph.shape).copy(), 1, 2,
+                  name="T2 identity winding")
+    got = DG.degree_constant_diagonal(c, D.QuadratureSpec(4))
+    assert np.max(np.abs(got.payload - const)) < 1e-14
+
+
 def test_constant_ergodic_su2_vanishes(manufactured):
     _, _, phi = manufactured
     got = DG.degree_constant_ergodic(phi, D.QuadratureSpec(32))
@@ -242,7 +254,7 @@ def test_invariance_cohomology_trivial_zeta():
                   lambda ph: np.broadcast_to(np.array([1.0 + 0j, 0.0]),
                                              ph.shape[:-1] + (2,)).copy(),
                   lambda ph: np.zeros(ph.shape[:-1] + (2, 2), dtype=complex),
-                  0, name="identity")
+                  0, 1, name="identity")
     phi = D.cohomologous_build(delta, e, FLOW)
     rep = DG.invariance_check_cohomology(phi, delta, e, FLOW, 200,
                                          D.BasePoint(RNG.random((4, 1))))
@@ -373,6 +385,34 @@ def test_straighten_already_diagonal():
     assert out["max_off_diagonal"] == 0.0
     assert np.max(np.abs(out["zeta_values"].payload
                          - np.array([1.0 + 0j, 0.0]))) == 0.0
+
+
+def _shift_cases():
+    delta = D.su2_diagonal(FLOW, [1])
+    zeta = D.su2_twisted_diagonal(FLOW, [1], 0.7)
+    return {"manufactured": D.cohomologous_build(delta, zeta, FLOW),
+            "su2-two-angle": D.su2_two_angle(FLOW, [1], [2], 0.3, 0.1),
+            "su2-diagonal": delta}
+
+
+@pytest.mark.parametrize("name", sorted(_shift_cases()))
+def test_shift_identity_matches_walk_from_shifted_points(name):
+    c = _shift_cases()[name]
+    x = D.BasePoint(RNG.random((5, 1)))
+    rest = D.BasePoint(RNG.random((2, 1)))
+    n = 1500
+    both = D.BasePoint(np.concatenate([x.phases, rest.phases]))
+    est, at_rest = DG._walk_with_shift(c, FLOW, both, 5, n)
+    here = DG.degree_pointwise(c, FLOW, x, n)
+    there = DG.degree_pointwise(c, FLOW, D.flow_advance(FLOW, x, 1.0), n)
+    others = DG.degree_pointwise(c, FLOW, rest, n)
+    for got, want in ((est.value.payload[:5], here.value.payload),
+                      (est.half.payload[:5], here.half.payload),
+                      (est.value.payload[5:], there.value.payload),
+                      (est.half.payload[5:], there.half.payload),
+                      (at_rest.value.payload, others.value.payload),
+                      (at_rest.half.payload, others.half.payload)):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_straighten_manufactured(manufactured):

@@ -201,7 +201,7 @@ def test_validate_constant_cocycle():
     g0 = np.array([math.cos(0.4), math.sin(0.4)], dtype=complex)
     c = D.Cocycle(G.SU2_GROUP, lambda ph: np.broadcast_to(g0, ph.shape[:-1] + (2,)).copy(),
                   lambda ph: np.zeros(ph.shape[:-1] + (2, 2), dtype=complex),
-                  0, name="constant")
+                  0, 1, name="constant")
     rep = D.validate_m_field(c, flow, D.base_point(0.3), 1e-4)
     assert rep["max_deviation"] < 1e-12
 
@@ -322,7 +322,7 @@ def test_cohomologous_trivial_zeta():
     e = D.Cocycle(G.SU2_GROUP,
                   lambda ph: np.broadcast_to(np.array([1.0 + 0j, 0.0]), ph.shape[:-1] + (2,)).copy(),
                   lambda ph: np.zeros(ph.shape[:-1] + (2, 2), dtype=complex),
-                  0, name="identity")
+                  0, 1, name="identity")
     phi = D.cohomologous_build(delta, e, flow)
     pts = RNG.random((20, 1))
     assert np.max(np.abs(phi.value(pts) - delta.value(pts))) < 1e-15

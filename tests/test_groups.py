@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeg import groups as G
 from liedeg.errors import ConfigError, TagMismatchError
@@ -99,6 +101,32 @@ def test_ad_is_homomorphism(group):
     lhs = G.ad(G.group_mul(a, b), Z)
     rhs = G.ad(a, G.ad(b, Z))
     assert np.max(np.abs(lhs.payload - rhs.payload)) < 1e-11
+
+
+def _ad_su2_matmul(g_payload, Z):
+    """Reference SU(2) Ad: the batched matrix product m Z m^H."""
+    m = G.su2_matrix(g_payload)
+    return m @ Z @ np.conj(np.swapaxes(m, -1, -2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
+       st.floats(-3.0, 3.0))
+def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
+    # any complex 2x2 Z, not only su(2): the closed form must not rely on it
+    rng = np.random.default_rng(seed)
+    g = G.haar_sample(G.SU2_GROUP, n, rng).payload
+    Z = 10.0 ** log_scale * (rng.standard_normal((n, 2, 2))
+                             + 1j * rng.standard_normal((n, 2, 2)))
+    if shape == "scalar-g":
+        g = g[0]
+    elif shape == "scalar-z":
+        Z = Z[0]
+    got = G.ad(G.GroupElement(G.SU2_GROUP, g), G.AlgebraElement(G.SU2_GROUP, Z)).payload
+    want = _ad_su2_matmul(g, Z)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(Z)))
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)

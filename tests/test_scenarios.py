@@ -5,15 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import liedeg.degree as DG
 import liedeg.dynamics as D
 import liedeg.groups as G
 import liedeg.koopman as K
 import liedeg.reps as R
 from liedeg.errors import ConfigError
-from liedeg.scenarios import (COCYCLE_BUILDERS, SCENARIO_NAMES,
-                              TIMINGS_FILENAME, ScenarioConfig,
-                              _jsonify, _rep_from_label, _slug,
+from liedeg.rng import RngHandle
+from liedeg.scenarios import (_CONFIG_FIELDS, COCYCLE_BUILDERS,
+                              DEGREE_SAMPLE_POINTS, SCENARIO_NAMES, TIMINGS_FILENAME, ScenarioConfig,
+                              _degree_stage, _jsonify, _rep_from_label, _slug,
                               build_cocycle, default_config, scenario_run)
 
 FLOW = D.default_flow(1)
@@ -37,6 +41,17 @@ def _small_anzai(outdir, seed=7) -> ScenarioConfig:
 # configuration
 # ---------------------------------------------------------------------------
 
+_VALID_CONFIG = dict(name="anzai-torus",
+                     cocycle={"name": "torus-monomial", "params": {"k": [[1]]}},
+                     reps=[[1]])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(SCENARIO_NAMES + tuple(COCYCLE_BUILDERS)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "params", "k"]) | st.text(max_size=4),
+                      inner, max_size=3),
+    max_leaves=8)
+
 class TestScenarioConfig:
     def test_defaults_exist_for_every_named_scenario(self):
         for name in SCENARIO_NAMES:
@@ -55,16 +70,30 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"name": "nope"})
 
     def test_validation_catches_bad_fields(self):
-        base = dict(name="anzai-torus",
-                    cocycle={"name": "torus-monomial", "params": {"k": [[1]]}},
-                    reps=[[1]])
         for bad in [dict(d=0), dict(alpha=[0.1, 0.2]), dict(reps=[]),
                     dict(n_degree=1), dict(n_corr=3), dict(nodes=2),
-                    dict(seed=-1), dict(cocycle={"name": "nope"})]:
-            data = dict(base)
+                    dict(seed=-1), dict(cocycle={"name": "nope"}),
+                    # wrong types, once tracebacks or silently accepted
+                    dict(n_degree="10"), dict(n_corr=None), dict(reps=[["a"]]),
+                    dict(reps="x"), dict(alpha=5), dict(cocycle={"name": ["x"]}),
+                    dict(nodes=3.5), dict(reps=[[]]),
+                    dict(cocycle={"name": "torus-monomial", "params": [1]})]:
+            data = dict(_VALID_CONFIG)
             data.update(bad)
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_CONFIG_FIELDS), _JSON_VALUES, max_size=4),
+           st.booleans())
+    def test_from_dict_validates_or_raises_config_error(self, overrides, on_valid):
+        data = dict(_VALID_CONFIG) if on_valid else {}
+        data.update(overrides)
+        try:
+            cfg = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            return
+        json.dumps(cfg.to_dict())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -257,6 +286,22 @@ class TestScenarioRun:
         assert l1["mixing"]["verdict"] == "SUPPORTED"
         assert all("-conjugated" in p["probe"] for p in l1["mixing"]["probes"])
         assert by_label["su2 l=2"]["mixing"]["kernel_indices"] == [1]
+
+    def test_su2_straighten_field_rides_the_grid_walk(self):
+        # the degree field comes from the straightening walk, not its own
+        cfg = default_config("su2-straighten")
+        flow = D.default_flow(cfg.d)
+        phi, extras = build_cocycle(flow, cfg.cocycle)
+        field = _degree_stage(cfg, flow, phi, extras, [])["degree_field"]
+        sample = D.BasePoint(RngHandle(cfg.seed, stream=101).generator().random(
+            (DEGREE_SAMPLE_POINTS, cfg.d)))
+        assert np.array_equal(field.points.phases, sample.phases)
+        alone = DG.degree_field(phi, flow, sample, cfg.n_degree)
+        assert field.n_used == alone.n_used
+        assert field.constant == alone.constant
+        assert abs(field.spread - alone.spread) <= 1e-12
+        assert np.max(np.abs(field.values.payload - alone.values.payload)) <= 1e-12
+        assert np.max(np.abs(field.diagnostics - alone.diagnostics)) <= 1e-12
 
     def test_u2_product_kernel_contrast(self, tmp_path):
         cfg = default_config("u2-product", outdir=str(tmp_path / "run"))
