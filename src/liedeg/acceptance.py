@@ -148,10 +148,10 @@ def _criterion_05():
     Z = G.AlgebraElement(G.SU2_GROUP, rho * G.E3)
     for l in range(7):
         jj = np.arange(l + 1)
-        ortho = 1j * R.rep_differential(R.su2_rep(l), Z).matrix
+        ortho = 1j * R.rep_differential(R.su2_rep(l), Z)
         dev_o = np.abs(ortho - np.diag(rho * (l - 2 * jj)).astype(complex))
         paper = 1j * R.rep_differential(
-            R.su2_rep(l, convention=R.PAPER), Z).matrix
+            R.su2_rep(l, convention=R.PAPER), Z)
         weights = np.array([float(math.factorial(j))
                             * float(math.factorial(l - j)) for j in jj])
         dev_p = np.abs(paper - np.diag(weights * rho * (l - 2 * jj)))
@@ -164,11 +164,11 @@ def _criterion_05():
         for m in range(-2, 3):
             rep = R.u2_rep(l, m)
             jj = np.arange(l + 1)
-            ortho = 1j * R.rep_differential(rep, Zc).matrix
+            ortho = 1j * R.rep_differential(rep, Zc)
             scale = -s * (2 * m - l)
             dev_o = np.abs(ortho - scale * np.eye(l + 1))
             paper = 1j * R.rep_differential(
-                R.u2_rep(l, m, convention=R.PAPER), Zc).matrix
+                R.u2_rep(l, m, convention=R.PAPER), Zc)
             weights = np.array([float(math.factorial(j))
                                 * float(math.factorial(l - j))
                                 for j in jj])

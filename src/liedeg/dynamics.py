@@ -32,7 +32,6 @@ from . import groups as G
 from .errors import ConfigError, TagMismatchError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-EQUISPACED = "EQUISPACED"
 
 
 @dataclass
@@ -98,11 +97,8 @@ class QuadratureSpec:
     """
 
     nodes_per_dim: int
-    kind: str = EQUISPACED
 
     def __post_init__(self):
-        if self.kind != EQUISPACED:
-            raise ConfigError(f"unsupported quadrature kind {self.kind!r}")
         if self.nodes_per_dim < 1:
             raise ConfigError("nodes_per_dim must be positive")
 

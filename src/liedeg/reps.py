@@ -28,6 +28,10 @@ conj(z2); the implementation tabulates the exponent patterns once per l
 and evaluates all batch elements with power tables.  SO(3) uses the
 Euler-angle Wigner formula with j, k in -l..l; the x3-rotation with
 angle t maps to diag(e^{ijt}).
+
+Differentials are exact: su(2) acts on the binary forms as derivations,
+so d pi(Z) is tridiagonal in the c_jk basis, and the so(3) generator
+images come from the same Wigner table (see `rep_differential`).
 """
 
 from __future__ import annotations
@@ -89,12 +93,6 @@ class Representation:
         if tag == G.U2:
             return f"u2 (l,m)=({self.label[0]},{self.label[1]})"
         return f"{tag.lower()} l={self.label[0]}"
-
-
-@dataclass
-class RepMatrix:
-    rep: Representation
-    matrix: np.ndarray
 
 
 def torus_rep(q, dim: int | None = None, convention: str = ORTHONORMAL) -> Representation:
@@ -300,10 +298,10 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     return (z ** (2 * m - l))[..., None, None] * scaled
 
 
-def rep_eval(rep: Representation, g: G.GroupElement) -> RepMatrix:
+def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:
     if g.group != rep.group:
         raise TagMismatchError(f"element in {g.group.name}, rep on {rep.group.name}")
-    return RepMatrix(rep, rep_eval_payload(rep, g.payload))
+    return rep_eval_payload(rep, g.payload)
 
 
 def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> complex | np.ndarray:
@@ -333,88 +331,15 @@ def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> com
 # differential
 # ---------------------------------------------------------------------------
 
-STENCIL_STEP = 1e-3  # base step of the Richardson difference for basis images
-
-
 def orthonormal(rep: Representation) -> Representation:
     """The same representation in the ORTHONORMAL convention."""
     return rep if rep.convention == ORTHONORMAL else Representation(rep.group, rep.label)
 
 
-def _diag_matrix(values: np.ndarray) -> np.ndarray:
-    d = values.shape[-1]
-    out = np.zeros(values.shape[:-1] + (d, d), dtype=complex)
-    idx = np.arange(d)
-    out[..., idx, idx] = values
-    return out
-
-
-def _paper_rescale(mat: np.ndarray, rep: Representation) -> np.ndarray:
-    if rep.convention == ORTHONORMAL or rep.group.tag in (G.TORUS, G.SO3):
-        return mat
-    n = su2_norms(rep.label[0])
-    return mat * (n[:, None] * n[None, :])
-
-
-def _closed_form(rep: Representation, p: np.ndarray) -> np.ndarray | None:
-    """d pi on torus data and on batches of standard diagonal data; None
-    when some batch element is off the diagonal."""
-    tag = rep.group.tag
-    if tag == G.TORUS:
-        q = np.array(rep.label)
-        return np.einsum("...i,i->...", np.imag(p), 1j * q)[..., None, None]
-    if tag == G.SU2 and np.all(p[..., 0, 1] == 0):
-        l = rep.label[0]
-        s = np.imag(p[..., 0, 0])
-        jj = np.arange(l + 1)
-        diag = 1j * s[..., None] * (2 * jj - l)
-        return _paper_rescale(_diag_matrix(diag), rep)
-    if tag == G.SO3:
-        a = G.so3_alg_components(p)
-        if np.all(a[..., 0] == 0) and np.all(a[..., 1] == 0):
-            l = rep.label[0]
-            jj = np.arange(-l, l + 1)
-            return _diag_matrix(1j * a[..., 2:3] * jj)
-    if tag == G.U2 and np.all(p[..., 0, 1] == 0) and np.all(p[..., 1, 0] == 0):
-        l, m = rep.label
-        x = _coordinates(rep.group, p)
-        jj = np.arange(l + 1)
-        diag = 1j * (x[..., 2:3] * (2 * jj - l) + x[..., 3:4] * (2 * m - l))
-        return _paper_rescale(_diag_matrix(diag), rep)
-    return None
-
-
-def _richardson(rep: Representation, p: np.ndarray) -> np.ndarray:
-    """d/dt pi(exp(t Z)) at t = 0: fourth-order central differences at
-    steps h and h/2, Richardson-extrapolated."""
-    def at(t):
-        return rep_eval_payload(rep, G.exp_alg(G.AlgebraElement(rep.group, t * p)).payload)
-
-    def central(step):
-        return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
-
-    return (16 * central(STENCIL_STEP / 2) - central(STENCIL_STEP)) / 15
-
-
-@lru_cache(maxsize=None)
-def _basis_images(rep: Representation) -> np.ndarray:
-    """d pi of the algebra basis, stacked: E1..E3 (SU(2)), J1..J3 (SO(3)),
-    E1..E3 and i I (U(2)); closed forms where diagonal, one Richardson
-    difference each otherwise."""
-    basis = {G.SU2: G.SU2_BASIS, G.SO3: G.SO3_BASIS,
-             G.U2: G.SU2_BASIS + (1j * np.eye(2),)}[rep.group.tag]
-    images = []
-    for b in basis:
-        closed = _closed_form(rep, b)
-        images.append(_richardson(rep, b) if closed is None else closed)
-    out = np.stack(images)
-    out.flags.writeable = False
-    return out
-
-
 def _coordinates(group: G.GroupSpec, p: np.ndarray) -> np.ndarray:
-    """Coordinates of algebra payloads against the `_basis_images` basis;
-    for U(2), the traceless components followed by t = Im tr / 2."""
+    """Coordinates of algebra payloads: (x1, x2, x3) against E1..E3
+    (SU(2)) or (a1, a2, a3) against J1..J3 (SO(3)); for U(2), the
+    traceless components followed by t = Im tr / 2."""
     if group.tag == G.SU2:
         return G.su2_alg_components(p)
     if group.tag == G.SO3:
@@ -424,31 +349,65 @@ def _coordinates(group: G.GroupSpec, p: np.ndarray) -> np.ndarray:
     return np.concatenate([G.su2_alg_components(traceless), t[..., None]], axis=-1)
 
 
-def rep_differential(rep: Representation, Z: G.AlgebraElement) -> RepMatrix:
-    """d pi (Z), batched: closed forms for torus and standard diagonal
-    data, otherwise the linear combination of the cached basis images.
+@lru_cache(maxsize=None)
+def _so3_images(l: int) -> np.ndarray:
+    """d pi(J1), d pi(J2), d pi(J3) for SO(3) label l, stacked.
 
-    Closed forms (ORTHONORMAL scaling; PAPER multiplies entry (j,k) by
-    ||p_j|| ||p_k||):
-      torus                 sum_i q_i Z_i
-      su2,  Z=diag(is,-is)  diag(i s (2j - l)),        j = 0..l
-      so3,  Z=a J3          diag(i j a),               j = -l..l
-      u2,   Z=diag(is1,is2) diag(i[x(2j-l)+t(2m-l)])   j = 0..l,
-                            x = (s1-s2)/2, t = (s1+s2)/2
+    exp(t J3) is the x3-rotation A(t), so d pi(J3) = diag(i j).  The tilt
+    B(beta) = exp(beta J2) maps to the little-d matrix, whose derivative
+    at beta = 0 is 1/2 times its terms linear in sin(beta/2).  J1 =
+    Ad_A J2 for A = exp((pi/2) J3), so d pi(J1) = i^(j-k) d pi(J2).
+    """
+    _, spow, coeff, scatter = _wigner_table(l)
+    d = 2 * l + 1
+    j2 = 0.5 * ((coeff * (spow == 1)) @ scatter).reshape(d, d)
+    jj = np.arange(-l, l + 1)
+    j1 = np.array([1, 1j, -1, -1j])[(jj[:, None] - jj[None, :]) % 4] * j2
+    out = np.stack([j1, j2, np.diag(1j * jj)])
+    out.flags.writeable = False
+    return out
+
+
+def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
+    """d pi (Z), batched, one exact formula per group.
+
+      torus   sum_i q_i Z_i
+      su2/u2  Z acts on the binary forms p_k = w1^k w2^(l-k) as a
+              derivation, so in the raw c_jk basis d pi(Z) is tridiagonal:
+                D_kk      = i x3 (2k - l)  (+ i t (2m - l) for U(2))
+                D_(k-1,k) = k Z10,  D_(k+1,k) = (l - k) Z01,
+              Z10 = -x1 - i x2, Z01 = x1 - i x2, with (x1, x2, x3[, t])
+              from `_coordinates`; the convention rescales it as it
+              rescales pi (ORTHONORMAL: n_j / n_k, PAPER: n_j^2)
+      so3     a1 d pi(J1) + a2 d pi(J2) + a3 d pi(J3), the images
+              memoised per l by `_so3_images`
     """
     if Z.group != rep.group:
         raise TagMismatchError("algebra element and rep on different groups")
     p = Z.payload
-    out = _closed_form(rep, p)
-    if out is None:
-        out = np.einsum("...i,ijk->...jk", _coordinates(rep.group, p), _basis_images(rep))
-    return RepMatrix(rep, out)
+    tag = rep.group.tag
+    if tag == G.TORUS:
+        q = np.array(rep.label)
+        return np.einsum("...i,i->...", np.imag(p), 1j * q)[..., None, None]
+    x = _coordinates(rep.group, p)
+    if tag == G.SO3:
+        return np.einsum("...i,ijk->...jk", x, _so3_images(rep.label[0]))
+    l = rep.label[0]
+    k = np.arange(l + 1)
+    diag = x[..., 2:3] * (2 * k - l)
+    if tag == G.U2:
+        diag = diag + x[..., 3:4] * (2 * rep.label[1] - l)
+    out = np.zeros(x.shape[:-1] + (l + 1, l + 1), dtype=complex)
+    out[..., k, k] = 1j * diag
+    out[..., k[:-1], k[1:]] = k[1:] * (-x[..., 0:1] - 1j * x[..., 1:2])
+    out[..., k[1:], k[:-1]] = (l - k[:-1]) * (x[..., 0:1] - 1j * x[..., 1:2])
+    return _apply_convention_su2(out, l, rep.convention)
 
 
 def multiplication_matrix(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
     """The fiber multiplication matrix i dpi(Z), batched, in the
     ORTHONORMAL convention and Hermitian-symmetrized against round-off."""
-    out = 1j * rep_differential(orthonormal(rep), Z).matrix
+    out = 1j * rep_differential(orthonormal(rep), Z)
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
@@ -569,9 +528,9 @@ def haar_deviations(rep: Representation, samples: int, rng) -> tuple[float, floa
     pairs = G.haar_sample(rep.group, 2 * samples, rng)
     g = G.GroupElement(rep.group, pairs.payload[:samples])
     h = G.GroupElement(rep.group, pairs.payload[samples:])
-    pg = rep_eval(rep, g).matrix
-    ph = rep_eval(rep, h).matrix
-    pgh = rep_eval(rep, G.group_mul(g, h)).matrix
+    pg = rep_eval(rep, g)
+    ph = rep_eval(rep, h)
+    pgh = rep_eval(rep, G.group_mul(g, h))
     hom = float(np.max(np.abs(pgh - np.einsum("...ij,...jk->...ik", pg, ph))))
     gram = np.einsum("...ij,...kj->...ik", pg, np.conj(pg))
     return hom, float(np.max(np.abs(gram - np.eye(rep.dim))))

@@ -91,8 +91,6 @@ def test_quadrature_points_shape_and_exactness():
 def test_quadrature_spec_validation():
     with pytest.raises(ConfigError):
         D.QuadratureSpec(0)
-    with pytest.raises(ConfigError):
-        D.QuadratureSpec(8, kind="GAUSS")
 
 
 # ---------------------------------------------------------------------------

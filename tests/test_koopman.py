@@ -65,18 +65,21 @@ def test_inner_product_orthonormality():
     rep = R.su2_rep(1)
     psi1 = K.monomial_fiber(rep, 0, [[1], [2]])
     psi2 = K.monomial_fiber(rep, 0, [[3], [-1]])
-    assert abs(K.inner_product(psi1, psi1, QUAD) - 1.0) < 1e-12
-    assert abs(K.inner_product(psi1, psi2, QUAD)) < 1e-12
-    assert abs(K.fiber_norm(psi1, QUAD) - 1.0) < 1e-12
+    assert abs(K.inner_product(psi1, psi1, QUAD, 1) - 1.0) < 1e-12
+    assert abs(K.inner_product(psi1, psi2, QUAD, 1)) < 1e-12
+    assert abs(K.fiber_norm(psi1, QUAD, 1) - 1.0) < 1e-12
+    # a winding row of length 2 needs the T^2 grid, which `d` selects
+    psi = K.monomial_fiber(R.torus_rep([1]), 0, [[1, 2]])
+    assert abs(K.fiber_norm(psi, QUAD, 2) - 1.0) < 1e-12
 
 
 def test_inner_product_guards():
     with pytest.raises(TagMismatchError):
         K.inner_product(K.constant_fiber(R.su2_rep(1), 0, [1, 0]),
-                        K.constant_fiber(R.su2_rep(2), 0, [1, 0, 0]), QUAD)
+                        K.constant_fiber(R.su2_rep(2), 0, [1, 0, 0]), QUAD, 1)
     with pytest.raises(TagMismatchError):
         K.inner_product(K.constant_fiber(R.su2_rep(1), 0, [1, 0]),
-                        K.constant_fiber(R.su2_rep(1), 1, [1, 0]), QUAD)
+                        K.constant_fiber(R.su2_rep(1), 1, [1, 0]), QUAD, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_corr_at_zero_matches_inner_product(manufactured):
     psi1 = K.monomial_fiber(rep, 0, [[1], [0]])
     psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
     c0, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, 0, QUAD)
-    assert abs(c0 - K.inner_product(psi1, psi2, QUAD)) < 1e-13
+    assert abs(c0 - K.inner_product(psi1, psi2, QUAD, 1)) < 1e-13
     self0, _ = K.koopman_apply_corr(psi1, psi1, phi, FLOW, 0, QUAD)
     assert abs(self0.imag) < 1e-13
 
@@ -148,7 +151,7 @@ def test_correlation_norm_bound(manufactured):
     rep = R.su2_rep(1)
     psi1 = K.monomial_fiber(rep, 0, [[1], [0]])
     psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
-    bound = K.fiber_norm(psi1, QUAD) * K.fiber_norm(psi2, QUAD)
+    bound = K.fiber_norm(psi1, QUAD, 1) * K.fiber_norm(psi2, QUAD, 1)
     for N in range(0, 8):
         c, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, N, QUAD)
         assert abs(c) <= bound + 1e-12
@@ -278,8 +281,8 @@ def test_conjugate_vector_preserves_norm(manufactured):
     rep = R.su2_rep(2)
     psi = K.monomial_fiber(rep, 0, [[1], [0], [-1]])
     conj = K.conjugate_vector(psi, zeta)
-    n1 = K.fiber_norm(psi, D.QuadratureSpec(32))
-    n2 = K.fiber_norm(conj, D.QuadratureSpec(32))
+    n1 = K.fiber_norm(psi, D.QuadratureSpec(32), 1)
+    n2 = K.fiber_norm(conj, D.QuadratureSpec(32), 1)
     assert abs(n1 - n2) < 1e-10
     assert conj.degree_bound >= psi.degree_bound
 
@@ -325,7 +328,7 @@ def test_d_n_average_single_step(manufactured):
     x = D.base_point(0.2345)
     got = K.d_n_average(rep, phi, FLOW, x, 1)
     Z = G.AlgebraElement(phi.group, phi.m_field(np.array(x.phases)))
-    expected = 1j * R.rep_differential(rep, Z).matrix
+    expected = 1j * R.rep_differential(rep, Z)
     assert np.max(np.abs(got - expected)) < 1e-9
 
 
@@ -344,7 +347,7 @@ def test_d_n_average_two_routes_agree(manufactured, N):
         acc = acc + G.ad(g, G.AlgebraElement(phi.group, phi.m_field(phases))).payload
         g = G.group_mul(g, G.GroupElement(phi.group, phi.value(phases)))
         phases = np.mod(phases + FLOW.alpha_array, 1.0)
-    route2 = 1j * R.rep_differential(rep, G.AlgebraElement(phi.group, acc / N)).matrix
+    route2 = 1j * R.rep_differential(rep, G.AlgebraElement(phi.group, acc / N))
     assert np.max(np.abs(route1 - route2)) < 1e-9
 
 
@@ -357,7 +360,7 @@ def test_d_n_average_converges_to_degree_limit(manufactured):
     zx = G.GroupElement(G.SU2_GROUP, zeta.value(np.array(x.phases)))
     M_true = G.ad(G.group_inv(zx),
                   G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3))
-    limit = 1j * R.rep_differential(rep, M_true).matrix
+    limit = 1j * R.rep_differential(rep, M_true)
     assert np.max(np.abs(got - limit)) < 5e-3
 
 
