@@ -201,6 +201,10 @@ def _cmd_rep_check(args) -> int:
     if args.samples < 1 or args.nodes < 0:
         raise ConfigError("--samples must be >= 1 and --nodes >= 0")
     rep = _rep_from_label(group, label, d=1)
+    need = max(R.haar_batch_bytes(rep, args.samples), R.quadrature_bytes(group, args.nodes))
+    if need > K.MAX_GRID_BYTES:
+        raise ConfigError(f"--samples/--nodes need {need} bytes of Haar draws or "
+                          f"quadrature nodes (cap {K.MAX_GRID_BYTES})")
     hom_dev, unit_dev = R.haar_deviations(rep, args.samples,
                                           RngHandle(args.seed, stream=5))
     out = {

@@ -22,11 +22,11 @@ The su(2) basis fixed throughout is
 orthonormal for <Z, W> = Re tr(Z W*) / 2.  Writing g = q0 I + q1 E1 +
 q2 E2 + q3 E3 (unit quaternion q), the adjoint action of g on the
 coordinates (x1, x2, x3) is the *transpose* of the standard quaternion
-rotation matrix; this matches the x3-rotation convention used by the
-Euler-angle routines, where the rotation by angle t has first row
+rotation matrix, so the x3-rotation by angle t, exp(t J3), has first row
 (cos t, sin t, 0).  The covering map `su2_to_so3` and its canonical lift
-`so3_to_su2` (Shepperd's method, sign normalized so the quaternion entry
-of largest magnitude is positive) are inverse to each other up to center.
+`so3_to_su2` (Shepperd's method in matrix form: 4 q q^T is one constant
+linear map of R, sign normalized so the quaternion entry of largest
+magnitude is positive) are inverse to each other up to center.
 """
 
 from __future__ import annotations
@@ -434,55 +434,46 @@ def su2_to_so3(g: GroupElement) -> GroupElement:
     return GroupElement(SO3_GROUP, r)
 
 
+def _shepperd_map() -> np.ndarray:
+    """The linear map R.reshape(9) -> K - I, K = 4 q q^T, for the unit
+    quaternion q whose `su2_to_so3` image is R."""
+    M = np.zeros((3, 3, 4, 4))
+    for a in range(3):
+        # trace and diagonal: 4 q0^2 - 1 = tr R, 4 q_(a+1)^2 - 1 = 2 R_aa - tr R
+        M[a, a] = np.diag([1.0] + [2.0 * (a == b) - 1.0 for b in range(3)])
+        # (a, b, c) cyclic: R_bc - R_cb = 4 q0 q_(a+1), R_bc + R_cb = 4 q_(b+1) q_(c+1)
+        b, c = (a + 1) % 3, (a + 2) % 3
+        for sign, (i, j) in ((1.0, (b, c)), (-1.0, (c, b))):
+            M[i, j, 0, a + 1] = M[i, j, a + 1, 0] = sign
+            M[i, j, b + 1, c + 1] = M[i, j, c + 1, b + 1] = 1.0
+    return M.reshape(9, 16)
+
+
+_SHEPPERD = _shepperd_map()
+
+
 def so3_to_su2(R: GroupElement) -> GroupElement:
     """Canonical lift through the double cover.
 
-    Shepperd's method recovers the quaternion of the rotation; the sign
-    ambiguity is fixed by making the quaternion entry of largest
-    magnitude positive.  On the x3-rotation with angle t in (0, pi] the
-    lift is diag(e^{it/2}, e^{-it/2}).
+    Shepperd's method in matrix form: K = 4 q q^T is linear in R, and its
+    row with the largest diagonal entry, normalized, is the quaternion q
+    with the best-conditioned division.  The sign ambiguity is fixed by
+    making the quaternion entry of largest magnitude positive.  On the
+    x3-rotation with angle t in (0, pi] the lift is diag(e^{it/2}, e^{-it/2}).
     """
     if R.group.tag != SO3:
         raise TagMismatchError("so3_to_su2 expects an SO3 element")
-    # Shepperd works on the standard rotation matrix = transpose of ours
-    m = np.swapaxes(R.payload, -1, -2)
-    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    t = m00 + m11 + m22
-    # four candidate quaternions, one per dominant diagonal entry
-    q = np.empty(m.shape[:-2] + (4, 4))
-    r0 = np.sqrt(np.maximum(1.0 + t, 0.0))
-    s0 = np.where(r0 > 0, 0.5 / np.where(r0 > 0, r0, 1.0), 0.0)
-    q[..., 0, 0] = 0.5 * r0
-    q[..., 0, 1] = (m[..., 2, 1] - m[..., 1, 2]) * s0
-    q[..., 0, 2] = (m[..., 0, 2] - m[..., 2, 0]) * s0
-    q[..., 0, 3] = (m[..., 1, 0] - m[..., 0, 1]) * s0
-    r1 = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0))
-    s1 = np.where(r1 > 0, 0.5 / np.where(r1 > 0, r1, 1.0), 0.0)
-    q[..., 1, 0] = (m[..., 2, 1] - m[..., 1, 2]) * s1
-    q[..., 1, 1] = 0.5 * r1
-    q[..., 1, 2] = (m[..., 0, 1] + m[..., 1, 0]) * s1
-    q[..., 1, 3] = (m[..., 0, 2] + m[..., 2, 0]) * s1
-    r2 = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0))
-    s2 = np.where(r2 > 0, 0.5 / np.where(r2 > 0, r2, 1.0), 0.0)
-    q[..., 2, 0] = (m[..., 0, 2] - m[..., 2, 0]) * s2
-    q[..., 2, 1] = (m[..., 0, 1] + m[..., 1, 0]) * s2
-    q[..., 2, 2] = 0.5 * r2
-    q[..., 2, 3] = (m[..., 1, 2] + m[..., 2, 1]) * s2
-    r3 = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0))
-    s3 = np.where(r3 > 0, 0.5 / np.where(r3 > 0, r3, 1.0), 0.0)
-    q[..., 3, 0] = (m[..., 1, 0] - m[..., 0, 1]) * s3
-    q[..., 3, 1] = (m[..., 0, 2] + m[..., 2, 0]) * s3
-    q[..., 3, 2] = (m[..., 1, 2] + m[..., 2, 1]) * s3
-    q[..., 3, 3] = 0.5 * r3
-    scores = np.stack([t, m00, m11, m22], axis=-1)
-    pick = np.argmax(scores, axis=-1)
-    qq = np.take_along_axis(q, pick[..., None, None].repeat(4, axis=-1), axis=-2)
-    qq = np.squeeze(qq, axis=-2)
-    qq = qq / np.linalg.norm(qq, axis=-1, keepdims=True)
+    batch = R.payload.shape[:-2]
+    # einsum, not @: a BLAS call here raised u2-product's peak RSS
+    K = np.einsum("...i,ij->...j", R.payload.reshape(batch + (9,)), _SHEPPERD)
+    K = K.reshape(batch + (4, 4)) + np.eye(4)
+    pick = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, pick[..., None, None], axis=-2)[..., 0, :]
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
     # canonical sign
-    lead = np.take_along_axis(qq, np.argmax(np.abs(qq), axis=-1)[..., None], axis=-1)
-    qq = qq * np.where(lead < 0, -1.0, 1.0)
-    return GroupElement(SU2_GROUP, _from_quaternion(qq))
+    lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=-1)[..., None], axis=-1)
+    q = q * np.where(lead < 0, -1.0, 1.0)
+    return GroupElement(SU2_GROUP, _from_quaternion(q))
 
 
 def d_cover(Z: AlgebraElement) -> AlgebraElement:

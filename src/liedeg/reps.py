@@ -5,7 +5,8 @@ Labels
 TORUS(d)  integer frequency vector q, dimension 1 (characters)
 SU2       integer l >= 0, dimension l+1 (action on binary forms of
           degree l in two variables)
-SO3       integer l >= 0, dimension 2l+1 (Euler-angle Wigner matrices)
+SO3       integer l >= 0, dimension 2l+1 (the SU(2) label 2l through the
+          double cover; its rows and columns j = -l..l)
 U2        pair (l, m), dimension l+1: u = z g with z^2 = det u maps to
           z^{2m-l} pi_l(g); the half-integer ambiguity cancels because
           pi_l(-g) = (-1)^l pi_l(g)
@@ -25,13 +26,18 @@ For SU(2) the matrix is assembled from the expansion
 
 whose coefficients are an explicit double sum in z1, conj(z1), z2,
 conj(z2); the implementation tabulates the exponent patterns once per l
-and evaluates all batch elements with power tables.  SO(3) uses the
-Euler-angle Wigner formula with j, k in -l..l; the x3-rotation with
-angle t maps to diag(e^{ijt}).
+and evaluates all batch elements with power tables.  SO(3) = SU(2)/{+-1}
+has the even SU(2) labels as its irreps: label l evaluates
+
+    pi_l(R) = C pi_2l(lift R) C^-1,   C = diag(i^j), j = -l..l,
+
+on the canonical lift `groups.so3_to_su2` (the sign cancels because 2l
+is even), always in ORTHONORMAL; the x3-rotation with angle t maps to
+diag(e^{ijt}).
 
 Differentials are exact: su(2) acts on the binary forms as derivations,
-so d pi(Z) is tridiagonal in the c_jk basis, and the so(3) generator
-images come from the same Wigner table (see `rep_differential`).
+so d pi(Z) is tridiagonal in the c_jk basis, and so(3) reuses it at
+label 2l through `groups.d_cover_inv` (see `rep_differential`).
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .rng import RngHandle
 ORTHONORMAL = "ORTHONORMAL"
 PAPER = "PAPER"
 
-L_CAP = 12  # factorial/binomial tables are precomputed up to this label
+L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
 
 
 @dataclass(frozen=True)
@@ -68,13 +74,10 @@ class Representation:
         elif tag in (G.SU2, G.SO3):
             if len(self.label) != 1 or self.label[0] < 0:
                 raise ConfigError("label must be a single l >= 0")
-            if self.label[0] > L_CAP:
-                raise ConfigError(f"l > {L_CAP} not tabulated")
-        else:
-            if len(self.label) != 2 or self.label[0] < 0:
-                raise ConfigError("U2 label is (l, m) with l >= 0")
-            if self.label[0] > L_CAP:
-                raise ConfigError(f"l > {L_CAP} not tabulated")
+        elif len(self.label) != 2 or self.label[0] < 0:
+            raise ConfigError("U2 label is (l, m) with l >= 0")
+        if tag != G.TORUS and self.label[0] > L_CAP:
+            raise ConfigError(f"l > {L_CAP} not tabulated")
 
     @property
     def dim(self) -> int:
@@ -177,99 +180,23 @@ def su2_norms(l: int) -> np.ndarray:
     return _su2_table(l)[6]
 
 
-def _apply_convention_su2(c: np.ndarray, l: int, convention: str) -> np.ndarray:
-    n = su2_norms(l)
-    if convention == ORTHONORMAL:
-        return c * (n[:, None] / n[None, :])
-    return c * (n[:, None] ** 2)
-
-
-# ---------------------------------------------------------------------------
-# SO(3): Euler extraction and Wigner matrices
-# ---------------------------------------------------------------------------
-
-def so3_euler_angles(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles (alpha, beta, gamma) with R = A(alpha) B(beta) C(gamma).
-
-    A and C rotate about the x3 axis with first row (cos, sin, 0); B tilts
-    about x2 with B[0,0] = cos(beta), B[0,2] = -sin(beta).  beta comes from
-    atan2(hypot(R13, R23), R33), which stays fully conditioned where
-    arccos(R33) would lose half the digits; at the gimbal points, gamma is
-    set to 0 and the whole x3-rotation is reported in alpha.
-    """
-    R = np.asarray(R)
-    g13, g23, g33 = R[..., 0, 2], R[..., 1, 2], R[..., 2, 2]
-    sb = np.hypot(g13, g23)
-    beta = np.arctan2(sb, g33)
-    generic = sb > 1e-12
-    alpha_g = np.arctan2(g23, -g13)
-    gamma_g = np.arctan2(R[..., 2, 1], R[..., 2, 0])
-    north = g33 > 0
-    alpha_0 = np.arctan2(R[..., 0, 1], R[..., 0, 0])
-    alpha_pi = np.arctan2(R[..., 0, 1], -R[..., 0, 0])
-    alpha = np.where(generic, alpha_g, np.where(north, alpha_0, alpha_pi))
-    gamma = np.where(generic, gamma_g, 0.0)
-    return alpha, beta, gamma
-
-
-def so3_from_euler(alpha, beta, gamma) -> np.ndarray:
-    alpha, beta, gamma = np.broadcast_arrays(alpha, beta, gamma)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    A = np.zeros(np.shape(alpha) + (3, 3))
-    A[..., 0, 0], A[..., 0, 1] = ca, sa
-    A[..., 1, 0], A[..., 1, 1] = -sa, ca
-    A[..., 2, 2] = 1.0
-    B = np.zeros_like(A)
-    B[..., 0, 0], B[..., 0, 2] = cb, -sb
-    B[..., 1, 1] = 1.0
-    B[..., 2, 0], B[..., 2, 2] = sb, cb
-    C = np.zeros_like(A)
-    C[..., 0, 0], C[..., 0, 1] = cg, sg
-    C[..., 1, 0], C[..., 1, 1] = -sg, cg
-    C[..., 2, 2] = 1.0
-    return A @ B @ C
-
-
 @lru_cache(maxsize=None)
-def _wigner_table(l: int):
-    rows, cols, cpow, spow, coeff = [], [], [], [], []
-    f = math.factorial
-    for j in range(-l, l + 1):
-        for k in range(-l, l + 1):
-            pref = math.sqrt(f(l + k) * f(l - k) * f(l + j) * f(l - j))
-            for m in range(max(0, k - j), min(l - j, l + k) + 1):
-                rows.append(j + l)
-                cols.append(k + l)
-                cpow.append(2 * l + k - j - 2 * m)
-                spow.append(2 * m + j - k)
-                coeff.append((-1) ** m * pref
-                             / (f(l - j - m) * f(l + k - m) * f(m) * f(m + j - k)))
-    nt = len(coeff)
-    d = 2 * l + 1
-    scatter = np.zeros((nt, d * d))
-    scatter[np.arange(nt), np.array(rows) * d + np.array(cols)] = 1.0
-    return (np.array(cpow), np.array(spow), np.array(coeff, dtype=float), scatter)
-
-
-def _wigner_d(l: int, half_cos: np.ndarray, half_sin: np.ndarray) -> np.ndarray:
-    """Little-d matrix from cos(beta/2), sin(beta/2)."""
-    cpow, spow, coeff, scatter = _wigner_table(l)
-    C = _powers(half_cos.astype(complex), 2 * l)
-    S = _powers(half_sin.astype(complex), 2 * l)
-    vals = coeff * C[..., cpow] * S[..., spow]
-    d = 2 * l + 1
-    return np.real(vals @ scatter).reshape(half_cos.shape + (d, d))
-
-
-def _so3_matrix(l: int, R: np.ndarray) -> np.ndarray:
-    alpha, beta, gamma = so3_euler_angles(R)
-    dmat = _wigner_d(l, np.cos(beta / 2), np.sin(beta / 2))
-    jj = np.arange(-l, l + 1)
-    row = np.exp(1j * jj * alpha[..., None])
-    col = np.exp(1j * jj * gamma[..., None])
-    return dmat * row[..., :, None] * col[..., None, :]
+def _scale(rep: Representation) -> np.ndarray:
+    """Entrywise factor taking c_jk at the SU(2) label behind rep to rep's
+    matrix: n_j / n_k (ORTHONORMAL) or n_j^2 (PAPER); SO(3) label l reads
+    label 2l as C (n_j / n_k) C^-1 = i^(j-k) n_j / n_k, j, k = -l..l."""
+    so3 = rep.group.tag == G.SO3
+    l = rep.label[0]
+    n = su2_norms(2 * l if so3 else l)
+    if rep.convention == PAPER and not so3:
+        out = n[:, None] ** 2
+    else:
+        out = n[:, None] / n[None, :]
+    if so3:
+        jj = np.arange(-l, l + 1)
+        out = np.array([1, 1j, -1, -1j])[(jj[:, None] - jj[None, :]) % 4] * out
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +210,18 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
         q = np.array(rep.label)
         val = np.prod(payload ** q, axis=-1)
         return val[..., None, None]
+    l = rep.label[0]
     if tag == G.SU2:
-        l = rep.label[0]
-        return _apply_convention_su2(_su2_c_matrix(l, payload), l, rep.convention)
+        return _su2_c_matrix(l, payload) * _scale(rep)
     if tag == G.SO3:
-        return _so3_matrix(rep.label[0], payload)
-    l, m = rep.label
+        lift = G.so3_to_su2(G.GroupElement(rep.group, payload)).payload
+        return _su2_c_matrix(2 * l, lift) * _scale(rep)
     det = (payload[..., 0, 0] * payload[..., 1, 1]
            - payload[..., 0, 1] * payload[..., 1, 0])
     z = G.circle_sqrt(det)
     su2_payload = G.su2_from_matrix(payload / z[..., None, None])
-    c = _su2_c_matrix(l, su2_payload)
-    scaled = _apply_convention_su2(c, l, rep.convention)
-    return (z ** (2 * m - l))[..., None, None] * scaled
+    scaled = _su2_c_matrix(l, su2_payload) * _scale(rep)
+    return (z ** (2 * rep.label[1] - l))[..., None, None] * scaled
 
 
 def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:
@@ -336,38 +262,6 @@ def orthonormal(rep: Representation) -> Representation:
     return rep if rep.convention == ORTHONORMAL else Representation(rep.group, rep.label)
 
 
-def _coordinates(group: G.GroupSpec, p: np.ndarray) -> np.ndarray:
-    """Coordinates of algebra payloads: (x1, x2, x3) against E1..E3
-    (SU(2)) or (a1, a2, a3) against J1..J3 (SO(3)); for U(2), the
-    traceless components followed by t = Im tr / 2."""
-    if group.tag == G.SU2:
-        return G.su2_alg_components(p)
-    if group.tag == G.SO3:
-        return G.so3_alg_components(p)
-    t = np.imag(np.trace(p, axis1=-2, axis2=-1)) / 2.0
-    traceless = p - 1j * t[..., None, None] * np.eye(2)
-    return np.concatenate([G.su2_alg_components(traceless), t[..., None]], axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _so3_images(l: int) -> np.ndarray:
-    """d pi(J1), d pi(J2), d pi(J3) for SO(3) label l, stacked.
-
-    exp(t J3) is the x3-rotation A(t), so d pi(J3) = diag(i j).  The tilt
-    B(beta) = exp(beta J2) maps to the little-d matrix, whose derivative
-    at beta = 0 is 1/2 times its terms linear in sin(beta/2).  J1 =
-    Ad_A J2 for A = exp((pi/2) J3), so d pi(J1) = i^(j-k) d pi(J2).
-    """
-    _, spow, coeff, scatter = _wigner_table(l)
-    d = 2 * l + 1
-    j2 = 0.5 * ((coeff * (spow == 1)) @ scatter).reshape(d, d)
-    jj = np.arange(-l, l + 1)
-    j1 = np.array([1, 1j, -1, -1j])[(jj[:, None] - jj[None, :]) % 4] * j2
-    out = np.stack([j1, j2, np.diag(1j * jj)])
-    out.flags.writeable = False
-    return out
-
-
 def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
     """d pi (Z), batched, one exact formula per group.
 
@@ -376,32 +270,37 @@ def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
               derivation, so in the raw c_jk basis d pi(Z) is tridiagonal:
                 D_kk      = i x3 (2k - l)  (+ i t (2m - l) for U(2))
                 D_(k-1,k) = k Z10,  D_(k+1,k) = (l - k) Z01,
-              Z10 = -x1 - i x2, Z01 = x1 - i x2, with (x1, x2, x3[, t])
-              from `_coordinates`; the convention rescales it as it
-              rescales pi (ORTHONORMAL: n_j / n_k, PAPER: n_j^2)
-      so3     a1 d pi(J1) + a2 d pi(J2) + a3 d pi(J3), the images
-              memoised per l by `_so3_images`
+              Z10 = -x1 - i x2, Z01 = x1 - i x2, where (x1, x2, x3) are
+              the coordinates of the traceless part against E1..E3 and
+              t = Im tr Z / 2; the convention rescales it as it rescales
+              pi (ORTHONORMAL: n_j / n_k, PAPER: n_j^2)
+      so3     the su2 formula at label 2l on d_cover_inv(Z), whose
+              coordinates are (a1, a2, a3) / 2, rescaled as pi is
     """
     if Z.group != rep.group:
         raise TagMismatchError("algebra element and rep on different groups")
     p = Z.payload
     tag = rep.group.tag
     if tag == G.TORUS:
-        q = np.array(rep.label)
-        return np.einsum("...i,i->...", np.imag(p), 1j * q)[..., None, None]
-    x = _coordinates(rep.group, p)
-    if tag == G.SO3:
-        return np.einsum("...i,ijk->...jk", x, _so3_images(rep.label[0]))
+        # the real dot goes straight into the imaginary part, with no temporary
+        out = np.zeros(p.shape[:-1] + (1, 1), dtype=complex)
+        np.matmul(np.imag(p), np.array(rep.label), out=out.imag[..., 0, 0])
+        return out
     l = rep.label[0]
+    if tag == G.SO3:
+        l, p = 2 * l, G.d_cover_inv(Z).payload
+    x = G.su2_alg_components(p)
     k = np.arange(l + 1)
-    diag = x[..., 2:3] * (2 * k - l)
     if tag == G.U2:
-        diag = diag + x[..., 3:4] * (2 * rep.label[1] - l)
+        t = np.imag(np.trace(p, axis1=-2, axis2=-1))[..., None] / 2.0
+        diag = (x[..., 2:3] - t) * (2 * k - l) + t * (2 * rep.label[1] - l)
+    else:
+        diag = x[..., 2:3] * (2 * k - l)
     out = np.zeros(x.shape[:-1] + (l + 1, l + 1), dtype=complex)
     out[..., k, k] = 1j * diag
     out[..., k[:-1], k[1:]] = k[1:] * (-x[..., 0:1] - 1j * x[..., 1:2])
     out[..., k[1:], k[:-1]] = (l - k[:-1]) * (x[..., 0:1] - 1j * x[..., 1:2])
-    return _apply_convention_su2(out, l, rep.convention)
+    return out * _scale(rep)
 
 
 def multiplication_matrix(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
@@ -414,6 +313,10 @@ def multiplication_matrix(rep: Representation, Z: G.AlgebraElement) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Peter-Weyl checks
 # ---------------------------------------------------------------------------
+
+_U2_CIRCLE_NODES = 8  # equispaced circle nodes of the U(2) product rule
+_CHUNK_BYTES = 2 ** 26  # largest per-chunk temporary in peter_weyl_check
+
 
 @dataclass(frozen=True)
 class ProductQuadrature:
@@ -428,10 +331,15 @@ class MonteCarloQuadrature:
     seed: int = 20240816
 
 
-def su2_euler_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar quadrature nodes/weights on SU(2), (n^3, 2) payload pairs."""
+def su2_euler_nodes(n: int, gamma_period: float = 4 * np.pi
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Haar quadrature nodes/weights on SU(2), (n^3, 2) payload pairs.
+
+    gamma_period = 2 pi gives one preimage of each SO(3) Euler node: the
+    cover identifies gamma and gamma + 2 pi.
+    """
     alpha = 2 * np.pi * np.arange(n) / n
-    gamma = 4 * np.pi * np.arange(n) / n
+    gamma = gamma_period * np.arange(n) / n
     u, w = np.polynomial.legendre.leggauss(n)
     hc = np.sqrt((1 + u) / 2)     # cos(beta/2)
     hs = np.sqrt((1 - u) / 2)     # sin(beta/2)
@@ -444,24 +352,14 @@ def su2_euler_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return payload, weights
 
 
-def so3_euler_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    alpha = 2 * np.pi * np.arange(n) / n
-    gamma = 2 * np.pi * np.arange(n) / n
-    u, w = np.polynomial.legendre.leggauss(n)
-    A, U, C = np.meshgrid(alpha, u, gamma, indexing="ij")
-    _, W, _ = np.meshgrid(alpha, w, gamma, indexing="ij")
-    beta = np.arccos(np.clip(U, -1, 1))
-    payload = so3_from_euler(A.ravel(), beta.ravel(), C.ravel())
-    weights = (W / 2).ravel() / (n * n)
-    return payload, weights
-
-
 def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     tag = group.tag
     if tag == G.SU2:
         return su2_euler_nodes(n)
     if tag == G.SO3:
-        return so3_euler_nodes(n)
+        # Haar on SU(2) pushes forward to Haar on SO(3)
+        payload, weights = su2_euler_nodes(n, 2 * np.pi)
+        return G.su2_to_so3(G.GroupElement(G.SU2_GROUP, payload)).payload, weights
     if tag == G.TORUS:
         d = group.torus_dim
         grids = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
@@ -470,12 +368,29 @@ def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarra
         return payload, np.full(payload.shape[0], 1.0 / n ** d)
     # U2: circle times SU2 pushed through (z, g) -> z g
     su2_payload, su2_w = su2_euler_nodes(n)
-    nz = 8
-    z = np.exp(2j * np.pi * np.arange(nz) / nz)
+    z = np.exp(2j * np.pi * np.arange(_U2_CIRCLE_NODES) / _U2_CIRCLE_NODES)
     mats = G.su2_matrix(su2_payload)
     payload = (z[:, None, None, None] * mats[None]).reshape(-1, 2, 2)
-    weights = np.tile(su2_w, nz) / nz
+    weights = np.tile(su2_w, _U2_CIRCLE_NODES) / _U2_CIRCLE_NODES
     return payload, weights
+
+
+def quadrature_bytes(group: G.GroupSpec, n: int) -> int:
+    """Payload bytes of the product-rule nodes at n per angle, computed
+    before any node exists."""
+    count = n ** group.torus_dim if group.tag == G.TORUS else n ** 3
+    if group.tag == G.U2:
+        count *= _U2_CIRCLE_NODES
+    return count * G.identity(group).payload.nbytes
+
+
+def _term_count(rep: Representation) -> int:
+    """Power-table terms per node in one evaluation of rep."""
+    tag = rep.group.tag
+    if tag == G.TORUS:
+        return 1
+    l = 2 * rep.label[0] if tag == G.SO3 else rep.label[0]
+    return math.comb(l + 3, 3)
 
 
 def peter_weyl_check(rep: Representation, scheme=None) -> dict:
@@ -498,7 +413,10 @@ def peter_weyl_check(rep: Representation, scheme=None) -> dict:
         mc = False
     gram = np.zeros((d * d, d * d), dtype=complex)
     sq = np.zeros((d * d, d * d)) if mc else None
-    chunk = 65536
+    # complex entries per node in the largest temporary: the term table,
+    # or the (d^2, d^2) products of the Monte Carlo spread
+    per_node = max(_term_count(rep), d ** 4 if mc else d * d)
+    chunk = max(1, min(65536, _CHUNK_BYTES // (16 * per_node)))
     for lo in range(0, payload.shape[0], chunk):
         mats = rep_eval_payload(ortho, payload[lo:lo + chunk])
         flat = mats.reshape(mats.shape[0], d * d)
@@ -520,6 +438,11 @@ def peter_weyl_check(rep: Representation, scheme=None) -> dict:
         var = np.maximum(sq - np.abs(gram) ** 2, 0.0)
         out["sigma"] = float(np.sqrt(np.max(var) / payload.shape[0]))
     return out
+
+
+def haar_batch_bytes(rep: Representation, samples: int) -> int:
+    """Bytes of the draws and matrix stacks of `haar_deviations`."""
+    return samples * (2 * G.identity(rep.group).payload.nbytes + 3 * 16 * rep.dim ** 2)
 
 
 def haar_deviations(rep: Representation, samples: int, rng) -> tuple[float, float]:

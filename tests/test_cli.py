@@ -6,7 +6,9 @@ import pytest
 
 from liedeg import acceptance, cli
 from liedeg import dynamics as D
+from liedeg import groups as G
 from liedeg import koopman as K
+from liedeg import reps as R
 
 
 def _cfg_text(**overrides) -> str:
@@ -215,6 +217,25 @@ class TestRepCheckCommand:
         rc = cli.main(["rep-check", "--group", "nope", "--label", "1"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["--group", "su2", "--label", "1", "--nodes", "1000"],
+        ["--group", "u2", "--label", "1,0", "--nodes", "400"],
+        ["--group", "torus", "--label", "1,1,1,1", "--nodes", "200"],
+        ["--group", "so3", "--label", "12", "--samples", "1000000"],
+        ["--group", "su2", "--label", "1", "--samples", "100000000"],
+    ])
+    def test_oversized_request_refused_before_allocating(self, argv, monkeypatch,
+                                                         capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(R, "_quadrature_nodes", refuse)
+        monkeypatch.setattr(G, "haar_sample", refuse)
+        assert cli.main(["rep-check"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
 
 
 _TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",

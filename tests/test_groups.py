@@ -259,6 +259,70 @@ def test_cover_is_homomorphism_and_round_trips():
     assert np.max(np.abs(lift1 - lift2)) < 1e-12
 
 
+def _shepperd_four_candidates(R):
+    """Reference lift: Shepperd's method with its four candidate
+    quaternions written out, one per dominant diagonal entry."""
+    m = np.swapaxes(R, -1, -2)  # the standard rotation matrix
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    t = m00 + m11 + m22
+    q = np.empty(m.shape[:-2] + (4, 4))
+    r0 = np.sqrt(np.maximum(1.0 + t, 0.0))
+    s0 = np.where(r0 > 0, 0.5 / np.where(r0 > 0, r0, 1.0), 0.0)
+    q[..., 0, 0] = 0.5 * r0
+    q[..., 0, 1] = (m[..., 2, 1] - m[..., 1, 2]) * s0
+    q[..., 0, 2] = (m[..., 0, 2] - m[..., 2, 0]) * s0
+    q[..., 0, 3] = (m[..., 1, 0] - m[..., 0, 1]) * s0
+    r1 = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0))
+    s1 = np.where(r1 > 0, 0.5 / np.where(r1 > 0, r1, 1.0), 0.0)
+    q[..., 1, 0] = (m[..., 2, 1] - m[..., 1, 2]) * s1
+    q[..., 1, 1] = 0.5 * r1
+    q[..., 1, 2] = (m[..., 0, 1] + m[..., 1, 0]) * s1
+    q[..., 1, 3] = (m[..., 0, 2] + m[..., 2, 0]) * s1
+    r2 = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0))
+    s2 = np.where(r2 > 0, 0.5 / np.where(r2 > 0, r2, 1.0), 0.0)
+    q[..., 2, 0] = (m[..., 0, 2] - m[..., 2, 0]) * s2
+    q[..., 2, 1] = (m[..., 0, 1] + m[..., 1, 0]) * s2
+    q[..., 2, 2] = 0.5 * r2
+    q[..., 2, 3] = (m[..., 1, 2] + m[..., 2, 1]) * s2
+    r3 = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0))
+    s3 = np.where(r3 > 0, 0.5 / np.where(r3 > 0, r3, 1.0), 0.0)
+    q[..., 3, 0] = (m[..., 1, 0] - m[..., 0, 1]) * s3
+    q[..., 3, 1] = (m[..., 0, 2] + m[..., 2, 0]) * s3
+    q[..., 3, 2] = (m[..., 1, 2] + m[..., 2, 1]) * s3
+    q[..., 3, 3] = 0.5 * r3
+    pick = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
+    qq = np.take_along_axis(q, pick[..., None, None].repeat(4, axis=-1), axis=-2)[..., 0, :]
+    qq = qq / np.linalg.norm(qq, axis=-1, keepdims=True)
+    lead = np.take_along_axis(qq, np.argmax(np.abs(qq), axis=-1)[..., None], axis=-1)
+    qq = qq * np.where(lead < 0, -1.0, 1.0)
+    return np.stack([qq[..., 0] + 1j * qq[..., 3], qq[..., 1] - 1j * qq[..., 2]], axis=-1)
+
+
+def test_lift_matches_four_candidate_shepperd():
+    def rot(axis, t):
+        Z = G.so3_alg_from_components(np.multiply.outer(t, axis))
+        return G.exp_alg(G.AlgebraElement(G.SO3_GROUP, Z)).payload
+
+    t = np.array([np.pi, -np.pi, np.pi - 1e-9, np.pi - 1e-5, -np.pi + 1e-7])
+    # (1, 1, 0) ties two quaternion entries of the same sign; a tie of
+    # opposite signs would leave the canonical sign to round-off
+    tilted = np.array([[1.0, 1.0, 0.0], [0.3, 0.4, -0.2]])
+    R = np.concatenate(
+        [_haar(G.SO3_GROUP, 500, 3).payload, np.eye(3)[None]]
+        + [rot(e, t) for e in np.eye(3)]
+        + [rot(a / np.linalg.norm(a), t) for a in tilted])
+    got = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, R)).payload
+    want = _shepperd_four_candidates(R)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # same sign: no near-antipodal pair
+    assert np.min(np.linalg.norm(got + want, axis=-1)) > 1.9
+    # batch shape and the unbatched identity
+    batched = G.GroupElement(G.SO3_GROUP, R[:6].reshape(2, 3, 3, 3))
+    assert G.so3_to_su2(batched).payload.shape == (2, 3, 2)
+    one = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.eye(3))).payload
+    assert np.array_equal(one, [1.0, 0.0])
+
+
 def test_lift_of_x3_rotation_is_diagonal_phase():
     for alpha in (0.4, 1.3, np.pi / 2, 2.8, np.pi):
         R = G.GroupElement(G.SO3_GROUP, np.array(

@@ -133,30 +133,120 @@ def test_so3_character_matches_su2_double_label():
 
 
 # ---------------------------------------------------------------------------
-# Euler angles
+# SO(3): the Euler-angle Wigner evaluator, kept as the differential reference
+# for the evaluation through the cover
 # ---------------------------------------------------------------------------
+
+def so3_euler_angles(R):
+    """Angles (alpha, beta, gamma) with R = A(alpha) B(beta) C(gamma).
+
+    A and C rotate about the x3 axis with first row (cos, sin, 0); B tilts
+    about x2 with B[0,0] = cos(beta), B[0,2] = -sin(beta).  beta comes from
+    atan2(hypot(R13, R23), R33); at the gimbal points, gamma is set to 0
+    and the whole x3-rotation is reported in alpha.
+    """
+    R = np.asarray(R)
+    g13, g23, g33 = R[..., 0, 2], R[..., 1, 2], R[..., 2, 2]
+    sb = np.hypot(g13, g23)
+    beta = np.arctan2(sb, g33)
+    generic = sb > 1e-12
+    alpha_g = np.arctan2(g23, -g13)
+    gamma_g = np.arctan2(R[..., 2, 1], R[..., 2, 0])
+    north = g33 > 0
+    alpha_0 = np.arctan2(R[..., 0, 1], R[..., 0, 0])
+    alpha_pi = np.arctan2(R[..., 0, 1], -R[..., 0, 0])
+    alpha = np.where(generic, alpha_g, np.where(north, alpha_0, alpha_pi))
+    gamma = np.where(generic, gamma_g, 0.0)
+    return alpha, beta, gamma
+
+
+def so3_from_euler(alpha, beta, gamma):
+    alpha, beta, gamma = np.broadcast_arrays(alpha, beta, gamma)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    A = np.zeros(np.shape(alpha) + (3, 3))
+    A[..., 0, 0], A[..., 0, 1] = ca, sa
+    A[..., 1, 0], A[..., 1, 1] = -sa, ca
+    A[..., 2, 2] = 1.0
+    B = np.zeros_like(A)
+    B[..., 0, 0], B[..., 0, 2] = cb, -sb
+    B[..., 1, 1] = 1.0
+    B[..., 2, 0], B[..., 2, 2] = sb, cb
+    C = np.zeros_like(A)
+    C[..., 0, 0], C[..., 0, 1] = cg, sg
+    C[..., 1, 0], C[..., 1, 1] = -sg, cg
+    C[..., 2, 2] = 1.0
+    return A @ B @ C
+
+
+def _wigner_d(l, half_cos, half_sin):
+    """Little-d matrix from cos(beta/2), sin(beta/2), by the Wigner sum."""
+    f = math.factorial
+    powers = np.arange(2 * l + 1)
+    C = np.asarray(half_cos, dtype=float)[..., None] ** powers
+    S = np.asarray(half_sin, dtype=float)[..., None] ** powers
+    out = np.zeros(np.shape(half_cos) + (2 * l + 1, 2 * l + 1))
+    for j in range(-l, l + 1):
+        for k in range(-l, l + 1):
+            pref = math.sqrt(f(l + k) * f(l - k) * f(l + j) * f(l - j))
+            for m in range(max(0, k - j), min(l - j, l + k) + 1):
+                coeff = (-1) ** m * pref / (f(l - j - m) * f(l + k - m) * f(m) * f(m + j - k))
+                out[..., j + l, k + l] += (coeff * C[..., 2 * l + k - j - 2 * m]
+                                           * S[..., 2 * m + j - k])
+    return out
+
+
+def _wigner_so3(l, R):
+    alpha, beta, gamma = so3_euler_angles(R)
+    dmat = _wigner_d(l, np.cos(beta / 2), np.sin(beta / 2))
+    jj = np.arange(-l, l + 1)
+    row = np.exp(1j * jj * alpha[..., None])
+    col = np.exp(1j * jj * gamma[..., None])
+    return dmat * row[..., :, None] * col[..., None, :]
+
 
 def test_euler_round_trip_and_gimbal():
     gen = RngHandle(8).generator()
     a = 2 * np.pi * gen.random(50)
     b = np.pi * gen.random(50)
     c = 2 * np.pi * gen.random(50)
-    Rm = R.so3_from_euler(a, b, c)
-    a2, b2, c2 = R.so3_euler_angles(Rm)
-    back = R.so3_from_euler(a2, b2, c2)
+    Rm = so3_from_euler(a, b, c)
+    a2, b2, c2 = so3_euler_angles(Rm)
+    back = so3_from_euler(a2, b2, c2)
     assert np.max(np.abs(back - Rm)) < 1e-12
     # gimbal on both poles: reconstruction must still be exact
     for beta in (0.0, np.pi):
-        Rm = R.so3_from_euler(1.1, beta, 0.7)
-        a2, b2, c2 = R.so3_euler_angles(Rm)
+        Rm = so3_from_euler(1.1, beta, 0.7)
+        a2, b2, c2 = so3_euler_angles(Rm)
         assert abs(c2) == 0.0
-        assert np.max(np.abs(R.so3_from_euler(a2, b2, c2) - Rm)) < 1e-12
+        assert np.max(np.abs(so3_from_euler(a2, b2, c2) - Rm)) < 1e-12
 
 
 def test_wigner_middle_entry_is_cos_beta():
     betas = np.linspace(0, np.pi, 9)
-    d = R._wigner_d(1, np.cos(betas / 2), np.sin(betas / 2))
+    d = _wigner_d(1, np.cos(betas / 2), np.sin(betas / 2))
     assert np.max(np.abs(d[:, 1, 1] - np.cos(betas))) < 1e-14
+
+
+def _so3_reference_inputs():
+    """Haar samples, rotations about each axis (through pi) and the
+    gimbal tilts beta in {0, pi}."""
+    gen = RngHandle(77).generator()
+    t = np.concatenate([2 * np.pi * gen.random(6), [np.pi, np.pi - 1e-9, 0.0]])
+    axes = [G.exp_alg(G.AlgebraElement(
+        G.SO3_GROUP, G.so3_alg_from_components(np.outer(t, e)))).payload
+        for e in np.eye(3)]
+    tilts = [so3_from_euler(2 * np.pi * gen.random(4), beta, 2 * np.pi * gen.random(4))
+             for beta in (0.0, np.pi)]
+    return np.concatenate([_haar(G.SO3_GROUP, 40, 7).payload] + axes + tilts)
+
+
+@pytest.mark.parametrize("l", range(R.L_CAP + 1))
+def test_so3_cover_evaluation_matches_wigner_reference(l):
+    Rm = _so3_reference_inputs()
+    got = R.rep_eval_payload(R.so3_rep(l), Rm)
+    assert np.max(np.abs(got - _wigner_so3(l, Rm))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +386,30 @@ def test_peter_weyl_product_rule_is_exact():
     for rep in (R.su2_rep(2), R.so3_rep(1), R.torus_rep((3,))):
         out = R.peter_weyl_check(rep, R.ProductQuadrature(32))
         assert out["max_abs_deviation"] < 1e-12
+    # the SO(3) nodes give gamma one turn; SU(2) nodes with two turns
+    # would alias at this size
+    out = R.peter_weyl_check(R.so3_rep(4), R.ProductQuadrature(16))
+    assert out["max_abs_deviation"] < 1e-12
     out = R.peter_weyl_check(R.u2_rep(2, 1), R.ProductQuadrature(24))
     assert out["max_abs_deviation"] < 1e-12
+
+
+# terms per node: C(L + 3, 3) at SU(2) label L, which is 2l for SO(3)
+@pytest.mark.parametrize("rep, nodes, terms", [(R.so3_rep(12), 12, 2925),
+                                               (R.su2_rep(4), 48, 35)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_peter_weyl_chunk_fits_term_budget(rep, nodes, terms, monkeypatch):
+    batches = []
+
+    def fake_eval(r, payload):
+        batches.append(payload.shape[0])
+        return np.zeros(payload.shape[:1] + (rep.dim, rep.dim), dtype=complex)
+
+    monkeypatch.setattr(R, "rep_eval_payload", fake_eval)
+    out = R.peter_weyl_check(rep, R.ProductQuadrature(nodes))
+    assert sum(batches) == out["n_nodes"] == nodes ** 3
+    assert max(batches) * terms * 16 <= R._CHUNK_BYTES
+    assert max(batches) <= 65536
 
 
 def test_peter_weyl_monte_carlo_within_3_sigma():
