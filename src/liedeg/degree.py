@@ -6,7 +6,18 @@ M-fields,
     (P M)(x) = lim_N (1/N) sum_{n<N} Ad_{phi^(n)(x)} M(F_n x),
 
 estimated here at finite N with an N/2 partial as convergence
-diagnostic.  For diagonalizable situations the limit collapses to closed
+diagnostic.  The sum is walked in blocks (see `_cesaro_sums`): block b
+covers n in [bL, (b+1)L) and starts at F_{bL} x = x + bL alpha mod 1,
+a closed form with the offset exactly rounded, so all blocks ride in one
+orbit walk as an extra batch axis.  The blocks are joined by prefix
+products of their cocycle products (Blelloch, "Prefix sums and their
+applications", 1990):
+
+    S_{bL+j}(x) = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j),
+    G_b = phi^(bL)(x) = P_0 P_1 ... P_{b-1},
+
+with s_b the running sum and P_b = phi^(L)(F_{bL} x) the product of
+block b alone.  For diagonalizable situations the limit collapses to closed
 forms (the plain integral of M, or its Ad-average projection), and the
 module provides: invariance checks under cohomology and homomorphisms,
 the SU(2) straightening that conjugates a nondegenerate cocycle to
@@ -16,6 +27,7 @@ for unique ergodicity / ergodicity of the skew product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,21 +63,89 @@ class DegreeEstimate:
             self.value.group, self.value.payload - self.half.payload))
 
 
+# the blocked walk aims at this batch of (block, point) pairs, and gives
+# every block at least MIN_BLOCK_STEPS steps
+BLOCK_BATCH = 1024
+MIN_BLOCK_STEPS = 64
+
+
+def _block_shape(points: int, n_max: int) -> tuple[int, int]:
+    """(B, L): B blocks of L steps cover n < n_max for `points` points.
+
+    B = max(1, min(ceil(BLOCK_BATCH / points), floor(n_max / MIN_BLOCK_STEPS)))
+    and L = ceil(n_max / B); B then drops the blocks that would start at
+    or past n_max.  Below n_max = 2 * MIN_BLOCK_STEPS there is one block.
+    """
+    blocks = max(1, min(-(-BLOCK_BATCH // points), n_max // MIN_BLOCK_STEPS))
+    length = -(-n_max // blocks)
+    return -(-n_max // length), length
+
+
+def _block_starts(flow: D.TranslationFlow, x: D.BasePoint, blocks: int,
+                  length: int) -> np.ndarray:
+    """Phases of F_{bL} x for b < blocks, shape (blocks,) + x.phases.shape.
+
+    Each offset b L alpha mod 1 is computed exactly from alpha's integer
+    ratio and rounded once: a double product near 1e3 would carry an
+    ulp of 1e-13 into every later step of its block.
+    """
+    ratios = [a.as_integer_ratio() for a in flow.alpha]
+    offsets = np.array([[num * b * length % den / den for num, den in ratios]
+                        for b in range(blocks)])
+    offsets = offsets.reshape((blocks,) + (1,) * (x.phases.ndim - 1) + (flow.dim,))
+    return np.mod(x.phases + offsets, 1.0)
+
+
 def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) -> dict:
     """Running sums S_n(x) = sum_{k<n} Ad_{phi^(k)(x)} M(F_k x) for each n
-    in `counts`, batched over x, from one orbit walk of max(counts) steps."""
+    in `counts`, batched over x, from one orbit walk.
+
+    The n_max = max(counts) steps are split into B blocks of L steps
+    (`_block_shape`), which start at the closed-form points F_{bL} x
+    (`_block_starts`) and are walked together as a leading batch axis.
+    The visitor keeps each block's local running sum s_b(j) at the local
+    indices j where a requested n = bL + j falls (1 <= j <= L), and at
+    j = L.  The walk also returns each block's product P_b, and the sums
+    are joined as S_n = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j)
+    with G_0 = e and G_{b+1} = maybe_renormalize(G_b P_b).  With one
+    block (n_max < 2 * MIN_BLOCK_STEPS, or BLOCK_BATCH points) a batch of
+    points gets the plain sequential sums bit for bit.
+    """
     if min(counts) < 1:
         raise ConfigError("N must be >= 1")
-    sums, total = {}, None
+    n_max = max(counts)
+    blocks, length = _block_shape(math.prod(x.phases.shape[:-1]), n_max)
+    local = {length} | {n - (n - 1) // length * length for n in counts}
+    partial, total = {}, None
 
     def visit(k, phases, g):
         nonlocal total
         term = G.ad(g, G.AlgebraElement(c.group, c.m_field(phases))).payload
         total = term if total is None else total + term
-        if k + 1 in counts:
-            sums[k + 1] = total
+        if k + 1 in local:
+            partial[k + 1] = total
 
-    D.cocycle_iterate(c, flow, x, max(counts), visit)
+    starts = D.BasePoint(_block_starts(flow, x, blocks, length))
+    products = D.cocycle_iterate(c, flow, starts, length, visit).payload
+    lifts = [None]  # G_b for b >= 1
+    for b in range(1, blocks):
+        step = G.GroupElement(c.group, products[b - 1])
+        lifts.append(step if b == 1 else
+                     G.maybe_renormalize(G.group_mul(lifts[-1], step)))
+
+    def moved(b, s):
+        return G.ad(lifts[b], G.AlgebraElement(c.group, s)).payload
+
+    # before[b] = S_{bL}: the whole blocks 0..b-1, joined
+    full = partial[length]
+    before = [None, full[0]]
+    for b in range(1, blocks - 1):
+        before.append(before[-1] + moved(b, full[b]))
+    sums = {}
+    for n in counts:
+        b = (n - 1) // length
+        s = partial[n - b * length][b]
+        sums[n] = before[b] + moved(b, s) if b else s
     return sums
 
 

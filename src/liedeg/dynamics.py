@@ -425,12 +425,19 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
             out[..., 1, 1] = np.exp(1j * b)
             return out
     else:
-        rotation = so3_x3_rotation(flow, kr, theta0).value
-
         def value(phases):
-            w = np.exp(2j * np.pi * (phases @ kt))
-            R = G.GroupElement(G.SO3_GROUP, rotation(phases))
-            return G.iso_so3_torus_to_u2(R, w, +1).payload
+            # sqrt(w) lift(R) in closed form: the x3-rotation by theta lifts
+            # to diag(e^{ih}, e^{-ih}), h = theta/2 wrapped into [-pi/2, pi/2),
+            # with so3_to_su2's sign (largest quaternion entry positive)
+            h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
+            h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
+            c, s = np.cos(h), np.sin(h)
+            sign = np.where((np.abs(s) > np.abs(c)) & (s < 0), -1.0, 1.0)
+            z = G.circle_sqrt(np.exp(2j * np.pi * (phases @ kt))) * sign
+            out = np.zeros(h.shape + (2, 2), dtype=complex)
+            out[..., 0, 0] = z * (c + 1j * s)
+            out[..., 1, 1] = z * (c - 1j * s)
+            return out
 
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()

@@ -179,7 +179,9 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     elif tag == SU2:
         a1, a2 = a.payload[..., 0], a.payload[..., 1]
         b1, b2 = b.payload[..., 0], b.payload[..., 1]
-        p = np.stack([a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)], axis=-1)
+        p = np.empty(np.broadcast_shapes(a1.shape, b1.shape) + (2,), dtype=complex)
+        np.subtract(a1 * b1, a2 * np.conj(b2), out=p[..., 0])
+        np.add(a1 * b2, a2 * np.conj(b1), out=p[..., 1])
     else:
         p = a.payload @ b.payload
     return GroupElement(a.group, p)
@@ -190,7 +192,9 @@ def group_inv(a: GroupElement) -> GroupElement:
     if tag == TORUS:
         p = np.conj(a.payload)
     elif tag == SU2:
-        p = np.stack([np.conj(a.payload[..., 0]), -a.payload[..., 1]], axis=-1)
+        p = np.empty(a.payload.shape, dtype=complex)
+        np.conj(a.payload[..., 0], out=p[..., 0])
+        np.negative(a.payload[..., 1], out=p[..., 1])
     elif tag == SO3:
         p = np.swapaxes(a.payload, -1, -2)
     else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,132 @@ def test_w_invariance_of_estimator(manufactured):
     for N, d in defects.items():
         assert N * d <= 2 * m_sup * 1.01, (N, d)
     assert defects[2000] < defects[250]
+
+
+def _sequential_cesaro_sums(c, flow, x, counts):
+    """The unblocked sum `_cesaro_sums` replaced, kept as its reference:
+    one running sum along one walk of max(counts) steps from x."""
+    sums, total = {}, None
+
+    def visit(k, phases, g):
+        nonlocal total
+        term = G.ad(g, G.AlgebraElement(c.group, c.m_field(phases))).payload
+        total = term if total is None else total + term
+        if k + 1 in counts:
+            sums[k + 1] = total
+
+    D.cocycle_iterate(c, flow, x, max(counts), visit)
+    return sums
+
+
+def _blocked_cases():
+    delta = D.su2_diagonal(FLOW, [1])
+    zeta = D.su2_twisted_diagonal(FLOW, [1], 0.7)
+    flow2 = D.default_flow(2)
+    return {"cohomologous-su2": (FLOW, D.cohomologous_build(delta, zeta, FLOW)),
+            "su2-two-angle": (FLOW, D.su2_two_angle(FLOW, [1], [2], 0.3, 0.1)),
+            "u2-product-matched": (FLOW, D.u2_product(FLOW, [1], [1], 0.3)),
+            "u2-product-mismatched": (FLOW, D.u2_product(FLOW, [1], [2], 0.3)),
+            "so3-x3-rotation": (FLOW, D.so3_x3_rotation(FLOW, [1], 0.2)),
+            "t2-monomial": (flow2, D.torus_monomial(flow2, [[1, 0], [1, 1]]))}
+
+
+def _block_counts(points, N):
+    """1, N/2, N/2 + 1 and N, plus the counts on both sides of the first
+    and last block boundaries."""
+    blocks, length = DG._block_shape(points, N)
+    edges = {length, length + 1, (blocks - 1) * length, (blocks - 1) * length + 1}
+    return {1, max(N // 2, 1), N // 2 + 1, N} | {n for n in edges if 1 <= n <= N}
+
+
+BLOCKED_N = (1, 63, 64, 65, 1500, 10001)
+
+
+@pytest.mark.parametrize("name", sorted(_blocked_cases()))
+def test_blocked_cesaro_sums_match_sequential(name):
+    flow, c = _blocked_cases()[name]
+    rng = np.random.default_rng(5)
+    rows = rng.random((77, flow.dim))
+    # a single unbatched point, 6 points and 70 points; one reference walk
+    # over all 77 rows serves every set and every N, as rows do not interact
+    sets = {(0, 1): rows[0], (1, 7): rows[1:7], (7, 77): rows[7:]}
+    wanted = {(rows_of, N): _block_counts(rows_of[1] - rows_of[0], N)
+              for rows_of in sets for N in BLOCKED_N}
+    ref = _sequential_cesaro_sums(c, flow, D.BasePoint(rows),
+                                  set().union(*wanted.values()))
+    for ((lo, hi), N), counts in wanted.items():
+        got = DG._cesaro_sums(c, flow, D.BasePoint(sets[lo, hi]), counts)
+        assert set(got) == counts
+        for n in counts:
+            want = ref[n][lo:hi].reshape(got[n].shape)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got[n] - want)) <= 1e-12 * scale, (lo, N, n)
+
+
+@pytest.mark.parametrize("name", sorted(_blocked_cases()))
+def test_one_block_repeats_the_sequential_sum_bit_for_bit(name):
+    # a single unbatched point is left out: the block axis turns its 0-d
+    # arithmetic into 1-element array arithmetic, which rounds complex
+    # products differently in the last bit
+    flow, c = _blocked_cases()[name]
+    rng = np.random.default_rng(6)
+    for P in (6, 70):
+        x = D.BasePoint(rng.random((P, flow.dim)))
+        for N in (1, 63, 64, 65, 127):
+            assert DG._block_shape(P, N)[0] == 1
+            counts = _block_counts(P, N)
+            got = DG._cesaro_sums(c, flow, x, counts)
+            ref = _sequential_cesaro_sums(c, flow, x, counts)
+            for n in counts:
+                assert np.array_equal(got[n], ref[n]), (P, N, n)
+
+
+def test_block_shape_rule():
+    assert DG._block_shape(6, 127) == (1, 127)
+    assert DG._block_shape(6, 128) == (2, 64)
+    assert DG._block_shape(6, 10_000) == (154, 65)    # 156 asked, 2 past N
+    assert DG._block_shape(70, 10_001) == (15, 667)
+    assert DG._block_shape(2048, 10_000) == (1, 10_000)
+
+
+@pytest.mark.parametrize("N", [1, 65, 200, 10_001])
+def test_cesaro_sums_walk_once(monkeypatch, N):
+    calls = []
+    walk = D.cocycle_iterate
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(D, "cocycle_iterate", counted)
+    c = D.su2_two_angle(FLOW, [1], [2], 0.3, 0.1)
+    x = D.BasePoint(RNG.random((6, 1)))
+    DG._cesaro_sums(c, FLOW, x, {1, max(N // 2, 1), N})
+    assert calls == [DG._block_shape(6, N)[1]]
+
+
+def test_block_starts_are_exactly_rounded_offsets():
+    flow = D.default_flow(2)
+    x = D.BasePoint(np.zeros(2))
+    starts = DG._block_starts(flow, x, 200, 65)
+    for b in (1, 17, 199):
+        for j, a in enumerate(flow.alpha):
+            assert starts[b, j] == float(Fraction(a) * (b * 65) % 1)
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda: (FLOW, D.so3_x3_rotation(FLOW, [1])), 10_000),
+    (lambda: (FLOW, D.torus_monomial(FLOW, [1])), 10_000),
+    (lambda: (D.default_flow(2), D.torus_monomial(D.default_flow(2),
+                                                   [[1, 0], [1, 1]])), 4000),
+], ids=["so3-x3-rotation", "t1-monomial", "t2-monomial"])
+def test_constant_degree_estimate_accuracy(make, N):
+    # constant M-field: every term of the sum is M, so the estimate is M up
+    # to the rounding of the sum; one running sum of N terms lost ~1e-12
+    flow, c = make()
+    x = D.BasePoint(np.random.default_rng(9).random((6, flow.dim)))
+    est = DG.degree_pointwise(c, flow, x, N)
+    assert np.max(np.abs(est.value.payload - c.m_field(x.phases))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

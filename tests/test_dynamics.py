@@ -461,6 +461,30 @@ def test_u2_product_parity_mismatch_flags_branch_cut():
     assert float(np.max(G.element_defect(g))) < 1e-12
 
 
+@pytest.mark.parametrize("k_torus, k_rot",
+                         [(1, 0), (0, 1), (2, 1), (1, 2), (0, 3), (-1, 2)])
+@pytest.mark.parametrize("theta0", [0.0, 0.7, np.pi / 2, np.pi, -2.5])
+def test_u2_product_mismatch_lift_matches_iso(k_torus, k_rot, theta0):
+    # the closed-form lift against sqrt(w) so3_to_su2(R) by Shepperd's method
+    flow = D.default_flow(1)
+    rng = np.random.default_rng(31)
+    # random phases, and phases at rotation angles 0, +-pi/2 and +-pi
+    # with neighbours 1e-12 either side
+    special = [(t - theta0) / (2 * np.pi * k_rot) + off
+               for t in (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+               for off in (-1e-12, 0.0, 1e-12)] if k_rot else []
+    ph = np.mod(np.concatenate([rng.random(20_000), special]), 1.0)[:, None]
+    got = D.u2_product(flow, [k_torus], [k_rot], theta0).value(ph)
+    R = G.GroupElement(G.SO3_GROUP, D.so3_x3_rotation(flow, [k_rot], theta0).value(ph))
+    want = G.iso_so3_torus_to_u2(R, np.exp(2j * np.pi * k_torus * ph[:, 0]), +1).payload
+    # at rotation angles +-pi/2 the quaternion entries q0 and q3 tie in
+    # size, and round-off picks Shepperd's canonical sign
+    theta = 2 * np.pi * k_rot * ph[:, 0] + theta0
+    tie = np.abs(np.abs(np.mod(theta + np.pi, 2 * np.pi) - np.pi) - np.pi / 2) <= 1e-9
+    dev = np.max(np.abs(got - want), axis=(-1, -2))
+    assert np.max(dev[~tie], initial=0.0) <= 1e-14
+
+
 def test_u2_scalar_su2_composition():
     flow = D.default_flow(1)
     inner = D.su2_two_angle(flow, [1], [1], 0.1, 0.2)

@@ -129,6 +129,20 @@ def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(Z)))
 
 
+@pytest.mark.parametrize("shape", ["batch-batch", "scalar-a", "scalar-b"])
+def test_su2_mul_inv_match_stacked_reference(shape):
+    rng = np.random.default_rng(17)
+    a = G.haar_sample(G.SU2_GROUP, 9, rng).payload
+    b = G.haar_sample(G.SU2_GROUP, 9, rng).payload
+    a, b = {"scalar-a": (a[0], b), "scalar-b": (a, b[0])}.get(shape, (a, b))
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    mul = np.stack([a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)], axis=-1)
+    got = G.group_mul(G.GroupElement(G.SU2_GROUP, a), G.GroupElement(G.SU2_GROUP, b))
+    assert np.array_equal(got.payload, mul)
+    inv = G.group_inv(G.GroupElement(G.SU2_GROUP, a)).payload
+    assert np.array_equal(inv, np.stack([np.conj(a1), -a2], axis=-1))
+
+
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
 def test_inner_product_ad_invariant(group):
     n = 300
