@@ -23,6 +23,7 @@ closed forms contain alpha.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -257,8 +258,20 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
 # built-in cocycle library
 # ---------------------------------------------------------------------------
 
+def _integers(k) -> np.ndarray:
+    """k as an int array; entries that are not integers (1.5, inf, nan,
+    strings, values past the int range) are refused, while integral
+    floats such as 1.0 pass."""
+    arr = np.asarray(k)
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(int) if arr.dtype.kind in "iuf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise ConfigError(f"windings must be integers, got {reprlib.repr(arr.tolist())}")
+    return ints
+
+
 def _winding(k, d):
-    k = np.asarray(k, dtype=int)
+    k = _integers(k)
     if k.ndim == 0:
         k = k[None]
     if k.ndim != 1 or (d is not None and k.shape[0] != d):
@@ -269,7 +282,7 @@ def _winding(k, d):
 def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
     """Torus-valued phi(x)_j = exp(2 pi i (k_j . x + theta0_j)); k is an
     integer matrix of shape (d', d) (a vector means d' = 1)."""
-    k = np.atleast_2d(np.asarray(k, dtype=int))
+    k = np.atleast_2d(_integers(k))
     if k.shape[1] != flow.dim:
         raise ConfigError(f"winding matrix needs {flow.dim} columns")
     dprime = k.shape[0]
@@ -303,8 +316,9 @@ def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
 
     def value(phases):
         th = 2 * np.pi * (phases @ k) + theta0
-        z1 = np.exp(1j * th)
-        return np.stack([z1, np.zeros_like(z1)], axis=-1)
+        out = np.zeros(th.shape + (2,), dtype=complex)
+        np.exp(1j * th, out=out[..., 0])
+        return out
 
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
@@ -328,7 +342,10 @@ def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
     def value(phases):
         th = 2 * np.pi * (phases @ k)
         z = np.exp(1j * th)
-        return np.stack([front[0] * z, front[1] * np.conj(z)], axis=-1)
+        out = np.empty(z.shape + (2,), dtype=complex)
+        np.multiply(front[0], z, out=out[..., 0])
+        np.multiply(front[1], np.conj(z), out=out[..., 1])
+        return out
 
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
@@ -352,19 +369,24 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
     def angles(phases):
         return (2 * np.pi * (phases @ m1) + c1, 2 * np.pi * (phases @ m2) + c2)
 
+    def exp_e1(th1):
+        # exp(t E1) = (cos t, sin t)
+        a = np.empty(th1.shape + (2,), dtype=complex)
+        a[..., 0] = np.cos(th1)
+        a[..., 1] = np.sin(th1)
+        return G.GroupElement(G.SU2_GROUP, a)
+
     def value(phases):
         th1, th2 = angles(phases)
-        # exp(t E1) = (cos t, sin t); exp(t E2) = (cos t, -i sin t)
-        a = np.stack([np.cos(th1), np.sin(th1)], axis=-1).astype(complex)
-        b = np.stack([np.cos(th2), -1j * np.sin(th2)], axis=-1)
-        ga = G.GroupElement(G.SU2_GROUP, a)
-        gb = G.GroupElement(G.SU2_GROUP, b)
-        return G.group_mul(ga, gb).payload
+        # exp(t E2) = (cos t, -i sin t)
+        b = np.empty(th2.shape + (2,), dtype=complex)
+        b[..., 0] = np.cos(th2)
+        b[..., 1] = -1j * np.sin(th2)
+        return G.group_mul(exp_e1(th1), G.GroupElement(G.SU2_GROUP, b)).payload
 
     def m_field(phases):
         th1, _ = angles(phases)
-        a = np.stack([np.cos(th1), np.sin(th1)], axis=-1).astype(complex)
-        ade2 = G.ad(G.GroupElement(G.SU2_GROUP, a), G.AlgebraElement(G.SU2_GROUP, G.E2))
+        ade2 = G.ad(exp_e1(th1), G.AlgebraElement(G.SU2_GROUP, G.E2))
         return t1p * G.E1 + t2p * ade2.payload
 
     return Cocycle(G.SU2_GROUP, value, m_field,

@@ -9,9 +9,20 @@ pi(cocycle(x)) phi(F_1 x).
 Correlations <psi1, U^N psi2> reduce to base-torus integrals evaluated
 by equispaced quadrature, sized so trig-polynomial integrands are
 integrated exactly; a grid-doubling re-evaluation supplies an error
-estimate for everything else.  The finite-N commutator average D_N
-converges to a Hermitian multiplication matrix whose kernel separates
-the (conjecturally) mixing complement from the unresolved part.
+estimate for everything else.  For constant coefficient vectors v1, v2,
+plain or conjugated by one transfer function zeta (zeta = e for plain
+ones), the integrand collapses because pi is a unitary homomorphism:
+
+    c_N = d_pi^{-1} v1^H M_N v2,
+    M_N = mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1}),
+
+so all such probes of a fiber read one walk of the mean
+representation-matrix series M_0..M_N.  The walk still runs under phi,
+so the check stays numerical and never assumes the cohomology.
+
+The finite-N commutator average D_N converges to a Hermitian
+multiplication matrix whose kernel separates the (conjecturally)
+mixing complement from the unresolved part.
 Verdict builders run probe correlations and report three-valued
 outcomes with explicit hypothesis flags; they check observable
 consequences, never assert theorems.
@@ -24,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +67,11 @@ class FiberVector:
     `coefficients` maps a raw phase array (..., d) to the coefficient
     stack (..., d_pi); `degree_bound` is the per-dimension trig degree
     of the coefficients, consumed by the quadrature sizing rule.
+
+    `vector` is set when the coefficients are pi(zeta(x)^{-1}) v for a
+    constant read-only v, with `transfer` = zeta or None for plain
+    constants; `correlation_series` then reads the pair off the shared
+    mean representation-matrix series.
     """
 
     rep: R.Representation
@@ -62,6 +79,9 @@ class FiberVector:
     coefficients: Callable[[np.ndarray], np.ndarray]
     degree_bound: int
     name: str = ""
+    # left out of == and hash, which an array cannot take part in
+    vector: np.ndarray | None = field(default=None, compare=False)
+    transfer: D.Cocycle | None = None
 
     def __post_init__(self):
         if not 0 <= self.j < self.rep.dim:
@@ -72,14 +92,15 @@ class FiberVector:
 
 def constant_fiber(rep: R.Representation, j: int, vector,
                    name: str = "") -> FiberVector:
-    vec = np.asarray(vector, dtype=complex)
+    vec = np.array(vector, dtype=complex)
     if vec.shape != (rep.dim,):
         raise ConfigError(f"coefficient vector must have length {rep.dim}")
+    vec.flags.writeable = False
 
     def coefficients(phases: np.ndarray) -> np.ndarray:
         return np.broadcast_to(vec, phases.shape[:-1] + (rep.dim,)).copy()
 
-    return FiberVector(rep, j, coefficients, 0, name or "constant-fiber")
+    return FiberVector(rep, j, coefficients, 0, name or "constant-fiber", vec)
 
 
 def monomial_fiber(rep: R.Representation, j: int, windings,
@@ -185,6 +206,30 @@ def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     return out
 
 
+@lru_cache(maxsize=2)  # one fiber's grid and its check grid
+def _mean_rep_series(rep: R.Representation, transfer: D.Cocycle | None,
+                     c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
+                     nodes: int) -> np.ndarray:
+    """M_0..M_N_max, M_N = mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1})
+    on one grid (zeta = e when `transfer` is None), from a single orbit
+    walk with one representation evaluation per step; read-only, since
+    every constant probe of the fiber shares it."""
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    out = np.empty((N_max + 1, rep.dim, rep.dim), dtype=complex)
+    if transfer is not None:
+        z0 = G.GroupElement(transfer.group, transfer.value(pts))
+
+    def visit(k, phases, g):
+        if transfer is not None:
+            zk = G.GroupElement(transfer.group, transfer.value(phases))
+            g = G.group_mul(G.group_mul(z0, g), G.group_inv(zk))
+        out[k] = np.mean(R.rep_eval_payload(rep, g.payload), axis=0)
+
+    D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
+    out.flags.writeable = False
+    return out
+
+
 def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N: int,
                        quadrature: D.QuadratureSpec) -> tuple[complex, float]:
@@ -227,15 +272,31 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
 
     One grid sized for N_max serves every N (an equispaced rule exact
     at N_max's degree is exact below it), and each of it and its
-    doubled check grid is walked once.
+    doubled check grid is walked once.  Two constant-vector probes that
+    share a transfer function zeta (or have none) read
+    c_N = d_pi^{-1} v1^H M_N v2 off the memoised mean series M_N of
+    `_mean_rep_series`, so every such probe of a fiber shares one walk
+    per grid; the identity needs pi unitary and multiplicative, which
+    holds in the ORTHONORMAL convention the series is evaluated in.
+    Every other pair walks its own grid with per-point coefficients.
     """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
     _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
-    values = _series_on_grid(psi1, psi2, c, flow, N_max, nodes)
-    errs = np.abs(values - _series_on_grid(psi1, psi2, c, flow, N_max,
-                                           2 * nodes + 1))
+    if (psi1.vector is not None and psi2.vector is not None
+            and psi1.transfer == psi2.transfer):
+        rep = R.orthonormal(psi1.rep)
+        conj_v1 = np.conj(psi1.vector)
+
+        def series(n: int) -> np.ndarray:
+            M = _mean_rep_series(rep, psi1.transfer, c, flow, N_max, n)
+            return np.einsum("l,nlk,k->n", conj_v1, M, psi2.vector) / rep.dim
+    else:
+        def series(n: int) -> np.ndarray:
+            return _series_on_grid(psi1, psi2, c, flow, N_max, n)
+    values = series(nodes)
+    errs = np.abs(values - series(2 * nodes + 1))
     return CorrelationSeries(values, errs, np.full(N_max + 1, nodes),
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
 
@@ -278,6 +339,10 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
     on the row-j fiber it sends coefficient stacks to
     phi'(x) = pi(zeta(x)^{-1}) phi(x).  Correlations then match:
     <S psi1, U_phi^N S psi2> = <psi1, U_delta^N psi2>.
+
+    A constant psi keeps its vector and records zeta as its transfer; a
+    psi that already has a transfer, or no constant vector, keeps
+    neither, and its correlations walk per-point coefficients.
     """
     rep = R.orthonormal(psi.rep)
     if rep.group != zeta.group:
@@ -289,8 +354,11 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
         return np.einsum("...lk,...k->...l", P, psi.coefficients(phases))
 
     bound = psi.degree_bound + zeta.freq_bound * R.rep_weight(psi.rep)
+    constant = psi.vector is not None and psi.transfer is None
     return FiberVector(psi.rep, psi.j, coefficients, bound,
-                       name=f"conjugated[{psi.name}]")
+                       name=f"conjugated[{psi.name}]",
+                       vector=psi.vector if constant else None,
+                       transfer=zeta if constant else None)
 
 
 # ---------------------------------------------------------------------------

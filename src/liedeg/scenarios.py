@@ -254,7 +254,7 @@ def build_cocycle(flow: D.TranslationFlow, spec: dict):
             f"cocycle {name!r} is missing parameter {exc.args[0]!r}") from exc
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cocycle {name!r} has a bad parameter: {exc}") from exc
 
 

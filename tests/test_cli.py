@@ -105,6 +105,17 @@ class TestDegreeCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cocycle", ["su2-diagonal", "torus-monomial"])
+    @pytest.mark.parametrize("k", ["[1e400]", "[[1e400]]", "[[1.5]]", "[1.5]"])
+    def test_bad_winding_params(self, cocycle, k, capsys):
+        # overflowing or non-integral windings are config errors, never
+        # a traceback or a silent truncation
+        rc = cli.main(["corr", "--cocycle", cocycle, "--rep", "1",
+                       "--n-max", "4", "--params", f'{{"k": {k}}}'])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_unknown_cocycle(self, capsys):
         rc = cli.main(["degree", "--cocycle", "nope"])
         assert rc == 2

@@ -413,6 +413,39 @@ def test_su2_twisted_diagonal_value():
     assert np.max(np.abs(m - rho * fmat @ G.E3 @ np.conj(fmat.T))) < 1e-14
 
 
+def _stacked_su2_values(name, phases, k):
+    """The np.stack forms of the SU(2) built-in values."""
+    th = 2 * np.pi * (phases @ k)
+    if name == "diagonal":
+        z1 = np.exp(1j * (th + 0.4))
+        return np.stack([z1, np.zeros_like(z1)], axis=-1)
+    if name == "twisted":
+        front = np.array([math.cos(0.7), math.sin(0.7)], dtype=complex)
+        z = np.exp(1j * th)
+        return np.stack([front[0] * z, front[1] * np.conj(z)], axis=-1)
+    th1, th2 = th + 0.3, 2 * np.pi * (phases @ (2 * k)) + 0.1
+    a = np.stack([np.cos(th1), np.sin(th1)], axis=-1).astype(complex)
+    b = np.stack([np.cos(th2), -1j * np.sin(th2)], axis=-1)
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    return np.stack([a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["diagonal", "twisted", "two-angle"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_su2_builtin_values_match_stacked_reference(name, d):
+    flow = D.default_flow(d)
+    k = np.arange(1, d + 1)
+    c = {"diagonal": lambda: D.su2_diagonal(flow, k, 0.4),
+         "twisted": lambda: D.su2_twisted_diagonal(flow, k, 0.7),
+         "two-angle": lambda: D.su2_two_angle(flow, k, 2 * k, 0.3, 0.1)}[name]()
+    rng = np.random.default_rng(23)
+    for phases in (rng.random((7, d)), rng.random((3, 5, d)), rng.random(d)):
+        got = c.value(phases)
+        want = _stacked_su2_values(name, phases, k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_so3_x3_rotation_embeds_circle():
     flow = D.default_flow(1)
     c = D.so3_x3_rotation(flow, [1], 0.25)
@@ -503,3 +536,22 @@ def test_winding_validation():
         D.su2_diagonal(flow, [1])
     with pytest.raises(ConfigError):
         D.torus_monomial(flow, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("k", [[1.5, 0], [np.inf, 1], [np.nan, 1], [1e300, 0],
+                               [10 ** 30, 0], ["1", "0"], [True, False]])
+def test_non_integral_windings_are_refused(k):
+    flow = D.default_flow(2)
+    with pytest.raises(ConfigError, match="integers"):
+        D.su2_diagonal(flow, k)
+    with pytest.raises(ConfigError, match="integers"):
+        D.torus_monomial(flow, [k])
+
+
+def test_integral_float_windings_are_accepted():
+    flow = D.default_flow(2)
+    x = D.base_point(0.3, 0.8)
+    for build in (D.su2_diagonal, lambda f, k: D.torus_monomial(f, [k])):
+        a, b = build(flow, [1.0, -2.0]), build(flow, [1, -2])
+        assert np.array_equal(a.value(x.phases), b.value(x.phases))
+        assert a.freq_bound == b.freq_bound == 2

@@ -272,6 +272,103 @@ def test_series_validation(manufactured):
         K.correlation_series(psi, psi, phi, FLOW, 0, QUAD)
 
 
+def _unit(dim, seed):
+    v = np.random.default_rng(seed).normal(size=(dim, 2)) @ np.array([1.0, 1j])
+    return v / np.linalg.norm(v)
+
+
+def _mean_series_cases(manufactured):
+    """(name, cocycle, flow, psi1, psi2, shares_the_mean_series)."""
+    _, zeta, phi = manufactured
+    for l in (1, 2, 3, 4):
+        psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(l), 0, _unit(l + 1, l)), zeta)
+        yield f"su2-l{l}-conjugated", phi, FLOW, psi, psi, True
+    so3 = K.constant_fiber(R.so3_rep(2), 0, _unit(5, 7))
+    yield "so3-l2", D.so3_x3_rotation(FLOW, [1], 0.5), FLOW, so3, so3, True
+    u2 = K.constant_fiber(R.u2_rep(2, 1), 0, _unit(3, 8))
+    yield "u2-2-1", D.u2_product(FLOW, [1], [0], 0.7), FLOW, u2, u2, True
+    rep = R.su2_rep(2)
+    a = K.conjugate_vector(K.constant_fiber(rep, 0, [1.0, 0.0, 0.0]), zeta)
+    b = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 9)), zeta)
+    yield "cross-pair", phi, FLOW, a, b, True
+    mono = K.monomial_fiber(rep, 0, [[1], [0], [-1]])
+    yield "constant-monomial", phi, FLOW, a, mono, False
+    plain = K.constant_fiber(rep, 0, _unit(3, 10))
+    yield "plain-conjugated", phi, FLOW, plain, a, False
+
+
+@pytest.mark.parametrize("name", [
+    "su2-l1-conjugated", "su2-l2-conjugated", "su2-l3-conjugated",
+    "su2-l4-conjugated", "so3-l2", "u2-2-1", "cross-pair", "constant-monomial",
+    "plain-conjugated"])
+def test_mean_series_matches_per_point_walk(manufactured, name):
+    # the mean representation-matrix series against the per-point walk it
+    # replaces and against the per-N reference
+    cases = {case[0]: case[1:] for case in _mean_series_cases(manufactured)}
+    c, flow, psi1, psi2, shared = cases[name]
+    n_max = 12
+    before = K._mean_rep_series.cache_info()
+    s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
+    after = K._mean_rep_series.cache_info()
+    assert (after.hits + after.misses - before.hits - before.misses) == (2 if shared else 0)
+    nodes = K._sizing_nodes(psi1, psi2, c, flow, n_max, QUAD.nodes_per_dim)
+    ref = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
+    check = K._series_on_grid(psi1, psi2, c, flow, n_max, 2 * nodes + 1)
+    assert np.max(np.abs(s.values - ref)) <= 1e-14, name
+    assert np.max(np.abs(s.err_estimates - np.abs(ref - check))) <= 1e-14, name
+    for n in (0, 1, 5, n_max):
+        value, _ = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
+        assert abs(s.values[n] - value) <= 1e-14, (name, n)
+
+
+def test_nested_conjugation_walks_per_point(manufactured):
+    _, zeta, _ = manufactured
+    psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(1), 0, [1.0, 0.0]), zeta)
+    assert psi.vector is not None and psi.transfer is zeta
+    nested = K.conjugate_vector(psi, zeta)
+    assert nested.vector is None and nested.transfer is None
+    mono = K.conjugate_vector(K.monomial_fiber(R.su2_rep(1), 0, [[1], [0]]), zeta)
+    assert mono.vector is None and mono.transfer is None
+
+
+def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
+    # four conjugated probes of su2 l=4 share one walk per grid and one
+    # representation evaluation per step
+    _, zeta, phi = manufactured
+    rep, n_max = R.su2_rep(4), 10
+    M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
+    probes = [K.conjugate_vector(pr, zeta) for pr in K.default_probes(rep, M_star)]
+    assert len(probes) == 4
+    calls = {"walks": 0, "evals": 0}
+    walk, evaluate = D.cocycle_iterate, R.rep_eval_payload
+
+    def counted_walk(*args, **kwargs):
+        calls["walks"] += 1
+        return walk(*args, **kwargs)
+
+    def counted_eval(*args, **kwargs):
+        calls["evals"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(D, "cocycle_iterate", counted_walk)
+    monkeypatch.setattr(R, "rep_eval_payload", counted_eval)
+    K._mean_rep_series.cache_clear()
+    verdict, walked = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=n_max,
+                                       quadrature=QUAD, probes=probes)
+    assert verdict["verdict"] == K.SUPPORTED
+    assert all(w is not None for w in walked)
+    assert calls["walks"] == 2
+    assert calls["evals"] <= 2 * (n_max + 1) + 4
+    info = K._mean_rep_series.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+    nodes = K._sizing_nodes(probes[0], probes[0], phi, FLOW, n_max, QUAD.nodes_per_dim)
+    M = K._mean_rep_series(rep, zeta, phi, FLOW, n_max, nodes)
+    assert calls["walks"] == 2  # a cache hit
+    assert M.shape == (n_max + 1, 5, 5) and not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # cohomology on fibers
 # ---------------------------------------------------------------------------
