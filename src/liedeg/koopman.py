@@ -48,6 +48,10 @@ from .errors import ConfigError, NumericGuardError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
 MAX_GRID_BYTES = 2 ** 28  # representation values on one check grid
+# Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
+# block-sized temporaries, so a 256^2 pass stays below one whole-grid field
+DINI_BLOCK = 4096
+DINI_SHIFTS = tuple(np.logspace(-4, 0, 17).tolist())  # t grid of the AC check
 
 SUPPORTED = "SUPPORTED"
 NO_CLAIM = "NO-CLAIM"
@@ -107,7 +111,7 @@ def monomial_fiber(rep: R.Representation, j: int, windings,
                    name: str = "") -> FiberVector:
     """Coefficients phi_k(x) = exp(2 pi i q_k . x); `windings` is a
     (d_pi, d) integer array, one winding row per coefficient."""
-    q = np.atleast_2d(np.asarray(windings, dtype=int))
+    q = np.atleast_2d(D._integers(windings))
     if q.shape[0] != rep.dim:
         raise ConfigError(f"need {rep.dim} winding rows, got {q.shape[0]}")
 
@@ -376,40 +380,61 @@ def wiener_average(series: CorrelationSeries) -> np.ndarray:
     return np.cumsum(sq) / np.arange(1, len(sq) + 1)
 
 
+def differential_map(rep: R.Representation,
+                     group: G.GroupSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The linear map M -> dpi(M) on `group` algebra payloads, in the
+    ORTHONORMAL convention: one of `dini_modulus`'s maps."""
+    ortho = R.orthonormal(rep)
+    return lambda payload: R.rep_differential(ortho, G.AlgebraElement(group, payload))
+
+
 def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
+                 maps: Sequence[Callable[[np.ndarray], np.ndarray]],
                  flow: D.TranslationFlow, t_grid: Sequence[float],
-                 nodes: int = 256) -> dict:
-    """Samples of t -> sup_x |field(F_t x) - field(x)| (entrywise sup on
-    a grid) and a trapezoid estimate of integral_0^1 modulus(t)/t dt.
+                 nodes: int = 256) -> list[dict]:
+    """Per linear map L in `maps` (dpi per representation, or the identity):
+    samples of t -> sup_x |L(field(F_t x) - field(x))| (entrywise sup on a
+    grid) and a trapezoid estimate of integral_0^1 modulus(t)/t dt.
+
+    One field difference per shift serves every map.  The grid is walked
+    in blocks of DINI_BLOCK points, so no whole-grid field is alive.
 
     The tail below the smallest grid point is modeled as Lipschitz
     (modulus ~ C t), contributing C * t_min = modulus(t_min).  Finite
-    grids certify neither the sup nor the integral, so the result is
+    grids certify neither the sup nor the integral, so each result is
     permanently flagged heuristic.
     """
     t = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
     if t.size == 0 or t[0] <= 0 or t[-1] > 1.0:
         raise ConfigError("t_grid must be sorted inside (0, 1]")
-    grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))
-    base = np.asarray(field_fn(grid.phases))
-
-    def sup_change(ti: float) -> float:
-        # a function scope, so one shift's field is freed before the next
-        shifted = np.asarray(field_fn(D.flow_advance(flow, grid, ti).phases))
-        return float(np.max(np.abs(shifted - base)))
-
-    samples = np.array([sup_change(ti) for ti in t])
-    integral = float(np.trapezoid(samples / t, t)) if t.size > 1 else 0.0
-    integral += float(samples[0])  # Lipschitz tail below t_min
-    return {
-        "t": t,
-        "samples": samples,
-        "integral_estimate": integral,
-        "lipschitz_constant_estimate": float(samples[0] / t[0]),
-        "heuristic": True,
-        "note": ("finite-grid estimate of the modulus integral; cannot "
-                 "certify the integrability condition"),
-    }
+    # the grid is already in [0, 1); only the shifted phases need wrapping
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    shifts = t[:, None] * flow.alpha_array
+    sups = np.zeros((len(maps), t.size))
+    for start in range(0, pts.shape[0], DINI_BLOCK):
+        block = pts[start:start + DINI_BLOCK]
+        base = np.asarray(field_fn(block))
+        for i, shift in enumerate(shifts):
+            shifted = block + shift
+            shifted -= np.floor(shifted)  # the bits of np.mod(shifted, 1.0), cheaper
+            diff = np.asarray(field_fn(shifted))
+            diff -= base
+            np.maximum(sups[:, i], [np.max(np.abs(L(diff))) for L in maps],
+                       out=sups[:, i])
+    out = []
+    for samples in sups:
+        integral = float(np.trapezoid(samples / t, t)) if t.size > 1 else 0.0
+        integral += float(samples[0])  # Lipschitz tail below t_min
+        out.append({
+            "t": t,
+            "samples": samples,
+            "integral_estimate": integral,
+            "lipschitz_constant_estimate": float(samples[0] / t[0]),
+            "heuristic": True,
+            "note": ("finite-grid estimate of the modulus integral; cannot "
+                     "certify the integrability condition"),
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +445,17 @@ def _hypothesis(name: str, status: str, value) -> dict:
     return {"name": name, "status": status, "value": value}
 
 
+@lru_cache(maxsize=1)  # every representation of a scenario reads it
+def _hypothesis_field(c: D.Cocycle, flow: D.TranslationFlow, nodes: int) -> np.ndarray:
+    """The M-field on the nodes^d grid of `_grid_hypotheses`, read-only."""
+    out = np.asarray(c.m_field(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)))
+    out.flags.writeable = False
+    return out
+
+
 def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
                      flow: D.TranslationFlow, nodes: int = 128) -> list[dict]:
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
-    M = G.AlgebraElement(c.group, c.m_field(pts))
+    M = G.AlgebraElement(c.group, _hypothesis_field(c, flow, nodes))
     m_sup = float(np.max(G.algebra_norm(M)))
     dm_sup = float(np.max(np.abs(R.rep_differential(R.orthonormal(rep), M))))
     return [
@@ -552,6 +584,9 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     a > 0.  Emits AC-PREDICTED only when all flags pass, explicitly
     conditional on the heuristic ones; a vanishing degree yields
     NO-CLAIM because the theory is silent there.
+
+    `dini` is this rep's entry of a shared `dini_modulus` pass; None runs
+    the pass for this rep alone.
     """
     hypotheses = []
     if isinstance(degree, DG.DegreeField):
@@ -568,10 +603,8 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
         raise ConfigError("degree must be an AlgebraElement or a DegreeField")
 
     if dini is None:
-        ortho = R.orthonormal(rep)
-        dini = dini_modulus(lambda ph: R.rep_differential(
-            ortho, G.AlgebraElement(c.group, c.m_field(ph))),
-            flow, np.logspace(-4, 0, 17))
+        dini, = dini_modulus(c.m_field, [differential_map(rep, c.group)],
+                             flow, DINI_SHIFTS)
     samples = np.asarray(dini["samples"])
     peak = float(np.max(samples)) if samples.size else 0.0
     shrinking = bool(samples[0] <= 0.5 * peak + 1e-12) if peak > 0 else True

@@ -343,13 +343,13 @@ def su2_euler_nodes(n: int, gamma_period: float = 4 * np.pi
     u, w = np.polynomial.legendre.leggauss(n)
     hc = np.sqrt((1 + u) / 2)     # cos(beta/2)
     hs = np.sqrt((1 - u) / 2)     # sin(beta/2)
-    A, H, C = np.meshgrid(alpha, np.arange(n), gamma, indexing="ij")
-    hcg, hsg, wg = hc[H], hs[H], w[H]
-    z1 = np.exp(0.5j * A) * hcg * np.exp(0.5j * C)
-    z2 = np.exp(0.5j * A) * hsg * np.exp(-0.5j * C)
-    payload = np.stack([z1.ravel(), z2.ravel()], axis=-1)
-    weights = (wg / 2).ravel() / (n * n)
-    return payload, weights
+    # (alpha, beta, gamma) on axes 0, 1, 2, broadcast straight into the payload
+    ea = np.exp(0.5j * alpha)[:, None, None]
+    payload = np.empty((n, n, n, 2), dtype=complex)
+    np.multiply(ea * hc[:, None], np.exp(0.5j * gamma), out=payload[..., 0])
+    np.multiply(ea * hs[:, None], np.exp(-0.5j * gamma), out=payload[..., 1])
+    weights = np.tile(np.repeat(w / 2 / (n * n), n), n)
+    return payload.reshape(-1, 2), weights
 
 
 def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

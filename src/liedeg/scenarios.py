@@ -484,7 +484,11 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     deg_field = stage["degree_field"]
     zeta = extras.get("zeta")
     entries, series_paths = [], {}
-    for rep in reps:
+    # one M-field difference per Dini shift serves every representation
+    dinis = K.dini_modulus(phi.m_field,
+                           [K.differential_map(rep, phi.group) for rep in reps],
+                           flow, K.DINI_SHIFTS)
+    for rep, dini in zip(reps, dinis):
         probes = K.default_probes(rep, M_star)
         if zeta is not None:
             probes = [replace(K.conjugate_vector(pr, zeta), name=f"{pr.name}-conjugated")
@@ -493,7 +497,7 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
                                           N_max=config.n_corr,
                                           quadrature=quad, probes=probes)
         ac = K.ac_verdict(rep, 0, phi, flow,
-                          deg_field if deg_field is not None else M_star)
+                          deg_field if deg_field is not None else M_star, dini=dini)
         probe = _series_probe(rep, probes)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))

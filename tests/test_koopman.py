@@ -1,5 +1,7 @@
 """Fiber correlations, commutator averages, and spectral verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,10 @@ def test_fiber_vector_validation():
         K.constant_fiber(rep, 0, [1.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         K.monomial_fiber(rep, 0, [[1], [0], [2]])
+    # non-integral windings are refused, not truncated to [[1], [0]]
+    with pytest.raises(ConfigError):
+        K.monomial_fiber(rep, 0, [[1.5], [0.7]])
+    assert K.monomial_fiber(rep, 0, [[1.0], [0.0]]).degree_bound == 1
     with pytest.raises(ConfigError):
         K.FiberVector(rep, 0, lambda p: p, -1)
 
@@ -536,9 +542,13 @@ def test_wiener_average_separates_point_and_mixing():
     assert np.all(A_pp > 0.999)
 
 
+def _identity(v):
+    return v
+
+
 def test_dini_modulus_constant_field():
-    out = K.dini_modulus(lambda ph: np.ones(np.asarray(ph).shape[:-1] + (2, 2)),
-                         FLOW, np.logspace(-3, 0, 7))
+    out, = K.dini_modulus(lambda ph: np.ones(np.asarray(ph).shape[:-1] + (2, 2)),
+                          [_identity], FLOW, np.logspace(-3, 0, 7))
     assert np.max(out["samples"]) == 0.0
     assert out["integral_estimate"] == 0.0
     assert out["heuristic"] is True
@@ -548,7 +558,7 @@ def test_dini_modulus_trig_field_is_lipschitz():
     def fld(ph):
         return np.sin(2 * np.pi * np.asarray(ph))[..., None] * np.eye(2)
 
-    out = K.dini_modulus(fld, FLOW, np.logspace(-4, 0, 9))
+    out, = K.dini_modulus(fld, [_identity], FLOW, np.logspace(-4, 0, 9))
     # modulus ~ C t at small t: consecutive small-t ratios track the grid
     assert out["samples"][0] < 0.5 * np.max(out["samples"])
     slope0 = out["samples"][0] / out["t"][0]
@@ -562,18 +572,71 @@ def test_dini_modulus_discontinuous_field_plateaus():
     def fld(ph):
         return np.where(np.asarray(ph)[..., 0] > 0.5, 1.0, -1.0)[..., None, None] * np.eye(2)
 
-    out = K.dini_modulus(fld, FLOW, np.logspace(-4, 0, 9))
+    out, = K.dini_modulus(fld, [_identity], FLOW, np.logspace(-4, 0, 9))
     assert out["samples"][0] > 0.5 * np.max(out["samples"])
 
 
 def test_dini_modulus_validation():
     fld = lambda ph: np.zeros(np.asarray(ph).shape[:-1] + (1, 1))
     with pytest.raises(ConfigError):
-        K.dini_modulus(fld, FLOW, [])
+        K.dini_modulus(fld, [_identity], FLOW, [])
     with pytest.raises(ConfigError):
-        K.dini_modulus(fld, FLOW, [0.5, 1.5])
+        K.dini_modulus(fld, [_identity], FLOW, [0.5, 1.5])
     with pytest.raises(ConfigError):
-        K.dini_modulus(fld, FLOW, [0.0, 0.5])
+        K.dini_modulus(fld, [_identity], FLOW, [0.0, 0.5])
+
+
+FLOW2 = D.default_flow(2)
+DINI_REPS = (R.su2_rep(1), R.su2_rep(2))
+
+
+@pytest.fixture(scope="module")
+def varying_su2():
+    """The cohomologous SU(2) pair on T^2: an x-dependent M-field whose
+    256^2 Dini grid spans several blocks."""
+    return D.cohomologous_build(D.su2_diagonal(FLOW2, [1, 0]),
+                                D.su2_twisted_diagonal(FLOW2, [1, 1]), FLOW2)
+
+
+def _dini_samples_whole_grid(field_fn, flow, t_grid, nodes):
+    """The per-field, whole-grid pass `dini_modulus` replaced: the reference."""
+    grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))
+    base = np.asarray(field_fn(grid.phases))
+    return np.array([float(np.max(np.abs(
+        np.asarray(field_fn(D.flow_advance(flow, grid, ti).phases)) - base)))
+        for ti in sorted(t_grid)])
+
+
+def test_dini_modulus_blocked_matches_whole_grid(varying_su2):
+    c = varying_su2
+    assert (256 ** 2) // K.DINI_BLOCK >= 4
+    outs = K.dini_modulus(c.m_field, [K.differential_map(r, c.group) for r in DINI_REPS],
+                          FLOW2, K.DINI_SHIFTS)
+    M_star = G.AlgebraElement(c.group, 0.8 * G.E3)
+    for rep, out in zip(DINI_REPS, outs):
+        ortho = R.orthonormal(rep)
+        ref = _dini_samples_whole_grid(lambda ph: R.rep_differential(
+            ortho, G.AlgebraElement(c.group, c.m_field(ph))), FLOW2, K.DINI_SHIFTS, 256)
+        assert np.all(ref > 0)
+        # dpi(a - b) in place of dpi(a) - dpi(b) moves round-off on the
+        # scale of the modulus, not of its small-t samples
+        np.testing.assert_allclose(out["samples"], ref, rtol=0, atol=1e-14 * np.max(ref))
+        assert np.array_equal(out["t"], np.asarray(K.DINI_SHIFTS))
+        assert K.ac_verdict(rep, 0, c, FLOW2, M_star) == \
+            K.ac_verdict(rep, 0, c, FLOW2, M_star, dini=out)
+
+
+def test_dini_modulus_peak_below_one_grid_field(varying_su2):
+    c = varying_su2
+    field_bytes = 256 ** 2 * np.asarray(c.m_field(np.zeros((1, 2)))).nbytes
+    maps = [_identity] + [K.differential_map(r, c.group) for r in DINI_REPS]
+    tracemalloc.start()
+    try:
+        K.dini_modulus(c.m_field, maps, FLOW2, K.DINI_SHIFTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,40 @@ def test_peter_weyl_chunk_fits_term_budget(rep, nodes, terms, monkeypatch):
     assert sum(batches) == out["n_nodes"] == nodes ** 3
     assert max(batches) * terms * 16 <= R._CHUNK_BYTES
     assert max(batches) <= 65536
+
+
+def _euler_nodes_meshgrid(n, gamma_period):
+    """The meshgrid formula `su2_euler_nodes` replaced: the reference."""
+    alpha = 2 * np.pi * np.arange(n) / n
+    gamma = gamma_period * np.arange(n) / n
+    u, w = np.polynomial.legendre.leggauss(n)
+    hc = np.sqrt((1 + u) / 2)
+    hs = np.sqrt((1 - u) / 2)
+    A, H, C = np.meshgrid(alpha, np.arange(n), gamma, indexing="ij")
+    z1 = np.exp(0.5j * A) * hc[H] * np.exp(0.5j * C)
+    z2 = np.exp(0.5j * A) * hs[H] * np.exp(-0.5j * C)
+    return np.stack([z1.ravel(), z2.ravel()], axis=-1), (w[H] / 2).ravel() / (n * n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 48])
+@pytest.mark.parametrize("gamma_period", [4 * np.pi, 2 * np.pi])
+def test_su2_euler_nodes_match_meshgrid_reference(n, gamma_period):
+    payload, weights = R.su2_euler_nodes(n, gamma_period)
+    ref_payload, ref_weights = _euler_nodes_meshgrid(n, gamma_period)
+    assert np.array_equal(payload, ref_payload)
+    assert np.array_equal(weights, ref_weights)
+
+
+def test_su2_euler_nodes_peak_near_payload():
+    n = 48
+    R.su2_euler_nodes(2)  # numpy's leggauss set-up is not the nodes' cost
+    tracemalloc.start()
+    try:
+        R.su2_euler_nodes(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * R.quadrature_bytes(G.SU2_GROUP, n)
 
 
 def test_peter_weyl_monte_carlo_within_3_sigma():
