@@ -96,8 +96,8 @@ def _criterion_03():
     z1 = np.exp(1j * thetas)
     payload_su2 = np.stack([z1, np.zeros_like(z1)], axis=-1)
     for l in range(1, 7):
-        rep = R.su2_rep(l, convention=R.PAPER)
-        mats = R.rep_eval_payload(rep, payload_su2)
+        rep = R.su2_rep(l)
+        mats = R.rep_eval_payload(rep, payload_su2) * R.paper_scale(rep)
         jj = np.arange(l + 1)
         weights = np.array([float(math.factorial(j))
                             * float(math.factorial(l - j)) for j in jj])
@@ -150,8 +150,7 @@ def _criterion_05():
         jj = np.arange(l + 1)
         ortho = 1j * R.rep_differential(R.su2_rep(l), Z)
         dev_o = np.abs(ortho - np.diag(rho * (l - 2 * jj)).astype(complex))
-        paper = 1j * R.rep_differential(
-            R.su2_rep(l, convention=R.PAPER), Z)
+        paper = ortho * R.paper_scale(R.su2_rep(l))
         weights = np.array([float(math.factorial(j))
                             * float(math.factorial(l - j)) for j in jj])
         dev_p = np.abs(paper - np.diag(weights * rho * (l - 2 * jj)))
@@ -167,8 +166,7 @@ def _criterion_05():
             ortho = 1j * R.rep_differential(rep, Zc)
             scale = -s * (2 * m - l)
             dev_o = np.abs(ortho - scale * np.eye(l + 1))
-            paper = 1j * R.rep_differential(
-                R.u2_rep(l, m, convention=R.PAPER), Zc)
+            paper = ortho * R.paper_scale(rep)
             weights = np.array([float(math.factorial(j))
                                 * float(math.factorial(l - j))
                                 for j in jj])

@@ -42,6 +42,12 @@ from .errors import (ConfigError, DegenerateDegreeError,
 
 DEFAULT_N = 10_000
 CONSTANT_SPREAD_FACTOR = 10.0
+# guards of the SU(2) transfer construction: the smallest rho
+# `su2_straighten` accepts, and `su2_transfer_zeta`'s tolerances on
+# |a -+ rho| (branch choice) and on ||D|| - rho
+RHO_THRESHOLD = 1e-3
+BRANCH_TOL = 1e-9
+NORM_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +436,12 @@ def rho_phi(field: DegreeField) -> dict:
     }
 
 
-def su2_transfer_zeta(Dz: G.AlgebraElement, rho, branch_tol: float = 1e-9,
-                      norm_tol: float = 1e-6) -> G.GroupElement:
+def su2_transfer_zeta(Dz: G.AlgebraElement, rho) -> G.GroupElement:
     """The unitary that conjugates D in su(2) to diag(i rho, -i rho).
 
     Three branches: a = rho (identity), a = -rho (quarter turn), and the
     generic closed form dividing by |b + ic|; `rho` may be scalar or
-    per-point.  Guards: ||D|| must equal rho within `norm_tol`; the
+    per-point.  Guards: ||D|| must equal rho within NORM_TOL; the
     generic branch cannot meet b + ic = 0 when the norms are consistent.
     Post-condition Ad_zeta(D) = diag(i rho, -i rho) is verified to 1e-8.
     """
@@ -449,12 +454,12 @@ def su2_transfer_zeta(Dz: G.AlgebraElement, rho, branch_tol: float = 1e-9,
     if np.any(rho_arr <= 0):
         raise DegenerateDegreeError("transfer requires rho > 0")
     norms = np.sqrt(a * a + b * b + cc * cc)
-    if np.max(np.abs(norms - rho_arr)) > norm_tol:
+    if np.max(np.abs(norms - rho_arr)) > NORM_TOL:
         raise InconsistentDegreeError(
             f"||D|| deviates from rho by {np.max(np.abs(norms - rho_arr)):.3e}")
 
-    plus = np.abs(a - rho_arr) <= branch_tol
-    minus = np.abs(a + rho_arr) <= branch_tol
+    plus = np.abs(a - rho_arr) <= BRANCH_TOL
+    minus = np.abs(a + rho_arr) <= BRANCH_TOL
     generic = ~(plus | minus)
     bc_abs = np.hypot(b, cc)
     if np.any(generic & (bc_abs == 0.0)):
@@ -503,8 +508,7 @@ def _walk_with_shift(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
 
 
 def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
-                   grid: D.BasePoint, rho_threshold: float = 1e-3,
-                   field_points: D.BasePoint | None = None) -> dict:
+                   grid: D.BasePoint, field_points: D.BasePoint | None = None) -> dict:
     """Conjugate an SU(2) cocycle toward diagonal form on a grid.
 
     Estimates the degree at the grid points and their unit-time shifts,
@@ -528,9 +532,9 @@ def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
         D.BasePoint(walked[n_pts:]), at_field)
     norms = G.algebra_norm(est.value)
     rho_est = float(np.mean(norms[:n_pts]))
-    if rho_est <= rho_threshold:
+    if rho_est <= RHO_THRESHOLD:
         raise DegenerateDegreeError(
-            f"estimated rho {rho_est:.3e} below threshold {rho_threshold:.0e}")
+            f"estimated rho {rho_est:.3e} below threshold {RHO_THRESHOLD:.0e}")
     # per-point norms as rho: keeps the transfer guards self-consistent
     zeta_all = su2_transfer_zeta(est.value, norms)
     zeta_here = G.GroupElement(G.SU2_GROUP, zeta_all.payload[:n_pts])

@@ -258,15 +258,15 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
 # built-in cocycle library
 # ---------------------------------------------------------------------------
 
-def _integers(k) -> np.ndarray:
+def _integers(k, need: str = "windings must be integers") -> np.ndarray:
     """k as an int array; entries that are not integers (1.5, inf, nan,
-    strings, values past the int range) are refused, while integral
-    floats such as 1.0 pass."""
+    bools, strings, values past the int range) are refused, while
+    integral floats such as 1.0 pass; `need` opens the refusal."""
     arr = np.asarray(k)
     with np.errstate(invalid="ignore"):
         ints = arr.astype(int) if arr.dtype.kind in "iuf" else None
     if ints is None or not np.array_equal(ints, arr):
-        raise ConfigError(f"windings must be integers, got {reprlib.repr(arr.tolist())}")
+        raise ConfigError(f"{need}, got {reprlib.repr(arr.tolist())}")
     return ints
 
 

@@ -27,8 +27,8 @@ Verdict builders run probe correlations and report three-valued
 outcomes with explicit hypothesis flags; they check observable
 consequences, never assert theorems.
 
-All spectral computations run in the orthonormal convention, where the
-representation matrices are genuinely unitary.
+Every representation is unitary (see `reps`), as the spectral
+identities below require.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ MAX_GRID_BYTES = 2 ** 28  # representation values on one check grid
 # Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
 # block-sized temporaries, so a 256^2 pass stays below one whole-grid field
 DINI_BLOCK = 4096
+DINI_NODES = 256  # Dini grid points per dimension
 DINI_SHIFTS = tuple(np.logspace(-4, 0, 17).tolist())  # t grid of the AC check
 
 SUPPORTED = "SUPPORTED"
@@ -191,20 +192,18 @@ def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     x = D.BasePoint(pts)
     gN = D.cocycle_iterate(c, flow, x, N)
     v2 = psi2.coefficients(D.flow_advance(flow, x, float(N)).phases)
-    return _quadrature_mean(R.orthonormal(psi1.rep), np.conj(psi1.coefficients(pts)),
-                            gN, v2)
+    return _quadrature_mean(psi1.rep, np.conj(psi1.coefficients(pts)), gN, v2)
 
 
 def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                     flow: D.TranslationFlow, N_max: int, nodes: int) -> np.ndarray:
     """c_0..c_N_max on one grid, from a single orbit walk."""
-    rep = R.orthonormal(psi1.rep)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
     conj_v1 = np.conj(psi1.coefficients(pts))
     out = np.empty(N_max + 1, dtype=complex)
 
     def visit(k, phases, g):
-        out[k] = _quadrature_mean(rep, conj_v1, g, psi2.coefficients(phases))
+        out[k] = _quadrature_mean(psi1.rep, conj_v1, g, psi2.coefficients(phases))
 
     D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
     return out
@@ -280,8 +279,7 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     share a transfer function zeta (or have none) read
     c_N = d_pi^{-1} v1^H M_N v2 off the memoised mean series M_N of
     `_mean_rep_series`, so every such probe of a fiber shares one walk
-    per grid; the identity needs pi unitary and multiplicative, which
-    holds in the ORTHONORMAL convention the series is evaluated in.
+    per grid; the identity needs pi unitary and multiplicative.
     Every other pair walks its own grid with per-point coefficients.
     """
     if N_max < 1:
@@ -290,12 +288,11 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
     if (psi1.vector is not None and psi2.vector is not None
             and psi1.transfer == psi2.transfer):
-        rep = R.orthonormal(psi1.rep)
         conj_v1 = np.conj(psi1.vector)
 
         def series(n: int) -> np.ndarray:
-            M = _mean_rep_series(rep, psi1.transfer, c, flow, N_max, n)
-            return np.einsum("l,nlk,k->n", conj_v1, M, psi2.vector) / rep.dim
+            M = _mean_rep_series(psi1.rep, psi1.transfer, c, flow, N_max, n)
+            return np.einsum("l,nlk,k->n", conj_v1, M, psi2.vector) / psi1.rep.dim
     else:
         def series(n: int) -> np.ndarray:
             return _series_on_grid(psi1, psi2, c, flow, N_max, n)
@@ -322,8 +319,7 @@ def d_n_average(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
         raise ConfigError("N must be >= 1")
     if np.ndim(x.phases) != 1:
         raise ConfigError("expected a single base point, not a batch")
-    out = 1j * R.rep_differential(R.orthonormal(rep),
-                                  DG.degree_pointwise(c, flow, x, N).value)
+    out = 1j * R.rep_differential(rep, DG.degree_pointwise(c, flow, x, N).value)
     defect = float(np.max(np.abs(out - np.conj(out.T))))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
         raise NumericGuardError(
@@ -348,13 +344,12 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
     psi that already has a transfer, or no constant vector, keeps
     neither, and its correlations walk per-point coefficients.
     """
-    rep = R.orthonormal(psi.rep)
-    if rep.group != zeta.group:
+    if psi.rep.group != zeta.group:
         raise TagMismatchError("transfer function lives on a different group")
 
     def coefficients(phases: np.ndarray) -> np.ndarray:
         z = G.GroupElement(zeta.group, zeta.value(np.asarray(phases, dtype=float)))
-        P = R.rep_eval_payload(rep, G.group_inv(z).payload)
+        P = R.rep_eval_payload(psi.rep, G.group_inv(z).payload)
         return np.einsum("...lk,...k->...l", P, psi.coefficients(phases))
 
     bound = psi.degree_bound + zeta.freq_bound * R.rep_weight(psi.rep)
@@ -382,19 +377,18 @@ def wiener_average(series: CorrelationSeries) -> np.ndarray:
 
 def differential_map(rep: R.Representation,
                      group: G.GroupSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The linear map M -> dpi(M) on `group` algebra payloads, in the
-    ORTHONORMAL convention: one of `dini_modulus`'s maps."""
-    ortho = R.orthonormal(rep)
-    return lambda payload: R.rep_differential(ortho, G.AlgebraElement(group, payload))
+    """The linear map M -> dpi(M) on `group` algebra payloads: one of
+    `dini_modulus`'s maps."""
+    return lambda payload: R.rep_differential(rep, G.AlgebraElement(group, payload))
 
 
 def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
                  maps: Sequence[Callable[[np.ndarray], np.ndarray]],
-                 flow: D.TranslationFlow, t_grid: Sequence[float],
-                 nodes: int = 256) -> list[dict]:
+                 flow: D.TranslationFlow, t_grid: Sequence[float]) -> list[dict]:
     """Per linear map L in `maps` (dpi per representation, or the identity):
-    samples of t -> sup_x |L(field(F_t x) - field(x))| (entrywise sup on a
-    grid) and a trapezoid estimate of integral_0^1 modulus(t)/t dt.
+    samples of t -> sup_x |L(field(F_t x) - field(x))| (entrywise sup on
+    the DINI_NODES^d grid) and a trapezoid estimate of
+    integral_0^1 modulus(t)/t dt.
 
     One field difference per shift serves every map.  The grid is walked
     in blocks of DINI_BLOCK points, so no whole-grid field is alive.
@@ -408,7 +402,7 @@ def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
     if t.size == 0 or t[0] <= 0 or t[-1] > 1.0:
         raise ConfigError("t_grid must be sorted inside (0, 1]")
     # the grid is already in [0, 1); only the shifted phases need wrapping
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    pts = D.quadrature_points(D.QuadratureSpec(DINI_NODES), flow.dim)
     shifts = t[:, None] * flow.alpha_array
     sups = np.zeros((len(maps), t.size))
     for start in range(0, pts.shape[0], DINI_BLOCK):
@@ -457,7 +451,7 @@ def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
                      flow: D.TranslationFlow, nodes: int = 128) -> list[dict]:
     M = G.AlgebraElement(c.group, _hypothesis_field(c, flow, nodes))
     m_sup = float(np.max(G.algebra_norm(M)))
-    dm_sup = float(np.max(np.abs(R.rep_differential(R.orthonormal(rep), M))))
+    dm_sup = float(np.max(np.abs(R.rep_differential(rep, M))))
     return [
         _hypothesis("derivative field bounded (grid sup)", "checked-on-grid", m_sup),
         _hypothesis("fiber multiplication bounded (grid sup)", "checked-on-grid", dm_sup),

@@ -11,14 +11,13 @@ U2        pair (l, m), dimension l+1: u = z g with z^2 = det u maps to
           z^{2m-l} pi_l(g); the half-integer ambiguity cancels because
           pi_l(-g) = (-1)^l pi_l(g)
 
-Conventions
------------
-ORTHONORMAL returns genuinely unitary homomorphisms (the monomial basis
-normalized).  PAPER returns the matrix coefficients taken against the
-*unnormalized* monomial basis p_j = w1^j w2^{l-j}, i.e. rescaled by
-||p_j||*||p_k|| = sqrt(j!(l-j)!) sqrt(k!(l-k)!); those are the natural
-Peter-Weyl matrix coefficients for that basis but are not multiplicative,
-so homomorphism/unitarity checks always run in ORTHONORMAL.
+Every representation is unitary: the monomial basis is normalized, as
+the paper's results for unitary irreducible pi require.  The paper's
+coefficients against the *unnormalized* monomials p_j = w1^j w2^{l-j}
+are the unitary ones times ||p_j|| ||p_k|| = sqrt(j!(l-j)!) sqrt(k!(l-k)!);
+`paper_scale` holds that factor and `paper_element` reads through it.
+They are natural Peter-Weyl coefficients for that basis but are not
+multiplicative.
 
 For SU(2) the matrix is assembled from the expansion
 
@@ -32,8 +31,7 @@ has the even SU(2) labels as its irreps: label l evaluates
     pi_l(R) = C pi_2l(lift R) C^-1,   C = diag(i^j), j = -l..l,
 
 on the canonical lift `groups.so3_to_su2` (the sign cancels because 2l
-is even), always in ORTHONORMAL; the x3-rotation with angle t maps to
-diag(e^{ijt}).
+is even); the x3-rotation with angle t maps to diag(e^{ijt}).
 
 Differentials are exact: su(2) acts on the binary forms as derivations,
 so d pi(Z) is tridiagonal in the c_jk basis, and so(3) reuses it at
@@ -48,36 +46,47 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import dynamics as D
 from . import groups as G
 from .errors import ConfigError, TagMismatchError
 from .rng import RngHandle
 
-ORTHONORMAL = "ORTHONORMAL"
-PAPER = "PAPER"
-
 L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
+# label entries stay below this size: pi raises unit complex numbers to
+# label-sized powers, and at 2**62 their round-off grows to 1e155 or nan,
+# while at 2**31 - 1 pi stays unitary to about 1e-6
+LABEL_BOUND = 2 ** 31
+
+_ENTRIES = "rep label entries must be integers below 2**31 in size"
+_LABEL_FORMS = {G.SU2: f"SU(2) rep label must be [l] with 0 <= l <= {L_CAP}",
+                G.SO3: f"SO(3) rep label must be [l] with 0 <= l <= {L_CAP}",
+                G.U2: f"U(2) rep label must be [l, m] with 0 <= l <= {L_CAP}"}
 
 
 @dataclass(frozen=True)
 class Representation:
+    """A unitary irreducible representation of `group`.  This is the one
+    label check: entries must be integers below LABEL_BOUND in size, and
+    the label is stored as a tuple of ints."""
     group: G.GroupSpec
     label: tuple[int, ...]
-    convention: str = ORTHONORMAL
 
     def __post_init__(self):
-        if self.convention not in (ORTHONORMAL, PAPER):
-            raise ConfigError(f"unknown convention {self.convention!r}")
-        tag = self.group.tag
+        tag, d = self.group.tag, self.group.torus_dim
+        ints = D._integers(self.label, _ENTRIES)
+        label = ints.tolist()
         if tag == G.TORUS:
-            if len(self.label) != self.group.torus_dim:
-                raise ConfigError("torus label length must match torus_dim")
-        elif tag in (G.SU2, G.SO3):
-            if len(self.label) != 1 or self.label[0] < 0:
-                raise ConfigError("label must be a single l >= 0")
-        elif len(self.label) != 2 or self.label[0] < 0:
-            raise ConfigError("U2 label is (l, m) with l >= 0")
-        if tag != G.TORUS and self.label[0] > L_CAP:
-            raise ConfigError(f"l > {L_CAP} not tabulated")
+            form = f"torus rep label needs {d} windings"
+            ok = ints.ndim == 1 and len(label) == d
+        else:
+            form = _LABEL_FORMS[tag]
+            ok = (ints.ndim == 1 and len(label) == 1 + (tag == G.U2)
+                  and 0 <= label[0] <= L_CAP)
+        if not ok:
+            raise ConfigError(f"{form}, got {label}")
+        if any(abs(v) >= LABEL_BOUND for v in label):
+            raise ConfigError(f"{_ENTRIES}, got {label}")
+        object.__setattr__(self, "label", tuple(label))
 
     @property
     def dim(self) -> int:
@@ -98,22 +107,21 @@ class Representation:
         return f"{tag.lower()} l={self.label[0]}"
 
 
-def torus_rep(q, dim: int | None = None, convention: str = ORTHONORMAL) -> Representation:
-    q = tuple(int(v) for v in np.atleast_1d(q))
-    d = len(q) if dim is None else dim
-    return Representation(G.torus_group(d), q, convention)
+def torus_rep(q) -> Representation:
+    q = np.atleast_1d(q)
+    return Representation(G.torus_group(len(q)), q)
 
 
-def su2_rep(l: int, convention: str = ORTHONORMAL) -> Representation:
-    return Representation(G.SU2_GROUP, (int(l),), convention)
+def su2_rep(l: int) -> Representation:
+    return Representation(G.SU2_GROUP, (l,))
 
 
-def so3_rep(l: int, convention: str = ORTHONORMAL) -> Representation:
-    return Representation(G.SO3_GROUP, (int(l),), convention)
+def so3_rep(l: int) -> Representation:
+    return Representation(G.SO3_GROUP, (l,))
 
 
-def u2_rep(l: int, m: int, convention: str = ORTHONORMAL) -> Representation:
-    return Representation(G.U2_GROUP, (int(l), int(m)), convention)
+def u2_rep(l: int, m: int) -> Representation:
+    return Representation(G.U2_GROUP, (l, m))
 
 
 def rep_weight(rep: Representation) -> int:
@@ -182,16 +190,13 @@ def su2_norms(l: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _scale(rep: Representation) -> np.ndarray:
-    """Entrywise factor taking c_jk at the SU(2) label behind rep to rep's
-    matrix: n_j / n_k (ORTHONORMAL) or n_j^2 (PAPER); SO(3) label l reads
-    label 2l as C (n_j / n_k) C^-1 = i^(j-k) n_j / n_k, j, k = -l..l."""
+    """Entrywise factor n_j / n_k taking c_jk at the SU(2) label behind rep
+    to rep's unitary matrix; SO(3) label l reads label 2l as
+    C (n_j / n_k) C^-1 = i^(j-k) n_j / n_k, j, k = -l..l."""
     so3 = rep.group.tag == G.SO3
     l = rep.label[0]
     n = su2_norms(2 * l if so3 else l)
-    if rep.convention == PAPER and not so3:
-        out = n[:, None] ** 2
-    else:
-        out = n[:, None] / n[None, :]
+    out = n[:, None] / n[None, :]
     if so3:
         jj = np.arange(-l, l + 1)
         out = np.array([1, 1j, -1, -1j])[(jj[:, None] - jj[None, :]) % 4] * out
@@ -230,8 +235,20 @@ def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:
     return rep_eval_payload(rep, g.payload)
 
 
+def paper_scale(rep: Representation) -> np.ndarray:
+    """Entrywise factor from rep's unitary coefficients to the paper's
+    unnormalized-basis ones: n_j n_k for SU(2)/U(2), ones for the torus
+    and SO(3), where the two agree.  The paper's pi is
+    rep_eval_payload(rep, p) * paper_scale(rep) and its dpi is
+    rep_differential(rep, Z) * paper_scale(rep)."""
+    if rep.group.tag in (G.SU2, G.U2):
+        n = su2_norms(rep.label[0])
+        return n[:, None] * n[None, :]
+    return np.ones((rep.dim, rep.dim))
+
+
 def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> complex | np.ndarray:
-    """Single matrix coefficient in the PAPER (unnormalized-basis) scaling."""
+    """Single matrix coefficient in the paper's (unnormalized-basis) scaling."""
     tag = rep.group.tag
     if tag == G.TORUS:
         if j != 0 or k != 0:
@@ -247,20 +264,13 @@ def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> com
         if not (0 <= j <= l and 0 <= k <= l):
             raise ConfigError(f"indices must lie in 0..{l}")
         row, col = j, k
-    paper = Representation(rep.group, rep.label, PAPER)
-    mat = rep_eval_payload(paper, g.payload)
-    val = mat[..., row, col]
+    val = rep_eval_payload(rep, g.payload)[..., row, col] * paper_scale(rep)[row, col]
     return complex(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
 # differential
 # ---------------------------------------------------------------------------
-
-def orthonormal(rep: Representation) -> Representation:
-    """The same representation in the ORTHONORMAL convention."""
-    return rep if rep.convention == ORTHONORMAL else Representation(rep.group, rep.label)
-
 
 def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
     """d pi (Z), batched, one exact formula per group.
@@ -272,8 +282,7 @@ def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
                 D_(k-1,k) = k Z10,  D_(k+1,k) = (l - k) Z01,
               Z10 = -x1 - i x2, Z01 = x1 - i x2, where (x1, x2, x3) are
               the coordinates of the traceless part against E1..E3 and
-              t = Im tr Z / 2; the convention rescales it as it rescales
-              pi (ORTHONORMAL: n_j / n_k, PAPER: n_j^2)
+              t = Im tr Z / 2; it is rescaled by n_j / n_k as pi is
       so3     the su2 formula at label 2l on d_cover_inv(Z), whose
               coordinates are (a1, a2, a3) / 2, rescaled as pi is
     """
@@ -300,13 +309,14 @@ def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
     out[..., k, k] = 1j * diag
     out[..., k[:-1], k[1:]] = k[1:] * (-x[..., 0:1] - 1j * x[..., 1:2])
     out[..., k[1:], k[:-1]] = (l - k[:-1]) * (x[..., 0:1] - 1j * x[..., 1:2])
-    return out * _scale(rep)
+    out *= _scale(rep)  # in place: no second copy of the batch
+    return out
 
 
 def multiplication_matrix(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
-    """The fiber multiplication matrix i dpi(Z), batched, in the
-    ORTHONORMAL convention and Hermitian-symmetrized against round-off."""
-    out = 1j * rep_differential(orthonormal(rep), Z)
+    """The fiber multiplication matrix i dpi(Z), batched and
+    Hermitian-symmetrized against round-off."""
+    out = 1j * rep_differential(rep, Z)
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
@@ -362,9 +372,7 @@ def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarra
         return G.su2_to_so3(G.GroupElement(G.SU2_GROUP, payload)).payload, weights
     if tag == G.TORUS:
         d = group.torus_dim
-        grids = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
-        ph = np.stack([g.ravel() for g in grids], axis=-1)
-        payload = np.exp(2j * np.pi * ph)
+        payload = np.exp(2j * np.pi * D.quadrature_points(D.QuadratureSpec(n), d))
         return payload, np.full(payload.shape[0], 1.0 / n ** d)
     # U2: circle times SU2 pushed through (z, g) -> z g
     su2_payload, su2_w = su2_euler_nodes(n)
@@ -396,13 +404,12 @@ def _term_count(rep: Representation) -> int:
 def peter_weyl_check(rep: Representation, scheme=None) -> dict:
     """Gram matrix of the matrix elements against Haar measure.
 
-    For the orthonormal convention the exact Gram is I / dim.  Returns the
+    pi is unitary, so the exact Gram is I / dim.  Returns the
     max absolute deviation plus, for Monte Carlo, the per-entry standard
     error; the product rule is spectrally exact for tabulated labels, so
     its deviation is pure round-off.
     """
     scheme = ProductQuadrature() if scheme is None else scheme
-    ortho = orthonormal(rep)
     d = rep.dim
     if isinstance(scheme, MonteCarloQuadrature):
         g = G.haar_sample(rep.group, scheme.samples, RngHandle(scheme.seed))
@@ -418,7 +425,7 @@ def peter_weyl_check(rep: Representation, scheme=None) -> dict:
     per_node = max(_term_count(rep), d ** 4 if mc else d * d)
     chunk = max(1, min(65536, _CHUNK_BYTES // (16 * per_node)))
     for lo in range(0, payload.shape[0], chunk):
-        mats = rep_eval_payload(ortho, payload[lo:lo + chunk])
+        mats = rep_eval_payload(rep, payload[lo:lo + chunk])
         flat = mats.reshape(mats.shape[0], d * d)
         w = weights[lo:lo + chunk]
         gram += (flat * w[:, None]).T @ np.conj(flat)

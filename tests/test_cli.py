@@ -80,6 +80,19 @@ class TestScenarioCommand:
         assert "numeric guard" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("label", [[10 ** 23], [2 ** 31]])
+    def test_oversized_rep_label_is_one_line_config_error(self, label, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_cfg_text(name="custom", reps=[label]))
+        rc = cli.main(["scenario", "custom", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+
+
 class TestDegreeCommand:
     def test_json_to_stdout(self, capsys):
         rc = cli.main(["degree", "--cocycle", "torus-monomial",
@@ -264,6 +277,8 @@ _TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",
     ["degree", "--cocycle", "su2-diagonal", "--params", '{"k": "a"}'],
     ["degree", "--cocycle", "cohomologous-su2-pair",
      "--params", '{"k": 1, "c0": "x"}'],
+    ["rep-check", "--group", "u2", "--label", "2,4611686018427387904"],
+    ["rep-check", "--group", "torus", "--label", "4611686018427387904"],
 ])
 def test_invalid_input_is_one_line_config_error(argv, capsys):
     assert cli.main(argv) == 2

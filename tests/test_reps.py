@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeg import groups as G
 from liedeg import reps as R
@@ -45,12 +47,13 @@ def test_rep_eval_is_unitary_homomorphism(rep):
 
 
 def test_paper_is_symmetric_rescaling_of_orthonormal():
-    g = _haar(G.SU2_GROUP, 20)
     for l in (1, 2, 4):
         n = R.su2_norms(l)
-        ortho = R.rep_eval_payload(R.su2_rep(l), g.payload)
-        paper = R.rep_eval_payload(R.su2_rep(l, R.PAPER), g.payload)
-        assert np.max(np.abs(paper - ortho * n[:, None] * n[None, :])) < 1e-11
+        for rep in (R.su2_rep(l), R.u2_rep(l, 1)):
+            assert np.array_equal(R.paper_scale(rep), n[:, None] * n[None, :])
+    # the torus characters and the SO(3) irreps have a single scaling
+    for rep in (R.torus_rep((2, -1)), R.so3_rep(2)):
+        assert np.array_equal(R.paper_scale(rep), np.ones((rep.dim, rep.dim)))
 
 
 def _substitution_coefficients(l, z1, z2):
@@ -89,7 +92,7 @@ def test_paper_diagonal_formulas_exact():
         z1 = np.exp(2j * np.pi * gen.random())
         g = G.GroupElement(G.SU2_GROUP, np.array([z1, 0.0]))
         for l in (1, 2, 4, 6):
-            mat = R.rep_eval_payload(R.su2_rep(l, R.PAPER), g.payload)
+            mat = R.rep_eval_payload(R.su2_rep(l), g.payload) * R.paper_scale(R.su2_rep(l))
             want = np.diag([math.factorial(j) * math.factorial(l - j) * z1 ** (2 * j - l)
                             for j in range(l + 1)])
             assert np.max(np.abs(mat - want)) < 1e-11
@@ -305,6 +308,21 @@ def test_differential_closed_forms_match_fd():
     assert np.max(np.abs(closed - want)) == 0.0
 
 
+@pytest.mark.parametrize("rep", [R.su2_rep(4), R.so3_rep(2), R.u2_rep(4, 1)],
+                         ids=lambda r: r.name)
+def test_differential_peak_near_result(rep):
+    """dpi is rescaled in place: no second copy of the batch."""
+    Z = _offdiagonal_batch(rep.group, n=4096)
+    R.rep_differential(rep, _offdiagonal_batch(rep.group, n=2))  # table set-up
+    tracemalloc.start()
+    try:
+        out = R.rep_differential(rep, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * out.nbytes
+
+
 def _richardson_on_z(rep, Z, h=1e-3):
     """Reference d pi(Z): Richardson-extrapolated central differences of
     t -> pi(exp(t Z)), taken on Z itself rather than on a basis."""
@@ -337,27 +355,39 @@ DIFFERENTIAL_LABELS = ([(G.SU2_GROUP, (l,)) for l in range(R.L_CAP + 1)]
                           for m in (-1, 0, 2)])
 
 
-@pytest.mark.parametrize("convention", [R.ORTHONORMAL, R.PAPER])
+# the unitary pi and dpi, or both times `paper_scale`: the paper's scaling
+SCALINGS = {"ORTHONORMAL": lambda rep: 1.0, "PAPER": R.paper_scale}
+
+
+@pytest.mark.parametrize("convention", list(SCALINGS))
 @pytest.mark.parametrize("group, label", DIFFERENTIAL_LABELS,
                          ids=lambda v: getattr(v, "tag", str(v)))
 def test_differential_matches_richardson_on_z(group, label, convention):
-    rep = R.Representation(group, label, convention)
+    rep = R.Representation(group, label)
+    scale = SCALINGS[convention](rep)
     Z = _offdiagonal_batch(group)
-    got = R.rep_differential(rep, Z)
+    got = R.rep_differential(rep, Z) * scale
     assert got.shape == (5, rep.dim, rep.dim)
-    ref = _richardson_on_z(rep, Z)
+    ref = _richardson_on_z(rep, Z) * scale
     # PAPER entries grow like (l!)^2, so the bound is relative to the reference
     assert np.max(np.abs(got - ref)) < 1e-9 * max(1.0, float(np.max(np.abs(ref))))
 
 
 @pytest.mark.parametrize("rep", [R.su2_rep(3), R.u2_rep(2, 1)], ids=lambda r: r.name)
 def test_differential_paper_images_rescale_orthonormal(rep):
-    Z = _offdiagonal_batch(rep.group)
+    """The paper's dpi is n_j n_k times the unitary one; over n_j^2 in row
+    j it is the raw derivation on the binary forms, a Lie homomorphism."""
+    Z, W = _offdiagonal_batch(rep.group), _offdiagonal_batch(rep.group, seed=5)
     n = R.su2_norms(rep.label[0])
     ortho = R.rep_differential(rep, Z)
-    paper = R.rep_differential(R.Representation(rep.group, rep.label, R.PAPER), Z)
+    paper = R.rep_differential(rep, Z) * R.paper_scale(rep)
     assert np.max(np.abs(paper - ortho * n[:, None] * n[None, :])) < 1e-12
-    assert np.array_equal(R.rep_differential(rep, Z), ortho)
+
+    def raw(A):
+        return R.rep_differential(rep, A) * R.paper_scale(rep) / (n ** 2)[:, None]
+
+    comm = G.AlgebraElement(rep.group, Z.payload @ W.payload - W.payload @ Z.payload)
+    assert np.max(np.abs(raw(comm) - (raw(Z) @ raw(W) - raw(W) @ raw(Z)))) < 1e-10
 
 
 def test_differential_eigenvalue_patterns():
@@ -365,7 +395,7 @@ def test_differential_eigenvalue_patterns():
     for l in range(1, 7):
         Z = G.AlgebraElement(G.SU2_GROUP, np.diag([1j * rho, -1j * rho]))
         d_o = R.rep_differential(R.su2_rep(l), Z)
-        d_p = R.rep_differential(R.su2_rep(l, R.PAPER), Z)
+        d_p = R.rep_differential(R.su2_rep(l), Z) * R.paper_scale(R.su2_rep(l))
         jj = np.arange(l + 1)
         evs_o = np.diag(1j * d_o).real * -1.0  # eigenvalues of i * dpi
         assert np.max(np.abs(np.sort(evs_o) - np.sort(rho * (l - 2 * jj)))) < 1e-10
@@ -483,8 +513,49 @@ def test_label_validation():
         R.su2_rep(R.L_CAP + 1)
     with pytest.raises(ConfigError):
         R.Representation(G.torus_group(2), (1,))
-    with pytest.raises(ConfigError):
-        R.Representation(G.SU2_GROUP, (1,), "FANCY")
+    # non-integral entries are refused, not truncated
+    for bad in (lambda: R.su2_rep(1.5), lambda: R.torus_rep([2.7]),
+                lambda: R.Representation(G.SU2_GROUP, (1.5,)),
+                lambda: R.u2_rep(2, 0.5), lambda: R.su2_rep(True)):
+        with pytest.raises(ConfigError, match="must be integers"):
+            bad()
+    # entries of size 2**31 and more, where round-off in z^q grows to nan or 1e155
+    for bad in (lambda: R.torus_rep([2 ** 31]), lambda: R.torus_rep([1, -2 ** 31]),
+                lambda: R.u2_rep(2, 2 ** 31), lambda: R.u2_rep(2, 2 ** 62),
+                lambda: R.torus_rep([10 ** 23])):
+        with pytest.raises(ConfigError, match="must be integers below 2"):
+            bad()
+    assert R.u2_rep(2, 2 ** 31 - 1).label == (2, 2 ** 31 - 1)
+    assert R.torus_rep([2 ** 31 - 1, 1 - 2 ** 31]).dim == 1
+    # integral floats pass and are stored as ints
+    rep = R.su2_rep(2.0)
+    assert rep.label == (2,) and type(rep.label[0]) is int and rep == R.su2_rep(2)
+
+
+_FUZZ_GROUPS = [G.torus_group(1), G.torus_group(2), G.SU2_GROUP, G.SO3_GROUP, G.U2_GROUP]
+_LABEL_ENTRIES = st.one_of(
+    st.integers(-2, R.L_CAP + 1), st.integers(),
+    st.integers(-2 ** 80, 2 ** 80),  # past int64
+    st.sampled_from([2 ** 31 - 1, 2 ** 31, 1 - 2 ** 31, -2 ** 31, 2 ** 63, -2 ** 63]),
+    st.floats(), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_GROUPS), st.lists(_LABEL_ENTRIES, max_size=3))
+def test_representation_fuzz(group, label):
+    """Every label is refused with ConfigError or gives a rep whose
+    matrices on Haar samples are finite and unitary; at the largest
+    accepted entries, 2**31 - 1, round-off moves them by about 6e-7."""
+    try:
+        rep = R.Representation(group, tuple(label))
+    except ConfigError:
+        return
+    assert type(rep.dim) is int
+    mats = R.rep_eval_payload(rep, _haar(group, 4).payload)
+    assert mats.shape == (4, rep.dim, rep.dim)
+    assert np.all(np.isfinite(mats))
+    gram = mats @ np.conj(np.swapaxes(mats, -1, -2))
+    assert np.max(np.abs(gram - np.eye(rep.dim))) < 1e-4
 
 
 def test_rep_weight_values():
