@@ -14,7 +14,6 @@ import math
 import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

@@ -124,15 +124,15 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
     local = {length} | {n - (n - 1) // length * length for n in counts}
     partial, total = {}, None
 
-    def visit(k, phases, g):
+    def visit(k, phases, g, m):
         nonlocal total
-        term = G.ad(g, G.AlgebraElement(c.group, c.m_field(phases))).payload
+        term = G.ad(g, G.AlgebraElement(c.group, m)).payload
         total = term if total is None else total + term
         if k + 1 in local:
             partial[k + 1] = total
 
     starts = D.BasePoint(_block_starts(flow, x, blocks, length))
-    products = D.cocycle_iterate(c, flow, starts, length, visit).payload
+    products = D.cocycle_iterate(c, flow, starts, length, visit, with_m=True).payload
     lifts = [None]  # G_b for b >= 1
     for b in range(1, blocks):
         step = G.GroupElement(c.group, products[b - 1])

@@ -120,6 +120,13 @@ class Cocycle:
     degree of the matrix entries of phi in the defining representation,
     used by the correlation quadrature sizing rule; `base_dim` is the
     dimension d of the base torus the callables accept.
+
+    `step`, when set, evaluates both at once for the orbit walker:
+    step(phases, carry, want_m) -> (value, M-field or None, carry), bit
+    for bit `value(phases)` and, when `want_m`, `m_field(phases)`.  The
+    carry is None or what the call at the previous point of the same
+    walk returned, and holds work that point did for this one; a step
+    uses it only when it matches `phases`, so any carry is safe to pass.
     """
 
     group: G.GroupSpec
@@ -130,21 +137,23 @@ class Cocycle:
     name: str = ""
     smoothness_note: str = "real-analytic trigonometric polynomial"
     branch_discontinuous: bool = False
-
-
-def cocycle_value(c: Cocycle, x: BasePoint) -> G.GroupElement:
-    return G.GroupElement(c.group, c.value(x.phases))
+    step: Callable | None = None
 
 
 def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
-                    visit: Callable | None = None) -> G.GroupElement:
+                    visit: Callable | None = None, *,
+                    with_m: bool = False) -> G.GroupElement:
     """phi^(n) over the time-one map of the flow, any integer n.
 
     The package's one walk along orbits.  For n > 0, `visit(k, phases_k,
     g_k)` is called for k = 0..n-1 with phases_k those of F_k x and
-    g_k = phi^(k)(x), before phi(F_k x) is multiplied in; `phases_k` is
-    stepped in place, so a visitor copies whatever it keeps.  Drift
-    renormalization happens every 256 steps and on return.
+    g_k = phi^(k)(x), before phi(F_k x) is evaluated and multiplied in;
+    with `with_m` it is called as `visit(k, phases_k, g_k, m_k)` with
+    m_k = M(F_k x), after phi(F_k x) and m_k come from one evaluation.
+    Each point is evaluated by `c.step` with the previous point's carry,
+    or by `c.value` (and `c.m_field`) for a cocycle without one.
+    `phases_k` is stepped in place, so a visitor copies whatever it
+    keeps.  Drift renormalization happens every 256 steps and on return.
     """
     if n == 0:
         return G.identity(c.group, x.phases.shape[:-1])
@@ -153,17 +162,23 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
         return G.group_inv(cocycle_iterate(c, flow, shifted, -n))
     alpha = flow.alpha_array
     phases = np.array(x.phases)
-    if visit is not None:
-        visit(0, phases, G.identity(c.group, phases.shape[:-1]))
-    g = G.GroupElement(c.group, c.value(phases))
-    for k in range(1, n):
-        phases += alpha
-        phases %= 1.0
-        if visit is not None:
-            visit(k, phases, g)
-        g = G.group_mul(g, G.GroupElement(c.group, c.value(phases)))
-        if k % 256 == 0:
+    step = c.step or (lambda ph, carry, want_m: (
+        c.value(ph), c.m_field(ph) if want_m else None, None))
+    g = carry = None
+    for k in range(n):
+        if k:
+            phases += alpha
+            phases %= 1.0
+        if visit is not None and not with_m:
+            visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]))
+        value, m, carry = step(phases, carry, with_m)
+        if with_m:
+            visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]), m)
+        value = G.GroupElement(c.group, value)
+        g = value if k == 0 else G.group_mul(g, value)
+        if k and k % 256 == 0:
             g = G.maybe_renormalize(g)
+        del value, m  # no array of this point lives into the next visit
     return G.maybe_renormalize(g)
 
 
@@ -225,33 +240,48 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
 
       M_phi = -Ad_{zeta^{-1}} ( M_zeta - M_delta - Ad_delta (M_zeta o F_1) ),
 
-    so degree data of phi and delta are conjugate by zeta.
+    so degree data of phi and delta are conjugate by zeta.  Value and
+    M-field are made from the same zeta(x), delta(x) and zeta(F_1 x), so
+    one fused `step` computes each of these, zeta(x)^{-1} and the wrap
+    F_1 x = x + alpha mod 1 once, and `value` / `m_field` are that step
+    without a carry.  Along an orbit zeta(F_1 x) is the next point's
+    zeta(x): the step carries (F_1 x, zeta(F_1 x), M_zeta(F_1 x)) and
+    reuses the last two when the next phases equal F_1 x bit for bit, as
+    the walker's x + alpha mod 1 does on the flow given here.
     """
     if zeta.group != delta.group:
         raise TagMismatchError("zeta and delta must share the group")
     group = zeta.group
     alpha = flow.alpha_array
 
-    def value(phases: np.ndarray) -> np.ndarray:
-        zl = G.GroupElement(group, zeta.value(phases))
+    def step(phases, carry, want_m):
+        ahead = phases + alpha
+        ahead %= 1.0
+        if (carry is not None and (carry[2] is not None or not want_m)
+                and np.array_equal(carry[0], phases)):
+            _, zl, mzl = carry
+        else:
+            zl = zeta.value(phases)
+            mzl = zeta.m_field(phases) if want_m else None
+        zr = zeta.value(ahead)
+        mzr = zeta.m_field(ahead) if want_m else None
+        zinv = G.group_inv(G.GroupElement(group, zl))
         dm = G.GroupElement(group, delta.value(phases))
-        zr = G.GroupElement(group, zeta.value(np.mod(phases + alpha, 1.0)))
-        return G.group_mul(G.group_mul(G.group_inv(zl), dm), zr).payload
+        value = G.group_mul(G.group_mul(zinv, dm), G.GroupElement(group, zr)).payload
+        m = None
+        if want_m:
+            inner = np.negative(mzl)
+            inner += delta.m_field(phases)
+            inner += G.ad(dm, G.AlgebraElement(group, mzr)).payload
+            m = G.ad(zinv, G.AlgebraElement(group, inner)).payload
+        return value, m, (ahead, zr, mzr)
 
-    m_field = None
-    if zeta.m_field is not None and delta.m_field is not None:
-        def m_field(phases: np.ndarray) -> np.ndarray:
-            zl = G.GroupElement(group, zeta.value(phases))
-            dm = G.GroupElement(group, delta.value(phases))
-            mz1 = G.AlgebraElement(group, zeta.m_field(np.mod(phases + alpha, 1.0)))
-            inner = (-zeta.m_field(phases) + delta.m_field(phases)
-                     + G.ad(dm, mz1).payload)
-            return G.ad(G.group_inv(zl), G.AlgebraElement(group, inner)).payload
-
-    return Cocycle(group, value, m_field,
+    has_m = zeta.m_field is not None and delta.m_field is not None
+    return Cocycle(group, lambda phases: step(phases, None, False)[0],
+                   (lambda phases: step(phases, None, True)[1]) if has_m else None,
                    freq_bound=2 * zeta.freq_bound + delta.freq_bound,
                    base_dim=delta.base_dim,
-                   name=name or f"cohomologous[{zeta.name} ; {delta.name}]")
+                   name=name or f"cohomologous[{zeta.name} ; {delta.name}]", step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +292,13 @@ def _integers(k, need: str = "windings must be integers") -> np.ndarray:
     """k as an int array; entries that are not integers (1.5, inf, nan,
     bools, strings, values past the int range) are refused, while
     integral floats such as 1.0 pass; `need` opens the refusal."""
-    arr = np.asarray(k)
+    arr, entries = np.asarray(k), np.asarray(k, dtype=object)
+    # numpy promotes (True, 2) to ints, so bools are sought entry by entry
+    bools = any(isinstance(e, (bool, np.bool_)) for e in entries.flat)
     with np.errstate(invalid="ignore"):
-        ints = arr.astype(int) if arr.dtype.kind in "iuf" else None
+        ints = arr.astype(int) if arr.dtype.kind in "iuf" and not bools else None
     if ints is None or not np.array_equal(ints, arr):
-        raise ConfigError(f"{need}, got {reprlib.repr(arr.tolist())}")
+        raise ConfigError(f"{need}, got {reprlib.repr(entries.tolist())}")
     return ints
 
 

@@ -56,8 +56,6 @@ J2 = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SO3_BASIS = (J1, J2, J3)
 
-# unitarity / orthogonality tolerances per group
-ELEMENT_TOL = {TORUS: 1e-12, SU2: 1e-12, SO3: 1e-10, U2: 1e-10}
 RENORM_TRIGGER = 1e-13
 
 
@@ -153,20 +151,6 @@ def su2_from_matrix(m: np.ndarray) -> np.ndarray:
     return np.stack([m[..., 0, 0], m[..., 0, 1]], axis=-1)
 
 
-def to_matrix(g: GroupElement) -> np.ndarray:
-    """Matrix form of an element (torus -> diagonal matrix)."""
-    tag = g.group.tag
-    if tag == SU2:
-        return su2_matrix(g.payload)
-    if tag in (SO3, U2):
-        return g.payload
-    d = g.group.torus_dim
-    m = np.zeros(g.payload.shape[:-1] + (d, d), dtype=complex)
-    idx = np.arange(d)
-    m[..., idx, idx] = g.payload
-    return m
-
-
 # ---------------------------------------------------------------------------
 # group operations
 # ---------------------------------------------------------------------------
@@ -217,14 +201,6 @@ def element_defect(g: GroupElement) -> float:
     if tag == SO3:
         dev = max(dev, float(np.max(np.abs(np.imag(p)), initial=0.0)))
         dev = max(dev, float(np.max(np.abs(np.linalg.det(p) - 1.0), initial=0.0)))
-    return dev
-
-
-def validate_element(g: GroupElement, tol: float | None = None) -> float:
-    dev = element_defect(g)
-    limit = ELEMENT_TOL[g.group.tag] if tol is None else tol
-    if dev > limit:
-        raise ConfigError(f"{g.group.name} element defect {dev:.3e} > {limit:.1e}")
     return dev
 
 
@@ -304,32 +280,6 @@ def algebra_inner(Z: AlgebraElement, W: AlgebraElement) -> np.ndarray | float:
 def algebra_norm(Z: AlgebraElement) -> np.ndarray | float:
     val = np.sqrt(np.maximum(algebra_inner(Z, Z), 0.0))
     return val if np.ndim(val) else float(val)
-
-
-def algebra_defect(Z: AlgebraElement) -> float:
-    """Deviation from the algebra constraints (skewness, tracelessness)."""
-    tag = Z.group.tag
-    p = Z.payload
-    if tag == TORUS:
-        return float(np.max(np.abs(np.real(p)), initial=0.0))
-    skew = p + np.conj(np.swapaxes(p, -1, -2))
-    dev = float(np.max(np.abs(skew), initial=0.0))
-    if tag == SO3:
-        dev = max(dev, float(np.max(np.abs(np.imag(p)), initial=0.0)))
-    if tag == SU2:
-        tr = p[..., 0, 0] + p[..., 1, 1]
-        dev = max(dev, float(np.max(np.abs(tr), initial=0.0)))
-    return dev
-
-
-def algebra_zero(group: GroupSpec, batch_shape=()) -> AlgebraElement:
-    if group.tag == TORUS:
-        p = np.zeros(batch_shape + (group.torus_dim,), dtype=complex)
-    elif group.tag == SO3:
-        p = np.zeros(batch_shape + (3, 3))
-    else:
-        p = np.zeros(batch_shape + (2, 2), dtype=complex)
-    return AlgebraElement(group, p)
 
 
 def _sinc(x):

@@ -108,7 +108,7 @@ class Representation:
 
 
 def torus_rep(q) -> Representation:
-    q = np.atleast_1d(q)
+    q = tuple(q) if np.ndim(q) else (q,)
     return Representation(G.torus_group(len(q)), q)
 
 

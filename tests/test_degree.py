@@ -1,7 +1,7 @@
 """Tests for degree estimation, invariance, straightening, and verdicts."""
 
+import dataclasses
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +13,8 @@ from liedeg import groups as G
 from liedeg import reps as R
 from liedeg.errors import (ConfigError, DegenerateDegreeError,
                            InconsistentDegreeError, TagMismatchError)
+
+import helpers as H
 
 FLOW = D.default_flow(1)
 ALPHA = FLOW.alpha[0]
@@ -200,6 +202,26 @@ def test_cesaro_sums_walk_once(monkeypatch, N):
     assert calls == [DG._block_shape(6, N)[1]]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N", [65, 200, 10_001])
+def test_cesaro_sums_fused_step_matches_separate_calls(d, N):
+    """The cohomologous pair's fused, carried step gives the blocked sums
+    of its step-less copy bit for bit."""
+    flow = D.default_flow(d)
+    if d == 1:
+        phi = D.cohomologous_build(D.su2_diagonal(flow, [1]),
+                                   D.su2_two_angle(flow, [1], [2], 0.3, 0.1), flow)
+    else:
+        phi = D.cohomologous_build(D.su2_diagonal(flow, [1, 0]),
+                                   D.su2_twisted_diagonal(flow, [1, 1]), flow)
+    x = D.BasePoint(RNG.random((6, d)))
+    counts = {1, N // 2, N}
+    got = DG._cesaro_sums(phi, flow, x, counts)
+    want = DG._cesaro_sums(dataclasses.replace(phi, step=None), flow, x, counts)
+    for n in counts:
+        assert np.array_equal(got[n], want[n]), n
+
+
 def test_block_starts_are_exactly_rounded_offsets():
     flow = D.default_flow(2)
     x = D.BasePoint(np.zeros(2))
@@ -322,7 +344,7 @@ def test_constant_ergodic_torus_matches_diagonal():
 
 def test_a_phi_pi_zero_degree():
     rep = R.su2_rep(2)
-    assert DG.a_phi_pi(rep, G.algebra_zero(G.SU2_GROUP)) == 0.0
+    assert DG.a_phi_pi(rep, H.algebra_zero(G.SU2_GROUP)) == 0.0
 
 
 def test_a_phi_pi_su2_parity():
@@ -575,7 +597,7 @@ def test_straighten_wrong_group():
 # ---------------------------------------------------------------------------
 
 def test_verdict_su2_semisimple():
-    out = DG.ergodicity_verdict(G.SU2_GROUP, G.algebra_zero(G.SU2_GROUP), True)
+    out = DG.ergodicity_verdict(G.SU2_GROUP, H.algebra_zero(G.SU2_GROUP), True)
     assert out["verdict"] == DG.NOT_UNIQUELY_ERGODIC_B
 
 
@@ -598,12 +620,12 @@ def test_verdict_torus_no_obstruction():
 
 
 def test_verdict_zero_degree_no_obstruction():
-    out = DG.ergodicity_verdict(G.SU2_GROUP, G.algebra_zero(G.SU2_GROUP), False)
+    out = DG.ergodicity_verdict(G.SU2_GROUP, H.algebra_zero(G.SU2_GROUP), False)
     assert out["verdict"] == DG.NO_OBSTRUCTION
 
 
 def test_verdict_upgrade_to_not_ergodic():
-    out = DG.ergodicity_verdict(G.SU2_GROUP, G.algebra_zero(G.SU2_GROUP),
+    out = DG.ergodicity_verdict(G.SU2_GROUP, H.algebra_zero(G.SU2_GROUP),
                                 True, flow_uniquely_ergodic=True)
     assert out["verdict"] == DG.NOT_ERGODIC_C
     M = G.AlgebraElement(G.U2_GROUP, 1j * np.diag([1.0, -1.0]))

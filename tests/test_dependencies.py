@@ -1,6 +1,7 @@
 """numpy stays the only runtime dependency: every module of the package
 imports only the standard library, numpy and the package itself, and the
-package's own modules import each other without a cycle."""
+package's own modules import each other without a cycle.  No module of
+the package or of the tests imports a name it never uses."""
 
 import ast
 import sys
@@ -12,6 +13,7 @@ import liedeg
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "liedeg"}
 MODULES = sorted(Path(liedeg.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_roots(tree: ast.AST):
@@ -68,3 +70,24 @@ def test_package_import_graph_is_acyclic():
     for mod in sorted(graph):
         visit(mod)
     assert "dynamics" in graph["reps"]
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by import statements that no expression loads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

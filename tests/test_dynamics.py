@@ -1,6 +1,8 @@
 """Tests for translation flows, cocycles, iterates, and transfer maps."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from liedeg import dynamics as D
 from liedeg import groups as G
 from liedeg.errors import ConfigError, TagMismatchError
+
+import helpers as H
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RNG = np.random.default_rng(20240816)
@@ -190,7 +194,7 @@ def test_m_field_lies_in_algebra():
     flow = D.default_flow(1)
     pts = RNG.random((40, 1))
     for c in _sample_cocycles(flow):
-        defect = G.algebra_defect(G.AlgebraElement(c.group, c.m_field(pts)))
+        defect = H.algebra_defect(G.AlgebraElement(c.group, c.m_field(pts)))
         assert float(np.max(defect)) < 1e-10, c.name
 
 
@@ -369,6 +373,103 @@ def test_cohomologous_tag_mismatch():
                              D.su2_diagonal(flow, [1]), flow)
 
 
+def _counted_pair(d):
+    """A cohomologous SU(2) pair on T^d with x-dependent M-fields, and a
+    list that grows by one per evaluation of its zeta."""
+    flow = D.default_flow(d)
+    calls = []
+    if d == 1:
+        delta = D.su2_diagonal(flow, [1])
+        zeta = D.su2_two_angle(flow, [1], [2], 0.3, 0.1)
+    else:  # the T^2 pair of the Dini tests
+        delta = D.su2_diagonal(flow, [1, 0])
+        zeta = D.su2_twisted_diagonal(flow, [1, 1])
+
+    plain = zeta.value
+
+    def value(phases):
+        calls.append(1)
+        return plain(phases)
+
+    counted = dataclasses.replace(zeta, value=value)
+    return flow, D.cohomologous_build(delta, counted, flow), calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("with_m", [False, True], ids=["value", "value+m"])
+def test_fused_step_matches_separate_calls_along_a_walk(d, with_m):
+    """Every point of a 300-step walk (past the renormalization at
+    k = 256) gets from the carried step exactly the bits of separate
+    `value` / `m_field` calls, and each point evaluates zeta only at
+    F_1 x; the product equals the walk without `step`."""
+    flow, phi, calls = _counted_pair(d)
+    x = D.BasePoint(RNG.random((5, d)))
+    seen = []
+
+    def recording(phases, carry, want_m):
+        out = phi.step(phases, carry, want_m)
+        seen.append((phases.copy(), out[0], out[1]))
+        return out
+
+    visit = (lambda k, ph, g, m: None) if with_m else None
+    n = 300
+    got = D.cocycle_iterate(dataclasses.replace(phi, step=recording), flow, x, n,
+                            visit, with_m=with_m)
+    assert len(calls) == n + 1
+    assert len(seen) == n
+    for phases, value, m in seen:
+        assert np.array_equal(value, phi.value(phases))
+        if with_m:
+            assert np.array_equal(m, phi.m_field(phases))
+        else:
+            assert m is None
+    plain = D.cocycle_iterate(dataclasses.replace(phi, step=None), flow, x, n,
+                              visit, with_m=with_m)
+    assert np.array_equal(got.payload, plain.payload)
+
+
+def test_fused_step_ignores_a_carry_it_cannot_use():
+    """A carry is reused only at its own phases F_1 x and, for the
+    M-field, only when it holds M_zeta(F_1 x); a walk along another
+    flow therefore equals the walk without `step`."""
+    flow, phi, _ = _counted_pair(1)
+    pts = RNG.random((4, 1))
+    _, _, carry = phi.step(pts, None, True)  # for F_1 x, not for x
+    value, m, _ = phi.step(pts, carry, True)
+    assert np.array_equal(value, phi.value(pts))
+    assert np.array_equal(m, phi.m_field(pts))
+    _, _, carry = phi.step(pts, None, False)  # at F_1 x, without M
+    value, m, _ = phi.step(carry[0], carry, True)
+    assert np.array_equal(value, phi.value(carry[0]))
+    assert np.array_equal(m, phi.m_field(carry[0]))
+    other = D.TranslationFlow((0.3,))
+    got = D.cocycle_iterate(phi, other, D.BasePoint(pts), 20)
+    plain = D.cocycle_iterate(dataclasses.replace(phi, step=None), other, D.BasePoint(pts), 20)
+    assert np.array_equal(got.payload, plain.payload)
+
+
+def test_walk_drops_each_value_before_the_next_visit():
+    """At every visit of a step-less walk on the 163^2 grid only the
+    walk's phases and phi^(k)(x) are alive: a value array kept into the
+    next visit would add one more 26,569 x 2 complex payload."""
+    flow = D.default_flow(2)
+    c = D.torus_monomial(flow, np.eye(2, dtype=int))
+    assert c.step is None
+    x = D.BasePoint(D.quadrature_points(D.QuadratureSpec(163), 2))
+    payload_bytes = c.value(x.phases).nbytes
+    live = []
+
+    def visit(k, phases, g):
+        live.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        D.cocycle_iterate(c, flow, x, 6, visit)
+    finally:
+        tracemalloc.stop()
+    assert max(live) < x.phases.nbytes + 1.5 * payload_bytes
+
+
 # ---------------------------------------------------------------------------
 # built-in library details
 # ---------------------------------------------------------------------------
@@ -405,7 +506,7 @@ def test_su2_twisted_diagonal_value():
     front = G.exp_alg(G.AlgebraElement(G.SU2_GROUP, c0 * G.E1))
     diag = G.GroupElement(G.SU2_GROUP, np.array([np.exp(1j * th), 0.0]))
     want = G.group_mul(front, diag)
-    assert np.max(np.abs(D.cocycle_value(c, x).payload - want.payload)) < 1e-14
+    assert np.max(np.abs(H.cocycle_value(c, x).payload - want.payload)) < 1e-14
     # M-field is the conjugated constant diagonal generator
     m = c.m_field(x.phases[None])[0]
     rho = 2 * np.pi * flow.alpha[0]

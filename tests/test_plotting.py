@@ -1,7 +1,5 @@
 """Tests for the deterministic SVG rendering of correlation series."""
 
-import math
-
 import pytest
 
 import liedeg.dynamics as D

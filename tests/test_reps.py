@@ -516,7 +516,10 @@ def test_label_validation():
     # non-integral entries are refused, not truncated
     for bad in (lambda: R.su2_rep(1.5), lambda: R.torus_rep([2.7]),
                 lambda: R.Representation(G.SU2_GROUP, (1.5,)),
-                lambda: R.u2_rep(2, 0.5), lambda: R.su2_rep(True)):
+                lambda: R.u2_rep(2, 0.5), lambda: R.su2_rep(True),
+                lambda: R.Representation(G.U2_GROUP, (True, 2)),
+                lambda: R.Representation(G.torus_group(2), (1, np.False_)),
+                lambda: R.torus_rep([1, True])):
         with pytest.raises(ConfigError, match="must be integers"):
             bad()
     # entries of size 2**31 and more, where round-off in z^q grows to nan or 1e155
@@ -545,7 +548,12 @@ _LABEL_ENTRIES = st.one_of(
 def test_representation_fuzz(group, label):
     """Every label is refused with ConfigError or gives a rep whose
     matrices on Haar samples are finite and unitary; at the largest
-    accepted entries, 2**31 - 1, round-off moves them by about 6e-7."""
+    accepted entries, 2**31 - 1, round-off moves them by about 6e-7.
+    A label with a bool anywhere in it is refused."""
+    if any(isinstance(e, bool) for e in label):
+        with pytest.raises(ConfigError):
+            R.Representation(group, tuple(label))
+        return
     try:
         rep = R.Representation(group, tuple(label))
     except ConfigError:
