@@ -232,8 +232,15 @@ def _cmd_self_test(_args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argv as a ConfigError: exit 2 with one line."""
+
+    def error(self, message):
+        raise ConfigError(message.replace("\n", r"\n"))  # argv words come raw
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liedeg",
         description="numerical laboratory for degrees of compact-group "
                     "valued cocycles over torus translations")
@@ -295,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.self_test:
             return _cmd_self_test(args)
         if not getattr(args, "command", None):

@@ -244,8 +244,9 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
     M-field are made from the same zeta(x), delta(x) and zeta(F_1 x), so
     one fused `step` computes each of these, zeta(x)^{-1} and the wrap
     F_1 x = x + alpha mod 1 once, and `value` / `m_field` are that step
-    without a carry.  Along an orbit zeta(F_1 x) is the next point's
-    zeta(x): the step carries (F_1 x, zeta(F_1 x), M_zeta(F_1 x)) and
+    without a carry (`m_field` skips zeta(F_1 x) and the value's products,
+    which it does not need).  Along an orbit zeta(F_1 x) is the next
+    point's zeta(x): the step carries (F_1 x, zeta(F_1 x), M_zeta(F_1 x)) and
     reuses the last two when the next phases equal F_1 x bit for bit, as
     the walker's x + alpha mod 1 does on the flow given here.
     """
@@ -254,7 +255,7 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
     group = zeta.group
     alpha = flow.alpha_array
 
-    def step(phases, carry, want_m):
+    def parts(phases, carry, want_m, want_value=True):
         ahead = phases + alpha
         ahead %= 1.0
         if (carry is not None and (carry[2] is not None or not want_m)
@@ -263,12 +264,13 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
         else:
             zl = zeta.value(phases)
             mzl = zeta.m_field(phases) if want_m else None
-        zr = zeta.value(ahead)
+        zr = zeta.value(ahead) if want_value else None
         mzr = zeta.m_field(ahead) if want_m else None
         zinv = G.group_inv(G.GroupElement(group, zl))
         dm = G.GroupElement(group, delta.value(phases))
-        value = G.group_mul(G.group_mul(zinv, dm), G.GroupElement(group, zr)).payload
-        m = None
+        value = m = None
+        if want_value:
+            value = G.group_mul(G.group_mul(zinv, dm), G.GroupElement(group, zr)).payload
         if want_m:
             inner = np.negative(mzl)
             inner += delta.m_field(phases)
@@ -277,11 +279,12 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
         return value, m, (ahead, zr, mzr)
 
     has_m = zeta.m_field is not None and delta.m_field is not None
-    return Cocycle(group, lambda phases: step(phases, None, False)[0],
-                   (lambda phases: step(phases, None, True)[1]) if has_m else None,
+    return Cocycle(group, lambda phases: parts(phases, None, False)[0],
+                   (lambda phases: parts(phases, None, True, False)[1]) if has_m else None,
                    freq_bound=2 * zeta.freq_bound + delta.freq_bound,
                    base_dim=delta.base_dim,
-                   name=name or f"cohomologous[{zeta.name} ; {delta.name}]", step=step)
+                   name=name or f"cohomologous[{zeta.name} ; {delta.name}]",
+                   step=lambda phases, carry, want_m: parts(phases, carry, want_m))
 
 
 # ---------------------------------------------------------------------------

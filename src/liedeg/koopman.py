@@ -8,7 +8,8 @@ pi(cocycle(x)) phi(F_1 x).
 
 Correlations <psi1, U^N psi2> reduce to base-torus integrals evaluated
 by equispaced quadrature, sized so trig-polynomial integrands are
-integrated exactly; a grid-doubling re-evaluation supplies an error
+integrated exactly; a check grid with twice the nodes per dimension,
+which nests the grid so one walk yields both rules, supplies an error
 estimate for everything else.  For constant coefficient vectors v1, v2,
 plain or conjugated by one transfer function zeta (zeta = e for plain
 ones), the integrand collapses because pi is a unitary homomorphism:
@@ -47,7 +48,7 @@ from . import reps as R
 from .errors import ConfigError, NumericGuardError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
-MAX_GRID_BYTES = 2 ** 28  # representation values on one check grid
+MAX_GRID_BYTES = 2 ** 28  # representation values on one (2n)^d check grid
 # Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
 # block-sized temporaries, so a 256^2 pass stays below one whole-grid field
 DINI_BLOCK = 4096
@@ -164,11 +165,11 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     equispaced rule with more than twice that many nodes is exact.
 
     Raises ConfigError, before any grid exists, when the representation
-    values on the doubled check grid would exceed MAX_GRID_BYTES."""
+    values on the (2 nodes)^d check grid would exceed MAX_GRID_BYTES."""
     f_eff = c.freq_bound * R.rep_weight(psi1.rep)
     nodes = max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
                             + abs(N) * f_eff) + 1)
-    check = 2 * nodes + 1
+    check = 2 * nodes
     need = check ** flow.dim * psi1.rep.dim ** 2 * 16
     if need > MAX_GRID_BYTES:
         raise ConfigError(
@@ -178,12 +179,20 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     return nodes
 
 
-def _quadrature_mean(rep: R.Representation, conj_v1: np.ndarray,
-                     g: G.GroupElement, v2: np.ndarray) -> complex:
-    """d_pi^{-1} times the grid mean of conj(phi1) pi(g) phi2."""
+def _integrand(rep: R.Representation, conj_v1: np.ndarray,
+               g: G.GroupElement, v2: np.ndarray) -> np.ndarray:
+    """conj(phi1) pi(g) phi2 at every grid point."""
     P = R.rep_eval_payload(rep, g.payload)
-    vals = np.einsum("...l,...lk,...k->...", conj_v1, P, v2)
-    return complex(np.mean(vals) / rep.dim)
+    return np.einsum("...l,...lk,...k->...", conj_v1, P, v2)
+
+
+def _check_grid(nodes: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2 nodes)^d check grid and, in grid order, the flat indices of
+    its even-indexed nodes: node i sits at i/m, so they are the nodes^d
+    grid bit for bit."""
+    pts = D.quadrature_points(D.QuadratureSpec(2 * nodes), d)
+    fine = np.arange(len(pts)).reshape((2 * nodes,) * d)
+    return pts, fine[(slice(None, None, 2),) * d].ravel()
 
 
 def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
@@ -192,33 +201,35 @@ def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     x = D.BasePoint(pts)
     gN = D.cocycle_iterate(c, flow, x, N)
     v2 = psi2.coefficients(D.flow_advance(flow, x, float(N)).phases)
-    return _quadrature_mean(psi1.rep, np.conj(psi1.coefficients(pts)), gN, v2)
+    vals = _integrand(psi1.rep, np.conj(psi1.coefficients(pts)), gN, v2)
+    return complex(np.mean(vals) / psi1.rep.dim)
 
 
 def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                     flow: D.TranslationFlow, N_max: int, nodes: int) -> np.ndarray:
-    """c_0..c_N_max on one grid, from a single orbit walk."""
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    """Rows c_0..c_N_max on the nodes^d grid and its check grid, one walk."""
+    pts, coarse = _check_grid(nodes, flow.dim)
     conj_v1 = np.conj(psi1.coefficients(pts))
-    out = np.empty(N_max + 1, dtype=complex)
+    out = np.empty((2, N_max + 1), dtype=complex)
 
     def visit(k, phases, g):
-        out[k] = _quadrature_mean(psi1.rep, conj_v1, g, psi2.coefficients(phases))
+        vals = _integrand(psi1.rep, conj_v1, g, psi2.coefficients(phases))
+        out[:, k] = np.mean(vals[coarse]) / psi1.rep.dim, np.mean(vals) / psi1.rep.dim
 
     D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
     return out
 
 
-@lru_cache(maxsize=2)  # one fiber's grid and its check grid
+@lru_cache(maxsize=1)  # one fiber's walk
 def _mean_rep_series(rep: R.Representation, transfer: D.Cocycle | None,
                      c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
                      nodes: int) -> np.ndarray:
-    """M_0..M_N_max, M_N = mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1})
-    on one grid (zeta = e when `transfer` is None), from a single orbit
-    walk with one representation evaluation per step; read-only, since
-    every constant probe of the fiber shares it."""
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
-    out = np.empty((N_max + 1, rep.dim, rep.dim), dtype=complex)
+    """Rows M_0..M_N_max on the nodes^d grid and its check grid, M_N =
+    mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1}) (zeta = e when `transfer`
+    is None), from one walk with one representation evaluation per step;
+    read-only, since every constant probe of the fiber shares it."""
+    pts, coarse = _check_grid(nodes, flow.dim)
+    out = np.empty((2, N_max + 1, rep.dim, rep.dim), dtype=complex)
     if transfer is not None:
         z0 = G.GroupElement(transfer.group, transfer.value(pts))
 
@@ -226,7 +237,8 @@ def _mean_rep_series(rep: R.Representation, transfer: D.Cocycle | None,
         if transfer is not None:
             zk = G.GroupElement(transfer.group, transfer.value(phases))
             g = G.group_mul(G.group_mul(z0, g), G.group_inv(zk))
-        out[k] = np.mean(R.rep_eval_payload(rep, g.payload), axis=0)
+        P = R.rep_eval_payload(rep, g.payload)
+        out[:, k] = np.mean(P[coarse], axis=0), np.mean(P, axis=0)
 
     D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
     out.flags.writeable = False
@@ -237,12 +249,12 @@ def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N: int,
                        quadrature: D.QuadratureSpec) -> tuple[complex, float]:
     """c_N = <psi1, U^N psi2> by quadrature, plus a grid-doubling error
-    estimate (|value - value on a doubled grid|).  Any integer N; the
-    reference for `correlation_series`."""
+    estimate |value - value on the (2 nodes)^d grid|, each walked apart.
+    Any integer N; the reference for `correlation_series`."""
     _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, flow, N, quadrature.nodes_per_dim)
     value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
-    check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes + 1)
+    check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes)
     return value, abs(value - check)
 
 
@@ -274,13 +286,15 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     ERR_FLAG_THRESHOLD are listed in `flagged` (and kept, not hidden).
 
     One grid sized for N_max serves every N (an equispaced rule exact
-    at N_max's degree is exact below it), and each of it and its
-    doubled check grid is walked once.  Two constant-vector probes that
-    share a transfer function zeta (or have none) read
+    at N_max's degree is exact below it).  Its check grid has twice the
+    nodes per dimension and nests it, so one walk yields both rules; the
+    blind spot is aliasing onto even multiples of the node count only,
+    which moves both rules alike.  Two constant-vector probes that share
+    a transfer function zeta (or have none) read
     c_N = d_pi^{-1} v1^H M_N v2 off the memoised mean series M_N of
-    `_mean_rep_series`, so every such probe of a fiber shares one walk
-    per grid; the identity needs pi unitary and multiplicative.
-    Every other pair walks its own grid with per-point coefficients.
+    `_mean_rep_series`, so every such probe of a fiber shares one walk;
+    the identity needs pi unitary and multiplicative.
+    Every other pair walks its own check grid with per-point coefficients.
     """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
@@ -288,16 +302,12 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
     if (psi1.vector is not None and psi2.vector is not None
             and psi1.transfer == psi2.transfer):
-        conj_v1 = np.conj(psi1.vector)
-
-        def series(n: int) -> np.ndarray:
-            M = _mean_rep_series(psi1.rep, psi1.transfer, c, flow, N_max, n)
-            return np.einsum("l,nlk,k->n", conj_v1, M, psi2.vector) / psi1.rep.dim
+        M = _mean_rep_series(psi1.rep, psi1.transfer, c, flow, N_max, nodes)
+        values, check = (np.einsum("l,nlk,k->n", np.conj(psi1.vector), M_r,
+                                   psi2.vector) / psi1.rep.dim for M_r in M)
     else:
-        def series(n: int) -> np.ndarray:
-            return _series_on_grid(psi1, psi2, c, flow, N_max, n)
-    values = series(nodes)
-    errs = np.abs(values - series(2 * nodes + 1))
+        values, check = _series_on_grid(psi1, psi2, c, flow, N_max, nodes)
+    errs = np.abs(values - check)
     return CorrelationSeries(values, errs, np.full(N_max + 1, nodes),
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass
 class RngHandle:
@@ -20,6 +22,10 @@ class RngHandle:
     seed: int
     stream: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be an integer in [0, 2^64)")
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:

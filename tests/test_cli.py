@@ -1,10 +1,13 @@
 """CLI tests: subcommand behavior and exit-code mapping."""
 
 import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from liedeg import acceptance, cli
+from liedeg import acceptance, cli, scenarios
 from liedeg import dynamics as D
 from liedeg import groups as G
 from liedeg import koopman as K
@@ -62,10 +65,10 @@ class TestScenarioCommand:
         assert rc == 2
         capsys.readouterr()
 
-    def test_unknown_name_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["scenario", "nope"])
-        assert exc.value.code == 2
+    def test_unknown_name_rejected_by_parser(self, capsys):
+        assert cli.main(["scenario", "nope"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_degenerate_degree_is_numeric_guard_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -186,7 +189,7 @@ class TestCorrCommand:
 
     def test_oversized_grid_is_refused_before_allocation(self, monkeypatch,
                                                          capsys):
-        # N = 1000 at winding 3 and weight 3 needs a 36003^2-node check grid
+        # N = 1000 at winding 3 and weight 3 needs a 36002^2-node check grid
         real = D.quadrature_points
 
         def bounded(spec, d):
@@ -200,6 +203,31 @@ class TestCorrCommand:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("nodes, rc", [(20, 0), (21, 2)])
+    def test_check_grid_refusal_boundary(self, nodes, rc, monkeypatch, capsys):
+        # a 40^2-node check grid fits a cap of exactly its bytes; at one
+        # node more (42^2) the request is refused before any grid exists
+        monkeypatch.setattr(K, "MAX_GRID_BYTES", 40 ** 2 * 16)
+        built = []
+        real = D.quadrature_points
+
+        def recorded(spec, d):
+            built.append(spec.nodes_per_dim)
+            return real(spec, d)
+
+        monkeypatch.setattr(D, "quadrature_points", recorded)
+        assert cli.main(["corr", "--cocycle", "torus-monomial",
+                         "--params", '{"k": [[1, 0]]}', "--d", "2",
+                         "--rep", "1", "--n-max", "4",
+                         "--nodes", str(nodes)]) == rc
+        err = capsys.readouterr().err.splitlines()
+        if rc:
+            assert built == []
+            assert len(err) == 1 and err[0].startswith("config error:")
+            assert "42^2-node check grid" in err[0]
+        else:
+            assert built == [40] and err == []
 
     @pytest.mark.parametrize("flagged", [[0], [0, 2]])
     def test_warning_counts_every_flagged_entry(self, flagged, monkeypatch,
@@ -285,6 +313,83 @@ def test_invalid_input_is_one_line_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert err.count("\n") == 1
+
+
+# argv fuzz: a small valid argv per subcommand, then one known flag with a
+# malformed value or one unknown flag; the program refuses every draw, so
+# none of them runs a computation
+_FUZZ_BASE = {
+    "scenario": ["scenario", "anzai-torus"],
+    "degree": _TORUS_DEGREE + ["--n", "50", "--points", "2"],
+    "corr": ["corr", "--cocycle", "torus-monomial", "--params", '{"k": [[1]]}',
+             "--rep", "1", "--n-max", "4", "--nodes", "8"],
+    "rep-check": ["rep-check", "--group", "su2", "--label", "1", "--samples", "5"],
+}
+_WORD = st.text(string.ascii_letters + ".;[]{}", min_size=1, max_size=8)
+_NON_NUMERIC = st.one_of(_WORD, st.floats().map(repr))
+
+
+def _int_flag(lo, refused_from=None):
+    """Values an integer flag refuses: not an int, empty, below lo, or
+    from `refused_from` up (its size check refuses those before running)."""
+    cases = [_NON_NUMERIC, st.just(""), st.integers(max_value=lo - 1).map(str)]
+    if refused_from is not None:
+        cases.append(st.integers(refused_from, refused_from * 2 ** 16).map(str))
+    return st.one_of(cases)
+
+
+_BAD_ALPHA = st.one_of(
+    _WORD, st.just(""), st.sampled_from(["nan", "inf", "-inf"]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+             max_size=3).map(lambda a: ",".join(map(repr, a))))
+_COCYCLE_FLAGS = {
+    "--cocycle": st.one_of(st.just(""), _WORD.filter(
+        lambda w: w not in scenarios.COCYCLE_BUILDERS)),
+    "--params": st.one_of(_WORD, st.just("")),
+    "--alpha": _BAD_ALPHA,
+    "--d": _int_flag(1, 3),
+}
+_SEED = _int_flag(0, 2 ** 64)
+_FUZZ_FLAGS = {
+    "scenario": {"--seed": _SEED},
+    "degree": {"--n": _int_flag(1), "--points": _int_flag(1), "--seed": _SEED,
+               **_COCYCLE_FLAGS},
+    "corr": {"--n-max": _int_flag(1, 2 ** 23), "--nodes": _int_flag(1, 2 ** 24),
+             "--slot": _int_flag(0, 1), "--rep": st.one_of(_NON_NUMERIC, st.just("")),
+             **_COCYCLE_FLAGS},
+    "rep-check": {"--samples": _int_flag(1, 2 ** 21), "--nodes": _int_flag(0, 2 ** 10),
+                  "--seed": _SEED, "--label": st.one_of(_NON_NUMERIC, st.just("")),
+                  "--group": st.one_of(st.just(""), _WORD.filter(
+                      lambda w: w not in ("torus", "su2", "so3", "u2")))},
+}
+_KNOWN_OPTIONS = ("-h", "--help", "--version", "--self-test", "--config", "--out",
+                  "--seed", "--cocycle", "--params", "--d", "--alpha", "--n",
+                  "--points", "--rep", "--slot", "--n-max", "--nodes", "--svg",
+                  "--group", "--label", "--samples")
+# argparse takes any prefix of an option as that option
+_UNKNOWN_FLAG = st.from_regex(r"--[a-z][a-z-]{0,7}", fullmatch=True).filter(
+    lambda f: not any(o.startswith(f) for o in _KNOWN_OPTIONS))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_argv_is_one_line_config_error(data, tmp_path, capsys):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = _FUZZ_FLAGS[command]
+    flag = data.draw(st.sampled_from(sorted(flags) + ["unknown"]))
+    if flag == "unknown":
+        flag = data.draw(_UNKNOWN_FLAG)
+        value = data.draw(st.text(string.ascii_letters + string.digits + " \n"))
+    else:
+        value = data.draw(flags[flag])
+    out = tmp_path / "never-written"
+    argv = _FUZZ_BASE[command] + (["--out", str(out)] if command == "scenario" else [])
+    argv += [flag, value]
+    assert cli.main(argv) == 2, argv
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)
+    assert not out.exists()
 
 
 class TestSelfTestAndHelp:

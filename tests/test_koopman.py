@@ -316,15 +316,86 @@ def test_mean_series_matches_per_point_walk(manufactured, name):
     before = K._mean_rep_series.cache_info()
     s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
     after = K._mean_rep_series.cache_info()
-    assert (after.hits + after.misses - before.hits - before.misses) == (2 if shared else 0)
+    assert (after.hits + after.misses - before.hits - before.misses) == (1 if shared else 0)
     nodes = K._sizing_nodes(psi1, psi2, c, flow, n_max, QUAD.nodes_per_dim)
-    ref = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
-    check = K._series_on_grid(psi1, psi2, c, flow, n_max, 2 * nodes + 1)
+    ref, check = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
     assert np.max(np.abs(s.values - ref)) <= 1e-14, name
     assert np.max(np.abs(s.err_estimates - np.abs(ref - check))) <= 1e-14, name
     for n in (0, 1, 5, n_max):
         value, _ = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
         assert abs(s.values[n] - value) <= 1e-14, (name, n)
+
+
+def _one_grid_mean_series(rep, transfer, c, flow, n_max, nodes):
+    """M_0..M_n_max from a walk of the nodes^d grid alone: the reference
+    for the nested walk's coarse rule."""
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    out = np.empty((n_max + 1, rep.dim, rep.dim), dtype=complex)
+    z0 = transfer and G.GroupElement(transfer.group, transfer.value(pts))
+
+    def visit(k, phases, g):
+        if transfer is not None:
+            zk = G.GroupElement(transfer.group, transfer.value(phases))
+            g = G.group_mul(G.group_mul(z0, g), G.group_inv(zk))
+        out[k] = np.mean(R.rep_eval_payload(rep, g.payload), axis=0)
+
+    D.cocycle_iterate(c, flow, D.BasePoint(pts), n_max + 1, visit)
+    return out
+
+
+def _one_grid_series(psi1, psi2, c, flow, n_max, nodes):
+    """c_0..c_n_max from a walk of the nodes^d grid alone."""
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    conj_v1 = np.conj(psi1.coefficients(pts))
+    out = np.empty(n_max + 1, dtype=complex)
+
+    def visit(k, phases, g):
+        P = R.rep_eval_payload(psi1.rep, g.payload)
+        vals = np.einsum("...l,...lk,...k->...", conj_v1, P, psi2.coefficients(phases))
+        out[k] = complex(np.mean(vals) / psi1.rep.dim)
+
+    D.cocycle_iterate(c, flow, D.BasePoint(pts), n_max + 1, visit)
+    return out
+
+
+def _nested_cases(manufactured):
+    """(name, cocycle, flow, psi1, psi2) at d = 1 and d = 2; the first of
+    each pair reads the shared mean series, the second walks per point."""
+    _, zeta, phi = manufactured
+    rep = R.su2_rep(2)
+    conj = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 11)), zeta)
+    yield "su2-d1-mean", phi, FLOW, conj, conj
+    yield "su2-d1-grid", phi, FLOW, K.monomial_fiber(rep, 0, [[1], [0], [-1]]), conj
+    flow2 = D.default_flow(2)
+    torus = D.torus_monomial(flow2, [[1, 0], [1, 1]])
+    plain = K.constant_fiber(R.torus_rep((1, -1)), 0, [1.0])
+    yield "torus-d2-mean", torus, flow2, plain, plain
+    yield "torus-d2-grid", torus, flow2, *_series_reference_case("torus-d2", manufactured)[2:]
+
+
+@pytest.mark.parametrize("nodes", [6, 7])
+@pytest.mark.parametrize("name", ["su2-d1-mean", "su2-d1-grid", "torus-d2-mean",
+                                  "torus-d2-grid"])
+def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
+    # the coarse rule of one (2n)^d walk is the n^d-grid walk bit for bit;
+    # the check rule agrees with a per-N evaluation on the (2n)^d grid
+    cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
+    c, flow, psi1, psi2 = cases[name]
+    n_max = 6
+    if name.endswith("mean"):
+        assert psi1.vector is not None and psi1.transfer == psi2.transfer
+        M = K._mean_rep_series(psi1.rep, psi1.transfer, c, flow, n_max, nodes)
+        assert np.array_equal(M[0], _one_grid_mean_series(
+            psi1.rep, psi1.transfer, c, flow, n_max, nodes))
+        fine = _one_grid_mean_series(psi1.rep, psi1.transfer, c, flow, n_max, 2 * nodes)
+        assert np.max(np.abs(M[1] - fine)) <= 1e-14
+        check = np.einsum("l,nlk,k->n", np.conj(psi1.vector), M[1],
+                          psi2.vector) / psi1.rep.dim
+    else:
+        main, check = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
+        assert np.array_equal(main, _one_grid_series(psi1, psi2, c, flow, n_max, nodes))
+    for n in range(n_max + 1):
+        assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
 
 
 def test_nested_conjugation_walks_per_point(manufactured):
@@ -338,8 +409,8 @@ def test_nested_conjugation_walks_per_point(manufactured):
 
 
 def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
-    # four conjugated probes of su2 l=4 share one walk per grid and one
-    # representation evaluation per step
+    # four conjugated probes of su2 l=4 share one walk of the check grid
+    # and one representation evaluation per step
     _, zeta, phi = manufactured
     rep, n_max = R.su2_rep(4), 10
     M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
@@ -363,14 +434,14 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
                                        quadrature=QUAD, probes=probes)
     assert verdict["verdict"] == K.SUPPORTED
     assert all(w is not None for w in walked)
-    assert calls["walks"] == 2
-    assert calls["evals"] <= 2 * (n_max + 1) + 4
+    assert calls["walks"] == 1
+    assert calls["evals"] <= (n_max + 1) + 4
     info = K._mean_rep_series.cache_info()
-    assert info.maxsize == 2 and info.currsize <= 2
+    assert info.maxsize == 1 and info.currsize <= 1
     nodes = K._sizing_nodes(probes[0], probes[0], phi, FLOW, n_max, QUAD.nodes_per_dim)
     M = K._mean_rep_series(rep, zeta, phi, FLOW, n_max, nodes)
-    assert calls["walks"] == 2  # a cache hit
-    assert M.shape == (n_max + 1, 5, 5) and not M.flags.writeable
+    assert calls["walks"] == 1  # a cache hit
+    assert M.shape == (2, n_max + 1, 5, 5) and not M.flags.writeable
     with pytest.raises(ValueError):
         M[0, 0, 0] = 0.0
 
