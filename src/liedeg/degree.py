@@ -70,8 +70,8 @@ class DegreeEstimate:
 
 
 # the blocked walk aims at this batch of (block, point) pairs, and gives
-# every block at least MIN_BLOCK_STEPS steps
-BLOCK_BATCH = 1024
+# every block at least MIN_BLOCK_STEPS steps (see `_block_shape`)
+BLOCK_BATCH = 4096
 MIN_BLOCK_STEPS = 64
 
 
@@ -81,6 +81,13 @@ def _block_shape(points: int, n_max: int) -> tuple[int, int]:
     B = max(1, min(ceil(BLOCK_BATCH / points), floor(n_max / MIN_BLOCK_STEPS)))
     and L = ceil(n_max / B); B then drops the blocks that would start at
     or past n_max.  Below n_max = 2 * MIN_BLOCK_STEPS there is one block.
+
+    BLOCK_BATCH = 4096 was measured on su2-straighten's 70-point walk
+    (N = 10^4): at 1024 (15 blocks x 667 steps) per-call overhead
+    dominates each step's numpy calls, and the strided SU(2) `ad` costs
+    about 1.5 times as much per element as at 4096 (59 x 170 steps).  The
+    benchmark's peak RSS is flat at 4096 and rose 4 MB at 8192.  Walks of
+    6 points stay capped by MIN_BLOCK_STEPS (154 blocks at N = 10^4).
     """
     blocks = max(1, min(-(-BLOCK_BATCH // points), n_max // MIN_BLOCK_STEPS))
     length = -(-n_max // blocks)
@@ -115,7 +122,9 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
     are joined as S_n = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j)
     with G_0 = e and G_{b+1} = maybe_renormalize(G_b P_b).  With one
     block (n_max < 2 * MIN_BLOCK_STEPS, or BLOCK_BATCH points) a batch of
-    points gets the plain sequential sums bit for bit.
+    points gets the plain sequential sums bit for bit; otherwise the block
+    count (set by BLOCK_BATCH, see `_block_shape`) moves the sums by
+    round-off only.
     """
     if min(counts) < 1:
         raise ConfigError("N must be >= 1")
@@ -133,25 +142,27 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
 
     starts = D.BasePoint(_block_starts(flow, x, blocks, length))
     products = D.cocycle_iterate(c, flow, starts, length, visit, with_m=True).payload
-    lifts = [None]  # G_b for b >= 1
-    for b in range(1, blocks):
+    if blocks == 1:
+        return {n: partial[n][0] for n in counts}
+    lifts = [G.GroupElement(c.group, products[0])]  # G_b as lifts[b - 1]
+    for b in range(2, blocks):
         step = G.GroupElement(c.group, products[b - 1])
-        lifts.append(step if b == 1 else
-                     G.maybe_renormalize(G.group_mul(lifts[-1], step)))
+        lifts.append(G.maybe_renormalize(G.group_mul(lifts[-1], step)))
+    lifts = np.stack([g.payload for g in lifts])
 
-    def moved(b, s):
-        return G.ad(lifts[b], G.AlgebraElement(c.group, s)).payload
+    def moved(g, s):
+        return G.ad(G.GroupElement(c.group, g), G.AlgebraElement(c.group, s)).payload
 
-    # before[b] = S_{bL}: the whole blocks 0..b-1, joined
+    # before[b - 1] = S_{bL}, the whole blocks 0..b-1 joined: one Ad call
+    # for all blocks (Ad is elementwise over the batch, so its bits do not
+    # depend on it), summed in block order by the sequential cumsum
     full = partial[length]
-    before = [None, full[0]]
-    for b in range(1, blocks - 1):
-        before.append(before[-1] + moved(b, full[b]))
+    before = np.cumsum(np.concatenate([full[:1], moved(lifts[:-1], full[1:-1])]), axis=0)
     sums = {}
     for n in counts:
         b = (n - 1) // length
         s = partial[n - b * length][b]
-        sums[n] = before[b] + moved(b, s) if b else s
+        sums[n] = before[b - 1] + moved(lifts[b - 1], s) if b else s
     return sums
 
 

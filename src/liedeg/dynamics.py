@@ -35,6 +35,13 @@ from .errors import ConfigError, TagMismatchError
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def wrap_phases(x: np.ndarray) -> np.ndarray:
+    """x mod 1 in place and returned: the bits of np.mod(x, 1.0), -0.0 and
+    tiny negatives (which wrap to 1.0) included, at a tenth of its cost."""
+    x -= np.floor(x)
+    return x
+
+
 @dataclass
 class BasePoint:
     """Point(s) on the torus; phases shape (..., d), entries in [0, 1)."""
@@ -42,7 +49,7 @@ class BasePoint:
     phases: np.ndarray
 
     def __post_init__(self):
-        self.phases = np.mod(np.asarray(self.phases, dtype=float), 1.0)
+        self.phases = wrap_phases(np.array(self.phases, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -63,6 +70,9 @@ class TranslationFlow:
         object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
         if not all(math.isfinite(a) for a in self.alpha):
             raise ConfigError(f"flow frequencies must be finite, got {self.alpha}")
+        # the time-one map fixes a coordinate with an integral frequency
+        if any(a.is_integer() for a in self.alpha):
+            raise ConfigError(f"flow frequencies must not be integers, got {self.alpha}")
 
     @property
     def dim(self) -> int:
@@ -168,7 +178,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
     for k in range(n):
         if k:
             phases += alpha
-            phases %= 1.0
+            wrap_phases(phases)
         if visit is not None and not with_m:
             visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]))
         value, m, carry = step(phases, carry, with_m)
@@ -248,7 +258,7 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
     which it does not need).  Along an orbit zeta(F_1 x) is the next
     point's zeta(x): the step carries (F_1 x, zeta(F_1 x), M_zeta(F_1 x)) and
     reuses the last two when the next phases equal F_1 x bit for bit, as
-    the walker's x + alpha mod 1 does on the flow given here.
+    the walker's `wrap_phases(x + alpha)` does on the flow given here.
     """
     if zeta.group != delta.group:
         raise TagMismatchError("zeta and delta must share the group")
@@ -256,8 +266,7 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
     alpha = flow.alpha_array
 
     def parts(phases, carry, want_m, want_value=True):
-        ahead = phases + alpha
-        ahead %= 1.0
+        ahead = wrap_phases(phases + alpha)
         if (carry is not None and (carry[2] is not None or not want_m)
                 and np.array_equal(carry[0], phases)):
             _, zl, mzl = carry

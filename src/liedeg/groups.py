@@ -13,6 +13,12 @@ skew-Hermitian 2x2 for SU2, skew-symmetric 3x3 for SO3, skew-Hermitian
 2x2 for U2.  All operations broadcast over leading batch axes; "one
 element" and "a grid of elements" go through the same code path.
 
+Products of 2x2 complex payloads (the U2 `group_mul`, `ad` and the Gram
+matrix of `element_defect`) are written out entry by entry in `_mul2`:
+at the orbit walker's batches a batched `@` on 2x2 matrices costs about
+ten times as much.  SO3 products (real 3x3) and the polar factor of
+`renormalize` stay `@`.
+
 Conventions
 -----------
 The su(2) basis fixed throughout is
@@ -155,6 +161,22 @@ def su2_from_matrix(m: np.ndarray) -> np.ndarray:
 # group operations
 # ---------------------------------------------------------------------------
 
+def _broadcast(s: tuple, t: tuple) -> tuple:
+    # np.broadcast_shapes costs more than a small batch's products
+    return s if s == t else np.broadcast_shapes(s, t)
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 payloads, written out; broadcasts as @ does."""
+    p = np.empty(_broadcast(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in (0, 1):
+        for j in (0, 1):
+            out = p[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=out)
+            out += a[..., i, 1] * b[..., 1, j]
+    return p
+
+
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     _same_group(a, b)
     tag = a.group.tag
@@ -163,11 +185,13 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     elif tag == SU2:
         a1, a2 = a.payload[..., 0], a.payload[..., 1]
         b1, b2 = b.payload[..., 0], b.payload[..., 1]
-        p = np.empty(np.broadcast_shapes(a1.shape, b1.shape) + (2,), dtype=complex)
+        p = np.empty(_broadcast(a1.shape, b1.shape) + (2,), dtype=complex)
         np.subtract(a1 * b1, a2 * np.conj(b2), out=p[..., 0])
         np.add(a1 * b2, a2 * np.conj(b1), out=p[..., 1])
-    else:
+    elif tag == SO3:
         p = a.payload @ b.payload
+    else:
+        p = _mul2(a.payload, b.payload)
     return GroupElement(a.group, p)
 
 
@@ -195,7 +219,8 @@ def element_defect(g: GroupElement) -> float:
     if tag == SU2:
         n = np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2
         return float(np.max(np.abs(n - 1.0), initial=0.0))
-    gram = np.swapaxes(np.conj(p), -1, -2) @ p
+    adj = np.swapaxes(np.conj(p), -1, -2)
+    gram = _mul2(adj, p) if tag == U2 else adj @ p
     eye = np.eye(p.shape[-1])
     dev = float(np.max(np.abs(gram - eye), initial=0.0))
     if tag == SO3:
@@ -252,13 +277,13 @@ def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
         a, b, c, d = Zp[..., 0, 0], Zp[..., 0, 1], Zp[..., 1, 0], Zp[..., 1, 1]
         p00, p01 = z1 * a + z2 * c, z1 * b + z2 * d
         p10, p11 = w1 * c - w2 * a, w1 * d - w2 * b
-        p = np.empty(np.broadcast_shapes(z1.shape, a.shape) + (2, 2), dtype=complex)
+        p = np.empty(_broadcast(z1.shape, a.shape) + (2, 2), dtype=complex)
         p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
         p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
     elif tag == SO3:
         p = g.payload @ Z.payload @ np.swapaxes(g.payload, -1, -2)
     else:
-        p = g.payload @ Z.payload @ np.conj(np.swapaxes(g.payload, -1, -2))
+        p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
     return AlgebraElement(Z.group, p)
 
 

@@ -419,9 +419,7 @@ def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
         block = pts[start:start + DINI_BLOCK]
         base = np.asarray(field_fn(block))
         for i, shift in enumerate(shifts):
-            shifted = block + shift
-            shifted -= np.floor(shifted)  # the bits of np.mod(shifted, 1.0), cheaper
-            diff = np.asarray(field_fn(shifted))
+            diff = np.asarray(field_fn(D.wrap_phases(block + shift)))
             diff -= base
             np.maximum(sups[:, i], [np.max(np.abs(L(diff))) for L in maps],
                        out=sups[:, i])

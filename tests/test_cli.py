@@ -299,6 +299,12 @@ _TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",
     _TORUS_DEGREE + ["--points", "-1"],
     _TORUS_DEGREE + ["--alpha", "nan"],
     _TORUS_DEGREE + ["--alpha", "inf"],
+    _TORUS_DEGREE + ["--alpha", "0"],
+    _TORUS_DEGREE + ["--alpha", "-1"],
+    ["degree", "--cocycle", "torus-monomial", "--params", '{"k": [[1, 0]]}',
+     "--d", "2", "--alpha", "0.3,2"],
+    ["corr", "--cocycle", "torus-monomial", "--params", '{"k": [[1]]}',
+     "--rep", "1", "--n-max", "4", "--nodes", "8", "--alpha", "1"],
     ["rep-check", "--group", "su2", "--label", "1", "--samples", "0"],
     ["rep-check", "--group", "su2", "--label", "1", "--samples", "-3"],
     ["rep-check", "--group", "su2", "--label", "1", "--nodes", "-1"],

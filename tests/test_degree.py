@@ -11,6 +11,7 @@ from liedeg import degree as DG
 from liedeg import dynamics as D
 from liedeg import groups as G
 from liedeg import reps as R
+from liedeg import scenarios as S
 from liedeg.errors import (ConfigError, DegenerateDegreeError,
                            InconsistentDegreeError, TagMismatchError)
 
@@ -178,12 +179,84 @@ def test_one_block_repeats_the_sequential_sum_bit_for_bit(name):
                 assert np.array_equal(got[n], ref[n]), (P, N, n)
 
 
+def _per_block_join(c, flow, x, counts):
+    """`_cesaro_sums` with one Ad call per block, joined block by block:
+    the reference for its batched join."""
+    blocks, length = DG._block_shape(int(np.prod(x.phases.shape[:-1])), max(counts))
+    partial, total = {}, None
+
+    def visit(k, phases, g, m):
+        nonlocal total
+        term = G.ad(g, G.AlgebraElement(c.group, m)).payload
+        total = term if total is None else total + term
+        partial[k + 1] = total
+
+    starts = D.BasePoint(DG._block_starts(flow, x, blocks, length))
+    products = D.cocycle_iterate(c, flow, starts, length, visit, with_m=True).payload
+    lifts = [None]
+    for b in range(1, blocks):
+        step = G.GroupElement(c.group, products[b - 1])
+        lifts.append(step if b == 1 else
+                     G.maybe_renormalize(G.group_mul(lifts[-1], step)))
+
+    def moved(b, s):
+        return G.ad(lifts[b], G.AlgebraElement(c.group, s)).payload
+
+    before = [None, partial[length][0]]
+    for b in range(1, blocks - 1):
+        before.append(before[-1] + moved(b, partial[length][b]))
+    sums = {}
+    for n in counts:
+        b = (n - 1) // length
+        s = partial[n - b * length][b]
+        sums[n] = before[b] + moved(b, s) if b else s
+    return sums
+
+
+@pytest.mark.parametrize("name", sorted(_blocked_cases()))
+def test_batched_join_repeats_the_per_block_join_bit_for_bit(name):
+    flow, c = _blocked_cases()[name]
+    rng = np.random.default_rng(8)
+    for P, N in ((6, 10_001), (70, 1500)):
+        x = D.BasePoint(rng.random((P, flow.dim)))
+        counts = _block_counts(P, N)
+        assert DG._block_shape(P, N)[0] > 2
+        got = DG._cesaro_sums(c, flow, x, counts)
+        want = _per_block_join(c, flow, x, counts)
+        for n in counts:
+            assert np.array_equal(got[n], want[n]), (P, N, n)
+
+
 def test_block_shape_rule():
     assert DG._block_shape(6, 127) == (1, 127)
     assert DG._block_shape(6, 128) == (2, 64)
     assert DG._block_shape(6, 10_000) == (154, 65)    # 156 asked, 2 past N
-    assert DG._block_shape(70, 10_001) == (15, 667)
-    assert DG._block_shape(2048, 10_000) == (1, 10_000)
+    assert DG._block_shape(70, 10_001) == (59, 170)
+    assert DG._block_shape(DG.BLOCK_BATCH, 10_000) == (1, 10_000)
+
+
+def test_block_batch_moves_su2_straighten_by_round_off(monkeypatch):
+    """The su2-straighten preset's walk (64 grid + 6 field points) at
+    BLOCK_BATCH and at 1024: other block starts and another join order
+    move the estimates by round-off only."""
+    cfg = S.default_config("su2-straighten")
+    flow = D.default_flow(cfg.d)
+    phi, _ = S.build_cocycle(flow, cfg.cocycle)
+    grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(64), cfg.d))
+    sample = D.BasePoint(np.random.default_rng(3).random((6, cfg.d)))
+
+    def run():
+        return DG.su2_straighten(phi, flow, cfg.n_degree, grid, field_points=sample)
+
+    assert DG._block_shape(70, cfg.n_degree)[0] > 15
+    new = run()
+    monkeypatch.setattr(DG, "BLOCK_BATCH", 1024)
+    assert DG._block_shape(70, cfg.n_degree)[0] == 15
+    old = run()
+    assert abs(new["rho_estimate"] - old["rho_estimate"]) <= 1e-12
+    for a, b in ((new["degree_field"].values, old["degree_field"].values),
+                 (new["zeta_values"], old["zeta_values"])):
+        assert np.max(np.abs(a.payload - b.payload)) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 65, 200, 10_001])

@@ -66,6 +66,65 @@ def test_default_flow_unsupported_dim():
         D.default_flow(3)
 
 
+@pytest.mark.parametrize("alpha", [0, 1, -1, 3.0, (0.3, 2), (-4, 0.1)])
+def test_integral_frequency_is_refused(alpha):
+    # the time-one map would fix that coordinate
+    with pytest.raises(ConfigError, match="must not be integers"):
+        D.TranslationFlow(alpha)
+
+
+_WRAP_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -1e-300, -1e-17,
+               -2.0 ** -53, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 2.0 ** 52 + 0.5,
+               -(2.0 ** 52) - 0.5, 2.0 ** 53, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_WRAP_EDGES),
+                          st.integers(-2 ** 60, 2 ** 60).map(float)),
+                min_size=1, max_size=20))
+def test_wrap_phases_has_the_bits_of_np_mod(values):
+    x = np.array(values)
+    want = np.mod(x, 1.0)
+    got = D.wrap_phases(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x, got, want)
+
+
+def _np_mod_walk(c, flow, x, n):
+    """The walk with `phases %= 1.0` and step-less evaluation: the phases
+    it visits and phi^(n)(x)."""
+    phases, seen, g = np.array(x.phases), [], None
+    for k in range(n):
+        if k:
+            phases += flow.alpha_array
+            phases %= 1.0
+        seen.append(phases.copy())
+        value = G.GroupElement(c.group, c.value(phases))
+        g = value if k == 0 else G.group_mul(g, value)
+        if k and k % 256 == 0:
+            g = G.maybe_renormalize(g)
+    return seen, G.maybe_renormalize(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(-0.999, -0.001), st.integers(0, 2 ** 32 - 1))
+def test_walk_along_a_negative_alpha_wraps_as_np_mod(alpha, seed):
+    """A negative frequency makes x + alpha negative at every wrap; the
+    fused cohomologous step (which wraps F_1 x itself) and the walker
+    visit the same phases and build the same product as a walk that
+    wraps with np.mod."""
+    flow = D.TranslationFlow((alpha,))
+    phi = D.cohomologous_build(D.su2_diagonal(flow, [1]),
+                               D.su2_two_angle(flow, [1], [2], 0.3, 0.1), flow)
+    rng = np.random.default_rng(seed)
+    x = D.BasePoint(np.concatenate([[[0.0], [-alpha]], rng.random((3, 1))]))
+    seen = []
+    got = D.cocycle_iterate(phi, flow, x, 300, lambda k, ph, g: seen.append(ph.copy()))
+    want_seen, want = _np_mod_walk(phi, flow, x, 300)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want_seen, strict=True))
+    assert np.array_equal(got.payload, want.payload)
+
+
 def test_flow_preserves_quadrature_sums():
     # equispaced sums of a trig polynomial are invariant under the shift
     flow = D.default_flow(1)

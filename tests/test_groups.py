@@ -131,6 +131,39 @@ def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(Z)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
+       st.floats(-3.0, 3.0))
+def test_u2_written_out_products_match_matmul(seed, n, shape, log_scale):
+    # any complex 2x2 payload, not only unitary or skew-Hermitian ones
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return 10.0 ** log_scale * (rng.standard_normal((n, 2, 2))
+                                    + 1j * rng.standard_normal((n, 2, 2)))
+
+    g = G.haar_sample(G.U2_GROUP, n, rng).payload
+    a, Z = draw(), draw()
+    if shape == "scalar-g":
+        g, a = g[0], a[0]
+    elif shape == "scalar-z":
+        Z = Z[0]
+    tol = 1e-14 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(Z))) ** 2)
+    checks = [
+        (G.group_mul(G.GroupElement(G.U2_GROUP, a), G.GroupElement(G.U2_GROUP, Z)).payload,
+         a @ Z),
+        (G.ad(G.GroupElement(G.U2_GROUP, g), G.AlgebraElement(G.U2_GROUP, Z)).payload,
+         g @ Z @ np.conj(np.swapaxes(g, -1, -2))),
+    ]
+    for got, want in checks:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol
+    gram = np.conj(np.swapaxes(Z, -1, -2)) @ Z
+    want = float(np.max(np.abs(gram - np.eye(2))))
+    assert abs(G.element_defect(G.GroupElement(G.U2_GROUP, Z)) - want) <= tol
+
+
 @pytest.mark.parametrize("shape", ["batch-batch", "scalar-a", "scalar-b"])
 def test_su2_mul_inv_match_stacked_reference(shape):
     rng = np.random.default_rng(17)
