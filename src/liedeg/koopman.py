@@ -10,16 +10,17 @@ Correlations <psi1, U^N psi2> reduce to base-torus integrals evaluated
 by equispaced quadrature, sized so trig-polynomial integrands are
 integrated exactly; a check grid with twice the nodes per dimension,
 which nests the grid so one walk yields both rules, supplies an error
-estimate for everything else.  For constant coefficient vectors v1, v2,
-plain or conjugated by one transfer function zeta (zeta = e for plain
-ones), the integrand collapses because pi is a unitary homomorphism:
+estimate for everything else.  Every fiber vector is a finite Fourier
+sum psi(x) = pi(zeta(x)^{-1}) sum_a e(q_a.x) v_a, e(t) = exp(2 pi i t),
+with zeta = e unless it was conjugated; as pi is a unitary homomorphism,
 
-    c_N = d_pi^{-1} v1^H M_N v2,
-    M_N = mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1}),
+    c_N = d_pi^{-1} sum_{a,b} e(q2_b.N alpha) v1_a^H Mhat_N(q1_a - q2_b) v2_b,
+    Mhat_N(m) = mean_x e(-m.x) pi(zeta1(x) phi^(N)(x) zeta2(F_N x)^{-1}),
 
-so all such probes of a fiber read one walk of the mean
-representation-matrix series M_0..M_N.  The walk still runs under phi,
-so the check stays numerical and never assumes the cohomology.
+so every pair reads one walk of the mean representation-matrix series,
+which all constant probes of a fiber share.  The walk still runs under
+phi, so the check stays numerical and never assumes the cohomology; a
+per-point evaluation of psi stays as the independent reference.
 
 The finite-N commutator average D_N converges to a Hermitian
 multiplication matrix whose kernel separates the (conjecturally)
@@ -35,7 +36,7 @@ identities below require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -66,34 +67,32 @@ AC_PREDICTED = "AC-PREDICTED"
 # fiber vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays cannot take part in == or hash
 class FiberVector:
-    """psi = sum_k phi_k(x) pi_jk on the row-j fiber of rep.
-
-    `coefficients` maps a raw phase array (..., d) to the coefficient
-    stack (..., d_pi); `degree_bound` is the per-dimension trig degree
-    of the coefficients, consumed by the quadrature sizing rule.
-
-    `vector` is set when the coefficients are pi(zeta(x)^{-1}) v for a
-    constant read-only v, with `transfer` = zeta or None for plain
-    constants; `correlation_series` then reads the pair off the shared
-    mean representation-matrix series.
-    """
+    """The coefficient stack psi(x) = pi(zeta(x)^{-1}) sum_a e(q_a.x) v_a of
+    sum_k psi_k(x) pi_jk on the row-j fiber of rep: `modes` holds the q_a
+    as an (A, d) integer array (d = 0 for a constant's zero mode, which
+    fits any d), `vectors` the (A, d_pi) v_a, and zeta is the pointwise
+    product of the `transfers` (e when there are none)."""
 
     rep: R.Representation
     j: int
-    coefficients: Callable[[np.ndarray], np.ndarray]
-    degree_bound: int
+    modes: np.ndarray
+    vectors: np.ndarray
     name: str = ""
-    # left out of == and hash, which an array cannot take part in
-    vector: np.ndarray | None = field(default=None, compare=False)
-    transfer: D.Cocycle | None = None
+    transfers: tuple[D.Cocycle, ...] = ()
 
     def __post_init__(self):
         if not 0 <= self.j < self.rep.dim:
             raise ConfigError(f"row index {self.j} outside [0, {self.rep.dim})")
-        if self.degree_bound < 0:
-            raise ConfigError("degree_bound must be >= 0")
+        if self.modes.ndim != 2 or self.vectors.shape != (len(self.modes), self.rep.dim):
+            raise ConfigError(f"need one length-{self.rep.dim} vector per mode row")
+
+    @property
+    def degree_bound(self) -> int:
+        """Per-dimension trig degree of the coefficients, for the sizing rule."""
+        zeta = sum(t.freq_bound for t in self.transfers) * R.rep_weight(self.rep)
+        return int(np.abs(self.modes).max(initial=0)) + zeta
 
 
 def constant_fiber(rep: R.Representation, j: int, vector,
@@ -101,27 +100,48 @@ def constant_fiber(rep: R.Representation, j: int, vector,
     vec = np.array(vector, dtype=complex)
     if vec.shape != (rep.dim,):
         raise ConfigError(f"coefficient vector must have length {rep.dim}")
-    vec.flags.writeable = False
-
-    def coefficients(phases: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(vec, phases.shape[:-1] + (rep.dim,)).copy()
-
-    return FiberVector(rep, j, coefficients, 0, name or "constant-fiber", vec)
+    return FiberVector(rep, j, np.zeros((1, 0), dtype=int), vec[None],
+                       name or "constant-fiber")
 
 
 def monomial_fiber(rep: R.Representation, j: int, windings,
                    name: str = "") -> FiberVector:
-    """Coefficients phi_k(x) = exp(2 pi i q_k . x); `windings` is a
-    (d_pi, d) integer array, one winding row per coefficient."""
+    """Coefficients phi_k(x) = e(q_k.x): mode q_k carries the k-th unit
+    vector; `windings` is a (d_pi, d) integer array of the rows q_k."""
     q = np.atleast_2d(D._integers(windings))
     if q.shape[0] != rep.dim:
         raise ConfigError(f"need {rep.dim} winding rows, got {q.shape[0]}")
-
-    def coefficients(phases: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * (np.asarray(phases, dtype=float) @ q.T))
-
-    return FiberVector(rep, j, coefficients, int(np.max(np.abs(q))),
+    return FiberVector(rep, j, q, np.eye(rep.dim, dtype=complex),
                        name or f"monomial-fiber q={q.tolist()}")
+
+
+def _modes(psi: FiberVector, d: int) -> np.ndarray:
+    """psi's modes as an (A, d) array, the one check that its windings fit
+    the base torus: every path reads them here before using them."""
+    q = psi.modes
+    if q.shape[1] not in (0, d):
+        raise ConfigError(f"windings of {psi.name!r} do not fit a d = {d} base torus")
+    return q if q.shape[1] else np.zeros((len(q), d), dtype=int)
+
+
+def _transfer(group: G.GroupSpec, transfers: tuple, phases: np.ndarray) -> G.GroupElement | None:
+    """zeta(phases), zeta the pointwise product of `transfers`; None for e."""
+    z = None
+    for t in transfers:
+        value = G.GroupElement(group, t.value(phases))
+        z = value if z is None else G.group_mul(z, value)
+    return z
+
+
+def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
+    """psi's coefficient stack (..., d_pi) at raw phases (..., d), point by
+    point: the independent reference for the mean-series engine."""
+    out = np.exp(2j * np.pi * (phases @ _modes(psi, phases.shape[-1]).T)) @ psi.vectors
+    z = _transfer(psi.rep.group, psi.transfers, phases)
+    if z is not None:
+        P = R.rep_eval_payload(psi.rep, G.group_inv(z).payload)
+        out = np.einsum("...lk,...k->...l", P, out)
+    return out
 
 
 def _check_pair(psi1: FiberVector, psi2: FiberVector):
@@ -144,8 +164,8 @@ def inner_product(psi1: FiberVector, psi2: FiberVector,
     nodes = max(quadrature.nodes_per_dim,
                 psi1.degree_bound + psi2.degree_bound + 1)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), d)
-    v1 = psi1.coefficients(pts)
-    v2 = psi2.coefficients(pts)
+    v1 = fiber_coefficients(psi1, pts)
+    v2 = fiber_coefficients(psi2, pts)
     return complex(np.mean(np.sum(np.conj(v1) * v2, axis=-1)) / psi1.rep.dim)
 
 
@@ -179,78 +199,79 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     return nodes
 
 
-def _integrand(rep: R.Representation, conj_v1: np.ndarray,
-               g: G.GroupElement, v2: np.ndarray) -> np.ndarray:
-    """conj(phi1) pi(g) phi2 at every grid point."""
-    P = R.rep_eval_payload(rep, g.payload)
-    return np.einsum("...l,...lk,...k->...", conj_v1, P, v2)
-
-
-def _check_grid(nodes: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2 nodes)^d check grid and, in grid order, the flat indices of
-    its even-indexed nodes: node i sits at i/m, so they are the nodes^d
-    grid bit for bit."""
-    pts = D.quadrature_points(D.QuadratureSpec(2 * nodes), d)
-    fine = np.arange(len(pts)).reshape((2 * nodes,) * d)
-    return pts, fine[(slice(None, None, 2),) * d].ravel()
-
-
 def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                   flow: D.TranslationFlow, N: int, nodes: int) -> complex:
+    """c_N on the nodes^d grid from per-point coefficients."""
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
     x = D.BasePoint(pts)
-    gN = D.cocycle_iterate(c, flow, x, N)
-    v2 = psi2.coefficients(D.flow_advance(flow, x, float(N)).phases)
-    vals = _integrand(psi1.rep, np.conj(psi1.coefficients(pts)), gN, v2)
-    return complex(np.mean(vals) / psi1.rep.dim)
-
-
-def _series_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
-                    flow: D.TranslationFlow, N_max: int, nodes: int) -> np.ndarray:
-    """Rows c_0..c_N_max on the nodes^d grid and its check grid, one walk."""
-    pts, coarse = _check_grid(nodes, flow.dim)
-    conj_v1 = np.conj(psi1.coefficients(pts))
-    out = np.empty((2, N_max + 1), dtype=complex)
-
-    def visit(k, phases, g):
-        vals = _integrand(psi1.rep, conj_v1, g, psi2.coefficients(phases))
-        out[:, k] = np.mean(vals[coarse]) / psi1.rep.dim, np.mean(vals) / psi1.rep.dim
-
-    D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
-    return out
+    conj_v1 = np.conj(fiber_coefficients(psi1, pts))
+    v2 = fiber_coefficients(psi2, D.flow_advance(flow, x, float(N)).phases)
+    P = R.rep_eval_payload(psi1.rep, D.cocycle_iterate(c, flow, x, N).payload)
+    return complex(np.mean(np.einsum("...l,...lk,...k->...", conj_v1, P, v2)) / psi1.rep.dim)
 
 
 @lru_cache(maxsize=1)  # one fiber's walk
-def _mean_rep_series(rep: R.Representation, transfer: D.Cocycle | None,
-                     c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
+def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple,
+                     diffs: tuple, c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
                      nodes: int) -> np.ndarray:
-    """Rows M_0..M_N_max on the nodes^d grid and its check grid, M_N =
-    mean_x pi(zeta(x) phi^(N)(x) zeta(F_N x)^{-1}) (zeta = e when `transfer`
-    is None), from one walk with one representation evaluation per step;
-    read-only, since every constant probe of the fiber shares it."""
-    pts, coarse = _check_grid(nodes, flow.dim)
-    out = np.empty((2, N_max + 1, rep.dim, rep.dim), dtype=complex)
-    if transfer is not None:
-        z0 = G.GroupElement(transfer.group, transfer.value(pts))
+    """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
+    m in `diffs`, on the nodes^d grid and its check grid, from one walk with
+    one representation evaluation per step; m = 0 is a plain mean.
+    Read-only: every pair with these transfers and differences shares it."""
+    pts = D.quadrature_points(D.QuadratureSpec(2 * nodes), flow.dim)
+    # node i of 2 nodes sits at i / (2 nodes): the even ones are the nodes^d grid bit for bit
+    coarse = np.arange(len(pts)).reshape((2 * nodes,) * flow.dim)[
+        (slice(None, None, 2),) * flow.dim].ravel()
+    out = np.empty((2, len(diffs), N_max + 1, rep.dim, rep.dim), dtype=complex)
+    waves = [np.exp(-2j * np.pi * (pts @ m))[:, None, None] if any(m) else None for m in diffs]
+    z1 = _transfer(rep.group, transfers1, pts)
 
     def visit(k, phases, g):
-        if transfer is not None:
-            zk = G.GroupElement(transfer.group, transfer.value(phases))
-            g = G.group_mul(G.group_mul(z0, g), G.group_inv(zk))
+        if z1 is not None:
+            g = G.group_mul(z1, g)
+        z2 = _transfer(rep.group, transfers2, phases)
+        if z2 is not None:
+            g = G.group_mul(g, G.group_inv(z2))
         P = R.rep_eval_payload(rep, g.payload)
-        out[:, k] = np.mean(P[coarse], axis=0), np.mean(P, axis=0)
+        for i, w in enumerate(waves):
+            wP = P if w is None else w * P
+            out[:, i, k] = np.mean(wP[coarse], axis=0), np.mean(wP, axis=0)
 
-    D.cocycle_iterate(c, flow, D.BasePoint(pts), N_max + 1, visit)
+    x = D.BasePoint(pts)  # a copy, so the grid need not live through the walk
+    del pts
+    D.cocycle_iterate(c, flow, x, N_max + 1, visit)
     out.flags.writeable = False
     return out
+
+
+def _series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
+            flow: D.TranslationFlow, N_max: int, nodes: int) -> list[np.ndarray]:
+    """Rows c_0..c_N_max on the nodes^d grid and its check grid: the sum
+    over mode pairs of the module docstring."""
+    q1, q2 = _modes(psi1, flow.dim), _modes(psi2, flow.dim)
+    diffs = sorted({tuple(qa - qb) for qa in q1 for qb in q2})
+    M = _mean_rep_series(psi1.rep, psi1.transfers, psi2.transfers, tuple(diffs),
+                         c, flow, N_max, nodes)
+    rows = []
+    for M_r in M:
+        terms = []
+        for qb, v2 in zip(q2, psi2.vectors):
+            for qa, v1 in zip(q1, psi1.vectors):
+                terms.append(np.einsum("l,nlk,k->n", np.conj(v1),
+                                       M_r[diffs.index(tuple(qa - qb))], v2))
+                if any(qb):  # e(q2_b . N alpha), N alpha mod 1 in extended precision
+                    turns = np.arange(N_max + 1) * (qb @ flow.alpha_array.astype(np.longdouble))
+                    terms[-1] *= np.exp(2j * np.pi * D.wrap_phases(turns).astype(float))
+        rows.append(sum(terms[1:], terms[0]) / psi1.rep.dim)
+    return rows
 
 
 def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N: int,
                        quadrature: D.QuadratureSpec) -> tuple[complex, float]:
     """c_N = <psi1, U^N psi2> by quadrature, plus a grid-doubling error
-    estimate |value - value on the (2 nodes)^d grid|, each walked apart.
-    Any integer N; the reference for `correlation_series`."""
+    estimate |value - value on the (2 nodes)^d grid|, each walked apart
+    from per-point coefficients: any N, the reference for the engine."""
     _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, flow, N, quadrature.nodes_per_dim)
     value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
@@ -289,24 +310,14 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     at N_max's degree is exact below it).  Its check grid has twice the
     nodes per dimension and nests it, so one walk yields both rules; the
     blind spot is aliasing onto even multiples of the node count only,
-    which moves both rules alike.  Two constant-vector probes that share
-    a transfer function zeta (or have none) read
-    c_N = d_pi^{-1} v1^H M_N v2 off the memoised mean series M_N of
-    `_mean_rep_series`, so every such probe of a fiber shares one walk;
-    the identity needs pi unitary and multiplicative.
-    Every other pair walks its own check grid with per-point coefficients.
+    which moves both rules alike.  Every pair reads the memoised walk of
+    `_mean_rep_series` (see `_series`), one per fiber for constant probes.
     """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
     _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
-    if (psi1.vector is not None and psi2.vector is not None
-            and psi1.transfer == psi2.transfer):
-        M = _mean_rep_series(psi1.rep, psi1.transfer, c, flow, N_max, nodes)
-        values, check = (np.einsum("l,nlk,k->n", np.conj(psi1.vector), M_r,
-                                   psi2.vector) / psi1.rep.dim for M_r in M)
-    else:
-        values, check = _series_on_grid(psi1, psi2, c, flow, N_max, nodes)
+    values, check = _series(psi1, psi2, c, flow, N_max, nodes)
     errs = np.abs(values - check)
     return CorrelationSeries(values, errs, np.full(N_max + 1, nodes),
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
@@ -350,24 +361,12 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
     phi'(x) = pi(zeta(x)^{-1}) phi(x).  Correlations then match:
     <S psi1, U_phi^N S psi2> = <psi1, U_delta^N psi2>.
 
-    A constant psi keeps its vector and records zeta as its transfer; a
-    psi that already has a transfer, or no constant vector, keeps
-    neither, and its correlations walk per-point coefficients.
+    psi keeps its modes and vectors and appends zeta to its transfers,
+    since pi(zeta^{-1}) pi(zeta0^{-1}) = pi((zeta0 zeta)^{-1}).
     """
     if psi.rep.group != zeta.group:
         raise TagMismatchError("transfer function lives on a different group")
-
-    def coefficients(phases: np.ndarray) -> np.ndarray:
-        z = G.GroupElement(zeta.group, zeta.value(np.asarray(phases, dtype=float)))
-        P = R.rep_eval_payload(psi.rep, G.group_inv(z).payload)
-        return np.einsum("...lk,...k->...l", P, psi.coefficients(phases))
-
-    bound = psi.degree_bound + zeta.freq_bound * R.rep_weight(psi.rep)
-    constant = psi.vector is not None and psi.transfer is None
-    return FiberVector(psi.rep, psi.j, coefficients, bound,
-                       name=f"conjugated[{psi.name}]",
-                       vector=psi.vector if constant else None,
-                       transfer=zeta if constant else None)
+    return replace(psi, name=f"conjugated[{psi.name}]", transfers=psi.transfers + (zeta,))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +470,7 @@ def _kernel_mass_fraction(probe: FiberVector, Q: np.ndarray, kernel: list[int],
     """Fraction of the probe's L^2 coefficient mass lying in the kernel
     eigendirections (1.0 means entirely out of the claim's scope)."""
     pts = D.quadrature_points(D.QuadratureSpec(max(nodes, 2 * probe.degree_bound + 1)), d)
-    coeffs = probe.coefficients(pts)
+    coeffs = fiber_coefficients(probe, pts)
     comps = np.einsum("ls,...l->...s", np.conj(Q), coeffs)
     mass = np.mean(np.abs(comps) ** 2, axis=0)
     total = float(np.sum(mass))

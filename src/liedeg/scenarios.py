@@ -439,7 +439,7 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
             "degree_nonzero": degree_nonzero}
 
 
-def _series_probe(rep: R.Representation, probes: list) -> K.FiberVector:
+def _series_probe(rep: R.Representation, probes: list, d: int) -> K.FiberVector:
     """Probe whose correlation series goes to disk for this fiber.
 
     First mixing probe when one exists; otherwise a fiber that shows
@@ -449,7 +449,7 @@ def _series_probe(rep: R.Representation, probes: list) -> K.FiberVector:
     if probes:
         return probes[0]
     if rep.group.tag == G.TORUS and not np.any(np.atleast_1d(rep.label)):
-        winding = [[1] + [0] * (rep.group.torus_dim - 1)]
+        winding = [[1] + [0] * (d - 1)]
         return K.monomial_fiber(rep, 0, winding, name="base-eigenfunction")
     vec = np.zeros(rep.dim, dtype=complex)
     vec[0] = 1.0
@@ -479,7 +479,7 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
                                           quadrature=quad, probes=probes)
         ac = K.ac_verdict(rep, 0, phi, flow,
                           deg_field if deg_field is not None else M_star, dini=dini)
-        probe = _series_probe(rep, probes)
+        probe = _series_probe(rep, probes, flow.dim)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))
         slug = _slug(rep)

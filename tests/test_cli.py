@@ -83,6 +83,25 @@ class TestScenarioCommand:
         assert "numeric guard" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("d,k,reps,slug", [
+        (1, [[1], [2]], [[0, 0], [1, 0]], "torus-q0_0"),
+        (2, [[1, 1]], [[0], [1]], "torus-q0")])
+    def test_group_and_base_dimensions_may_differ(self, d, k, reps, slug, tmp_path,
+                                                  capsys):
+        # the base eigenfunction's winding has the base dimension d, not
+        # the torus group's, and the zero-weight fiber keeps |c_N| = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_cfg_text(name="custom", d=d, reps=reps, n_degree=200,
+                                 n_corr=6, cocycle={"name": "torus-monomial",
+                                                    "params": {"k": k}}))
+        rc = cli.main(["scenario", "custom", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert rc == 0
+        rows = (tmp_path / "run" / f"series-{slug}.csv").read_text().split()[1:]
+        assert len(rows) == 7
+        assert all(abs(float(row.split(",")[3]) - 1.0) < 1e-12 for row in rows)
+
     @pytest.mark.parametrize("label", [[10 ** 23], [2 ** 31]])
     def test_oversized_rep_label_is_one_line_config_error(self, label, tmp_path,
                                                           capsys):

@@ -91,3 +91,25 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _callers(tree: ast.AST, module: str, name: str) -> set[str]:
+    """Top-level functions whose bodies call `module.name`."""
+    out = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == name
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == module):
+                    out.add(fn.name)
+    return out
+
+
+def test_koopman_has_one_correlation_engine():
+    # every correlation series reads the mean-series walk; the per-point
+    # route is the reference, so no third orbit walk may appear
+    path = Path(liedeg.__file__).parent / "koopman.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _callers(tree, "D", "cocycle_iterate") == {"_mean_rep_series", "_corr_on_grid"}

@@ -1,6 +1,7 @@
 """Fiber correlations, commutator averages, and spectral verdicts."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,17 +51,41 @@ def test_fiber_vector_validation():
     with pytest.raises(ConfigError):
         K.monomial_fiber(rep, 0, [[1.5], [0.7]])
     assert K.monomial_fiber(rep, 0, [[1.0], [0.0]]).degree_bound == 1
+    # one length-d_pi vector per two-dimensional mode row, or a refusal
     with pytest.raises(ConfigError):
-        K.FiberVector(rep, 0, lambda p: p, -1)
+        K.FiberVector(rep, 0, np.zeros((1, 1), dtype=int), np.ones((1, 3)))
+    with pytest.raises(ConfigError):
+        K.FiberVector(rep, 0, np.zeros(2, dtype=int), np.ones((2, 2)))
+
+
+def test_mode_dimension_guard():
+    # windings sized for the wrong base torus are refused with exit code 2,
+    # while a constant's zero mode fits any d
+    anzai = D.torus_monomial(FLOW, [[1]])
+    rep = R.torus_rep((0,))
+    psi = K.monomial_fiber(rep, 0, [[1, 0]])
+    zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
+    for run in (lambda: K.correlation_series(psi, psi, anzai, FLOW, 4, QUAD),
+                lambda: K.koopman_apply_corr(psi, psi, anzai, FLOW, 1, QUAD),
+                lambda: K.mixing_verdict(rep, 0, anzai, FLOW, zero, probes=[psi]),
+                lambda: K.inner_product(psi, psi, QUAD, 1)):
+        with pytest.raises(ConfigError, match="do not fit a d = 1 base torus"):
+            run()
+    const = K.constant_fiber(rep, 0, [1.0])
+    flow2 = D.default_flow(2)
+    for flow in (FLOW, flow2):
+        c = D.torus_monomial(flow, [[1] * flow.dim])
+        s = K.correlation_series(const, const, c, flow, 4, QUAD)
+        assert np.max(np.abs(np.abs(s.values) - 1.0)) < 1e-14
 
 
 def test_coefficient_shapes():
     rep = R.su2_rep(2)
     psi = K.constant_fiber(rep, 1, [1.0, 2.0, 3.0])
     pts = np.random.default_rng(0).random((7, 1))
-    assert psi.coefficients(pts).shape == (7, 3)
+    assert K.fiber_coefficients(psi, pts).shape == (7, 3)
     mono = K.monomial_fiber(rep, 0, [[1], [0], [-2]])
-    vals = mono.coefficients(pts)
+    vals = K.fiber_coefficients(mono, pts)
     assert vals.shape == (7, 3)
     assert np.allclose(vals[:, 1], 1.0)
     assert np.allclose(vals[:, 2], np.exp(-4j * np.pi * pts[:, 0]))
@@ -170,11 +195,10 @@ def test_correlation_linear_in_second_argument(manufactured):
     psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
     psi3 = K.constant_fiber(rep, 0, [0.5, -1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
-
-    def combo(phases):
-        return a * psi2.coefficients(phases) + b * psi3.coefficients(phases)
-
-    psi_mix = K.FiberVector(rep, 0, combo, psi2.degree_bound)
+    # a psi2 + b psi3 as a two-term mode sum: mode 0 carries a e_0 + b v3
+    vectors = a * psi2.vectors + b * np.array([psi3.vectors[0], [0.0, 0.0]])
+    psi_mix = K.FiberVector(rep, 0, psi2.modes, vectors)
+    assert psi_mix.degree_bound == psi2.degree_bound
     for N in (0, 1, 3, 5):
         mixed, _ = K.koopman_apply_corr(psi1, psi_mix, phi, FLOW, N, QUAD)
         c2, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, N, QUAD)
@@ -284,23 +308,23 @@ def _unit(dim, seed):
 
 
 def _mean_series_cases(manufactured):
-    """(name, cocycle, flow, psi1, psi2, shares_the_mean_series)."""
+    """(name, cocycle, flow, psi1, psi2)."""
     _, zeta, phi = manufactured
     for l in (1, 2, 3, 4):
         psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(l), 0, _unit(l + 1, l)), zeta)
-        yield f"su2-l{l}-conjugated", phi, FLOW, psi, psi, True
+        yield f"su2-l{l}-conjugated", phi, FLOW, psi, psi
     so3 = K.constant_fiber(R.so3_rep(2), 0, _unit(5, 7))
-    yield "so3-l2", D.so3_x3_rotation(FLOW, [1], 0.5), FLOW, so3, so3, True
+    yield "so3-l2", D.so3_x3_rotation(FLOW, [1], 0.5), FLOW, so3, so3
     u2 = K.constant_fiber(R.u2_rep(2, 1), 0, _unit(3, 8))
-    yield "u2-2-1", D.u2_product(FLOW, [1], [0], 0.7), FLOW, u2, u2, True
+    yield "u2-2-1", D.u2_product(FLOW, [1], [0], 0.7), FLOW, u2, u2
     rep = R.su2_rep(2)
     a = K.conjugate_vector(K.constant_fiber(rep, 0, [1.0, 0.0, 0.0]), zeta)
     b = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 9)), zeta)
-    yield "cross-pair", phi, FLOW, a, b, True
+    yield "cross-pair", phi, FLOW, a, b
     mono = K.monomial_fiber(rep, 0, [[1], [0], [-1]])
-    yield "constant-monomial", phi, FLOW, a, mono, False
+    yield "constant-monomial", phi, FLOW, a, mono
     plain = K.constant_fiber(rep, 0, _unit(3, 10))
-    yield "plain-conjugated", phi, FLOW, plain, a, False
+    yield "plain-conjugated", phi, FLOW, plain, a
 
 
 @pytest.mark.parametrize("name", [
@@ -308,51 +332,49 @@ def _mean_series_cases(manufactured):
     "su2-l4-conjugated", "so3-l2", "u2-2-1", "cross-pair", "constant-monomial",
     "plain-conjugated"])
 def test_mean_series_matches_per_point_walk(manufactured, name):
-    # the mean representation-matrix series against the per-point walk it
-    # replaces and against the per-N reference
+    # every pair kind reads one mean-series walk, which agrees with the
+    # per-point evaluation on both of its grids and with the per-N reference
     cases = {case[0]: case[1:] for case in _mean_series_cases(manufactured)}
-    c, flow, psi1, psi2, shared = cases[name]
+    c, flow, psi1, psi2 = cases[name]
     n_max = 12
-    before = K._mean_rep_series.cache_info()
-    s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
-    after = K._mean_rep_series.cache_info()
-    assert (after.hits + after.misses - before.hits - before.misses) == (1 if shared else 0)
+    K._mean_rep_series.cache_clear()
+    with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+        s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
+    assert walk.call_count == 1
+    assert K._mean_rep_series.cache_info().misses == 1
     nodes = K._sizing_nodes(psi1, psi2, c, flow, n_max, QUAD.nodes_per_dim)
-    ref, check = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
-    assert np.max(np.abs(s.values - ref)) <= 1e-14, name
-    assert np.max(np.abs(s.err_estimates - np.abs(ref - check))) <= 1e-14, name
+    for n in range(n_max + 1):
+        ref = K._corr_on_grid(psi1, psi2, c, flow, n, nodes)
+        check = K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)
+        assert abs(s.values[n] - ref) <= 1e-14, (name, n)
+        assert abs(s.err_estimates[n] - abs(ref - check)) <= 1e-14, (name, n)
     for n in (0, 1, 5, n_max):
         value, _ = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
         assert abs(s.values[n] - value) <= 1e-14, (name, n)
 
 
-def _one_grid_mean_series(rep, transfer, c, flow, n_max, nodes):
-    """M_0..M_n_max from a walk of the nodes^d grid alone: the reference
-    for the nested walk's coarse rule."""
+def _mode_differences(psi1, psi2, d):
+    return tuple(sorted({tuple((a - b).tolist()) for a in K._modes(psi1, d)
+                         for b in K._modes(psi2, d)}))
+
+
+def _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes):
+    """M^_0(m)..M^_n_max(m) from a walk of the nodes^d grid alone: the
+    reference for the nested walk's coarse rule."""
+    rep, diffs = psi1.rep, _mode_differences(psi1, psi2, flow.dim)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
-    out = np.empty((n_max + 1, rep.dim, rep.dim), dtype=complex)
-    z0 = transfer and G.GroupElement(transfer.group, transfer.value(pts))
+    out = np.empty((len(diffs), n_max + 1, rep.dim, rep.dim), dtype=complex)
 
     def visit(k, phases, g):
-        if transfer is not None:
-            zk = G.GroupElement(transfer.group, transfer.value(phases))
-            g = G.group_mul(G.group_mul(z0, g), G.group_inv(zk))
-        out[k] = np.mean(R.rep_eval_payload(rep, g.payload), axis=0)
-
-    D.cocycle_iterate(c, flow, D.BasePoint(pts), n_max + 1, visit)
-    return out
-
-
-def _one_grid_series(psi1, psi2, c, flow, n_max, nodes):
-    """c_0..c_n_max from a walk of the nodes^d grid alone."""
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
-    conj_v1 = np.conj(psi1.coefficients(pts))
-    out = np.empty(n_max + 1, dtype=complex)
-
-    def visit(k, phases, g):
-        P = R.rep_eval_payload(psi1.rep, g.payload)
-        vals = np.einsum("...l,...lk,...k->...", conj_v1, P, psi2.coefficients(phases))
-        out[k] = complex(np.mean(vals) / psi1.rep.dim)
+        # zeta1 g zeta2^{-1}, one factor of each pointwise product at a time
+        for t in reversed(psi1.transfers):
+            g = G.group_mul(G.GroupElement(t.group, t.value(pts)), g)
+        for t in reversed(psi2.transfers):
+            g = G.group_mul(g, G.group_inv(G.GroupElement(t.group, t.value(phases))))
+        P = R.rep_eval_payload(rep, g.payload)
+        for i, m in enumerate(diffs):
+            w = np.exp(-2j * np.pi * (pts @ m))[:, None, None] if any(m) else 1.0
+            out[i, k] = np.mean(w * P, axis=0)
 
     D.cocycle_iterate(c, flow, D.BasePoint(pts), n_max + 1, visit)
     return out
@@ -360,7 +382,7 @@ def _one_grid_series(psi1, psi2, c, flow, n_max, nodes):
 
 def _nested_cases(manufactured):
     """(name, cocycle, flow, psi1, psi2) at d = 1 and d = 2; the first of
-    each pair reads the shared mean series, the second walks per point."""
+    each pair has the zero mode difference only, the second a weighted one."""
     _, zeta, phi = manufactured
     rep = R.su2_rep(2)
     conj = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 11)), zeta)
@@ -382,30 +404,108 @@ def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     n_max = 6
-    if name.endswith("mean"):
-        assert psi1.vector is not None and psi1.transfer == psi2.transfer
-        M = K._mean_rep_series(psi1.rep, psi1.transfer, c, flow, n_max, nodes)
-        assert np.array_equal(M[0], _one_grid_mean_series(
-            psi1.rep, psi1.transfer, c, flow, n_max, nodes))
-        fine = _one_grid_mean_series(psi1.rep, psi1.transfer, c, flow, n_max, 2 * nodes)
-        assert np.max(np.abs(M[1] - fine)) <= 1e-14
-        check = np.einsum("l,nlk,k->n", np.conj(psi1.vector), M[1],
-                          psi2.vector) / psi1.rep.dim
-    else:
-        main, check = K._series_on_grid(psi1, psi2, c, flow, n_max, nodes)
-        assert np.array_equal(main, _one_grid_series(psi1, psi2, c, flow, n_max, nodes))
+    diffs = _mode_differences(psi1, psi2, flow.dim)
+    assert (diffs == ((0,) * flow.dim,)) == name.endswith("mean")
+    M = K._mean_rep_series(psi1.rep, psi1.transfers, psi2.transfers, diffs, c, flow,
+                           n_max, nodes)
+    assert np.array_equal(M[0], _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes))
+    _, check = K._series(psi1, psi2, c, flow, n_max, nodes)
     for n in range(n_max + 1):
         assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
 
 
-def test_nested_conjugation_walks_per_point(manufactured):
-    _, zeta, _ = manufactured
-    psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(1), 0, [1.0, 0.0]), zeta)
-    assert psi.vector is not None and psi.transfer is zeta
+def test_nested_conjugation_walks_once(manufactured):
+    # zeta then zeta is one more factor of the transfer, read off one walk
+    _, zeta, phi = manufactured
+    rep = R.su2_rep(1)
+    psi = K.conjugate_vector(K.constant_fiber(rep, 0, [1.0, 0.0]), zeta)
+    assert psi.transfers == (zeta,) and psi.degree_bound == zeta.freq_bound
     nested = K.conjugate_vector(psi, zeta)
-    assert nested.vector is None and nested.transfer is None
-    mono = K.conjugate_vector(K.monomial_fiber(R.su2_rep(1), 0, [[1], [0]]), zeta)
-    assert mono.vector is None and mono.transfer is None
+    assert nested.transfers == (zeta, zeta)
+    assert nested.degree_bound == 2 * zeta.freq_bound
+    mono = K.conjugate_vector(K.monomial_fiber(rep, 0, [[1], [0]]), zeta)
+    assert mono.transfers == (zeta,) and mono.degree_bound == 1 + zeta.freq_bound
+    # conjugating by a second transfer applies pi(zeta2(x)^{-1}) on the left
+    zeta2 = D.su2_twisted_diagonal(FLOW, 2, c0=1.1)
+    pts = np.random.default_rng(1).random((9, 1))
+    z2 = G.GroupElement(G.SU2_GROUP, zeta2.value(pts))
+    want = np.einsum("...lk,...k->...l", R.rep_eval_payload(rep, G.group_inv(z2).payload),
+                     K.fiber_coefficients(mono, pts))
+    got = K.fiber_coefficients(K.conjugate_vector(mono, zeta2), pts)
+    assert np.max(np.abs(got - want)) < 1e-14
+    for psi1, psi2 in ((nested, nested), (mono, nested), (psi, nested)):
+        K._mean_rep_series.cache_clear()
+        with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+            s = K.correlation_series(psi1, psi2, phi, FLOW, 6, QUAD)
+        assert walk.call_count == 1
+        for n in range(7):
+            ref, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, n, QUAD)
+            assert abs(s.values[n] - ref) < 1e-12
+    # doubly conjugated probes of one fiber still share one walk
+    M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
+    probes = [K.conjugate_vector(K.conjugate_vector(pr, zeta), zeta)
+              for pr in K.default_probes(R.su2_rep(4), M_star)]
+    K._mean_rep_series.cache_clear()
+    with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+        K.mixing_verdict(R.su2_rep(4), 0, phi, FLOW, M_star, N_max=10, quadrature=QUAD,
+                         probes=probes)
+    assert len(probes) == 4 and walk.call_count == 1
+
+
+def _differential_setting(group, d, l):
+    """(rep, cocycle, two transfers that do not commute, flow) for the
+    engine-against-reference test."""
+    flow = D.default_flow(d)
+    k, k2 = [1] * d, [1] + [0] * (d - 1)
+    if group == "torus":
+        return (R.torus_rep((l - 1,)), D.torus_monomial(flow, [k]),
+                [D.torus_monomial(flow, [k2], theta0=[0.2]), D.torus_monomial(flow, [k])],
+                flow)
+    su2 = D.su2_twisted_diagonal(flow, k)
+    transfers = [D.su2_twisted_diagonal(flow, k2, c0=0.3),
+                 D.su2_twisted_diagonal(flow, k, c0=1.1)]
+    if group == "su2":
+        return R.su2_rep(l), su2, transfers, flow
+    return (R.u2_rep(l, 1), D.u2_scalar_su2(flow, k2, su2),
+            [D.u2_scalar_su2(flow, k, t) for t in transfers], flow)
+
+
+@st.composite
+def _probe(draw, rep, transfers, d):
+    """A random probe: a constant or 1-3 modes with |q| <= 2, then no
+    conjugation, one, or two nested ones (zeta then zeta, or zeta then
+    a second transfer)."""
+    count = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    vectors = np.random.default_rng(seed).normal(size=(max(count, 1), rep.dim, 2)) @ [1, 1j]
+    if count == 0:
+        psi = K.constant_fiber(rep, 0, vectors[0])
+    else:
+        modes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                              min_size=count, max_size=count))
+        psi = K.FiberVector(rep, 0, np.array(modes), vectors)
+    zeta, other = transfers
+    for t in draw(st.sampled_from([(), (zeta,), (zeta, zeta), (zeta, other)])):
+        psi = K.conjugate_vector(psi, t)
+    return psi
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), group=st.sampled_from(["torus", "su2", "u2"]),
+       d=st.sampled_from([1, 2]), l=st.integers(1, 2))
+def test_engine_matches_per_point_reference(data, group, d, l):
+    # every pair kind, from one walk, against the per-point route at each N
+    rep, c, transfers, flow = _differential_setting(group, d, l)
+    psi1 = data.draw(_probe(rep, transfers, d))
+    psi2 = data.draw(_probe(rep, transfers, d))
+    n_max = 3
+    K._mean_rep_series.cache_clear()
+    with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+        s = K.correlation_series(psi1, psi2, c, flow, n_max, D.QuadratureSpec(4))
+    assert walk.call_count == 1
+    for n in range(n_max + 1):
+        ref, _ = K.koopman_apply_corr(psi1, psi2, c, flow, n, D.QuadratureSpec(4))
+        assert abs(s.values[n] - ref) <= 1e-12, (n, s.values[n], ref)
 
 
 def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
@@ -439,11 +539,11 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     info = K._mean_rep_series.cache_info()
     assert info.maxsize == 1 and info.currsize <= 1
     nodes = K._sizing_nodes(probes[0], probes[0], phi, FLOW, n_max, QUAD.nodes_per_dim)
-    M = K._mean_rep_series(rep, zeta, phi, FLOW, n_max, nodes)
+    M = K._mean_rep_series(rep, (zeta,), (zeta,), ((0,),), phi, FLOW, n_max, nodes)
     assert calls["walks"] == 1  # a cache hit
-    assert M.shape == (2, n_max + 1, 5, 5) and not M.flags.writeable
+    assert M.shape == (2, 1, n_max + 1, 5, 5) and not M.flags.writeable
     with pytest.raises(ValueError):
-        M[0, 0, 0] = 0.0
+        M[0, 0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
