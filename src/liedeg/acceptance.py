@@ -80,7 +80,7 @@ def _criterion_02():
     """Orthogonality integrals by exact Euler-angle quadrature."""
     worst = 0.0
     for l in range(5):
-        check = R.peter_weyl_check(R.su2_rep(l), R.ProductQuadrature(64))
+        check = R.peter_weyl_check(R.su2_rep(l), nodes=64)
         worst = max(worst, float(check["max_abs_deviation"]))
     passed = worst <= 1e-8
     return passed, (f"su2 l<=4 Gram vs I/d at 64^3 nodes: max dev "

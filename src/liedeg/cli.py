@@ -92,7 +92,7 @@ def _add_cocycle_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cocycle", required=True,
                      help="cocycle constructor name (see scenarios registry)")
     sub.add_argument("--params", default="",
-                     help="JSON object of constructor parameters")
+                     help="JSON object of the constructor's keyword arguments")
     sub.add_argument("--d", type=int, default=1, help="base torus dimension")
     sub.add_argument("--alpha", default=None,
                      help="comma-separated flow frequencies (default: "
@@ -177,8 +177,7 @@ def _cmd_corr(args) -> int:
     else:
         sys.stdout.write(text)
     if args.svg:
-        Path(args.svg).write_text(
-            P.render_series_svg(text, title=f"{rep.name} slot {args.slot}"))
+        P.emit_plot(series, args.svg, title=f"{rep.name} slot {args.slot}")
         print(f"wrote {args.svg}")
     if series.flagged:
         print(f"warning: {len(series.flagged)} entries exceed the quadrature "
@@ -215,7 +214,7 @@ def _cmd_rep_check(args) -> int:
         "unitarity_deviation": unit_dev,
     }
     if args.nodes:
-        check = R.peter_weyl_check(rep, R.ProductQuadrature(args.nodes))
+        check = R.peter_weyl_check(rep, nodes=args.nodes)
         out["orthogonality_deviation"] = float(check["max_abs_deviation"])
     sys.stdout.write(_dump_json(out))
     return EXIT_OK

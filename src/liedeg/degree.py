@@ -634,13 +634,12 @@ def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
     """
     per_rep = []
     for rep in reps:
-        Dm = R.multiplication_matrix(rep, M_star)
-        lam = np.linalg.eigvalsh(Dm)
+        _, lam, kernel = kernel_split(R.multiplication_matrix(rep, M_star))
         per_rep.append({
             "label": rep.name,
             "eigenvalues": [float(v) for v in lam],
             "a_phi_pi": float(np.min(lam ** 2)),
-            "kernel_indices": kernel_split(Dm)[2],
+            "kernel_indices": kernel,
         })
     return {
         "group": group.name,

@@ -36,15 +36,18 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def wrap_phases(x: np.ndarray) -> np.ndarray:
-    """x mod 1 in place and returned: the bits of np.mod(x, 1.0), -0.0 and
-    tiny negatives (which wrap to 1.0) included, at a tenth of its cost."""
+    """x mod 1 in place and returned: the bits of np.mod(x, 1.0), -0.0 included,
+    at a tenth of its cost.  Results lie in [0, 1]: x - floor(x) rounds to 1.0
+    for -2**-54 <= x < 0, where the periodic cocycles equal their value at 0.0
+    up to round-off."""
     x -= np.floor(x)
     return x
 
 
 @dataclass
 class BasePoint:
-    """Point(s) on the torus; phases shape (..., d), entries in [0, 1)."""
+    """Point(s) on the torus; phases shape (..., d), entries wrapped by
+    `wrap_phases` into [0, 1] (1.0 only from tiny negative input)."""
 
     phases: np.ndarray
 

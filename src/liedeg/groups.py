@@ -547,6 +547,14 @@ def iso_so3_torus_to_u2(R: GroupElement, w, branch: int = +1) -> GroupElement:
     return GroupElement(U2_GROUP, branch * z[..., None, None] * lift)
 
 
+def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = z g on raw U(2) payloads: (det u, z, SU(2) payload of g), with
+    z = circle_sqrt(det u) the one branch choice for sqrt(det u)."""
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    z = circle_sqrt(det)
+    return det, z, su2_from_matrix(u / z[..., None, None])
+
+
 def u2_split(u: GroupElement) -> tuple[GroupElement, np.ndarray]:
     """Inverse direction: u = z g with z = principal sqrt(det u), g in SU2.
 
@@ -555,11 +563,8 @@ def u2_split(u: GroupElement) -> tuple[GroupElement, np.ndarray]:
     """
     if u.group.tag != U2:
         raise TagMismatchError("u2_split expects a U2 element")
-    det = (u.payload[..., 0, 0] * u.payload[..., 1, 1]
-           - u.payload[..., 0, 1] * u.payload[..., 1, 0])
-    z = circle_sqrt(det)
-    g = GroupElement(SU2_GROUP, su2_from_matrix(u.payload / z[..., None, None]))
-    return su2_to_so3(g), det
+    det, _, g = u2_factor(u.payload)
+    return su2_to_so3(GroupElement(SU2_GROUP, g)), det
 
 
 def track_branch(payloads: np.ndarray, group: GroupSpec) -> tuple[np.ndarray, dict]:

@@ -1,8 +1,10 @@
-"""Deterministic SVG plots for correlation-series files.
+"""Deterministic SVG plots of a correlation series.
 
-Every coordinate is formatted with a fixed "%.6g" so identical input
-bytes produce identical output bytes; no timestamps, no randomness, no
-external assets.  The layout is two panels: |c_N| on a log axis and the
+The plot is drawn from the series values in memory (entry N is c_N);
+`koopman.CorrelationSeries.to_csv_text` alone writes the CSV.  Every
+coordinate is formatted with a fixed "%.6g" so identical values produce
+identical output bytes; no timestamps, no randomness, no external
+assets.  The layout is two panels: |c_N| on a log axis and the
 running quadratic average A_N = (1/N) sum |c_n|^2 on a linear axis.
 """
 
@@ -10,41 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-
-CSV_HEADER = "N,re,im,abs,err_estimate"
 LOG_FLOOR = 1e-16
 
 _W, _H = 840, 320
 _PANEL_W, _PANEL_H = 330, 220
 _LEFT1, _LEFT2, _TOP = 60, 475, 50
-
-
-def parse_series_csv(text: str) -> tuple[list[int], list[complex],
-                                         list[float]]:
-    """Parse a series file back into (N, complex values, error estimates).
-
-    Rejects a missing/foreign header, malformed rows, and an empty series.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ConfigError(f"series file must start with header {CSV_HEADER!r}")
-    rows = lines[1:]
-    if not rows:
-        raise ConfigError("series file has no data rows")
-    ns, values, errs = [], [], []
-    for ln in rows:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"malformed series row: {ln!r}")
-        try:
-            ns.append(int(parts[0]))
-            re, im, _mag, err = (float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ConfigError(f"malformed series row: {ln!r}") from exc
-        values.append(complex(re, im))
-        errs.append(err)
-    return ns, values, errs
 
 
 def _fmt(v: float) -> str:
@@ -59,7 +31,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _panel(x0: float, title: str, xs, ys, y_lo: float, y_hi: float,
-           x_max: float, marker_class: str, tick_fmt) -> list[str]:
+           x_max: float, marker_class: str) -> list[str]:
     out = [f'<g font-family="monospace" font-size="11">']
     out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(_TOP)}" width="{_fmt(_PANEL_W)}" '
                f'height="{_fmt(_PANEL_H)}" fill="none" stroke="#444"/>')
@@ -77,7 +49,7 @@ def _panel(x0: float, title: str, xs, ys, y_lo: float, y_hi: float,
         out.append(f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(y)}" x2="{_fmt(x0)}" '
                    f'y2="{_fmt(y)}" stroke="#444"/>')
         out.append(f'<text x="{_fmt(x0 - 8)}" y="{_fmt(y + 4)}" '
-                   f'text-anchor="end">{tick_fmt(tv)}</text>')
+                   f'text-anchor="end">{_fmt(tv)}</text>')
     for tn in _ticks(0.0, x_max):
         x = px(tn)
         out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_TOP + _PANEL_H)}" x2="{_fmt(x)}" '
@@ -103,12 +75,11 @@ def _panel(x0: float, title: str, xs, ys, y_lo: float, y_hi: float,
     return out
 
 
-def render_series_svg(csv_text: str, title: str = "") -> str:
-    """Two-panel SVG (log10 |c_N|, linear A_N) for a series file."""
-    parsed_ns, parsed_values, _errs = parse_series_csv(csv_text)
-    ns = np.array(parsed_ns)
-    mags = np.abs(np.array(parsed_values))
-    x_max = float(max(np.max(ns), 1))
+def render_series_svg(values, title: str = "") -> str:
+    """Two-panel SVG (log10 |c_N|, linear A_N) of the series c_0..c_Nmax."""
+    mags = np.abs(np.asarray(values))
+    ns = np.arange(mags.size)
+    x_max = float(max(mags.size - 1, 1))
 
     logs = np.log10(np.maximum(mags, LOG_FLOOR))
     lo = float(np.floor(np.min(logs)))
@@ -116,16 +87,9 @@ def render_series_svg(csv_text: str, title: str = "") -> str:
     if hi <= lo:
         hi = lo + 1.0
 
-    pos = ns >= 1
-    a_ns = ns[pos]
-    if a_ns.size:
-        order = np.argsort(a_ns)
-        a_ns = a_ns[order]
-        avg = np.cumsum(mags[pos][order] ** 2) / np.arange(1, a_ns.size + 1)
-        a_hi = max(float(np.max(avg)) * 1.1, 1e-12)
-    else:
-        avg = np.zeros(0)
-        a_hi = 1.0
+    a_ns = ns[1:]
+    avg = np.cumsum(mags[1:] ** 2) / np.arange(1, a_ns.size + 1)
+    a_hi = max(float(np.max(avg)) * 1.1, 1e-12) if a_ns.size else 1.0
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -134,10 +98,8 @@ def render_series_svg(csv_text: str, title: str = "") -> str:
         f'<text x="{_W // 2}" y="20" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{_escape(title)}</text>',
     ]
-    parts += _panel(_LEFT1, "log10 |c_N|", ns, logs, lo, hi, x_max,
-                    "pt-mag", lambda v: _fmt(v))
-    parts += _panel(_LEFT2, "running average A_N", a_ns, avg, 0.0, a_hi, x_max,
-                    "pt-avg", lambda v: _fmt(v))
+    parts += _panel(_LEFT1, "log10 |c_N|", ns, logs, lo, hi, x_max, "pt-mag")
+    parts += _panel(_LEFT2, "running average A_N", a_ns, avg, 0.0, a_hi, x_max, "pt-avg")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -147,10 +109,7 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def emit_plot(csv_path, svg_path, title: str = "") -> None:
-    """Render the series file at csv_path to a self-contained SVG."""
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    svg = render_series_svg(text, title=title or str(csv_path).rsplit("/", 1)[-1])
+def emit_plot(series, svg_path, title: str = "") -> None:
+    """Write the SVG of a `koopman.CorrelationSeries` to svg_path."""
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.write(render_series_svg(series.values, title=title))

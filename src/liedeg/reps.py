@@ -49,7 +49,6 @@ import numpy as np
 from . import dynamics as D
 from . import groups as G
 from .errors import ConfigError, TagMismatchError
-from .rng import RngHandle
 
 L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
 # label entries stay below this size: pi raises unit complex numbers to
@@ -221,10 +220,7 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     if tag == G.SO3:
         lift = G.so3_to_su2(G.GroupElement(rep.group, payload)).payload
         return _su2_c_matrix(2 * l, lift) * _scale(rep)
-    det = (payload[..., 0, 0] * payload[..., 1, 1]
-           - payload[..., 0, 1] * payload[..., 1, 0])
-    z = G.circle_sqrt(det)
-    su2_payload = G.su2_from_matrix(payload / z[..., None, None])
+    _, z, su2_payload = G.u2_factor(payload)
     scaled = _su2_c_matrix(l, su2_payload) * _scale(rep)
     return (z ** (2 * rep.label[1] - l))[..., None, None] * scaled
 
@@ -328,19 +324,6 @@ _U2_CIRCLE_NODES = 8  # equispaced circle nodes of the U(2) product rule
 _CHUNK_BYTES = 2 ** 26  # largest per-chunk temporary in peter_weyl_check
 
 
-@dataclass(frozen=True)
-class ProductQuadrature:
-    """Euler-angle product rule: equispaced x3-angles, Gauss-Legendre in
-    cos(beta).  Exact for matrix-element Grams up to l ~ nodes/4."""
-    nodes: int = 64
-
-
-@dataclass(frozen=True)
-class MonteCarloQuadrature:
-    samples: int = 100000
-    seed: int = 20240816
-
-
 def su2_euler_nodes(n: int, gamma_period: float = 4 * np.pi
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Haar quadrature nodes/weights on SU(2), (n^3, 2) payload pairs.
@@ -401,50 +384,30 @@ def _term_count(rep: Representation) -> int:
     return math.comb(l + 3, 3)
 
 
-def peter_weyl_check(rep: Representation, scheme=None) -> dict:
-    """Gram matrix of the matrix elements against Haar measure.
+def peter_weyl_check(rep: Representation, nodes: int = 64) -> dict:
+    """Gram matrix of the matrix elements against Haar measure, by the
+    Euler-angle product rule at `nodes` per angle: equispaced x3-angles,
+    Gauss-Legendre in cos(beta).
 
-    pi is unitary, so the exact Gram is I / dim.  Returns the
-    max absolute deviation plus, for Monte Carlo, the per-entry standard
-    error; the product rule is spectrally exact for tabulated labels, so
-    its deviation is pure round-off.
+    pi is unitary, so the exact Gram is I / dim.  The rule is exact for
+    matrix-element Grams up to l ~ nodes/4, so the returned max absolute
+    deviation is pure round-off there.
     """
-    scheme = ProductQuadrature() if scheme is None else scheme
     d = rep.dim
-    if isinstance(scheme, MonteCarloQuadrature):
-        g = G.haar_sample(rep.group, scheme.samples, RngHandle(scheme.seed))
-        payload, weights = g.payload, np.full(scheme.samples, 1.0 / scheme.samples)
-        mc = True
-    else:
-        payload, weights = _quadrature_nodes(rep.group, scheme.nodes)
-        mc = False
+    payload, weights = _quadrature_nodes(rep.group, nodes)
     gram = np.zeros((d * d, d * d), dtype=complex)
-    sq = np.zeros((d * d, d * d)) if mc else None
-    # complex entries per node in the largest temporary: the term table,
-    # or the (d^2, d^2) products of the Monte Carlo spread
-    per_node = max(_term_count(rep), d ** 4 if mc else d * d)
-    chunk = max(1, min(65536, _CHUNK_BYTES // (16 * per_node)))
+    # complex entries per node in the largest temporary: the term table
+    # or the flattened matrices
+    chunk = max(1, min(65536, _CHUNK_BYTES // (16 * max(_term_count(rep), d * d))))
     for lo in range(0, payload.shape[0], chunk):
-        mats = rep_eval_payload(rep, payload[lo:lo + chunk])
-        flat = mats.reshape(mats.shape[0], d * d)
-        w = weights[lo:lo + chunk]
-        gram += (flat * w[:, None]).T @ np.conj(flat)
-        if mc:
-            sq += (np.abs(flat[:, :, None] * np.conj(flat[:, None, :])) ** 2
-                   * w[:, None, None]).sum(axis=0).reshape(d * d, d * d)
-    expected = np.eye(d * d) / d
-    deviation = float(np.max(np.abs(gram - expected)))
-    out = {
+        flat = rep_eval_payload(rep, payload[lo:lo + chunk]).reshape(-1, d * d)
+        gram += (flat * weights[lo:lo + chunk, None]).T @ np.conj(flat)
+    return {
         "rep": rep.name,
         "dim": d,
-        "scheme": "monte-carlo" if mc else "product",
         "n_nodes": int(payload.shape[0]),
-        "max_abs_deviation": deviation,
+        "max_abs_deviation": float(np.max(np.abs(gram - np.eye(d * d) / d))),
     }
-    if mc:
-        var = np.maximum(sq - np.abs(gram) ** 2, 0.0)
-        out["sigma"] = float(np.sqrt(np.max(var) / payload.shape[0]))
-    return out
 
 
 def haar_batch_bytes(rep: Representation, samples: int) -> int:

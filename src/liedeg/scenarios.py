@@ -22,6 +22,7 @@ ergodicity of the base flow).
 
 from __future__ import annotations
 
+import inspect
 import json
 import platform
 import time
@@ -177,85 +178,70 @@ class ScenarioConfig:
 # cocycle registry
 # ---------------------------------------------------------------------------
 
-def _build_torus_monomial(flow, p):
-    return D.torus_monomial(flow, p["k"], p.get("theta0")), {}
-
-
-def _build_su2_diagonal(flow, p):
-    return D.su2_diagonal(flow, p["k"], p.get("theta0", 0.0)), {}
-
-
-def _build_su2_twisted(flow, p):
-    return D.su2_twisted_diagonal(flow, p["k"], p.get("c0", 0.7)), {}
-
-
-def _build_su2_two_angle(flow, p):
-    return D.su2_two_angle(flow, p["m1"], p["m2"],
-                           p.get("c1", 0.0), p.get("c2", 0.0)), {}
-
-
-def _build_so3_x3(flow, p):
-    return D.so3_x3_rotation(flow, p["k"], p.get("theta0", 0.0)), {}
-
-
-def _build_u2_product(flow, p):
-    return D.u2_product(flow, p["k_torus"], p["k_rot"],
-                        p.get("theta0", 0.0)), {}
-
-
-def _build_u2_scalar_su2(flow, p):
-    inner_spec = p.get("inner")
-    if not isinstance(inner_spec, dict) or "name" not in inner_spec:
+def _u2_scalar_su2(flow, k_scalar, inner):
+    if not isinstance(inner, dict):
         raise ConfigError("u2-scalar-su2 needs an 'inner' cocycle spec")
-    inner, _ = build_cocycle(flow, inner_spec)
-    return D.u2_scalar_su2(flow, p["k_scalar"], inner), {}
+    return D.u2_scalar_su2(flow, k_scalar, build_cocycle(flow, inner)[0])
 
 
-def _build_cohomologous_pair(flow, p):
+def _cohomologous_pair(flow, k, theta0=0.0, zeta_k=1, c0=0.7):
     """SU(2) cocycle manufactured cohomologous to a diagonal model.
 
     Returns the twisted cocycle phi = zeta^{-1} delta (zeta o F_1) and
     exposes the ingredients as extras so downstream stages can build
     conjugated probes and cross-checks.
     """
-    delta = D.su2_diagonal(flow, p["k"], p.get("theta0", 0.0))
-    zeta = D.su2_twisted_diagonal(flow, p.get("zeta_k", 1), p.get("c0", 0.7))
-    phi = D.cohomologous_build(delta, zeta, flow)
-    return phi, {"delta": delta, "zeta": zeta}
+    delta = D.su2_diagonal(flow, k, theta0)
+    zeta = D.su2_twisted_diagonal(flow, zeta_k, c0)
+    return D.cohomologous_build(delta, zeta, flow), {"delta": delta, "zeta": zeta}
 
 
+# name -> callable(flow, **params); a tuple result carries extras
 COCYCLE_BUILDERS = {
-    "torus-monomial": _build_torus_monomial,
-    "su2-diagonal": _build_su2_diagonal,
-    "su2-twisted-diagonal": _build_su2_twisted,
-    "su2-two-angle": _build_su2_two_angle,
-    "so3-x3-rotation": _build_so3_x3,
-    "u2-product": _build_u2_product,
-    "u2-scalar-su2": _build_u2_scalar_su2,
-    "cohomologous-su2-pair": _build_cohomologous_pair,
+    "torus-monomial": D.torus_monomial,
+    "su2-diagonal": D.su2_diagonal,
+    "su2-twisted-diagonal": D.su2_twisted_diagonal,
+    "su2-two-angle": D.su2_two_angle,
+    "so3-x3-rotation": D.so3_x3_rotation,
+    "u2-product": D.u2_product,
+    "u2-scalar-su2": _u2_scalar_su2,
+    "cohomologous-su2-pair": _cohomologous_pair,
 }
 
 
 def build_cocycle(flow: D.TranslationFlow, spec: dict):
-    """Instantiate a cocycle from a JSON-friendly spec.
+    """Instantiate a cocycle from a JSON-friendly spec {"name", "params"}.
 
-    Returns (cocycle, extras); extras carries auxiliary cocycles for
-    constructions with known internal structure (e.g. the conjugation
-    that manufactured a cohomologous pair).
+    `params` are the keyword arguments after `flow` of the registered
+    builder (a `dynamics` constructor or one of the two composites above),
+    whose defaults fill omitted keys.  A missing required key, an unknown
+    key or a `params` that is not a dict is a ConfigError raised before
+    anything is built.  Returns (cocycle, extras); extras carries the
+    auxiliary cocycles of a known construction (the conjugation that
+    manufactured a cohomologous pair).
     """
     name = spec.get("name")
     if not isinstance(name, str) or name not in COCYCLE_BUILDERS:
         raise ConfigError(f"unknown cocycle {name!r}")
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"cocycle {name!r} params must be a dict")
+    accepted = list(inspect.signature(COCYCLE_BUILDERS[name]).parameters.values())[1:]
+    names = [p.name for p in accepted]
+    for key in params:
+        if key not in names:
+            raise ConfigError(f"cocycle {name!r} has unknown parameter {key!r}; "
+                              f"accepted: {', '.join(names)}")
+    for p in accepted:
+        if p.default is p.empty and p.name not in params:
+            raise ConfigError(f"cocycle {name!r} is missing parameter {p.name!r}")
     try:
-        return COCYCLE_BUILDERS[name](flow, params)
-    except KeyError as exc:
-        raise ConfigError(
-            f"cocycle {name!r} is missing parameter {exc.args[0]!r}") from exc
+        out = COCYCLE_BUILDERS[name](flow, **params)
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cocycle {name!r} has a bad parameter: {exc}") from exc
+    return out if isinstance(out, tuple) else (out, {})
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +471,7 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
         slug = _slug(rep)
         csv_name, svg_name = f"series-{slug}.csv", f"series-{slug}.svg"
         (outdir / csv_name).write_text(series.to_csv_text())
-        P.emit_plot(outdir / csv_name, outdir / svg_name,
-                    title=f"{config.name}: {rep.name}")
+        P.emit_plot(series, outdir / svg_name, title=f"{config.name}: {rep.name}")
         wiener = K.wiener_average(series)
         entries.append({
             "label": rep.name,

@@ -70,6 +70,19 @@ class TestScenarioCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    def test_unknown_cocycle_parameter_is_config_error(self, tmp_path, capsys):
+        # the misspelled theta0 used to run with theta0 = 0 and echo the typo
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_cfg_text(
+            name="custom", reps=[[1]],
+            cocycle={"name": "su2-diagonal", "params": {"k": 1, "theta": 2.5}}))
+        rc = cli.main(["scenario", "custom", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and "unknown parameter 'theta'" in err[0]
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_degenerate_degree_is_numeric_guard_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(_cfg_text(
@@ -328,6 +341,7 @@ _TORUS_DEGREE = ["degree", "--cocycle", "torus-monomial",
     ["rep-check", "--group", "su2", "--label", "1", "--samples", "-3"],
     ["rep-check", "--group", "su2", "--label", "1", "--nodes", "-1"],
     ["degree", "--cocycle", "su2-diagonal", "--params", '{"k": "a"}'],
+    ["degree", "--cocycle", "su2-diagonal", "--params", '{"k": 1, "theta": 2.5}'],
     ["degree", "--cocycle", "cohomologous-su2-pair",
      "--params", '{"k": 1, "c0": "x"}'],
     ["rep-check", "--group", "u2", "--label", "2,4611686018427387904"],
@@ -370,7 +384,10 @@ _BAD_ALPHA = st.one_of(
 _COCYCLE_FLAGS = {
     "--cocycle": st.one_of(st.just(""), _WORD.filter(
         lambda w: w not in scenarios.COCYCLE_BUILDERS)),
-    "--params": st.one_of(_WORD, st.just("")),
+    # not JSON, empty, or a key outside torus_monomial(flow, k, theta0)
+    "--params": st.one_of(_WORD, st.just(""), st.dictionaries(
+        _WORD.filter(lambda w: w not in ("k", "theta0")), st.integers(),
+        min_size=1, max_size=2).map(lambda extra: json.dumps({"k": [[1]], **extra}))),
     "--alpha": _BAD_ALPHA,
     "--d": _int_flag(1, 3),
 }

@@ -113,3 +113,14 @@ def test_koopman_has_one_correlation_engine():
     path = Path(liedeg.__file__).parent / "koopman.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _callers(tree, "D", "cocycle_iterate") == {"_mean_rep_series", "_corr_on_grid"}
+
+
+def test_one_module_knows_the_series_csv_format():
+    # CorrelationSeries.to_csv_text writes the series files; the SVG is drawn
+    # from the values in memory, so no second reader of the format may appear
+    header = "N,re,im,abs,err_estimate"
+    owners = [p.name for p in MODULES
+              if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and header in node.value
+                     for node in ast.walk(ast.parse(p.read_text(), filename=str(p))))]
+    assert owners == ["koopman.py"]

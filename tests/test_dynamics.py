@@ -90,6 +90,31 @@ def test_wrap_phases_has_the_bits_of_np_mod(values):
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x, got, want)
 
 
+_F1 = D.default_flow(1)
+_BUILT_INS = {
+    "torus-monomial": lambda: D.torus_monomial(_F1, [[2]], [0.3]),
+    "su2-diagonal": lambda: D.su2_diagonal(_F1, [1], 0.4),
+    "su2-twisted-diagonal": lambda: D.su2_twisted_diagonal(_F1, [2]),
+    "su2-two-angle": lambda: D.su2_two_angle(_F1, [1], [2], 0.3, 0.1),
+    "so3-x3-rotation": lambda: D.so3_x3_rotation(_F1, [1], 0.2),
+    "u2-product": lambda: D.u2_product(_F1, [1], [1], 0.7),
+    "u2-product-mismatch": lambda: D.u2_product(_F1, [1], [0], 0.7),
+    "u2-scalar-su2": lambda: D.u2_scalar_su2(_F1, [2], D.su2_diagonal(_F1, [1])),
+    "cohomologous": lambda: D.cohomologous_build(
+        D.su2_diagonal(_F1, [1]), D.su2_twisted_diagonal(_F1, [1]), _F1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_INS))
+def test_value_at_a_wrapped_one_matches_zero(name):
+    # a tiny negative phase wraps to 1.0, not 0.0; every built-in is
+    # periodic, so the two agree up to round-off
+    c = _BUILT_INS[name]()
+    one = D.BasePoint([-1e-20]).phases
+    assert one[0] == 1.0
+    assert np.max(np.abs(c.value(one) - c.value(np.zeros(1)))) <= 1e-14
+
+
 def _np_mod_walk(c, flow, x, n):
     """The walk with `phases %= 1.0` and step-less evaluation: the phases
     it visits and phi^(n)(x)."""

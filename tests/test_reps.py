@@ -415,13 +415,13 @@ def test_differential_eigenvalue_patterns():
 
 def test_peter_weyl_product_rule_is_exact():
     for rep in (R.su2_rep(2), R.so3_rep(1), R.torus_rep((3,))):
-        out = R.peter_weyl_check(rep, R.ProductQuadrature(32))
+        out = R.peter_weyl_check(rep, nodes=32)
         assert out["max_abs_deviation"] < 1e-12
     # the SO(3) nodes give gamma one turn; SU(2) nodes with two turns
     # would alias at this size
-    out = R.peter_weyl_check(R.so3_rep(4), R.ProductQuadrature(16))
+    out = R.peter_weyl_check(R.so3_rep(4), nodes=16)
     assert out["max_abs_deviation"] < 1e-12
-    out = R.peter_weyl_check(R.u2_rep(2, 1), R.ProductQuadrature(24))
+    out = R.peter_weyl_check(R.u2_rep(2, 1), nodes=24)
     assert out["max_abs_deviation"] < 1e-12
 
 
@@ -437,7 +437,7 @@ def test_peter_weyl_chunk_fits_term_budget(rep, nodes, terms, monkeypatch):
         return np.zeros(payload.shape[:1] + (rep.dim, rep.dim), dtype=complex)
 
     monkeypatch.setattr(R, "rep_eval_payload", fake_eval)
-    out = R.peter_weyl_check(rep, R.ProductQuadrature(nodes))
+    out = R.peter_weyl_check(rep, nodes=nodes)
     assert sum(batches) == out["n_nodes"] == nodes ** 3
     assert max(batches) * terms * 16 <= R._CHUNK_BYTES
     assert max(batches) <= 65536
@@ -475,12 +475,6 @@ def test_su2_euler_nodes_peak_near_payload():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * R.quadrature_bytes(G.SU2_GROUP, n)
-
-
-def test_peter_weyl_monte_carlo_within_3_sigma():
-    out = R.peter_weyl_check(R.su2_rep(1), R.MonteCarloQuadrature(100000))
-    assert out["max_abs_deviation"] <= 3 * out["sigma"] + 1e-12
-    assert out["sigma"] < 5.0 / np.sqrt(100000)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for scenario configs, the pipeline runner and report artifacts."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -153,6 +154,30 @@ class TestCocycleRegistry:
     def test_unknown_cocycle_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown cocycle"):
             build_cocycle(FLOW, {"name": "nope"})
+        with pytest.raises(ConfigError, match="'inner' cocycle spec"):
+            build_cocycle(FLOW, {"name": "u2-scalar-su2",
+                                 "params": {"k_scalar": [1], "inner": 3}})
+
+    def test_unknown_parameter_is_config_error(self):
+        # a typo used to be dropped, and the cocycle built with theta0 = 0
+        with pytest.raises(ConfigError, match="unknown parameter 'theta'; "
+                                              "accepted: k, theta0$"):
+            build_cocycle(FLOW, {"name": "su2-diagonal",
+                                 "params": {"k": 1, "theta": 2.5}})
+
+    @pytest.mark.parametrize("params", [[1], "k", None])
+    def test_params_not_a_dict_is_config_error(self, params):
+        with pytest.raises(ConfigError, match="params must be a dict"):
+            build_cocycle(FLOW, {"name": "su2-diagonal", "params": params})
+
+    @pytest.mark.parametrize("name", sorted(COCYCLE_BUILDERS))
+    def test_accepted_keys_are_the_builder_parameters(self, name):
+        builder = COCYCLE_BUILDERS[name]
+        first, *rest = inspect.signature(builder).parameters
+        assert first == "flow"
+        with pytest.raises(ConfigError) as err:
+            build_cocycle(FLOW, {"name": name, "params": {"no_such_key": 0}})
+        assert str(err.value).endswith(f"accepted: {', '.join(rest)}")
 
 
 class TestRepLabels:
