@@ -96,15 +96,10 @@ def _block_shape(points: int, n_max: int) -> tuple[int, int]:
 
 def _block_starts(flow: D.TranslationFlow, x: D.BasePoint, blocks: int,
                   length: int) -> np.ndarray:
-    """Phases of F_{bL} x for b < blocks, shape (blocks,) + x.phases.shape.
-
-    Each offset b L alpha mod 1 is computed exactly from alpha's integer
-    ratio and rounded once: a double product near 1e3 would carry an
-    ulp of 1e-13 into every later step of its block.
-    """
-    ratios = [a.as_integer_ratio() for a in flow.alpha]
-    offsets = np.array([[num * b * length % den / den for num, den in ratios]
-                        for b in range(blocks)])
+    """Phases of F_{bL} x for b < blocks, shape (blocks,) + x.phases.shape;
+    each offset b L alpha mod 1 is exactly rounded (`D.orbit_turns`)."""
+    turns = D.orbit_turns(flow)
+    offsets = np.array([turns(b * length) for b in range(blocks)])
     offsets = offsets.reshape((blocks,) + (1,) * (x.phases.ndim - 1) + (flow.dim,))
     return np.mod(x.phases + offsets, 1.0)
 

@@ -18,6 +18,13 @@ Cocycle `value`/`m_field` callables map a phases array of shape (..., d)
 to a batched group/algebra payload; BasePoint wrappers carry phases
 reduced mod 1.  Built-in constructors take the flow because the M-field
 closed forms contain alpha.
+
+The built-ins but the parity-mismatch U(2) product and the U(2) scalar
+product are functions of base characters chi_k(x) = exp(2 pi i k.x),
+eigenfunctions of the translation: chi_k(F_1 x) = exp(2 pi i k.alpha)
+chi_k(x).  Their shared step (`_character_cocycle`) evaluates the
+characters once per walk and then multiplies by exactly reduced phase
+factors.
 """
 
 from __future__ import annotations
@@ -101,6 +108,19 @@ def flow_advance(flow: TranslationFlow, x: BasePoint, t: float) -> BasePoint:
     return BasePoint(x.phases + t * flow.alpha_array)
 
 
+def orbit_turns(flow: TranslationFlow, K=None) -> Callable[[int], np.ndarray]:
+    """n -> n K.alpha mod 1, one entry per row of the integer matrix K
+    (default the identity: n alpha mod 1).  Each entry is computed exactly
+    from alpha's integer ratios and rounded once: a double product near
+    n = 1e3 would carry an ulp of 1e-13, and one that grows with n."""
+    ratios = [a.as_integer_ratio() for a in flow.alpha]
+    den = max(d for _, d in ratios)  # every denominator is a power of 2
+    nums = [num * (den // d) for num, d in ratios]
+    rows = np.eye(flow.dim, dtype=int) if K is None else K
+    row_nums = [sum(int(k) * num for k, num in zip(row, nums)) for row in rows]
+    return lambda n: np.array([n * r % den / den for r in row_nums])
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Equispaced product grid on the torus, nodes_per_dim per dimension.
@@ -124,6 +144,13 @@ def quadrature_points(spec: QuadratureSpec, d: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
+def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """chi_r(x) = exp(i (2 pi K_r . x + offsets_r)) per row r of the integer
+    matrix K, offsets in radians, shape (..., rows): every fresh evaluation
+    of a character cocycle."""
+    return np.exp(1j * (2 * np.pi * (phases @ K.T) + offsets))
+
+
 @dataclass(frozen=True)
 class Cocycle:
     """Group-valued cocycle generator with its M-field.
@@ -135,11 +162,15 @@ class Cocycle:
     dimension d of the base torus the callables accept.
 
     `step`, when set, evaluates both at once for the orbit walker:
-    step(phases, carry, want_m) -> (value, M-field or None, carry), bit
-    for bit `value(phases)` and, when `want_m`, `m_field(phases)`.  The
-    carry is None or what the call at the previous point of the same
-    walk returned, and holds work that point did for this one; a step
-    uses it only when it matches `phases`, so any carry is safe to pass.
+    step(phases, carry, want_m, flow, k) -> (value, M-field or None,
+    carry) at the phases of F_k x of a walk under `flow`, equal to
+    `value(phases)` and, when `want_m`, `m_field(phases)` within the
+    bound its constructor states (bit for bit for `cohomologous_build`;
+    within the walker's phase drift for a character cocycle, see
+    `_character_cocycle`).  The carry is None or what the call at the
+    previous point of the same walk returned, and holds work that point
+    did for this one; a step uses it only when it can tell that `phases`
+    is that point's successor, so any carry is safe to pass.
     """
 
     group: G.GroupSpec
@@ -175,7 +206,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
         return G.group_inv(cocycle_iterate(c, flow, shifted, -n))
     alpha = flow.alpha_array
     phases = np.array(x.phases)
-    step = c.step or (lambda ph, carry, want_m: (
+    step = c.step or (lambda ph, carry, want_m, flow, k: (
         c.value(ph), c.m_field(ph) if want_m else None, None))
     g = carry = None
     for k in range(n):
@@ -184,7 +215,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
             wrap_phases(phases)
         if visit is not None and not with_m:
             visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]))
-        value, m, carry = step(phases, carry, with_m)
+        value, m, carry = step(phases, carry, with_m, flow, k)
         if with_m:
             visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]), m)
         value = G.GroupElement(c.group, value)
@@ -296,7 +327,7 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
                    freq_bound=2 * zeta.freq_bound + delta.freq_bound,
                    base_dim=delta.base_dim,
                    name=name or f"cohomologous[{zeta.name} ; {delta.name}]",
-                   step=lambda phases, carry, want_m: parts(phases, carry, want_m))
+                   step=lambda phases, carry, want_m, *walk: parts(phases, carry, want_m))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +357,55 @@ def _winding(k, d):
     return k
 
 
+def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
+                       from_chars: Callable, m, freq_bound: int, name: str) -> Cocycle:
+    """The cocycle phi(x) = from_chars(chi(x)) of the characters
+    chi = `characters(x, K, offsets)`, with a carried `step`; its M-field
+    `m` is a constant payload or a map of chi.
+
+    `value(phases)` is from_chars(characters(phases)), the reference.  As
+    chi_r(F_1 x) = e(K_r . alpha) chi_r(x), e(t) = exp(2 pi i t), a walk
+    without M-fields needs one `characters` call: the step keeps chi(x_0)
+    of its first point and at the j-th returns
+    from_chars(chi(x_0) e(j K.alpha mod 1)), the offset from `orbit_turns`,
+    so round-off does not grow with j.  It carries only along `flow` and
+    at the step after the carry's own; otherwise it evaluates afresh.
+    The walker's phases drift by up to j * 2**-53 per entry after j steps
+    and the carried ones do not, so carried characters differ from those
+    of value(phases) by at most 2 pi |K_r|_1 (j + 1) 2**-53 plus a few ulp.
+
+    A step with `want_m` is value(phases) and m_field(phases) bit for bit.
+    Those walks are the Cesaro sums of `degree`, whose products drive Ad
+    over 10^4 steps: chi(x_0)'s modulus round-off recurs at every carried
+    step, so their unitarity defect would grow like n rather than sqrt(n)
+    (the so(3) constant-degree estimate at N = 10^4 drifted from 3e-14 to
+    1.3e-13).
+    """
+    K, offsets = np.atleast_2d(K), np.asarray(offsets, dtype=float)
+    turns = orbit_turns(flow, K)
+
+    def value(phases):
+        return from_chars(characters(phases, K, offsets))
+
+    def m_field(phases):
+        if callable(m):
+            return m(characters(phases, K, offsets))
+        return np.broadcast_to(m, phases.shape[:-1] + m.shape).copy()
+
+    def step(phases, carry, want_m, walk_flow, k):
+        if want_m:
+            return value(phases), m_field(phases), None
+        if carry is not None and carry[1] == k - 1 and walk_flow == flow:
+            start, _, chi0 = carry
+            chi = chi0 * np.exp(2j * np.pi * turns(k - start))
+        else:
+            start, chi0 = k, characters(phases, K, offsets)
+            chi = chi0.copy()  # from_chars may hand chi back as the value
+        return from_chars(chi), None, (start, k, chi0)
+
+    return Cocycle(group, value, m_field, freq_bound, flow.dim, name=name, step=step)
+
+
 def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
     """Torus-valued phi(x)_j = exp(2 pi i (k_j . x + theta0_j)); k is an
     integer matrix of shape (d', d) (a vector means d' = 1)."""
@@ -334,16 +414,9 @@ def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
         raise ConfigError(f"winding matrix needs {flow.dim} columns")
     dprime = k.shape[0]
     th = np.zeros(dprime) if theta0 is None else np.asarray(theta0, dtype=float)
-    const = 2j * np.pi * (k @ flow.alpha_array)
-
-    def value(phases):
-        return np.exp(2j * np.pi * (phases @ k.T + th))
-
-    def m_field(phases):
-        return np.broadcast_to(const, phases.shape[:-1] + (dprime,)).copy()
-
-    return Cocycle(G.torus_group(dprime), value, m_field, int(np.max(np.abs(k))),
-                   flow.dim, name=f"torus-monomial k={k.tolist()}")
+    return _character_cocycle(G.torus_group(dprime), flow, k, 2 * np.pi * th, lambda chi: chi,
+                              2j * np.pi * (k @ flow.alpha_array), int(np.max(np.abs(k))),
+                              f"torus-monomial k={k.tolist()}")
 
 
 def torus_power(c: Cocycle, p: int) -> Cocycle:
@@ -361,17 +434,13 @@ def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     mconst = G.su2_alg_from_components(
         np.array([0.0, 0.0, 2 * np.pi * float(k @ flow.alpha_array)]))
 
-    def value(phases):
-        th = 2 * np.pi * (phases @ k) + theta0
-        out = np.zeros(th.shape + (2,), dtype=complex)
-        np.exp(1j * th, out=out[..., 0])
+    def from_chars(chi):
+        out = np.zeros(chi.shape[:-1] + (2,), dtype=complex)
+        out[..., 0] = chi[..., 0]
         return out
 
-    def m_field(phases):
-        return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
-
-    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))), flow.dim,
-                   name=f"su2-diagonal k={k.tolist()}")
+    return _character_cocycle(G.SU2_GROUP, flow, k, [theta0], from_chars,
+                              mconst, int(np.max(np.abs(k))), f"su2-diagonal k={k.tolist()}")
 
 
 def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
@@ -386,19 +455,16 @@ def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
     mconst = 2 * np.pi * float(k @ flow.alpha_array) * G.ad(
         G.GroupElement(G.SU2_GROUP, front), G.AlgebraElement(G.SU2_GROUP, G.E3)).payload
 
-    def value(phases):
-        th = 2 * np.pi * (phases @ k)
-        z = np.exp(1j * th)
+    def from_chars(chi):
+        z = chi[..., 0]
         out = np.empty(z.shape + (2,), dtype=complex)
         np.multiply(front[0], z, out=out[..., 0])
         np.multiply(front[1], np.conj(z), out=out[..., 1])
         return out
 
-    def m_field(phases):
-        return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
-
-    return Cocycle(G.SU2_GROUP, value, m_field, int(np.max(np.abs(k))), flow.dim,
-                   name=f"su2-twisted-diagonal k={k.tolist()} c0={c0}")
+    return _character_cocycle(G.SU2_GROUP, flow, k, [0.0], from_chars, mconst,
+                              int(np.max(np.abs(k))),
+                              f"su2-twisted-diagonal k={k.tolist()} c0={c0}")
 
 
 def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
@@ -413,32 +479,29 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
     t1p = 2 * np.pi * float(m1 @ flow.alpha_array)
     t2p = 2 * np.pi * float(m2 @ flow.alpha_array)
 
-    def angles(phases):
-        return (2 * np.pi * (phases @ m1) + c1, 2 * np.pi * (phases @ m2) + c2)
-
-    def exp_e1(th1):
-        # exp(t E1) = (cos t, sin t)
-        a = np.empty(th1.shape + (2,), dtype=complex)
-        a[..., 0] = np.cos(th1)
-        a[..., 1] = np.sin(th1)
+    def exp_e1(e1):
+        # exp(t E1) = (cos t, sin t) from e1 = e^{it}
+        a = np.empty(e1.shape + (2,), dtype=complex)
+        a[..., 0] = e1.real
+        a[..., 1] = e1.imag
         return G.GroupElement(G.SU2_GROUP, a)
 
-    def value(phases):
-        th1, th2 = angles(phases)
-        # exp(t E2) = (cos t, -i sin t)
-        b = np.empty(th2.shape + (2,), dtype=complex)
-        b[..., 0] = np.cos(th2)
-        b[..., 1] = -1j * np.sin(th2)
-        return G.group_mul(exp_e1(th1), G.GroupElement(G.SU2_GROUP, b)).payload
+    def from_chars(chi):
+        # exp(t E2) = (cos t, -i sin t) from e2 = e^{it}
+        e2 = chi[..., 1]
+        b = np.empty(e2.shape + (2,), dtype=complex)
+        b[..., 0] = e2.real
+        b[..., 1] = -1j * e2.imag
+        return G.group_mul(exp_e1(chi[..., 0]), G.GroupElement(G.SU2_GROUP, b)).payload
 
-    def m_field(phases):
-        th1, _ = angles(phases)
-        ade2 = G.ad(exp_e1(th1), G.AlgebraElement(G.SU2_GROUP, G.E2))
+    def m_field(chi):
+        ade2 = G.ad(exp_e1(chi[..., 0]), G.AlgebraElement(G.SU2_GROUP, G.E2))
         return t1p * G.E1 + t2p * ade2.payload
 
-    return Cocycle(G.SU2_GROUP, value, m_field,
-                   int(np.max(np.abs(m1)) + np.max(np.abs(m2))), flow.dim,
-                   name=f"su2-two-angle m1={m1.tolist()} m2={m2.tolist()}")
+    return _character_cocycle(G.SU2_GROUP, flow, np.stack([m1, m2]),
+                              [c1, c2], from_chars, m_field,
+                              int(np.max(np.abs(m1)) + np.max(np.abs(m2))),
+                              f"su2-two-angle m1={m1.tolist()} m2={m2.tolist()}")
 
 
 def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
@@ -447,20 +510,17 @@ def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     mconst = G.so3_alg_from_components(
         np.array([0.0, 0.0, 2 * np.pi * float(k @ flow.alpha_array)]))
 
-    def value(phases):
-        th = 2 * np.pi * (phases @ k) + theta0
-        c, s = np.cos(th), np.sin(th)
-        out = np.zeros(th.shape + (3, 3))
+    def from_chars(chi):
+        c, s = chi[..., 0].real, chi[..., 0].imag
+        out = np.zeros(c.shape + (3, 3))
         out[..., 0, 0], out[..., 0, 1] = c, s
         out[..., 1, 0], out[..., 1, 1] = -s, c
         out[..., 2, 2] = 1.0
         return out
 
-    def m_field(phases):
-        return np.broadcast_to(mconst, phases.shape[:-1] + (3, 3)).copy()
-
-    return Cocycle(G.SO3_GROUP, value, m_field, int(np.max(np.abs(k), initial=0)),
-                   flow.dim, name=f"so3-x3-rotation k={k.tolist()}")
+    return _character_cocycle(G.SO3_GROUP, flow, k, [theta0], from_chars,
+                              mconst, int(np.max(np.abs(k), initial=0)),
+                              f"so3-x3-rotation k={k.tolist()}")
 
 
 def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Cocycle:
@@ -484,43 +544,42 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
     kp, km = kt + kr, kt - kr
     mconst = np.diag([1j * np.pi * float(kp @ flow.alpha_array),
                       1j * np.pi * float(km @ flow.alpha_array)])
+    name = f"u2-product k_torus={kt.tolist()} k_rot={kr.tolist()}"
 
     if matched:
-        def value(phases):
-            a = np.pi * (phases @ kp) + theta0 / 2
-            b = np.pi * (phases @ km) - theta0 / 2
-            out = np.zeros(a.shape + (2, 2), dtype=complex)
-            out[..., 0, 0] = np.exp(1j * a)
-            out[..., 1, 1] = np.exp(1j * b)
+        def from_chars(chi):
+            out = np.zeros(chi.shape[:-1] + (2, 2), dtype=complex)
+            out[..., 0, 0] = chi[..., 0]
+            out[..., 1, 1] = chi[..., 1]
             return out
-    else:
-        def value(phases):
-            # sqrt(w) lift(R) in closed form: the x3-rotation by theta lifts
-            # to diag(e^{ih}, e^{-ih}), h = theta/2 wrapped into [-pi/2, pi/2),
-            # with so3_to_su2's sign (largest quaternion entry positive)
-            h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
-            h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
-            c, s = np.cos(h), np.sin(h)
-            sign = np.where((np.abs(s) > np.abs(c)) & (s < 0), -1.0, 1.0)
-            z = G.circle_sqrt(np.exp(2j * np.pi * (phases @ kt))) * sign
-            out = np.zeros(h.shape + (2, 2), dtype=complex)
-            out[..., 0, 0] = z * (c + 1j * s)
-            out[..., 1, 1] = z * (c - 1j * s)
-            return out
+
+        # entries wind as exp(i pi k.x) with k even, i.e. degree |k|/2
+        freq = int(max(np.max(np.abs(kp)), np.max(np.abs(km)))) // 2
+        return _character_cocycle(G.U2_GROUP, flow, np.stack([kp // 2, km // 2]),
+                                  [theta0 / 2, -theta0 / 2],
+                                  from_chars, mconst, max(freq, 1), name)
+
+    def value(phases):
+        # sqrt(w) lift(R) in closed form: the x3-rotation by theta lifts
+        # to diag(e^{ih}, e^{-ih}), h = theta/2 wrapped into [-pi/2, pi/2),
+        # with so3_to_su2's sign (largest quaternion entry positive)
+        h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
+        h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
+        c, s = np.cos(h), np.sin(h)
+        sign = np.where((np.abs(s) > np.abs(c)) & (s < 0), -1.0, 1.0)
+        z = G.circle_sqrt(np.exp(2j * np.pi * (phases @ kt))) * sign
+        out = np.zeros(h.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = z * (c + 1j * s)
+        out[..., 1, 1] = z * (c - 1j * s)
+        return out
 
     def m_field(phases):
         return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
 
-    if matched:
-        # entries wind as exp(i pi k.x) with k even, i.e. degree |k|/2
-        freq = int(max(np.max(np.abs(kp)), np.max(np.abs(km)))) // 2
-    else:
-        freq = int(np.max(np.abs(kt)) + np.max(np.abs(kr)))
-    return Cocycle(G.U2_GROUP, value, m_field, max(freq, 1), flow.dim,
-                   name=f"u2-product k_torus={kt.tolist()} k_rot={kr.tolist()}",
-                   smoothness_note=("real-analytic trigonometric polynomial" if matched
-                                    else "discontinuous branch cut (parity mismatch)"),
-                   branch_discontinuous=not matched)
+    return Cocycle(G.U2_GROUP, value, m_field,
+                   max(int(np.max(np.abs(kt)) + np.max(np.abs(kr))), 1), flow.dim,
+                   name=name, smoothness_note="discontinuous branch cut (parity mismatch)",
+                   branch_discontinuous=True)
 
 
 def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:

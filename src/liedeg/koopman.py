@@ -17,8 +17,9 @@ with zeta = e unless it was conjugated; as pi is a unitary homomorphism,
     c_N = d_pi^{-1} sum_{a,b} e(q2_b.N alpha) v1_a^H Mhat_N(q1_a - q2_b) v2_b,
     Mhat_N(m) = mean_x e(-m.x) pi(zeta1(x) phi^(N)(x) zeta2(F_N x)^{-1}),
 
-so every pair reads one walk of the mean representation-matrix series,
-which all constant probes of a fiber share.  The walk still runs under
+so every pair reads one walk of the mean representation-matrix series
+(taken over the grid in blocks of points), which all constant probes of
+a fiber share.  The walk still runs under
 phi, so the check stays numerical and never assumes the cohomology; a
 per-point evaluation of psi stays as the independent reference.
 
@@ -53,6 +54,9 @@ MAX_GRID_BYTES = 2 ** 28  # representation values on one (2n)^d check grid
 # Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
 # block-sized temporaries, so a 256^2 pass stays below one whole-grid field
 DINI_BLOCK = 4096
+# check-grid points per walk of `_mean_rep_series`: a walk's arrays stay near
+# 0.3 MB for a two-row torus payload, and every d = 1 preset grid is one block
+SERIES_BLOCK = 8192
 DINI_NODES = 256  # Dini grid points per dimension
 DINI_SHIFTS = tuple(np.logspace(-4, 0, 17).tolist())  # t grid of the AC check
 
@@ -215,31 +219,42 @@ def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple
                      diffs: tuple, c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
                      nodes: int) -> np.ndarray:
     """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
-    m in `diffs`, on the nodes^d grid and its check grid, from one walk with
-    one representation evaluation per step; m = 0 is a plain mean.
+    m in `diffs`, on the nodes^d grid and its check grid, with one
+    representation evaluation per step.  The check grid is walked in blocks
+    of SERIES_BLOCK points, so no walk array outgrows a block; a grid of one
+    block gets its plain means.  m = 0 is a plain mean.
     Read-only: every pair with these transfers and differences shares it."""
     pts = D.quadrature_points(D.QuadratureSpec(2 * nodes), flow.dim)
     # node i of 2 nodes sits at i / (2 nodes): the even ones are the nodes^d grid bit for bit
-    coarse = np.arange(len(pts)).reshape((2 * nodes,) * flow.dim)[
-        (slice(None, None, 2),) * flow.dim].ravel()
+    even = np.zeros((2 * nodes,) * flow.dim, dtype=bool)
+    even[(slice(None, None, 2),) * flow.dim] = True
+    coarse = even.ravel()
+    # the block sums, added in block order, then divided as np.mean divides
     out = np.empty((2, len(diffs), N_max + 1, rep.dim, rep.dim), dtype=complex)
-    waves = [np.exp(-2j * np.pi * (pts @ m))[:, None, None] if any(m) else None for m in diffs]
-    z1 = _transfer(rep.group, transfers1, pts)
+    for start in range(0, len(pts), SERIES_BLOCK):
+        block, in_coarse = pts[start:start + SERIES_BLOCK], coarse[start:start + SERIES_BLOCK]
+        waves = [np.exp(-2j * np.pi * (block @ m))[:, None, None] if any(m) else None
+                 for m in diffs]
+        z1 = _transfer(rep.group, transfers1, block)
 
-    def visit(k, phases, g):
-        if z1 is not None:
-            g = G.group_mul(z1, g)
-        z2 = _transfer(rep.group, transfers2, phases)
-        if z2 is not None:
-            g = G.group_mul(g, G.group_inv(z2))
-        P = R.rep_eval_payload(rep, g.payload)
-        for i, w in enumerate(waves):
-            wP = P if w is None else w * P
-            out[:, i, k] = np.mean(wP[coarse], axis=0), np.mean(wP, axis=0)
+        def visit(k, phases, g):
+            if z1 is not None:
+                g = G.group_mul(z1, g)
+            z2 = _transfer(rep.group, transfers2, phases)
+            if z2 is not None:
+                g = G.group_mul(g, G.group_inv(z2))
+            P = R.rep_eval_payload(rep, g.payload)
+            for i, w in enumerate(waves):
+                wP = P if w is None else w * P
+                sums = np.add.reduce(wP[in_coarse]), np.add.reduce(wP)
+                if start:
+                    out[:, i, k] += sums
+                else:
+                    out[:, i, k] = sums
 
-    x = D.BasePoint(pts)  # a copy, so the grid need not live through the walk
-    del pts
-    D.cocycle_iterate(c, flow, x, N_max + 1, visit)
+        D.cocycle_iterate(c, flow, D.BasePoint(block), N_max + 1, visit)
+    out[0] /= np.intp(np.count_nonzero(coarse))
+    out[1] /= np.intp(len(pts))
     out.flags.writeable = False
     return out
 
@@ -399,8 +414,10 @@ def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
     the DINI_NODES^d grid) and a trapezoid estimate of
     integral_0^1 modulus(t)/t dt.
 
-    One field difference per shift serves every map.  The grid is walked
-    in blocks of DINI_BLOCK points, so no whole-grid field is alive.
+    One field difference per shift serves every map, and a zero one (a
+    constant field) is skipped: the maps are linear and the sups start
+    at 0.  The grid is walked in blocks of DINI_BLOCK points, so no
+    whole-grid field is alive.
 
     The tail below the smallest grid point is modeled as Lipschitz
     (modulus ~ C t), contributing C * t_min = modulus(t_min).  Finite
@@ -420,6 +437,8 @@ def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
         for i, shift in enumerate(shifts):
             diff = np.asarray(field_fn(D.wrap_phases(block + shift)))
             diff -= base
+            if not diff.any():
+                continue
             np.maximum(sups[:, i], [np.max(np.abs(L(diff))) for L in maps],
                        out=sups[:, i])
     out = []
@@ -446,17 +465,12 @@ def _hypothesis(name: str, status: str, value) -> dict:
     return {"name": name, "status": status, "value": value}
 
 
-@lru_cache(maxsize=1)  # every representation of a scenario reads it
-def _hypothesis_field(c: D.Cocycle, flow: D.TranslationFlow, nodes: int) -> np.ndarray:
-    """The M-field on the nodes^d grid of `_grid_hypotheses`, read-only."""
-    out = np.asarray(c.m_field(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)))
-    out.flags.writeable = False
-    return out
-
-
 def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
                      flow: D.TranslationFlow, nodes: int = 128) -> list[dict]:
-    M = G.AlgebraElement(c.group, _hypothesis_field(c, flow, nodes))
+    # the field is made afresh per representation, so it is not alive
+    # through the next one's correlation walks
+    M = G.AlgebraElement(c.group, np.asarray(
+        c.m_field(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))))
     m_sup = float(np.max(G.algebra_norm(M)))
     dm_sup = float(np.max(np.abs(R.rep_differential(rep, M))))
     return [

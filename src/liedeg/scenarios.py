@@ -506,8 +506,6 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     config.validate()
     if not config.outdir:
         raise ConfigError("config.outdir must be set to run a scenario")
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -520,6 +518,9 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     reps = [_rep_from_label(phi.group, label, config.d)
             for label in config.reps]
     timings["setup"] = time.perf_counter() - t0
+    # only a config that built is given a directory
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     t1 = time.perf_counter()
     stage = _degree_stage(config, flow, phi, extras, reps)

@@ -83,6 +83,20 @@ class TestScenarioCommand:
         assert len(err) == 1 and "unknown parameter 'theta'" in err[0]
         assert not (tmp_path / "run" / "report.json").exists()
 
+    @pytest.mark.parametrize("params, reps", [
+        ({"k": 1, "theta": 2.5}, [[1]]),
+        ({"k": 1}, [[-1]]),
+    ], ids=["unknown-param", "bad-rep-label"])
+    def test_refused_config_leaves_no_directory(self, tmp_path, capsys, params, reps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_cfg_text(name="custom", reps=reps,
+                                 cocycle={"name": "su2-diagonal", "params": params}))
+        rc = cli.main(["scenario", "custom", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
     def test_degenerate_degree_is_numeric_guard_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(_cfg_text(

@@ -103,7 +103,9 @@ def test_w_invariance_of_estimator(manufactured):
 
 def _sequential_cesaro_sums(c, flow, x, counts):
     """The unblocked sum `_cesaro_sums` replaced, kept as its reference:
-    one running sum along one walk of max(counts) steps from x."""
+    one running sum along one walk of max(counts) steps from x, evaluating
+    every point afresh as the M-field walk of `_cesaro_sums` does (a
+    character cocycle's value-only walk carries its values instead)."""
     sums, total = {}, None
 
     def visit(k, phases, g):
@@ -113,7 +115,7 @@ def _sequential_cesaro_sums(c, flow, x, counts):
         if k + 1 in counts:
             sums[k + 1] = total
 
-    D.cocycle_iterate(c, flow, x, max(counts), visit)
+    D.cocycle_iterate(dataclasses.replace(c, step=None), flow, x, max(counts), visit)
     return sums
 
 

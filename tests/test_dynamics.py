@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedeg import degree as DG
 from liedeg import dynamics as D
 from liedeg import groups as G
 from liedeg.errors import ConfigError, TagMismatchError
@@ -490,8 +492,8 @@ def test_fused_step_matches_separate_calls_along_a_walk(d, with_m):
     x = D.BasePoint(RNG.random((5, d)))
     seen = []
 
-    def recording(phases, carry, want_m):
-        out = phi.step(phases, carry, want_m)
+    def recording(phases, carry, want_m, *walk):
+        out = phi.step(phases, carry, want_m, *walk)
         seen.append((phases.copy(), out[0], out[1]))
         return out
 
@@ -537,8 +539,7 @@ def test_walk_drops_each_value_before_the_next_visit():
     walk's phases and phi^(k)(x) are alive: a value array kept into the
     next visit would add one more 26,569 x 2 complex payload."""
     flow = D.default_flow(2)
-    c = D.torus_monomial(flow, np.eye(2, dtype=int))
-    assert c.step is None
+    c = dataclasses.replace(D.torus_monomial(flow, np.eye(2, dtype=int)), step=None)
     x = D.BasePoint(D.quadrature_points(D.QuadratureSpec(163), 2))
     payload_bytes = c.value(x.phases).nbytes
     live = []
@@ -552,6 +553,170 @@ def test_walk_drops_each_value_before_the_next_visit():
     finally:
         tracemalloc.stop()
     assert max(live) < x.phases.nbytes + 1.5 * payload_bytes
+
+
+def test_stepped_walk_keeps_one_character_array_more():
+    """The character step keeps chi(x_0), one (points, rows) complex array,
+    and nothing else of a point into the next visit."""
+    flow = D.default_flow(2)
+    c = D.torus_monomial(flow, np.eye(2, dtype=int))
+    assert c.step is not None
+    x = D.BasePoint(D.quadrature_points(D.QuadratureSpec(163), 2))
+    payload_bytes = c.value(x.phases).nbytes
+    chi_bytes = D.characters(x.phases, np.eye(2, dtype=int), np.zeros(2)).nbytes
+    live = []
+
+    def visit(k, phases, g):
+        live.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        D.cocycle_iterate(c, flow, x, 6, visit)
+    finally:
+        tracemalloc.stop()
+    assert max(live) < x.phases.nbytes + 1.5 * payload_bytes + chi_bytes
+
+
+# ---------------------------------------------------------------------------
+# character-stepped built-ins
+# ---------------------------------------------------------------------------
+
+def _stepped(name, flow):
+    """Every built-in with a character step, at windings that fit flow.dim,
+    and the winding rows of its characters."""
+    k = np.arange(1, flow.dim + 1)
+    return {
+        "torus-monomial": lambda: (D.torus_monomial(flow, [k, -k[::-1]], [0.3, 0.1]),
+                                   [k, -k[::-1]]),
+        "su2-diagonal": lambda: (D.su2_diagonal(flow, k, 0.4), [k]),
+        "su2-twisted-diagonal": lambda: (D.su2_twisted_diagonal(flow, 2 * k, 0.7), [2 * k]),
+        "su2-two-angle": lambda: (D.su2_two_angle(flow, k, 2 * k, 0.3, 0.1), [k, 2 * k]),
+        "so3-x3-rotation": lambda: (D.so3_x3_rotation(flow, k, 0.2), [k]),
+        # matched parity: the entries are the characters (k_torus +- k_rot) / 2
+        "u2-product": lambda: (D.u2_product(flow, k, k + 2, 0.7), [k + 1, -np.ones_like(k)]),
+    }[name]()
+
+
+STEPPED = ["torus-monomial", "su2-diagonal", "su2-twisted-diagonal", "su2-two-angle",
+           "so3-x3-rotation", "u2-product"]
+
+
+def _recorded_walk(c, flow, x, n, with_m=False):
+    """(phases, value, m) of every step call of a walk of c."""
+    seen = []
+
+    def recording(phases, carry, want_m, *walk):
+        out = c.step(phases, carry, want_m, *walk)
+        seen.append((phases.copy(), out[0], out[1]))
+        return out
+
+    visit = (lambda k, ph, g, m: None) if with_m else None
+    D.cocycle_iterate(dataclasses.replace(c, step=recording), flow, x, n, visit,
+                      with_m=with_m)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", STEPPED)
+def test_carried_values_stay_within_the_drift_bound(name, d):
+    """Along a 300-step walk of a (3, 5) batch, past the renormalization at
+    k = 256, the j-th carried value is value(phases) up to the walker's
+    phase drift: each character moves by at most 2 pi |K|_1 (j + 1) 2**-53,
+    a payload entry by at most twice that (it is a product of up to two
+    characters), plus 4e-15 of evaluation round-off.  Against the exactly
+    rounded orbit point x + j alpha the carried values stay within
+    4 pi |K|_1 2**-52 + 4e-15, a bound that does not grow with j."""
+    flow = D.default_flow(d)
+    c, K = _stepped(name, flow)
+    kabs = int(np.abs(K).sum())
+    x = D.BasePoint(RNG.random((3, 5, d)))
+    seen = _recorded_walk(c, flow, x, 300)
+    turns = D.orbit_turns(flow)
+    for j, (phases, value, m) in enumerate(seen):
+        assert m is None
+        drift = 2 * np.pi * kabs * (j + 1) * 2.0 ** -53
+        assert np.max(np.abs(value - c.value(phases))) <= 2 * drift + 4e-15, j
+        exact = np.mod(x.phases + turns(j), 1.0)
+        assert np.max(np.abs(value - c.value(exact))) <= 4 * np.pi * kabs * 2.0 ** -52 + 4e-15, j
+    assert np.array_equal(seen[0][1], c.value(x.phases))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", STEPPED)
+def test_cesaro_walks_evaluate_every_point_afresh(name, d):
+    """A walk with M-fields, such as the blocked Cesaro walk of `degree`,
+    gets value(phases) and m_field(phases) bit for bit at every point."""
+    flow = D.default_flow(d)
+    c, _ = _stepped(name, flow)
+    starts = D.BasePoint(DG._block_starts(flow, D.BasePoint(RNG.random((4, d))), 3, 100))
+    seen = _recorded_walk(c, flow, starts, 300, with_m=True)
+    assert len(seen) == 300
+    for phases, value, m in seen:
+        assert np.array_equal(value, c.value(phases))
+        assert np.array_equal(m, c.m_field(phases))
+
+
+def _counted_characters(monkeypatch):
+    calls = []
+    plain = D.characters
+
+    def counted(phases, K, offsets):
+        calls.append(phases.shape)
+        return plain(phases, K, offsets)
+
+    monkeypatch.setattr(D, "characters", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", STEPPED)
+def test_a_walk_evaluates_characters_once(name, monkeypatch):
+    flow = D.default_flow(2)
+    c, _ = _stepped(name, flow)
+    x = D.BasePoint(RNG.random((7, 2)))
+    calls = _counted_characters(monkeypatch)
+    D.cocycle_iterate(c, flow, x, 300)
+    assert calls == [(7, 2)]
+
+
+def test_a_foreign_carry_falls_back_to_fresh_bits(monkeypatch):
+    """A carry is used only at the step after its own along the flow the
+    cocycle was built with: a call without one, at any other step or
+    along another flow evaluates value(phases) afresh."""
+    flow = D.default_flow(1)
+    c, _ = _stepped("so3-x3-rotation", flow)
+    pts = RNG.random((5, 1))
+    ahead = D.wrap_phases(pts + flow.alpha_array)
+    _, _, carry = c.step(pts, None, False, flow, 0)
+    calls = _counted_characters(monkeypatch)
+    other = D.TranslationFlow((0.3,))
+    for phases, given, walk_flow, k in [(ahead, carry, flow, 2),  # not the next step
+                                        (pts, carry, flow, 0),  # the carry's own step
+                                        (ahead, carry, other, 1),  # another flow
+                                        (ahead, None, flow, 1)]:  # no carry at all
+        value, _, _ = c.step(phases, given, False, walk_flow, k)
+        assert np.array_equal(value, c.value(phases))
+    assert len(calls) == 8  # four fresh steps and their four references
+    # walked along another flow, every point is evaluated afresh
+    calls.clear()
+    seen = _recorded_walk(c, other, D.BasePoint(pts), 20)
+    assert len(calls) == 20
+    assert all(np.array_equal(value, c.value(phases)) for phases, value, _ in seen)
+    # the carry's own next point is carried: no fresh evaluation
+    calls.clear()
+    value, _, _ = c.step(ahead, carry, False, flow, 1)
+    assert calls == []
+    assert np.max(np.abs(value - c.value(ahead))) <= 1e-15
+
+
+def test_orbit_turns_are_exactly_rounded():
+    flow = D.default_flow(2)
+    K = np.array([[1, 0], [3, -2], [0, 7]])
+    turns = D.orbit_turns(flow, K)
+    for n in (0, 1, 257, 10_001, 10 ** 9 + 7):
+        want = [float(sum(int(k) * Fraction(a) for k, a in zip(row, flow.alpha)) * n % 1)
+                for row in K]
+        assert turns(n).tolist() == want
+    assert D.orbit_turns(flow)(5).tolist() == [float(Fraction(a) * 5 % 1) for a in flow.alpha]
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,29 @@ def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
         assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
 
 
+
+@pytest.mark.parametrize("name", ["su2-d1-grid", "torus-d2-grid"])
+def test_mean_series_blocks_match_one_block(manufactured, name, monkeypatch):
+    # the check grid walked in blocks of SERIES_BLOCK points gives the means
+    # of one whole-grid walk up to the order of the sums
+    cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
+    c, flow, psi1, psi2 = cases[name]
+    args = (psi1.rep, psi1.transfers, psi2.transfers,
+            _mode_differences(psi1, psi2, flow.dim), c, flow, 6, 7)
+    assert 14 ** flow.dim <= K.SERIES_BLOCK
+    K._mean_rep_series.cache_clear()
+    whole = K._mean_rep_series(*args)
+    monkeypatch.setattr(K, "SERIES_BLOCK", 5)
+    K._mean_rep_series.cache_clear()
+    try:
+        with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+            blocked = K._mean_rep_series(*args)
+    finally:
+        K._mean_rep_series.cache_clear()
+    assert walk.call_count == -(-14 ** flow.dim // 5)
+    assert np.max(np.abs(blocked - whole)) <= 1e-15 * max(1.0, np.max(np.abs(whole)))
+
+
 def test_nested_conjugation_walks_once(manufactured):
     # zeta then zeta is one more factor of the transfer, read off one walk
     _, zeta, phi = manufactured
@@ -723,6 +746,16 @@ def test_dini_modulus_constant_field():
     assert np.max(out["samples"]) == 0.0
     assert out["integral_estimate"] == 0.0
     assert out["heuristic"] is True
+
+
+def test_dini_modulus_skips_zero_differences():
+    # the maps are linear, so a zero field difference reaches none of them
+    def refuse(v):
+        raise AssertionError("a zero difference reached a map")
+
+    out, = K.dini_modulus(lambda ph: np.full(np.asarray(ph).shape[:-1] + (2, 2), 0.5j),
+                          [refuse], D.default_flow(2), np.logspace(-3, 0, 7))
+    assert np.max(out["samples"]) == 0.0
 
 
 def test_dini_modulus_trig_field_is_lipschitz():
