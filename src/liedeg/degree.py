@@ -19,8 +19,8 @@ applications", 1990):
 with s_b the running sum and P_b = phi^(L)(F_{bL} x) the product of
 block b alone.  For diagonalizable situations the limit collapses to closed
 forms (the plain integral of M, or its Ad-average projection), and the
-module provides: invariance checks under cohomology and homomorphisms,
-the SU(2) straightening that conjugates a nondegenerate cocycle to
+module provides: the invariance check under cohomology, the SU(2)
+straightening that conjugates a nondegenerate cocycle to
 diagonal form, the spectral floor a_{phi,pi}, and obstruction verdicts
 for unique ergodicity / ergodicity of the skew product.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def _block_starts(flow: D.TranslationFlow, x: D.BasePoint, blocks: int,
     turns = D.orbit_turns(flow)
     offsets = np.array([turns(b * length) for b in range(blocks)])
     offsets = offsets.reshape((blocks,) + (1,) * (x.phases.ndim - 1) + (flow.dim,))
-    return np.mod(x.phases + offsets, 1.0)
+    return D.wrap_phases(x.phases + offsets)
 
 
 def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) -> dict:
@@ -233,16 +233,10 @@ def degree_field(c: D.Cocycle, flow: D.TranslationFlow, points: D.BasePoint,
 def degree_constant_diagonal(c: D.Cocycle, quadrature: D.QuadratureSpec) -> G.AlgebraElement:
     """Quadrature of the M-field over the base torus: the constant-degree
     closed form on the diagonal route (base map uniquely ergodic and the
-    composed representation diagonal)."""
+    composed representation diagonal).  On the ergodic route (whole skew
+    product uniquely ergodic) the closed form is its `G.p_ad` projection."""
     pts = D.quadrature_points(quadrature, c.base_dim)
     return G.AlgebraElement(c.group, np.mean(c.m_field(pts), axis=0))
-
-
-def degree_constant_ergodic(c: D.Cocycle, quadrature: D.QuadratureSpec) -> G.AlgebraElement:
-    """Ad-average projection of the integrated M-field: the constant-degree
-    closed form on the ergodic route (whole skew product uniquely ergodic).
-    Identically zero for SU(2)/SO(3), where no Ad-invariant vector exists."""
-    return G.p_ad(degree_constant_diagonal(c, quadrature))
 
 
 # ---------------------------------------------------------------------------
@@ -323,124 +317,9 @@ def invariance_check_cohomology(phi: D.Cocycle, delta: D.Cocycle,
     }
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A group homomorphism h with its differential dh, in the payload
-    calculus: `value_map` sends domain group payload(s) to codomain
-    payload, `alg_map` the same on algebra payloads."""
-
-    name: str
-    codomain: G.GroupSpec
-    value_map: Callable
-    alg_map: Callable
-
-
-def hom_identity(group: G.GroupSpec) -> Homomorphism:
-    return Homomorphism("identity", group, lambda p: p, lambda z: z)
-
-
-def hom_torus_power(d: int, p: int) -> Homomorphism:
-    """y -> y^p componentwise on the d-torus; dh = p * id."""
-    return Homomorphism(f"torus-power p={p}", G.torus_group(d),
-                        lambda payload: payload ** p,
-                        lambda z: p * z)
-
-
-def hom_so3_circle_u2() -> Homomorphism:
-    """(R, w) -> sqrt(w) lift(R) into U(2) (defined up to central sign).
-
-    Payloads are pairs: value_map takes (R_payload, w_payload) with w the
-    unit-circle coordinate of shape (..., 1); alg_map takes
-    (S_payload, v_payload) and returns lift(S)/1 + (v/2) I with lift the
-    inverse of the double-cover differential.  The differential is
-    single-valued even though the value map has a sign ambiguity.
-    """
-    def value_map(pair):
-        Rp, wp = pair
-        return G.iso_so3_torus_to_u2(
-            G.GroupElement(G.SO3_GROUP, Rp), wp[..., 0], +1).payload
-
-    def alg_map(pair):
-        Sp, vp = pair
-        half_lift = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, Sp)).payload
-        return half_lift + 0.5 * vp[..., 0][..., None, None] * np.eye(2)
-
-    return Homomorphism("so3-circle-to-u2", G.U2_GROUP, value_map, alg_map)
-
-
-def hom_apply_cocycle(h: Homomorphism, delta) -> D.Cocycle:
-    """Compose a cocycle (or an (so3, torus) pair) with a homomorphism."""
-    if isinstance(delta, tuple):
-        rot, tor = delta
-        if rot.group.tag != G.SO3 or tor.group.tag != G.TORUS or tor.group.torus_dim != 1:
-            raise TagMismatchError("pair homomorphisms expect (so3, torus-1) cocycles")
-
-        def value(ph):
-            return h.value_map((rot.value(ph), tor.value(ph)))
-
-        def m_field(ph):
-            return h.alg_map((rot.m_field(ph), tor.m_field(ph)))
-
-        return D.Cocycle(h.codomain, value, m_field,
-                         rot.freq_bound + tor.freq_bound, rot.base_dim,
-                         name=f"{h.name}[{rot.name}, {tor.name}]",
-                         branch_discontinuous=True)
-    return D.Cocycle(h.codomain, lambda ph: h.value_map(delta.value(ph)),
-                     lambda ph: h.alg_map(delta.m_field(ph)),
-                     delta.freq_bound, delta.base_dim, name=f"{h.name}[{delta.name}]",
-                     branch_discontinuous=delta.branch_discontinuous)
-
-
-def invariance_check_homomorphism(delta, h: Homomorphism,
-                                  flow: D.TranslationFlow, N: int,
-                                  points: D.BasePoint) -> dict:
-    """Degrees intertwine with homomorphisms: P(h.delta) = dh(P delta).
-
-    `delta` is a cocycle or an (so3, torus) pair; the composed cocycle's
-    degree is estimated directly and compared with dh applied to the
-    component degree estimate(s), pointwise.
-    """
-    composed = hom_apply_cocycle(h, delta)
-    est_comp = degree_pointwise(composed, flow, points, N)
-    if isinstance(delta, tuple):
-        est_parts = tuple(degree_pointwise(c, flow, points, N) for c in delta)
-        pushed = h.alg_map(tuple(e.value.payload for e in est_parts))
-        diag = max(float(np.max(e.diagnostic)) for e in est_parts)
-    else:
-        est = degree_pointwise(delta, flow, points, N)
-        pushed = h.alg_map(est.value.payload)
-        diag = float(np.max(est.diagnostic))
-    dev = G.algebra_norm(G.AlgebraElement(
-        composed.group, est_comp.value.payload - pushed))
-    return {
-        "max_deviation": float(np.max(dev)),
-        "cesaro_diagnostic_composed": float(np.max(est_comp.diagnostic)),
-        "cesaro_diagnostic_domain": diag,
-        "n_used": N,
-        "hom": h.name,
-        "pushed_degree": pushed,
-        "composed_degree": est_comp.value.payload,
-    }
-
-
 # ---------------------------------------------------------------------------
-# SU(2): the norm invariant and the straightening construction
+# SU(2): the straightening construction
 # ---------------------------------------------------------------------------
-
-def rho_phi(field: DegreeField) -> dict:
-    """Norm of the SU(2) degree field: mean of ||degree(x)|| with the max
-    deviation from that mean (the norm is constant a.e. in the limit)."""
-    if field.values.group.tag != G.SU2:
-        raise TagMismatchError("rho_phi is an SU(2) invariant")
-    norms = field.norms
-    rho = float(np.mean(norms))
-    return {
-        "rho": rho,
-        "max_norm_deviation": float(np.max(np.abs(norms - rho))),
-        "n_used": field.n_used,
-        "cesaro_diagnostic": float(np.max(field.diagnostics)),
-    }
-
 
 def su2_transfer_zeta(Dz: G.AlgebraElement, rho) -> G.GroupElement:
     """The unitary that conjugates D in su(2) to diag(i rho, -i rho).

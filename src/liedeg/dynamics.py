@@ -7,8 +7,8 @@ logarithmic derivative along the flow, the M-field
 
     M_phi(x) = (d/dt phi(F_t x))|_{t=0} * phi(x)^{-1},
 
-which every built-in supplies in closed form (and `validate_m_field`
-cross-checks by central differences).  Iterates follow
+which every built-in supplies in closed form (the tests cross-check each
+by central differences).  Iterates follow
 
     phi^(n)(x)  = phi(x) phi(F_1 x) ... phi(F_{n-1} x),   n >= 1,
     phi^(0)     = e,
@@ -64,12 +64,6 @@ class BasePoint:
     @property
     def dim(self) -> int:
         return self.phases.shape[-1]
-
-
-def base_point(*phases) -> BasePoint:
-    if len(phases) == 1 and np.ndim(phases[0]) >= 1:
-        return BasePoint(np.asarray(phases[0], dtype=float))
-    return BasePoint(np.array(phases, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,6 @@ class Cocycle:
     freq_bound: int
     base_dim: int
     name: str = ""
-    smoothness_note: str = "real-analytic trigonometric polynomial"
-    branch_discontinuous: bool = False
     step: Callable | None = None
 
 
@@ -224,56 +216,6 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
             g = G.maybe_renormalize(g)
         del value, m  # no array of this point lives into the next visit
     return G.maybe_renormalize(g)
-
-
-def skew_step(c: Cocycle, flow: TranslationFlow, x: BasePoint,
-              g: G.GroupElement, n: int = 1) -> tuple[BasePoint, G.GroupElement]:
-    """n-th power of the skew product: (x, g) -> (F_n x, g * phi^(n)(x))."""
-    return flow_advance(flow, x, float(n)), G.group_mul(g, cocycle_iterate(c, flow, x, n))
-
-
-def w_apply(c: Cocycle, flow: TranslationFlow,
-            f: Callable[[BasePoint], G.AlgebraElement], n: int,
-            x: BasePoint) -> G.AlgebraElement:
-    """Transfer operator on algebra-valued fields, evaluated at x:
-    (W^n f)(x) = Ad_{phi^(n)(x)} f(F_n x).  Batched x is supported when
-    f maps batched points to matching batched algebra elements."""
-    gn = cocycle_iterate(c, flow, x, n)
-    return G.ad(gn, f(flow_advance(flow, x, float(n))))
-
-
-def validate_m_field(c: Cocycle, flow: TranslationFlow, x: BasePoint,
-                     h: float = 1e-4) -> dict:
-    """Central-difference check of the declared M-field.
-
-    Computes (phi(F_h x) - phi(F_{-h} x)) / 2h * phi(x)^{-1}, projects it
-    onto the algebra, and compares with `m_field`; also reruns at h/2 and
-    reports the error ratio (should be ~4 for the O(h^2) scheme).
-    """
-    declared = c.m_field(x.phases)
-
-    def fd(step):
-        plus = c.value(flow_advance(flow, x, step).phases)
-        minus = c.value(flow_advance(flow, x, -step).phases)
-        if c.group.tag == G.TORUS:
-            raw = (plus - minus) / (2 * step) * np.conj(c.value(x.phases))
-            return 1j * np.imag(raw)
-        if c.group.tag == G.SU2:
-            plus, minus = G.su2_matrix(plus), G.su2_matrix(minus)
-            here = G.su2_matrix(c.value(x.phases))
-        else:
-            here = c.value(x.phases)
-        raw = (plus - minus) / (2 * step) @ np.conj(np.swapaxes(here, -1, -2))
-        skew = 0.5 * (raw - np.conj(np.swapaxes(raw, -1, -2)))
-        if c.group.tag == G.SO3:
-            skew = np.real(skew)
-        return skew
-
-    err_h = float(np.max(np.abs(fd(h) - declared)))
-    err_h2 = float(np.max(np.abs(fd(h / 2) - declared)))
-    ratio = err_h / err_h2 if err_h2 > 0 else float("inf")
-    return {"max_deviation": err_h, "deviation_half_step": err_h2,
-            "ratio": ratio, "h": h}
 
 
 def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
@@ -419,15 +361,6 @@ def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
                               f"torus-monomial k={k.tolist()}")
 
 
-def torus_power(c: Cocycle, p: int) -> Cocycle:
-    """phi -> phi^p for torus-valued cocycles (entrywise power)."""
-    if c.group.tag != G.TORUS:
-        raise TagMismatchError("torus_power applies to torus cocycles")
-    return Cocycle(c.group, lambda ph: c.value(ph) ** p,
-                   (lambda ph: p * c.m_field(ph)) if c.m_field else None,
-                   abs(p) * c.freq_bound, c.base_dim, name=f"({c.name})^{p}")
-
-
 def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     """diag(e^{i theta(x)}, e^{-i theta(x)}) with theta = 2 pi k.x + theta0."""
     k = _winding(k, flow.dim)
@@ -535,8 +468,8 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
              e^{i pi (k_torus-k_rot).x - i theta0/2});
 
     otherwise no continuous branch exists: the value falls back to the
-    pointwise principal-branch construction, with the discontinuity
-    recorded on the returned cocycle for downstream reporting.
+    pointwise principal-branch construction, whose jumps the correlation
+    series' grid-doubling estimates flag.
     """
     kt = _winding(k_torus, flow.dim)
     kr = _winding(k_rot, flow.dim)
@@ -578,8 +511,7 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
 
     return Cocycle(G.U2_GROUP, value, m_field,
                    max(int(np.max(np.abs(kt)) + np.max(np.abs(kr))), 1), flow.dim,
-                   name=name, smoothness_note="discontinuous branch cut (parity mismatch)",
-                   branch_discontinuous=True)
+                   name=name)
 
 
 def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:

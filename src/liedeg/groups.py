@@ -53,14 +53,12 @@ U2 = "U2"
 E1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 E2 = np.array([[0.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
 E3 = np.array([[1.0j, 0.0], [0.0, -1.0j]], dtype=complex)
-SU2_BASIS = (E1, E2, E3)
 
 # so(3) basis, orthonormal for <Z, W> = tr(Z W^T) / 2; J_i generates the
 # one-parameter group whose adjoint image under the cover is exp(2t J_i).
 J1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 J2 = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-SO3_BASIS = (J1, J2, J3)
 
 RENORM_TRIGGER = 1e-13
 
@@ -455,13 +453,6 @@ def so3_to_su2(R: GroupElement) -> GroupElement:
     return GroupElement(SU2_GROUP, _from_quaternion(q))
 
 
-def d_cover(Z: AlgebraElement) -> AlgebraElement:
-    """Differential of the covering map su(2) -> so(3): E_i -> 2 J_i."""
-    if Z.group.tag != SU2:
-        raise TagMismatchError("d_cover expects an su(2) element")
-    return AlgebraElement(SO3_GROUP, so3_alg_from_components(2.0 * su2_alg_components(Z.payload)))
-
-
 def d_cover_inv(S: AlgebraElement) -> AlgebraElement:
     """Inverse differential so(3) -> su(2): J_i -> E_i / 2."""
     if S.group.tag != SO3:
@@ -521,30 +512,12 @@ def haar_sample(group: GroupSpec, n: int, rng) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# the 2:1 parametrization of U(2) by SO(3) x T
+# U(2) = z g, z on the unit circle and g in SU(2)
 # ---------------------------------------------------------------------------
 
 def circle_sqrt(w: np.ndarray) -> np.ndarray:
     """Principal square root on the unit circle, exp(i arg(w) / 2)."""
     return np.exp(0.5j * np.angle(w))
-
-
-def iso_so3_torus_to_u2(R: GroupElement, w, branch: int = +1) -> GroupElement:
-    """Map (R, w) -> branch * sqrt(w) * lift(R) in U(2).
-
-    The underlying correspondence is two-to-one: (R, w) determines the
-    unitary only up to the central sign, which the explicit `branch`
-    argument selects.  Branch choices along orbits should be tracked
-    with `track_branch`, not guessed.
-    """
-    if R.group.tag != SO3:
-        raise TagMismatchError("iso_so3_torus_to_u2 expects an SO3 element")
-    if branch not in (+1, -1):
-        raise ConfigError("branch must be +1 or -1")
-    w = np.asarray(w, dtype=complex)
-    z = circle_sqrt(w)
-    lift = su2_matrix(so3_to_su2(R).payload)
-    return GroupElement(U2_GROUP, branch * z[..., None, None] * lift)
 
 
 def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -553,40 +526,3 @@ def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
     z = circle_sqrt(det)
     return det, z, su2_from_matrix(u / z[..., None, None])
-
-
-def u2_split(u: GroupElement) -> tuple[GroupElement, np.ndarray]:
-    """Inverse direction: u = z g with z = principal sqrt(det u), g in SU2.
-
-    Returns (SO3 image of g, det u); the central sign of g itself is the
-    branch datum lost by the 2:1 correspondence.
-    """
-    if u.group.tag != U2:
-        raise TagMismatchError("u2_split expects a U2 element")
-    det, _, g = u2_factor(u.payload)
-    return su2_to_so3(GroupElement(SU2_GROUP, g)), det
-
-
-def track_branch(payloads: np.ndarray, group: GroupSpec) -> tuple[np.ndarray, dict]:
-    """Resolve the sign ambiguity along a sequence of SU2/U2 elements.
-
-    Flips each element so it stays close to its predecessor.  Returns the
-    tracked sequence and a report: number of flips and the largest
-    residual jump after tracking — a jump of order one signals a genuine
-    branch discontinuity, which callers must surface, not paper over.
-    """
-    if group.tag not in (SU2, U2):
-        raise TagMismatchError("branch tracking applies to SU2/U2 sequences")
-    seq = np.array(payloads)
-    flips = 0
-    worst = 0.0
-    for i in range(1, seq.shape[0]):
-        d_keep = np.linalg.norm(seq[i] - seq[i - 1])
-        d_flip = np.linalg.norm(seq[i] + seq[i - 1])
-        if d_flip < d_keep:
-            seq[i] = -seq[i]
-            flips += 1
-            worst = max(worst, float(d_flip))
-        else:
-            worst = max(worst, float(d_keep))
-    return seq, {"flips": flips, "max_jump": worst}

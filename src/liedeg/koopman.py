@@ -23,9 +23,9 @@ a fiber share.  The walk still runs under
 phi, so the check stays numerical and never assumes the cohomology; a
 per-point evaluation of psi stays as the independent reference.
 
-The finite-N commutator average D_N converges to a Hermitian
-multiplication matrix whose kernel separates the (conjecturally)
-mixing complement from the unresolved part.
+The fiber multiplication matrix D = i dpi(degree), the limit of the
+finite-N commutator averages, is Hermitian, and its kernel separates
+the (conjecturally) mixing complement from the unresolved part.
 Verdict builders run probe correlations and report three-valued
 outcomes with explicit hypothesis flags; they check observable
 consequences, never assert theorems.
@@ -36,7 +36,6 @@ identities below require.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -47,7 +46,7 @@ from . import degree as DG
 from . import dynamics as D
 from . import groups as G
 from . import reps as R
-from .errors import ConfigError, NumericGuardError, TagMismatchError
+from .errors import ConfigError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
 MAX_GRID_BYTES = 2 ** 28  # representation values on one (2n)^d check grid
@@ -148,33 +147,13 @@ def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_pair(psi1: FiberVector, psi2: FiberVector):
+def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
     if psi1.rep != psi2.rep:
         raise TagMismatchError("fiber vectors live on different representations")
     if psi1.j != psi2.j:
         raise TagMismatchError("fiber vectors live on different rows")
-
-
-def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
-    _check_pair(psi1, psi2)
     if psi1.rep.group != c.group:
         raise TagMismatchError("fiber and cocycle live on different groups")
-
-
-def inner_product(psi1: FiberVector, psi2: FiberVector,
-                  quadrature: D.QuadratureSpec, d: int) -> complex:
-    """<psi1, psi2> = d_pi^{-1} sum_k integral conj(phi1_k) phi2_k."""
-    _check_pair(psi1, psi2)
-    nodes = max(quadrature.nodes_per_dim,
-                psi1.degree_bound + psi2.degree_bound + 1)
-    pts = D.quadrature_points(D.QuadratureSpec(nodes), d)
-    v1 = fiber_coefficients(psi1, pts)
-    v2 = fiber_coefficients(psi2, pts)
-    return complex(np.mean(np.sum(np.conj(v1) * v2, axis=-1)) / psi1.rep.dim)
-
-
-def fiber_norm(psi: FiberVector, quadrature: D.QuadratureSpec, d: int) -> float:
-    return math.sqrt(max(inner_product(psi, psi, quadrature, d).real, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +253,10 @@ def _series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
             for qa, v1 in zip(q1, psi1.vectors):
                 terms.append(np.einsum("l,nlk,k->n", np.conj(v1),
                                        M_r[diffs.index(tuple(qa - qb))], v2))
-                if any(qb):  # e(q2_b . N alpha), N alpha mod 1 in extended precision
-                    turns = np.arange(N_max + 1) * (qb @ flow.alpha_array.astype(np.longdouble))
-                    terms[-1] *= np.exp(2j * np.pi * D.wrap_phases(turns).astype(float))
+                if any(qb):  # e(q2_b . N alpha), N q2_b.alpha mod 1 exactly rounded
+                    turns = D.orbit_turns(flow, qb[None])
+                    terms[-1] *= np.exp(2j * np.pi * np.fromiter(
+                        (turns(n)[0] for n in range(N_max + 1)), float, N_max + 1))
         rows.append(sum(terms[1:], terms[0]) / psi1.rep.dim)
     return rows
 
@@ -296,11 +276,10 @@ def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
 
 @dataclass
 class CorrelationSeries:
-    """c_N for N = 0..N_max with per-N error estimates and node counts."""
+    """c_N for N = 0..N_max with per-N error estimates."""
 
     values: np.ndarray
     err_estimates: np.ndarray
-    node_counts: np.ndarray
     flagged: list[int] = field(default_factory=list)
 
     @property
@@ -334,33 +313,8 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
     values, check = _series(psi1, psi2, c, flow, N_max, nodes)
     errs = np.abs(values - check)
-    return CorrelationSeries(values, errs, np.full(N_max + 1, nodes),
+    return CorrelationSeries(values, errs,
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
-
-
-# ---------------------------------------------------------------------------
-# finite-N commutator average
-# ---------------------------------------------------------------------------
-
-def d_n_average(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
-                x: D.BasePoint, N: int) -> np.ndarray:
-    """(i/N) sum_{n<N} Ad_{pi(phi^(n)(x))} dpi(M(F_n x)): the finite-N
-    multiplication matrix on the fiber at a single base point.
-
-    Since Ad_{pi(g)} dpi(M) = dpi(Ad_g M), this is i dpi of the Cesaro
-    average `degree_pointwise` accumulates at group level.  The result
-    must be Hermitian within 1e-9 relative or a numeric guard trips.
-    """
-    if N < 1:
-        raise ConfigError("N must be >= 1")
-    if np.ndim(x.phases) != 1:
-        raise ConfigError("expected a single base point, not a batch")
-    out = 1j * R.rep_differential(rep, DG.degree_pointwise(c, flow, x, N).value)
-    defect = float(np.max(np.abs(out - np.conj(out.T))))
-    if defect > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
-        raise NumericGuardError(
-            f"commutator average drifted off Hermitian by {defect:.3e}")
-    return out
 
 
 # ---------------------------------------------------------------------------

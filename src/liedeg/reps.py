@@ -15,9 +15,8 @@ Every representation is unitary: the monomial basis is normalized, as
 the paper's results for unitary irreducible pi require.  The paper's
 coefficients against the *unnormalized* monomials p_j = w1^j w2^{l-j}
 are the unitary ones times ||p_j|| ||p_k|| = sqrt(j!(l-j)!) sqrt(k!(l-k)!);
-`paper_scale` holds that factor and `paper_element` reads through it.
-They are natural Peter-Weyl coefficients for that basis but are not
-multiplicative.
+`paper_scale` holds that factor.  The scaled coefficients are natural
+Peter-Weyl coefficients for that basis but are not multiplicative.
 
 For SU(2) the matrix is assembled from the expansion
 
@@ -241,27 +240,6 @@ def paper_scale(rep: Representation) -> np.ndarray:
         n = su2_norms(rep.label[0])
         return n[:, None] * n[None, :]
     return np.ones((rep.dim, rep.dim))
-
-
-def paper_element(rep: Representation, j: int, k: int, g: G.GroupElement) -> complex | np.ndarray:
-    """Single matrix coefficient in the paper's (unnormalized-basis) scaling."""
-    tag = rep.group.tag
-    if tag == G.TORUS:
-        if j != 0 or k != 0:
-            raise ConfigError("torus characters have the single index (0, 0)")
-        row = col = 0
-    elif tag == G.SO3:
-        l = rep.label[0]
-        if not (-l <= j <= l and -l <= k <= l):
-            raise ConfigError(f"indices must lie in -{l}..{l}")
-        row, col = j + l, k + l
-    else:
-        l = rep.label[0]
-        if not (0 <= j <= l and 0 <= k <= l):
-            raise ConfigError(f"indices must lie in 0..{l}")
-        row, col = j, k
-    val = rep_eval_payload(rep, g.payload)[..., row, col] * paper_scale(rep)[row, col]
-    return complex(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class RngHandle:
             self._gen = np.random.default_rng(ss)
         return self._gen
 
-    def child(self, stream: int) -> "RngHandle":
-        """Fresh handle on an independent stream of the same seed."""
-        return RngHandle(self.seed, stream)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngHandle, a Generator, or an int seed."""

@@ -1,4 +1,7 @@
-"""Checks and conversions that only the tests need.
+"""Checks, conversions and reference implementations that only the tests
+need: among them the finite-difference oracle of the built-in M-fields
+and the homomorphism calculus behind the degree's naturality
+P(h . delta) = dh(P delta), both run against the package's cocycles.
 
 Tests import this module as `helpers` (pytest puts the tests directory on
 the import path).
@@ -6,11 +9,16 @@ the import path).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
+import liedeg.degree as DG
 import liedeg.dynamics as D
 import liedeg.groups as G
-from liedeg.errors import ConfigError
+import liedeg.koopman as K
+from liedeg.errors import ConfigError, TagMismatchError
 
 # unitarity / orthogonality tolerances per group
 ELEMENT_TOL = {G.TORUS: 1e-12, G.SU2: 1e-12, G.SO3: 1e-10, G.U2: 1e-10}
@@ -66,3 +74,166 @@ def algebra_zero(group: G.GroupSpec, batch_shape=()) -> G.AlgebraElement:
 
 def cocycle_value(c: D.Cocycle, x: D.BasePoint) -> G.GroupElement:
     return G.GroupElement(c.group, c.value(x.phases))
+
+
+def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElement:
+    """Map (R, w) -> branch * sqrt(w) * lift(R) in U(2).
+
+    The underlying correspondence is two-to-one: (R, w) determines the
+    unitary only up to the central sign, which the explicit `branch`
+    argument selects.  The reference for `u2_product`'s closed form.
+    """
+    if R.group.tag != G.SO3:
+        raise TagMismatchError("iso_so3_torus_to_u2 expects an SO3 element")
+    if branch not in (+1, -1):
+        raise ConfigError("branch must be +1 or -1")
+    z = G.circle_sqrt(np.asarray(w, dtype=complex))
+    lift = G.su2_matrix(G.so3_to_su2(R).payload)
+    return G.GroupElement(G.U2_GROUP, branch * z[..., None, None] * lift)
+
+
+def validate_m_field(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
+                     h: float = 1e-4) -> dict:
+    """Central-difference check of the declared M-field.
+
+    Computes (phi(F_h x) - phi(F_{-h} x)) / 2h * phi(x)^{-1}, projects it
+    onto the algebra, and compares with `m_field`; also reruns at h/2 and
+    reports the error ratio (should be ~4 for the O(h^2) scheme).
+    """
+    declared = c.m_field(x.phases)
+
+    def fd(step):
+        plus = c.value(D.flow_advance(flow, x, step).phases)
+        minus = c.value(D.flow_advance(flow, x, -step).phases)
+        if c.group.tag == G.TORUS:
+            raw = (plus - minus) / (2 * step) * np.conj(c.value(x.phases))
+            return 1j * np.imag(raw)
+        if c.group.tag == G.SU2:
+            plus, minus = G.su2_matrix(plus), G.su2_matrix(minus)
+            here = G.su2_matrix(c.value(x.phases))
+        else:
+            here = c.value(x.phases)
+        raw = (plus - minus) / (2 * step) @ np.conj(np.swapaxes(here, -1, -2))
+        skew = 0.5 * (raw - np.conj(np.swapaxes(raw, -1, -2)))
+        if c.group.tag == G.SO3:
+            skew = np.real(skew)
+        return skew
+
+    err_h = float(np.max(np.abs(fd(h) - declared)))
+    err_h2 = float(np.max(np.abs(fd(h / 2) - declared)))
+    ratio = err_h / err_h2 if err_h2 > 0 else float("inf")
+    return {"max_deviation": err_h, "deviation_half_step": err_h2,
+            "ratio": ratio, "h": h}
+
+
+def inner_product(psi1: K.FiberVector, psi2: K.FiberVector,
+                  quadrature: D.QuadratureSpec, d: int) -> complex:
+    """<psi1, psi2> = d_pi^{-1} sum_k integral conj(phi1_k) phi2_k, by
+    quadrature of the per-point coefficients."""
+    nodes = max(quadrature.nodes_per_dim,
+                psi1.degree_bound + psi2.degree_bound + 1)
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), d)
+    v1 = K.fiber_coefficients(psi1, pts)
+    v2 = K.fiber_coefficients(psi2, pts)
+    return complex(np.mean(np.sum(np.conj(v1) * v2, axis=-1)) / psi1.rep.dim)
+
+
+# ---------------------------------------------------------------------------
+# group homomorphisms and the naturality of the degree
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Homomorphism:
+    """A group homomorphism h with its differential dh, in the payload
+    calculus: `value_map` sends domain group payload(s) to codomain
+    payload, `alg_map` the same on algebra payloads."""
+
+    name: str
+    codomain: G.GroupSpec
+    value_map: Callable
+    alg_map: Callable
+
+
+def hom_identity(group: G.GroupSpec) -> Homomorphism:
+    return Homomorphism("identity", group, lambda p: p, lambda z: z)
+
+
+def hom_torus_power(d: int, p: int) -> Homomorphism:
+    """y -> y^p componentwise on the d-torus; dh = p * id."""
+    return Homomorphism(f"torus-power p={p}", G.torus_group(d),
+                        lambda payload: payload ** p,
+                        lambda z: p * z)
+
+
+def hom_so3_circle_u2() -> Homomorphism:
+    """(R, w) -> sqrt(w) lift(R) into U(2) (defined up to central sign).
+
+    Payloads are pairs: value_map takes (R_payload, w_payload) with w the
+    unit-circle coordinate of shape (..., 1); alg_map takes
+    (S_payload, v_payload) and returns lift(S)/1 + (v/2) I with lift the
+    inverse of the double-cover differential.  The differential is
+    single-valued even though the value map has a sign ambiguity.
+    """
+    def value_map(pair):
+        Rp, wp = pair
+        return iso_so3_torus_to_u2(G.GroupElement(G.SO3_GROUP, Rp), wp[..., 0], +1).payload
+
+    def alg_map(pair):
+        Sp, vp = pair
+        half_lift = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, Sp)).payload
+        return half_lift + 0.5 * vp[..., 0][..., None, None] * np.eye(2)
+
+    return Homomorphism("so3-circle-to-u2", G.U2_GROUP, value_map, alg_map)
+
+
+def hom_apply_cocycle(h: Homomorphism, delta) -> D.Cocycle:
+    """Compose a cocycle (or an (so3, torus) pair) with a homomorphism."""
+    if isinstance(delta, tuple):
+        rot, tor = delta
+        if rot.group.tag != G.SO3 or tor.group.tag != G.TORUS or tor.group.torus_dim != 1:
+            raise TagMismatchError("pair homomorphisms expect (so3, torus-1) cocycles")
+
+        def value(ph):
+            return h.value_map((rot.value(ph), tor.value(ph)))
+
+        def m_field(ph):
+            return h.alg_map((rot.m_field(ph), tor.m_field(ph)))
+
+        return D.Cocycle(h.codomain, value, m_field,
+                         rot.freq_bound + tor.freq_bound, rot.base_dim,
+                         name=f"{h.name}[{rot.name}, {tor.name}]")
+    return D.Cocycle(h.codomain, lambda ph: h.value_map(delta.value(ph)),
+                     lambda ph: h.alg_map(delta.m_field(ph)),
+                     delta.freq_bound, delta.base_dim, name=f"{h.name}[{delta.name}]")
+
+
+def invariance_check_homomorphism(delta, h: Homomorphism,
+                                  flow: D.TranslationFlow, N: int,
+                                  points: D.BasePoint) -> dict:
+    """Degrees intertwine with homomorphisms: P(h.delta) = dh(P delta).
+
+    `delta` is a cocycle or an (so3, torus) pair; the composed cocycle's
+    degree is estimated directly and compared with dh applied to the
+    component degree estimate(s), pointwise.
+    """
+    composed = hom_apply_cocycle(h, delta)
+    est_comp = DG.degree_pointwise(composed, flow, points, N)
+    if isinstance(delta, tuple):
+        est_parts = tuple(DG.degree_pointwise(c, flow, points, N) for c in delta)
+        pushed = h.alg_map(tuple(e.value.payload for e in est_parts))
+        diag = max(float(np.max(e.diagnostic)) for e in est_parts)
+    else:
+        est = DG.degree_pointwise(delta, flow, points, N)
+        pushed = h.alg_map(est.value.payload)
+        diag = float(np.max(est.diagnostic))
+    dev = G.algebra_norm(G.AlgebraElement(
+        composed.group, est_comp.value.payload - pushed))
+    return {
+        "max_deviation": float(np.max(dev)),
+        "cesaro_diagnostic_composed": float(np.max(est_comp.diagnostic)),
+        "cesaro_diagnostic_domain": diag,
+        "n_used": N,
+        "hom": h.name,
+        "pushed_degree": pushed,
+        "composed_degree": est_comp.value.payload,
+    }

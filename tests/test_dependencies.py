@@ -126,30 +126,24 @@ def test_one_module_knows_the_series_csv_format():
     assert owners == ["koopman.py"]
 
 
-# top-level definitions that only the tests reach; moving one into tests/
-# takes it off this list, which may only shrink
-TEST_ONLY = {
-    "degree": {"Homomorphism", "hom_identity", "hom_torus_power", "hom_so3_circle_u2",
-               "hom_apply_cocycle", "invariance_check_homomorphism",
-               "degree_constant_ergodic", "rho_phi"},
-    "dynamics": {"validate_m_field", "skew_step", "w_apply", "torus_power", "base_point"},
-    "groups": {"track_branch", "u2_split", "d_cover", "iso_so3_torus_to_u2"},
-    "koopman": {"inner_product", "fiber_norm", "d_n_average"},
-    "reps": {"paper_element"},
-}
-
-
 def _top_level(tree: ast.Module) -> dict[str, ast.stmt]:
-    """The module's top-level functions and classes by name."""
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    """The module's top-level functions, classes and constants (names a
+    module-level assignment binds) by name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return out
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
     """Names `node` loads bare, as an attribute (`D.name`) or imports."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -159,21 +153,17 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 
 def test_every_package_definition_is_used_by_the_package():
+    # tests, the benchmark and users reach the package through what the
+    # pipeline, the CLI and the acceptance gate use; a definition that only
+    # they reach belongs with them
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
     defs = {(mod, name): node for mod, tree in trees.items()
             for name, node in _top_level(tree).items()}
-    listed = {(mod, name) for mod, names in TEST_ONLY.items() for name in names}
-    assert listed <= set(defs), sorted(listed - set(defs))
     # what each definition refers to, and what the statements outside every
-    # definition refer to; the listed test-only definitions reach nothing
-    refs = {key: _referenced_names(node) - {key[1]} for key, node in defs.items()}
-    loose = set()
-    for mod, tree in trees.items():
-        owned = {id(node) for (m, _), node in defs.items() if m == mod}
-        loose |= set().union(*(_referenced_names(node) for node in tree.body
-                               if id(node) not in owned))
-    used = loose.union(*(names for key, names in refs.items() if key not in listed))
-    unused = sorted(f"{m}.{n}" for (m, n) in defs if (m, n) not in listed and n not in used)
+    # definition refer to
+    owned = {id(node) for node in defs.values()}
+    used = set().union(*(_referenced_names(node) - {name} for (_, name), node in defs.items()),
+                       *(_referenced_names(node) for tree in trees.values()
+                         for node in tree.body if id(node) not in owned))
+    unused = sorted(f"{m}.{n}" for (m, n) in defs if n not in used)
     assert not unused, f"defined in the package but used only outside it: {unused}"
-    reached = sorted(f"{m}.{n}" for (m, n) in listed if n in used)
-    assert not reached, f"listed as test-only but used by the package: {reached}"

@@ -190,10 +190,10 @@ def test_inner_product_ad_invariant(group):
 
 
 def test_su2_basis_orthonormal():
-    basis = [G.AlgebraElement(G.SU2_GROUP, E) for E in G.SU2_BASIS]
+    basis = [G.AlgebraElement(G.SU2_GROUP, E) for E in (G.E1, G.E2, G.E3)]
     gram = np.array([[G.algebra_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(3), atol=1e-15)
-    basis = [G.AlgebraElement(G.SO3_GROUP, J) for J in G.SO3_BASIS]
+    basis = [G.AlgebraElement(G.SO3_GROUP, J) for J in (G.J1, G.J2, G.J3)]
     gram = np.array([[G.algebra_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(3), atol=1e-15)
 
@@ -385,7 +385,8 @@ def test_lift_of_x3_rotation_is_diagonal_phase():
 def test_d_cover_matches_derivative_of_cover():
     rng = RngHandle(5).generator()
     Z = _rand_alg(G.SU2_GROUP, 6, rng)
-    got = G.d_cover(Z).payload
+    # the differential of the cover sends E_i to 2 J_i
+    got = G.so3_alg_from_components(2.0 * G.su2_alg_components(Z.payload))
     h = 1e-6
     plus = G.su2_to_so3(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, h * Z.payload))).payload
     minus = G.su2_to_so3(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, -h * Z.payload))).payload
@@ -401,32 +402,13 @@ def test_iso_to_u2_example_and_inverse():
         [[np.cos(alpha), np.sin(alpha), 0.0],
          [-np.sin(alpha), np.cos(alpha), 0.0],
          [0.0, 0.0, 1.0]]))
-    u = G.iso_so3_torus_to_u2(R, 1.0, +1)
+    u = H.iso_so3_torus_to_u2(R, 1.0, +1)
     assert np.allclose(u.payload, np.diag([np.exp(0.5j * alpha), np.exp(-0.5j * alpha)]),
                        atol=1e-12)
     # round trip through the 2:1 split
     w = np.exp(2j * np.pi * 0.37)
-    u2 = G.iso_so3_torus_to_u2(R, w, -1)
-    R2, det = G.u2_split(u2)
+    u2 = H.iso_so3_torus_to_u2(R, w, -1)
+    det, _, g = G.u2_factor(u2.payload)
+    R2 = G.su2_to_so3(G.GroupElement(G.SU2_GROUP, g))
     assert np.max(np.abs(R2.payload - R.payload)) < 1e-12
     assert abs(det - w) < 1e-12
-
-
-def test_track_branch_repairs_random_sign_flips():
-    rng = RngHandle(9).generator()
-    t = np.linspace(0, 1, 60)
-    smooth = np.stack([np.cos(2 * np.pi * t) * np.exp(1j * t),
-                       np.sin(2 * np.pi * t) * np.exp(-2j * t)], axis=-1)
-    smooth /= np.linalg.norm(smooth, axis=-1, keepdims=True)
-    signs = np.where(rng.random(60) < 0.4, -1.0, 1.0)
-    signs[0] = 1.0
-    tracked, report = G.track_branch(smooth * signs[:, None], G.SU2_GROUP)
-    assert np.max(np.abs(tracked - smooth)) < 1e-12
-    assert report["max_jump"] < 0.2
-
-
-def test_track_branch_reports_genuine_jump():
-    # antipodal hop in the middle cannot be repaired by sign flips
-    seq = np.array([[1.0, 0.0], [0.0, 1.0j], [1.0, 0.0]], dtype=complex)
-    _, report = G.track_branch(seq, G.SU2_GROUP)
-    assert report["max_jump"] > 1.0

@@ -478,26 +478,23 @@ def test_su2_euler_nodes_peak_near_payload():
 
 
 # ---------------------------------------------------------------------------
-# paper_element and validation
+# the paper's scaling and validation
 # ---------------------------------------------------------------------------
 
 def test_paper_element_values_and_ranges():
+    # the paper's coefficients are rep_eval_payload(...) * paper_scale(rep):
+    # n_j n_k times the unitary ones for SU(2), the unitary ones for SO(3)
     g = _haar(G.SU2_GROUP, 1)
     l = 3
     n = R.su2_norms(l)
     ortho = R.rep_eval_payload(R.su2_rep(l), g.payload)
+    paper = ortho * R.paper_scale(R.su2_rep(l))
     for j in range(l + 1):
         for k in range(l + 1):
-            val = R.paper_element(R.su2_rep(l), j, k, g)
-            assert abs(val - n[j] * n[k] * ortho[..., j, k]) < 1e-11
-    with pytest.raises(ConfigError):
-        R.paper_element(R.su2_rep(l), l + 1, 0, g)
+            assert abs(paper[..., j, k] - n[j] * n[k] * ortho[..., j, k]) < 1e-11
     Rg = G.su2_to_so3(g)
-    val = R.paper_element(R.so3_rep(2), -2, 1, Rg)
     full = R.rep_eval_payload(R.so3_rep(2), Rg.payload)
-    assert abs(val - full[..., 0, 3]) < 1e-14
-    with pytest.raises(ConfigError):
-        R.paper_element(R.so3_rep(2), 3, 0, Rg)
+    assert np.array_equal(full * R.paper_scale(R.so3_rep(2)), full)
 
 
 def test_label_validation():
