@@ -11,6 +11,11 @@ U2        pair (l, m), dimension l+1: u = z g with z^2 = det u maps to
           z^{2m-l} pi_l(g); the half-integer ambiguity cancels because
           pi_l(-g) = (-1)^l pi_l(g)
 
+Characters and U(2)'s centre factor are integer powers of unit complex
+numbers, taken by square-and-multiply: |e|.bit_length() - 1 squarings
+(at most 30 for a character, 32 for z^{2m-l}) and conj for e < 0.
+Round-off is about |e| eps, about 1e-6 at the largest labels.
+
 Every representation is unitary: the monomial basis is normalized, as
 the paper's results for unitary irreducible pi require.  The paper's
 coefficients against the *unnormalized* monomials p_j = w1^j w2^{l-j}
@@ -51,8 +56,9 @@ from .errors import ConfigError, TagMismatchError
 
 L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
 # label entries stay below this size: pi raises unit complex numbers to
-# label-sized powers, and at 2**62 their round-off grows to 1e155 or nan,
-# while at 2**31 - 1 pi stays unitary to about 1e-6
+# label-sized powers by square-and-multiply (at most 32 squarings below it),
+# whose round-off is about |e| eps: at 2**31 - 1 pi stays unitary to about
+# 1e-6, while at 2**62 the modulus grows to 1e157
 LABEL_BOUND = 2 ** 31
 
 _ENTRIES = "rep label entries must be integers below 2**31 in size"
@@ -206,12 +212,36 @@ def _scale(rep: Representation) -> np.ndarray:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _unit_power(z: np.ndarray, e: int) -> np.ndarray:
+    """z**e, as a new array, for unit-modulus complex z and an integer e:
+    square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3) takes
+    |e|.bit_length() - 1 squarings, and conj inverts for e < 0.  Round-off
+    is about |e| eps."""
+    n, out = abs(e), None
+    while n:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if n:
+            z = z * z
+    if out is None:
+        return np.ones(z.shape, dtype=complex)
+    if e < 0:
+        return np.conj(out)
+    return out.copy() if e == 1 else out
+
+
 def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     """Representation matrix on raw payloads, batched over leading axes."""
     tag = rep.group.tag
     if tag == G.TORUS:
-        q = np.array(rep.label)
-        val = np.prod(payload ** q, axis=-1)
+        val = None
+        for j, e in enumerate(rep.label):
+            if e:
+                chi = _unit_power(payload[..., j], e)
+                val = chi if val is None else val * chi
+        if val is None:
+            val = np.ones(payload.shape[:-1], dtype=complex)
         return val[..., None, None]
     l = rep.label[0]
     if tag == G.SU2:
@@ -221,7 +251,7 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
         return _su2_c_matrix(2 * l, lift) * _scale(rep)
     _, z, su2_payload = G.u2_factor(payload)
     scaled = _su2_c_matrix(l, su2_payload) * _scale(rep)
-    return (z ** (2 * rep.label[1] - l))[..., None, None] * scaled
+    return _unit_power(z, 2 * rep.label[1] - l)[..., None, None] * scaled
 
 
 def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:

@@ -92,6 +92,17 @@ def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElemen
     return G.GroupElement(G.U2_GROUP, branch * z[..., None, None] * lift)
 
 
+def torus_character_reference(payload: np.ndarray, q) -> np.ndarray:
+    """Characters prod_j g_j^(q_j) through numpy's complex pow: the
+    reference for `reps.rep_eval_payload`'s square-and-multiply."""
+    return np.prod(payload ** np.asarray(q), axis=-1)
+
+
+def u2_centre_reference(z: np.ndarray, l: int, m: int) -> np.ndarray:
+    """U(2)'s centre factor z^(2m - l) through numpy's complex pow."""
+    return z ** (2 * m - l)
+
+
 def validate_m_field(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
                      h: float = 1e-4) -> dict:
     """Central-difference check of the declared M-field.

@@ -13,6 +13,8 @@ from liedeg import reps as R
 from liedeg.errors import ConfigError
 from liedeg.rng import RngHandle
 
+import helpers as H
+
 SAMPLE_REPS = [
     R.torus_rep((2,)),
     R.torus_rep((1, -2)),
@@ -407,6 +409,80 @@ def test_differential_eigenvalue_patterns():
         d_o = R.rep_differential(R.u2_rep(l, m), Z)
         want = np.full(l + 1, 1j * s * (2 * m - l))
         assert np.max(np.abs(np.diag(d_o) - want)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# integer powers: torus characters and U(2)'s centre factor
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# square-and-multiply and numpy's pow each round off by about |e| eps; the
+# largest ratio seen on 4,096 Haar draws is 2.6
+POWER_TOL = 8 * EPS
+# the largest |2m - l| a U(2) label reaches
+E_MAX = 2 * (R.LABEL_BOUND - 1) + R.L_CAP
+_EXPONENTS = [0, 1, -1, 2, -2, 3, -3, 7, -7, 2 ** 31 - 1, 1 - 2 ** 31]
+
+
+def _circle(n=256, stream=7):
+    return _haar(G.torus_group(1), n, stream).payload[:, 0]
+
+
+def _check_unit_power(z, e):
+    got = R._unit_power(z, e)
+    assert got is not z and got.shape == z.shape
+    assert np.max(np.abs(got - z ** e)) <= POWER_TOL * max(abs(e), 1)
+    if e < 0:
+        assert np.array_equal(got, np.conj(R._unit_power(z, -e)))
+
+
+@pytest.mark.parametrize("e", _EXPONENTS)
+def test_unit_power_matches_complex_pow(e):
+    _check_unit_power(_circle(), e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-E_MAX, E_MAX))
+def test_unit_power_matches_complex_pow_fuzz(e):
+    _check_unit_power(_circle(64, 8), e)
+
+
+@pytest.mark.parametrize("q", [(0,), (1,), (-3,), (0, 0), (1, -2), (5, -7),
+                               (2 ** 31 - 1, 1 - 2 ** 31)])
+def test_torus_characters_match_pow_reference(q):
+    rep = R.torus_rep(q)
+    payload = _haar(rep.group, 200, 3).payload
+    got = R.rep_eval_payload(rep, payload)
+    ref = H.torus_character_reference(payload, q)[..., None, None]
+    assert got.shape == (200, 1, 1)
+    assert np.max(np.abs(got - ref)) <= POWER_TOL * max(R.rep_weight(rep), 1)
+
+
+@pytest.mark.parametrize("l, m", [(0, 0), (2, 1), (2, 2), (1, 1), (3, -1), (4, 9),
+                                  (2, 2 ** 31 - 1), (2, 1 - 2 ** 31)])
+def test_u2_centre_factor_matches_pow_reference(l, m):
+    payload = _haar(G.U2_GROUP, 200, 4).payload
+    _, z, su2_payload = G.u2_factor(payload)
+    got = R.rep_eval_payload(R.u2_rep(l, m), payload)
+    ref = (H.u2_centre_reference(z, l, m)[..., None, None]
+           * R.rep_eval_payload(R.su2_rep(l), su2_payload))
+    e = 2 * m - l
+    if e in (0, 1, 2):
+        # numpy's pow returns 1, z and z * z here: the same bits
+        assert np.array_equal(got, ref)
+    assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(e), 1)
+
+
+@pytest.mark.parametrize("rep", [R.torus_rep([2 ** 31 - 1, 1 - 2 ** 31]),
+                                 R.u2_rep(2, 2 ** 31 - 1), R.u2_rep(2, 1 - 2 ** 31)],
+                         ids=lambda r: r.name)
+def test_largest_labels_stay_unitary_homomorphisms(rep):
+    """At the largest accepted entries round-off is about |e| eps, near
+    1e-6; a loop of |e| - 1 multiplies would not finish here."""
+    mats = R.rep_eval_payload(rep, _haar(rep.group, 200, 5).payload)
+    assert np.all(np.isfinite(mats))
+    hom, unit = R.haar_deviations(rep, 200, RngHandle(909, 6))
+    assert hom <= 1e-5 and unit <= 1e-5
 
 
 # ---------------------------------------------------------------------------
