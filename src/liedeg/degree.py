@@ -11,7 +11,7 @@ covers n in [bL, (b+1)L) and starts at F_{bL} x = x + bL alpha mod 1,
 a closed form with the offset exactly rounded, so all blocks ride in one
 orbit walk as an extra batch axis.  The blocks are joined by prefix
 products of their cocycle products (Blelloch, "Prefix sums and their
-applications", 1990):
+applications", 1990), taken by a log-depth doubling scan:
 
     S_{bL+j}(x) = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j),
     G_b = phi^(bL)(x) = P_0 P_1 ... P_{b-1},
@@ -114,12 +114,12 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
     The visitor keeps each block's local running sum s_b(j) at the local
     indices j where a requested n = bL + j falls (1 <= j <= L), and at
     j = L.  The walk also returns each block's product P_b, and the sums
-    are joined as S_n = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j)
-    with G_0 = e and G_{b+1} = maybe_renormalize(G_b P_b).  With one
-    block (n_max < 2 * MIN_BLOCK_STEPS, or BLOCK_BATCH points) a batch of
-    points gets the plain sequential sums bit for bit; otherwise the block
-    count (set by BLOCK_BATCH, see `_block_shape`) moves the sums by
-    round-off only.
+    are joined as S_n = sum_{b'<b} Ad_{G_b'} s_b'(L) + Ad_{G_b} s_b(j),
+    G_0 = e and G_b = P_0 ... P_{b-1} by a doubling scan (ceil(log2(B - 1))
+    batched rounds; the sequential join bit for bit up to B = 3).  One block
+    (n_max < 2 * MIN_BLOCK_STEPS, or BLOCK_BATCH points) gives a batch of
+    points the plain sequential sums bit for bit; otherwise the block count
+    (BLOCK_BATCH, see `_block_shape`) and the scan move them by round-off.
     """
     if min(counts) < 1:
         raise ConfigError("N must be >= 1")
@@ -139,11 +139,12 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
     products = D.cocycle_iterate(c, flow, starts, length, visit, with_m=True).payload
     if blocks == 1:
         return {n: partial[n][0] for n in counts}
-    lifts = [G.GroupElement(c.group, products[0])]  # G_b as lifts[b - 1]
-    for b in range(2, blocks):
-        step = G.GroupElement(c.group, products[b - 1])
-        lifts.append(G.maybe_renormalize(G.group_mul(lifts[-1], step)))
-    lifts = np.stack([g.payload for g in lifts])
+    # G_b as lifts[b - 1], by doubling: round d sets lifts[i] = lifts[i - d] lifts[i]
+    lifts, d = products[:-1], 1
+    while d < blocks - 1:
+        g = G.group_mul(G.GroupElement(c.group, lifts[:-d]), G.GroupElement(c.group, lifts[d:]))
+        lifts[d:] = G.maybe_renormalize(g).payload
+        d *= 2
 
     def moved(g, s):
         return G.ad(G.GroupElement(c.group, g), G.AlgebraElement(c.group, s)).payload

@@ -142,7 +142,7 @@ def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.nda
     """chi_r(x) = exp(i (2 pi K_r . x + offsets_r)) per row r of the integer
     matrix K, offsets in radians, shape (..., rows): every fresh evaluation
     of a character cocycle."""
-    return np.exp(1j * (2 * np.pi * (phases @ K.T) + offsets))
+    return G.unit_exp(2 * np.pi * (phases @ K.T) + offsets)
 
 
 @dataclass(frozen=True)
@@ -500,7 +500,7 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
         h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
         c, s = np.cos(h), np.sin(h)
         sign = np.where((np.abs(s) > np.abs(c)) & (s < 0), -1.0, 1.0)
-        z = G.circle_sqrt(np.exp(2j * np.pi * (phases @ kt))) * sign
+        z = G.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt))) * sign
         out = np.zeros(h.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = z * (c + 1j * s)
         out[..., 1, 1] = z * (c - 1j * s)

@@ -17,7 +17,8 @@ Products of 2x2 complex payloads (the U2 `group_mul`, `ad` and the Gram
 matrix of `element_defect`) are written out entry by entry in `_mul2`:
 at the orbit walker's batches a batched `@` on 2x2 matrices costs about
 ten times as much.  SO3 products (real 3x3) and the polar factor of
-`renormalize` stay `@`.
+`renormalize` stay `@`.  Points exp(i theta) of the unit circle are
+`unit_exp`: cos and sin written into one complex array.
 
 Conventions
 -----------
@@ -148,11 +149,6 @@ def su2_matrix(payload: np.ndarray) -> np.ndarray:
     m[..., 1, 0] = -np.conj(z2)
     m[..., 1, 1] = np.conj(z1)
     return m
-
-
-def su2_from_matrix(m: np.ndarray) -> np.ndarray:
-    """First row of an SU(2) matrix as the (z1, z2) payload."""
-    return np.stack([m[..., 0, 0], m[..., 0, 1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +508,18 @@ def haar_sample(group: GroupSpec, n: int, rng) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# U(2) = z g, z on the unit circle and g in SU(2)
+# the unit circle
 # ---------------------------------------------------------------------------
+
+def unit_exp(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta: cos and sin in one complex array, with glibc
+    the bits of np.exp(1j * theta) at about two thirds of its cost."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
 
 def circle_sqrt(w: np.ndarray) -> np.ndarray:
     """Principal square root on the unit circle, exp(i arg(w) / 2)."""
-    return np.exp(0.5j * np.angle(w))
-
-
-def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u = z g on raw U(2) payloads: (det u, z, SU(2) payload of g), with
-    z = circle_sqrt(det u) the one branch choice for sqrt(det u)."""
-    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    z = circle_sqrt(det)
-    return det, z, su2_from_matrix(u / z[..., None, None])
+    return unit_exp(0.5 * np.arctan2(w.imag, w.real))

@@ -212,7 +212,7 @@ def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple
     out = np.empty((2, len(diffs), N_max + 1, rep.dim, rep.dim), dtype=complex)
     for start in range(0, len(pts), SERIES_BLOCK):
         block, in_coarse = pts[start:start + SERIES_BLOCK], coarse[start:start + SERIES_BLOCK]
-        waves = [np.exp(-2j * np.pi * (block @ m))[:, None, None] if any(m) else None
+        waves = [G.unit_exp(-2 * np.pi * (block @ m))[:, None, None] if any(m) else None
                  for m in diffs]
         z1 = _transfer(rep.group, transfers1, block)
 

@@ -7,14 +7,13 @@ SU2       integer l >= 0, dimension l+1 (action on binary forms of
           degree l in two variables)
 SO3       integer l >= 0, dimension 2l+1 (the SU(2) label 2l through the
           double cover; its rows and columns j = -l..l)
-U2        pair (l, m), dimension l+1: u = z g with z^2 = det u maps to
-          z^{2m-l} pi_l(g); the half-integer ambiguity cancels because
-          pi_l(-g) = (-1)^l pi_l(g)
+U2        pair (l, m), dimension l+1: Sym^l(u) times det(u)^{m-l}, which
+          is z^{2m-l} pi_l(g) for u = z g with z^2 = det u and g in SU(2)
 
-Characters and U(2)'s centre factor are integer powers of unit complex
-numbers, taken by square-and-multiply: |e|.bit_length() - 1 squarings
-(at most 30 for a character, 32 for z^{2m-l}) and conj for e < 0.
-Round-off is about |e| eps, about 1e-6 at the largest labels.
+Characters and U(2)'s determinant factor are integer powers of unit
+complex numbers, taken by square-and-multiply: |e|.bit_length() - 1
+squarings (at most 30 for a character, 31 for det^{m-l}) and conj for
+e < 0.  Round-off is about |e| eps, about 1e-6 at the largest labels.
 
 Every representation is unitary: the monomial basis is normalized, as
 the paper's results for unitary irreducible pi require.  The paper's
@@ -23,13 +22,15 @@ are the unitary ones times ||p_j|| ||p_k|| = sqrt(j!(l-j)!) sqrt(k!(l-k)!);
 `paper_scale` holds that factor.  The scaled coefficients are natural
 Peter-Weyl coefficients for that basis but are not multiplicative.
 
-For SU(2) the matrix is assembled from the expansion
+The matrix is assembled from the expansion
 
-    p_k((w1,w2) g) = sum_j c_jk(g) p_j,   g ~ (z1, z2),
+    p_k((w1,w2) u) = sum_j c_jk(u) p_j,   u = [[u00, u01], [u10, u11]],
 
-whose coefficients are an explicit double sum in z1, conj(z1), z2,
-conj(z2); the implementation tabulates the exponent patterns once per l
-and evaluates all batch elements with power tables.  SO(3) = SU(2)/{+-1}
+whose coefficients are an explicit double sum in u00, u11, u01, u10
+(z1, conj(z1), z2, -conj(z2) for SU(2)); the implementation tabulates the
+exponent patterns once per l and evaluates them with power tables.  U(2)
+multiplies c(u) by (det / |det|)^(m-l), no sqrt(det u) needed; normalizing
+keeps the payload's modulus round-off out of the power.  SO(3) = SU(2)/{+-1}
 has the even SU(2) labels as its irreps: label l evaluates
 
     pi_l(R) = C pi_2l(lift R) C^-1,   C = diag(i^j), j = -l..l,
@@ -55,10 +56,9 @@ from . import groups as G
 from .errors import ConfigError, TagMismatchError
 
 L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
-# label entries stay below this size: pi raises unit complex numbers to
-# label-sized powers by square-and-multiply (at most 32 squarings below it),
-# whose round-off is about |e| eps: at 2**31 - 1 pi stays unitary to about
-# 1e-6, while at 2**62 the modulus grows to 1e157
+# label entries stay below this size: square-and-multiply powers (at most 31
+# squarings, for det^(m-l)) round off by about |e| eps, so pi stays unitary to
+# about 1e-6 at 2**31 - 1, while at 2**62 its modulus grows to 1e157
 LABEL_BOUND = 2 ** 31
 
 _ENTRIES = "rep label entries must be integers below 2**31 in size"
@@ -174,17 +174,13 @@ def _su2_table(l: int):
             np.array(coeff, dtype=float), scatter, norms)
 
 
-def _su2_c_matrix(l: int, payload: np.ndarray) -> np.ndarray:
-    """Raw expansion coefficients c_jk(g); this matrix is multiplicative."""
+def _c_matrix(l: int, u00, u11, u01, u10) -> np.ndarray:
+    """Raw expansion coefficients c_jk(u) of the batched 2x2 matrix with
+    these entries; this matrix is multiplicative."""
     p1, p2, p3, p4, coeff, scatter, _ = _su2_table(l)
-    z1, z2 = payload[..., 0], payload[..., 1]
-    P1 = _powers(z1, l)
-    P2 = _powers(np.conj(z1), l)
-    P3 = _powers(z2, l)
-    P4 = _powers(-np.conj(z2), l)
-    vals = coeff * P1[..., p1] * P2[..., p2] * P3[..., p3] * P4[..., p4]
-    flat = vals @ scatter
-    return flat.reshape(payload.shape[:-1] + (l + 1, l + 1))
+    vals = (coeff * _powers(u00, l)[..., p1] * _powers(u11, l)[..., p2]
+            * _powers(u01, l)[..., p3] * _powers(u10, l)[..., p4])
+    return (vals @ scatter).reshape(u00.shape + (l + 1, l + 1))
 
 
 def su2_norms(l: int) -> np.ndarray:
@@ -244,14 +240,15 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
             val = np.ones(payload.shape[:-1], dtype=complex)
         return val[..., None, None]
     l = rep.label[0]
-    if tag == G.SU2:
-        return _su2_c_matrix(l, payload) * _scale(rep)
+    if tag == G.U2:
+        u00, u01, u10, u11 = (payload[..., i, j] for i in (0, 1) for j in (0, 1))
+        det = u00 * u11 - u01 * u10
+        scaled = _c_matrix(l, u00, u11, u01, u10) * _scale(rep)
+        return _unit_power(det / np.abs(det), rep.label[1] - l)[..., None, None] * scaled
     if tag == G.SO3:
-        lift = G.so3_to_su2(G.GroupElement(rep.group, payload)).payload
-        return _su2_c_matrix(2 * l, lift) * _scale(rep)
-    _, z, su2_payload = G.u2_factor(payload)
-    scaled = _su2_c_matrix(l, su2_payload) * _scale(rep)
-    return _unit_power(z, 2 * rep.label[1] - l)[..., None, None] * scaled
+        l, payload = 2 * l, G.so3_to_su2(G.GroupElement(rep.group, payload)).payload
+    z1, z2 = payload[..., 0], payload[..., 1]
+    return _c_matrix(l, z1, np.conj(z1), z2, -np.conj(z2)) * _scale(rep)
 
 
 def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:

@@ -13,11 +13,11 @@ representations and numeric budgets, then runs the full pipeline:
 
 Reports are byte-reproducible for a fixed config and seed: JSON is
 dumped with sorted keys and repr floats, series files list plain Python
-floats, and wall-clock timings live in a sidecar file (`timings.json`)
-that is excluded from any reproducibility comparison.  The report's
-`caveats` list states the standing assumptions that are inputs rather
-than verified facts (irrationality of the base frequencies, unique
-ergodicity of the base flow).
+floats, and per-stage wall-clock times and minor page faults live in a
+sidecar file (`timings.json`) excluded from any reproducibility
+comparison.  The report's `caveats` list states the standing assumptions
+that are inputs rather than verified facts (irrationality of the base
+frequencies, unique ergodicity of the base flow).
 """
 
 from __future__ import annotations
@@ -501,15 +501,23 @@ class RunReport:
     report: dict
 
 
+def _clock() -> dict:
+    """Wall seconds and, where the resource module exists, minor page faults."""
+    try:
+        import resource
+    except ImportError:  # not on every platform: the sidecar omits faults
+        return {"seconds": time.perf_counter()}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return {"seconds": time.perf_counter(), "minor_faults": faults}
+
+
 def scenario_run(config: ScenarioConfig) -> RunReport:
     """Execute a scenario and write report, series and timing files."""
     config.validate()
     if not config.outdir:
         raise ConfigError("config.outdir must be set to run a scenario")
 
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-
+    clock = [_clock()]
     if config.alpha is not None:
         flow = D.TranslationFlow(tuple(config.alpha))
     else:
@@ -517,20 +525,18 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     phi, extras = build_cocycle(flow, config.cocycle)
     reps = [_rep_from_label(phi.group, label, config.d)
             for label in config.reps]
-    timings["setup"] = time.perf_counter() - t0
     # only a config that built is given a directory
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    t1 = time.perf_counter()
+    clock.append(_clock())
     stage = _degree_stage(config, flow, phi, extras, reps)
-    timings["degree"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
+    clock.append(_clock())
     entries, series_paths = _spectral_stage(config, flow, phi, extras,
                                             reps, stage, outdir)
-    timings["spectral"] = time.perf_counter() - t2
-    timings["total"] = time.perf_counter() - t0
+    clock.append(_clock())
+    spans = {"setup": (0, 1), "degree": (1, 2), "spectral": (2, 3), "total": (0, 3)}
+    sidecar = {key: {k: clock[b][key] - clock[a][key] for k, (a, b) in spans.items()}
+               for key in clock[0]}
 
     report = {
         "scenario": config.name,
@@ -551,6 +557,5 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     report_path = outdir / REPORT_FILENAME
     report_path.write_text(_dump_json(report))
     (outdir / TIMINGS_FILENAME).write_text(_dump_json(
-        {"seconds": timings, "note": "wall-clock; excluded from "
-                                     "reproducibility comparisons"}))
+        {**sidecar, "note": "machine-dependent; excluded from reproducibility comparisons"}))
     return RunReport(outdir=outdir, report_path=report_path, report=report)

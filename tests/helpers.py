@@ -18,6 +18,7 @@ import liedeg.degree as DG
 import liedeg.dynamics as D
 import liedeg.groups as G
 import liedeg.koopman as K
+import liedeg.reps as R
 from liedeg.errors import ConfigError, TagMismatchError
 
 # unitarity / orthogonality tolerances per group
@@ -98,9 +99,26 @@ def torus_character_reference(payload: np.ndarray, q) -> np.ndarray:
     return np.prod(payload ** np.asarray(q), axis=-1)
 
 
-def u2_centre_reference(z: np.ndarray, l: int, m: int) -> np.ndarray:
-    """U(2)'s centre factor z^(2m - l) through numpy's complex pow."""
-    return z ** (2 * m - l)
+def su2_from_matrix(m: np.ndarray) -> np.ndarray:
+    """First row of an SU(2) matrix as the (z1, z2) payload."""
+    return np.stack([m[..., 0, 0], m[..., 0, 1]], axis=-1)
+
+
+def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = z g on raw U(2) payloads: (det u, z, SU(2) payload of g), with
+    z = circle_sqrt(det u) the one branch choice for sqrt(det u)."""
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    z = G.circle_sqrt(det)
+    return det, z, su2_from_matrix(u / z[..., None, None])
+
+
+def u2_rep_reference(rep: R.Representation, u: np.ndarray) -> np.ndarray:
+    """The factorised U(2) irrep z^(2m - l) pi_l(u / z), z = sqrt(det u),
+    with the centre factor through numpy's complex pow: the reference for
+    `reps.rep_eval_payload`'s det^(m - l) Sym^l(u)."""
+    l, m = rep.label
+    _, z, g = u2_factor(u)
+    return (z ** (2 * m - l))[..., None, None] * R.rep_eval_payload(R.su2_rep(l), g)
 
 
 def validate_m_field(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,

@@ -408,7 +408,26 @@ def test_iso_to_u2_example_and_inverse():
     # round trip through the 2:1 split
     w = np.exp(2j * np.pi * 0.37)
     u2 = H.iso_so3_torus_to_u2(R, w, -1)
-    det, _, g = G.u2_factor(u2.payload)
+    det, _, g = H.u2_factor(u2.payload)
     R2 = G.su2_to_so3(G.GroupElement(G.SU2_GROUP, g))
     assert np.max(np.abs(R2.payload - R.payload)) < 1e-12
     assert abs(det - w) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the unit circle
+# ---------------------------------------------------------------------------
+
+def test_unit_exp_matches_complex_exp():
+    """cos + i sin against exp(i theta) on 10^6 angles: uniform in a turn,
+    negative, large, and 2 pi t as the characters form them."""
+    gen = np.random.default_rng(17)
+    theta = np.concatenate([
+        2 * np.pi * gen.random(250_000),
+        -50 * gen.random(250_000),
+        1e6 * gen.standard_normal(250_000),
+        2 * np.pi * (gen.integers(-40, 40, 250_000) * gen.random(250_000)),
+    ])
+    got = G.unit_exp(theta)
+    assert got.shape == theta.shape and got.dtype == complex
+    assert np.max(np.abs(got - np.exp(1j * theta))) <= 2.0 ** -52

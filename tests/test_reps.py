@@ -58,33 +58,38 @@ def test_paper_is_symmetric_rescaling_of_orthonormal():
         assert np.array_equal(R.paper_scale(rep), np.ones((rep.dim, rep.dim)))
 
 
-def _substitution_coefficients(l, z1, z2):
-    """Independent oracle: expand p_k((w1,w2) g) by explicit polynomial
+def _substitution_coefficients(l, u):
+    """Independent oracle: expand p_k((w1,w2) u) by explicit polynomial
     composition.  Row j, column k gives the coefficient of w1^j w2^{l-j}."""
     out = np.zeros((l + 1, l + 1), dtype=complex)
     for k in range(l + 1):
-        # (z1 w1 - conj(z2) w2)^k * (z2 w1 + conj(z1) w2)^{l-k}
+        # (u00 w1 + u10 w2)^k * (u01 w1 + u11 w2)^{l-k}
         first = np.zeros(k + 1, dtype=complex)
         for a in range(k + 1):
-            first[a] = math.comb(k, a) * z1 ** a * (-np.conj(z2)) ** (k - a)
+            first[a] = math.comb(k, a) * u[0, 0] ** a * u[1, 0] ** (k - a)
         second = np.zeros(l - k + 1, dtype=complex)
         for a in range(l - k + 1):
-            second[a] = math.comb(l - k, a) * z2 ** a * np.conj(z1) ** (l - k - a)
+            second[a] = math.comb(l - k, a) * u[0, 1] ** a * u[1, 1] ** (l - k - a)
         # index = power of w1
         out[:, k] = np.convolve(first, second)
     return out
 
 
 def test_su2_matrix_matches_polynomial_substitution_oracle():
+    """On SU(2) pairs and on general complex 2x2 matrices, the form U(2)
+    reads straight from its payload."""
     gen = RngHandle(4242).generator()
     for l in (1, 2, 3):
         for _ in range(5):
             v = gen.standard_normal(4)
             v /= np.linalg.norm(v)
             z1, z2 = v[0] + 1j * v[1], v[2] + 1j * v[3]
-            want = _substitution_coefficients(l, z1, z2)
-            got = R._su2_c_matrix(l, np.array([z1, z2]))
-            assert np.max(np.abs(got - want)) < 1e-13
+            u = G.su2_matrix(np.array([z1, z2]))
+            got = R._c_matrix(l, z1, np.conj(z1), z2, -np.conj(z2))
+            assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-13
+            u = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+            got = R._c_matrix(l, u[0, 0], u[1, 1], u[0, 1], u[1, 0])
+            assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-12
 
 
 def test_paper_diagonal_formulas_exact():
@@ -458,19 +463,30 @@ def test_torus_characters_match_pow_reference(q):
     assert np.max(np.abs(got - ref)) <= POWER_TOL * max(R.rep_weight(rep), 1)
 
 
-@pytest.mark.parametrize("l, m", [(0, 0), (2, 1), (2, 2), (1, 1), (3, -1), (4, 9),
-                                  (2, 2 ** 31 - 1), (2, 1 - 2 ** 31)])
+U2_LABELS = [(0, 0), (0, 1), (2, 1), (2, 2), (1, 1), (3, -1), (4, 9),
+             (2, 2 ** 31 - 1), (2, 1 - 2 ** 31)]
+
+
+@pytest.mark.parametrize("l, m", U2_LABELS)
 def test_u2_centre_factor_matches_pow_reference(l, m):
     payload = _haar(G.U2_GROUP, 200, 4).payload
-    _, z, su2_payload = G.u2_factor(payload)
     got = R.rep_eval_payload(R.u2_rep(l, m), payload)
-    ref = (H.u2_centre_reference(z, l, m)[..., None, None]
-           * R.rep_eval_payload(R.su2_rep(l), su2_payload))
-    e = 2 * m - l
-    if e in (0, 1, 2):
-        # numpy's pow returns 1, z and z * z here: the same bits
-        assert np.array_equal(got, ref)
-    assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(e), 1)
+    ref = H.u2_rep_reference(R.u2_rep(l, m), payload)
+    assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(2 * m - l), 1)
+
+
+@pytest.mark.parametrize("l, m", U2_LABELS)
+def test_u2_irreps_need_no_square_root_cut(l, m):
+    """det u near -1, on both sides of circle_sqrt's branch cut: the
+    factorised form flips z's sign across it, and z^(2m - l) pi_l(u / z)
+    does not move, nor does det^(m - l) Sym^l(u)."""
+    g = G.su2_matrix(_haar(G.SU2_GROUP, 200, 11).payload)
+    eps = np.linspace(-1e-9, 1e-9, 200)
+    z = 1j * G.unit_exp(eps / 2)  # det = z^2 = -e^(i eps)
+    u = z[:, None, None] * g
+    got = R.rep_eval_payload(R.u2_rep(l, m), u)
+    ref = H.u2_rep_reference(R.u2_rep(l, m), u)
+    assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(2 * m - l), 1)
 
 
 @pytest.mark.parametrize("rep", [R.torus_rep([2 ** 31 - 1, 1 - 2 ** 31]),
@@ -482,6 +498,19 @@ def test_largest_labels_stay_unitary_homomorphisms(rep):
     mats = R.rep_eval_payload(rep, _haar(rep.group, 200, 5).payload)
     assert np.all(np.isfinite(mats))
     hom, unit = R.haar_deviations(rep, 200, RngHandle(909, 6))
+    assert hom <= 1e-5 and unit <= 1e-5
+
+
+@pytest.mark.parametrize("m", [2 ** 31 - 1, 1 - 2 ** 31])
+def test_largest_u2_labels_stay_unitary_off_the_group(monkeypatch, m):
+    """Walked payloads leave the group by round-off.  Scaled by 1 + 1e-13,
+    det u has modulus 1 + 2e-13, and raised to m - l near 2**31 the
+    unnormalized det would scale pi by about 1 + 4e-4; the unit det / |det|
+    keeps pi within the round-off of the largest labels."""
+    haar = G.haar_sample
+    monkeypatch.setattr(G, "haar_sample", lambda *a: G.GroupElement(
+        G.U2_GROUP, haar(*a).payload * (1 + 1e-13)))
+    hom, unit = R.haar_deviations(R.u2_rep(2, m), 200, RngHandle(909, 6))
     assert hom <= 1e-5 and unit <= 1e-5
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,23 @@ class TestScenarioRun:
         assert by_label["torus q=[1]"]["wiener_tail"] < 1e-20
         caveat_text = " ".join(rep["caveats"])
         assert "input assumption" in caveat_text
+
+    def test_timings_sidecar_counts_minor_faults_per_stage(self, tmp_path, monkeypatch):
+        stages = {"setup", "degree", "spectral", "total"}
+        rr = scenario_run(_small_anzai(tmp_path / "run"))
+        sidecar = json.loads((rr.outdir / TIMINGS_FILENAME).read_text())
+        assert set(sidecar["seconds"]) == stages
+        faults = sidecar["minor_faults"]
+        assert set(faults) == stages
+        assert all(isinstance(v, int) and v >= 0 for v in faults.values())
+        assert faults["total"] >= faults["degree"] + faults["spectral"]
+        # without the resource module the key is left out and the report
+        # keeps its bytes
+        monkeypatch.setitem(sys.modules, "resource", None)
+        again = scenario_run(_small_anzai(tmp_path / "again"))
+        sidecar = json.loads((again.outdir / TIMINGS_FILENAME).read_text())
+        assert "minor_faults" not in sidecar and set(sidecar["seconds"]) == stages
+        assert again.report_path.read_bytes() == rr.report_path.read_bytes()
 
     def test_report_json_parses_from_disk(self, tmp_path):
         rr = scenario_run(_small_anzai(tmp_path / "run"))
