@@ -80,7 +80,7 @@ def _criterion_02():
     """Orthogonality integrals by exact Euler-angle quadrature."""
     worst = 0.0
     for l in range(5):
-        check = R.peter_weyl_check(R.su2_rep(l), nodes=64)
+        check = R.peter_weyl_check(R.su2_rep(l), 64)
         worst = max(worst, float(check["max_abs_deviation"]))
     passed = worst <= 1e-8
     return passed, (f"su2 l<=4 Gram vs I/d at 64^3 nodes: max dev "
@@ -252,12 +252,12 @@ def _criterion_09():
     """Mixing and pure-point correlation observables for torus powers."""
     c1 = D.torus_monomial(FLOW, [[1]])
     rep1 = R.torus_rep([1])
-    probe1 = K.constant_fiber(rep1, 0, [1.0])
+    probe1 = K.constant_fiber(rep1, [1.0])
     series1 = K.correlation_series(probe1, probe1, c1, FLOW, 50,
                                    D.QuadratureSpec(8))
     worst = float(np.max(np.abs(series1.values[1:])))
     c0 = D.torus_monomial(FLOW, [[0]])
-    probe0 = K.monomial_fiber(rep1, 0, [[1]])
+    probe0 = K.monomial_fiber(rep1, [[1]])
     series0 = K.correlation_series(probe0, probe0, c0, FLOW, 50,
                                    D.QuadratureSpec(8))
     a_n = K.wiener_average(series0)
@@ -278,7 +278,7 @@ def _criterion_10():
         for slot in range(rep.dim):
             vec = np.zeros(rep.dim, dtype=complex)
             vec[slot] = 1.0
-            psi = K.constant_fiber(rep, 0, vec)
+            psi = K.constant_fiber(rep, vec)
             psi_conj = K.conjugate_vector(psi, zeta)
             for n in (1, 5, 12, 20):
                 c_delta, _ = K.koopman_apply_corr(psi, psi, delta, FLOW, n,
@@ -381,14 +381,12 @@ def run_one(cid: int) -> CriterionResult:
     raise KeyError(f"no criterion {cid}")
 
 
-def run_all(verbose: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for cid, _name, _fn, _budget in CRITERIA:
         res = run_one(cid)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
-    if verbose:
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} criteria passed", flush=True)
+        print(res.line(), flush=True)
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} criteria passed", flush=True)
     return results

@@ -167,7 +167,7 @@ def _cmd_corr(args) -> int:
         raise ConfigError(f"--slot must lie in [0, {rep.dim})")
     vec = np.zeros(rep.dim, dtype=complex)
     vec[args.slot] = 1.0
-    probe = K.constant_fiber(rep, 0, vec, name=f"slot-{args.slot}")
+    probe = K.constant_fiber(rep, vec, name=f"slot-{args.slot}")
     series = K.correlation_series(probe, probe, cocycle, flow, args.n_max,
                                   D.QuadratureSpec(args.nodes))
     text = series.to_csv_text()
@@ -214,7 +214,7 @@ def _cmd_rep_check(args) -> int:
         "unitarity_deviation": unit_dev,
     }
     if args.nodes:
-        check = R.peter_weyl_check(rep, nodes=args.nodes)
+        check = R.peter_weyl_check(rep, args.nodes)
         out["orthogonality_deviation"] = float(check["max_abs_deviation"])
     sys.stdout.write(_dump_json(out))
     return EXIT_OK
@@ -223,7 +223,7 @@ def _cmd_rep_check(args) -> int:
 def _cmd_self_test(_args) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     return EXIT_OK if all(r.passed for r in results) else 1
 
 

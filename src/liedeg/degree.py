@@ -40,7 +40,6 @@ from .errors import (ConfigError, DegenerateDegreeError,
                      InconsistentDegreeError, NonHermitianError,
                      NumericGuardError, TagMismatchError)
 
-DEFAULT_N = 10_000
 CONSTANT_SPREAD_FACTOR = 10.0
 # guards of the SU(2) transfer construction: the smallest rho
 # `su2_straighten` accepts, and `su2_transfer_zeta`'s tolerances on
@@ -163,7 +162,7 @@ def _cesaro_sums(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint, counts) 
 
 
 def degree_pointwise(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
-                     N: int = DEFAULT_N) -> DegreeEstimate:
+                     N: int) -> DegreeEstimate:
     """(1/N) sum_{n<N} Ad_{phi^(n)(x)} M(F_n x), batched over x, with the
     partial sum at floor(N/2) as convergence diagnostic."""
     half_n = max(N // 2, 1)
@@ -221,7 +220,7 @@ def _field_from_estimate(points: D.BasePoint, est: DegreeEstimate) -> DegreeFiel
 
 
 def degree_field(c: D.Cocycle, flow: D.TranslationFlow, points: D.BasePoint,
-                 N: int = DEFAULT_N) -> DegreeField:
+                 N: int) -> DegreeField:
     """Degree estimates over a point family, in one batched orbit walk."""
     points = D.BasePoint(np.atleast_2d(points.phases))
     return _field_from_estimate(points, degree_pointwise(c, flow, points, N))
@@ -452,19 +451,18 @@ def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
 
 NOT_UNIQUELY_ERGODIC_A = "NOT_UNIQUELY_ERGODIC(a)"
 NOT_UNIQUELY_ERGODIC_B = "NOT_UNIQUELY_ERGODIC(b)"
-NOT_ERGODIC_C = "NOT_ERGODIC(c)"
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
 
 
 def ergodicity_verdict(group: G.GroupSpec, integral_M: G.AlgebraElement,
-                       degree_nonzero: bool,
-                       flow_uniquely_ergodic: bool = False) -> dict:
+                       degree_nonzero: bool) -> dict:
     """Obstruction verdict for the skew product.
 
     (a) nonzero degree whose Ad-average projection vanishes rules out
     unique ergodicity; (b) nonzero degree over a centerless connected
-    group (SU(2), SO(3)) does the same; either upgrades to a failure of
-    plain ergodicity (c) when the base flow is flagged uniquely ergodic.
+    group (SU(2), SO(3)) does the same.  The paper's (c), a failure of
+    plain ergodicity, needs the base flow uniquely ergodic, which is an
+    input assumption here and never verified, so it is not reported.
     These are necessary-condition reports, never ergodicity certificates.
     """
     verdict = NO_OBSTRUCTION
@@ -479,9 +477,6 @@ def ergodicity_verdict(group: G.GroupSpec, integral_M: G.AlgebraElement,
             verdict = NOT_UNIQUELY_ERGODIC_A
             why = ("nonzero degree while the Ad-averaged integral of the "
                    "M-field vanishes")
-        if verdict != NO_OBSTRUCTION and flow_uniquely_ergodic:
-            verdict = NOT_ERGODIC_C
-            why += "; base flow uniquely ergodic, so ergodicity itself fails"
     return {"verdict": verdict, "justification": why}
 
 
@@ -499,8 +494,7 @@ def _matrix_json(payload: np.ndarray):
 
 def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
                   reps: Sequence[R.Representation], verdict: dict,
-                  n_used: int, constant_form: str,
-                  diagnostics: dict | None = None) -> dict:
+                  n_used: int, constant_form: str, diagnostics: dict) -> dict:
     """JSON-ready summary of a degree computation.
 
     `constant_form` names the route that justified treating the degree as
@@ -524,5 +518,5 @@ def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
         "justification": verdict["justification"],
         "N_used": n_used,
         "constant_form": constant_form,
-        "diagnostics": diagnostics or {},
+        "diagnostics": diagnostics,
     }

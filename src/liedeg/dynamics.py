@@ -156,15 +156,16 @@ class Cocycle:
     dimension d of the base torus the callables accept.
 
     `step`, when set, evaluates both at once for the orbit walker:
-    step(phases, carry, want_m, flow, k) -> (value, M-field or None,
-    carry) at the phases of F_k x of a walk under `flow`, equal to
-    `value(phases)` and, when `want_m`, `m_field(phases)` within the
-    bound its constructor states (bit for bit for `cohomologous_build`;
-    within the walker's phase drift for a character cocycle, see
-    `_character_cocycle`).  The carry is None or what the call at the
-    previous point of the same walk returned, and holds work that point
-    did for this one; a step uses it only when it can tell that `phases`
-    is that point's successor, so any carry is safe to pass.
+    step(phases, carry, want_m, flow) -> (value, M-field or None, carry)
+    at a point of a walk under `flow`, equal to `value(phases)` and, when
+    `want_m`, `m_field(phases)` within the bound its constructor states
+    (bit for bit for `cohomologous_build`; within the walker's phase
+    drift for a character cocycle, see `_character_cocycle`).  The carry
+    is None at a walk's first point and afterwards what the call at the
+    walk's previous point returned, with the same `want_m` and `flow`;
+    it holds work that point did for this one.  The one successor rule:
+    a step reuses its carry only when `flow` is the flow the cocycle was
+    built with, since only then are `phases` the carry's F_1 x.
     """
 
     group: G.GroupSpec
@@ -198,7 +199,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
         return G.group_inv(cocycle_iterate(c, flow, shifted, -n))
     alpha = flow.alpha_array
     phases = np.array(x.phases)
-    step = c.step or (lambda ph, carry, want_m, flow, k: (
+    step = c.step or (lambda ph, carry, want_m, flow: (
         c.value(ph), c.m_field(ph) if want_m else None, None))
     g = carry = None
     for k in range(n):
@@ -207,7 +208,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
             wrap_phases(phases)
         if visit is not None and not with_m:
             visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]))
-        value, m, carry = step(phases, carry, with_m, flow, k)
+        value, m, carry = step(phases, carry, with_m, flow)
         if with_m:
             visit(k, phases, g if k else G.identity(c.group, phases.shape[:-1]), m)
         value = G.GroupElement(c.group, value)
@@ -218,8 +219,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
     return G.maybe_renormalize(g)
 
 
-def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
-                       name: str = "") -> Cocycle:
+def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow) -> Cocycle:
     """The cocycle phi(x) = zeta(x)^{-1} delta(x) zeta(F_1 x).
 
     Its M-field follows from the product rule,
@@ -232,9 +232,9 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
     F_1 x = x + alpha mod 1 once, and `value` / `m_field` are that step
     without a carry (`m_field` skips zeta(F_1 x) and the value's products,
     which it does not need).  Along an orbit zeta(F_1 x) is the next
-    point's zeta(x): the step carries (F_1 x, zeta(F_1 x), M_zeta(F_1 x)) and
-    reuses the last two when the next phases equal F_1 x bit for bit, as
-    the walker's `wrap_phases(x + alpha)` does on the flow given here.
+    point's zeta(x): the step carries (zeta(F_1 x), M_zeta(F_1 x)) and
+    reuses them on a walk under the flow given here, whose
+    `wrap_phases(x + alpha)` is this step's F_1 x bit for bit.
     """
     if zeta.group != delta.group:
         raise TagMismatchError("zeta and delta must share the group")
@@ -243,9 +243,8 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
 
     def parts(phases, carry, want_m, want_value=True):
         ahead = wrap_phases(phases + alpha)
-        if (carry is not None and (carry[2] is not None or not want_m)
-                and np.array_equal(carry[0], phases)):
-            _, zl, mzl = carry
+        if carry is not None:
+            zl, mzl = carry
         else:
             zl = zeta.value(phases)
             mzl = zeta.m_field(phases) if want_m else None
@@ -261,15 +260,15 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow,
             inner += delta.m_field(phases)
             inner += G.ad(dm, G.AlgebraElement(group, mzr)).payload
             m = G.ad(zinv, G.AlgebraElement(group, inner)).payload
-        return value, m, (ahead, zr, mzr)
+        return value, m, (zr, mzr)
 
     has_m = zeta.m_field is not None and delta.m_field is not None
     return Cocycle(group, lambda phases: parts(phases, None, False)[0],
                    (lambda phases: parts(phases, None, True, False)[1]) if has_m else None,
                    freq_bound=2 * zeta.freq_bound + delta.freq_bound,
-                   base_dim=delta.base_dim,
-                   name=name or f"cohomologous[{zeta.name} ; {delta.name}]",
-                   step=lambda phases, carry, want_m, *walk: parts(phases, carry, want_m))
+                   base_dim=delta.base_dim, name=f"cohomologous[{zeta.name} ; {delta.name}]",
+                   step=lambda phases, carry, want_m, walk_flow: parts(
+                       phases, carry if walk_flow == flow else None, want_m))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +309,8 @@ def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
     without M-fields needs one `characters` call: the step keeps chi(x_0)
     of its first point and at the j-th returns
     from_chars(chi(x_0) e(j K.alpha mod 1)), the offset from `orbit_turns`,
-    so round-off does not grow with j.  It carries only along `flow` and
-    at the step after the carry's own; otherwise it evaluates afresh.
+    so round-off does not grow with j.  Its carry is (j, chi(x_0)); on a
+    walk along another flow it evaluates every point afresh.
     The walker's phases drift by up to j * 2**-53 per entry after j steps
     and the carried ones do not, so carried characters differ from those
     of value(phases) by at most 2 pi |K_r|_1 (j + 1) 2**-53 plus a few ulp.
@@ -334,16 +333,16 @@ def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
             return m(characters(phases, K, offsets))
         return np.broadcast_to(m, phases.shape[:-1] + m.shape).copy()
 
-    def step(phases, carry, want_m, walk_flow, k):
+    def step(phases, carry, want_m, walk_flow):
         if want_m:
             return value(phases), m_field(phases), None
-        if carry is not None and carry[1] == k - 1 and walk_flow == flow:
-            start, _, chi0 = carry
-            chi = chi0 * np.exp(2j * np.pi * turns(k - start))
+        if carry is not None and walk_flow == flow:
+            j, chi0 = carry[0] + 1, carry[1]
+            chi = chi0 * np.exp(2j * np.pi * turns(j))
         else:
-            start, chi0 = k, characters(phases, K, offsets)
+            j, chi0 = 0, characters(phases, K, offsets)
             chi = chi0.copy()  # from_chars may hand chi back as the value
-        return from_chars(chi), None, (start, k, chi0)
+        return from_chars(chi), None, (j, chi0)
 
     return Cocycle(group, value, m_field, freq_bound, flow.dim, name=name, step=step)
 
@@ -495,11 +494,12 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
     def value(phases):
         # sqrt(w) lift(R) in closed form: the x3-rotation by theta lifts
         # to diag(e^{ih}, e^{-ih}), h = theta/2 wrapped into [-pi/2, pi/2),
-        # with so3_to_su2's sign (largest quaternion entry positive)
+        # with so3_to_su2's sign: the quaternion (c, 0, 0, s) is negated
+        # when s < 0 leads, past the tie band of c
         h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
         h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
         c, s = np.cos(h), np.sin(h)
-        sign = np.where((np.abs(s) > np.abs(c)) & (s < 0), -1.0, 1.0)
+        sign = np.where((np.abs(c) < np.abs(s) - G.LEAD_TIE) & (s < 0), -1.0, 1.0)
         z = G.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt))) * sign
         out = np.zeros(h.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = z * (c + 1j * s)

@@ -32,8 +32,8 @@ coordinates (x1, x2, x3) is the *transpose* of the standard quaternion
 rotation matrix, so the x3-rotation by angle t, exp(t J3), has first row
 (cos t, sin t, 0).  The covering map `su2_to_so3` and its canonical lift
 `so3_to_su2` (Shepperd's method in matrix form: 4 q q^T is one constant
-linear map of R, sign normalized so the quaternion entry of largest
-magnitude is positive) are inverse to each other up to center.
+linear map of R; the first quaternion entry of nearly largest magnitude
+is made positive) are inverse to each other up to center.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ J2 = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 RENORM_TRIGGER = 1e-13
+# quaternion entries this close to the largest magnitude tie for the lead
+# of `so3_to_su2`'s sign, far above the lift's round-off
+LEAD_TIE = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -431,7 +434,10 @@ def so3_to_su2(R: GroupElement) -> GroupElement:
     Shepperd's method in matrix form: K = 4 q q^T is linear in R, and its
     row with the largest diagonal entry, normalized, is the quaternion q
     with the best-conditioned division.  The sign ambiguity is fixed by
-    making the quaternion entry of largest magnitude positive.  On the
+    making the quaternion entry of largest magnitude positive; entries
+    within LEAD_TIE of it tie, and the lowest index among them leads, so
+    round-off does not pick the sign (rotations by pi about (1, -1, 1)
+    tie three entries of opposite signs).  On the
     x3-rotation with angle t in (0, pi] the lift is diag(e^{it/2}, e^{-it/2}).
     """
     if R.group.tag != SO3:
@@ -443,9 +449,9 @@ def so3_to_su2(R: GroupElement) -> GroupElement:
     pick = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
     q = np.take_along_axis(K, pick[..., None, None], axis=-2)[..., 0, :]
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    # canonical sign
-    lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=-1)[..., None], axis=-1)
-    q = q * np.where(lead < 0, -1.0, 1.0)
+    size = np.abs(q)
+    first = np.argmax(size >= np.max(size, axis=-1, keepdims=True) - LEAD_TIE, axis=-1)
+    q = q * np.where(np.take_along_axis(q, first[..., None], axis=-1) < 0, -1.0, 1.0)
     return GroupElement(SU2_GROUP, _from_quaternion(q))
 
 

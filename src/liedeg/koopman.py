@@ -4,7 +4,9 @@ L^2 of the skew product splits into fibers spanned by matrix elements of
 the irreducible representations; on the row-j fiber of a d-dimensional
 representation pi, a vector is psi = sum_k phi_k(x) pi_jk and the
 Koopman operator sends the coefficient stack phi to
-pi(cocycle(x)) phi(F_1 x).
+pi(cocycle(x)) phi(F_1 x).  That rule is the same for every row j, so
+the row is a label, not an input: the module works on one fiber per
+representation, which the reports call row 0.
 
 Correlations <psi1, U^N psi2> reduce to base-torus integrals evaluated
 by equispaced quadrature, sized so trig-polynomial integrands are
@@ -73,21 +75,18 @@ AC_PREDICTED = "AC-PREDICTED"
 @dataclass(frozen=True, eq=False)  # arrays cannot take part in == or hash
 class FiberVector:
     """The coefficient stack psi(x) = pi(zeta(x)^{-1}) sum_a e(q_a.x) v_a of
-    sum_k psi_k(x) pi_jk on the row-j fiber of rep: `modes` holds the q_a
+    sum_k psi_k(x) pi_jk on a row fiber of rep: `modes` holds the q_a
     as an (A, d) integer array (d = 0 for a constant's zero mode, which
     fits any d), `vectors` the (A, d_pi) v_a, and zeta is the pointwise
     product of the `transfers` (e when there are none)."""
 
     rep: R.Representation
-    j: int
     modes: np.ndarray
     vectors: np.ndarray
     name: str = ""
     transfers: tuple[D.Cocycle, ...] = ()
 
     def __post_init__(self):
-        if not 0 <= self.j < self.rep.dim:
-            raise ConfigError(f"row index {self.j} outside [0, {self.rep.dim})")
         if self.modes.ndim != 2 or self.vectors.shape != (len(self.modes), self.rep.dim):
             raise ConfigError(f"need one length-{self.rep.dim} vector per mode row")
 
@@ -98,23 +97,20 @@ class FiberVector:
         return int(np.abs(self.modes).max(initial=0)) + zeta
 
 
-def constant_fiber(rep: R.Representation, j: int, vector,
-                   name: str = "") -> FiberVector:
+def constant_fiber(rep: R.Representation, vector, name: str = "") -> FiberVector:
     vec = np.array(vector, dtype=complex)
     if vec.shape != (rep.dim,):
         raise ConfigError(f"coefficient vector must have length {rep.dim}")
-    return FiberVector(rep, j, np.zeros((1, 0), dtype=int), vec[None],
-                       name or "constant-fiber")
+    return FiberVector(rep, np.zeros((1, 0), dtype=int), vec[None], name or "constant-fiber")
 
 
-def monomial_fiber(rep: R.Representation, j: int, windings,
-                   name: str = "") -> FiberVector:
+def monomial_fiber(rep: R.Representation, windings, name: str = "") -> FiberVector:
     """Coefficients phi_k(x) = e(q_k.x): mode q_k carries the k-th unit
     vector; `windings` is a (d_pi, d) integer array of the rows q_k."""
     q = np.atleast_2d(D._integers(windings))
     if q.shape[0] != rep.dim:
         raise ConfigError(f"need {rep.dim} winding rows, got {q.shape[0]}")
-    return FiberVector(rep, j, q, np.eye(rep.dim, dtype=complex),
+    return FiberVector(rep, q, np.eye(rep.dim, dtype=complex),
                        name or f"monomial-fiber q={q.tolist()}")
 
 
@@ -150,8 +146,6 @@ def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
 def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
     if psi1.rep != psi2.rep:
         raise TagMismatchError("fiber vectors live on different representations")
-    if psi1.j != psi2.j:
-        raise TagMismatchError("fiber vectors live on different rows")
     if psi1.rep.group != c.group:
         raise TagMismatchError("fiber and cocycle live on different groups")
 
@@ -326,7 +320,7 @@ def conjugate_vector(psi: FiberVector, zeta: D.Cocycle) -> FiberVector:
 
     If phi = zeta^{-1} delta (zeta o F_1), the substitution
     (x, g) -> (x, g zeta(x)^{-1}) conjugates the two skew products, and
-    on the row-j fiber it sends coefficient stacks to
+    on each row fiber it sends coefficient stacks to
     phi'(x) = pi(zeta(x)^{-1}) phi(x).  Correlations then match:
     <S psi1, U_phi^N S psi2> = <psi1, U_delta^N psi2>.
 
@@ -420,11 +414,11 @@ def _hypothesis(name: str, status: str, value) -> dict:
 
 
 def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
-                     flow: D.TranslationFlow, nodes: int = 128) -> list[dict]:
+                     flow: D.TranslationFlow) -> list[dict]:
     # the field is made afresh per representation, so it is not alive
     # through the next one's correlation walks
     M = G.AlgebraElement(c.group, np.asarray(
-        c.m_field(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))))
+        c.m_field(D.quadrature_points(D.QuadratureSpec(128), flow.dim))))
     m_sup = float(np.max(G.algebra_norm(M)))
     dm_sup = float(np.max(np.abs(R.rep_differential(rep, M))))
     return [
@@ -434,10 +428,10 @@ def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
 
 
 def _kernel_mass_fraction(probe: FiberVector, Q: np.ndarray, kernel: list[int],
-                          d: int, nodes: int = 64) -> float:
+                          d: int) -> float:
     """Fraction of the probe's L^2 coefficient mass lying in the kernel
     eigendirections (1.0 means entirely out of the claim's scope)."""
-    pts = D.quadrature_points(D.QuadratureSpec(max(nodes, 2 * probe.degree_bound + 1)), d)
+    pts = D.quadrature_points(D.QuadratureSpec(max(64, 2 * probe.degree_bound + 1)), d)
     coeffs = fiber_coefficients(probe, pts)
     comps = np.einsum("ls,...l->...s", np.conj(Q), coeffs)
     mass = np.mean(np.abs(comps) ** 2, axis=0)
@@ -447,8 +441,7 @@ def _kernel_mass_fraction(probe: FiberVector, Q: np.ndarray, kernel: list[int],
     return float(np.sum(mass[kernel])) / total
 
 
-def default_probes(rep: R.Representation, M_star: G.AlgebraElement,
-                   j: int = 0) -> list[FiberVector]:
+def default_probes(rep: R.Representation, M_star: G.AlgebraElement) -> list[FiberVector]:
     """Constant probes spanning the kernel complement of D = i dpi(M*).
 
     One constant-coefficient fiber vector per non-kernel eigenslot of D
@@ -456,26 +449,24 @@ def default_probes(rep: R.Representation, M_star: G.AlgebraElement,
     degree fields only; see `mixing_verdict` for the scope discussion.
     """
     Q, _, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
-    return [constant_fiber(rep, j, Q[:, s], name=f"eigenslot-{s}")
+    return [constant_fiber(rep, Q[:, s], name=f"eigenslot-{s}")
             for s in range(rep.dim) if s not in kernel]
 
 
-def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
-                   flow: D.TranslationFlow, M_star: G.AlgebraElement,
-                   N_max: int = 50,
-                   quadrature: D.QuadratureSpec | None = None,
-                   probes: Sequence[FiberVector] | None = None,
+def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
+                   M_star: G.AlgebraElement, N_max: int, quadrature: D.QuadratureSpec,
+                   probes: Sequence[FiberVector],
                    ) -> tuple[dict, list[CorrelationSeries | None]]:
     """Correlation-decay check on the kernel complement of D = i dpi(M*).
 
-    Default probes are the non-kernel eigenvectors of D as constant
+    `default_probes` are the non-kernel eigenvectors of D as constant
     coefficient vectors (each with c_0 = 1/d_pi).  That construction is
     meaningful when the degree field is constant in x (so D really is
     the fiber multiplication matrix); for a cocycle whose degree field
     rotates with x — e.g. one cohomologous to a diagonal model — the
     kernel direction rotates too, constant probes overlap it almost
-    everywhere and genuinely recur, and honest probes must be supplied
-    explicitly (conjugate_vector of the diagonal model's weight vectors).
+    everywhere and genuinely recur, and honest probes are the conjugated
+    ones (conjugate_vector of the diagonal model's weight vectors).
 
     A probe supports the mixing prediction when max over N in
     [N_max/2, N_max] of |c_N| is at most 1e-3 * c_0 and the late-window
@@ -487,12 +478,9 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     Returns (verdict, series): series[i] is probe i's correlation series,
     None when probe i is NOT-IN-SCOPE.
     """
-    quadrature = quadrature or D.QuadratureSpec(32)
     if N_max < 4:
         raise ConfigError("N_max must be >= 4")
     Q, lam, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
-    if probes is None:
-        probes = default_probes(rep, M_star, j)
 
     probe_reports = []
     walked = []
@@ -529,7 +517,7 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
         verdict = NO_CLAIM
     return {
         "rep_label": rep.name,
-        "j": j,
+        "j": 0,
         "kernel_indices": kernel,
         "eigenvalues": [float(v) for v in lam],
         "hypotheses": _grid_hypotheses(rep, c, flow),
@@ -541,9 +529,7 @@ def mixing_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     }, walked
 
 
-def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
-               flow: D.TranslationFlow, degree,
-               dini: dict | None = None) -> dict:
+def ac_verdict(rep: R.Representation, degree, dini: dict) -> dict:
     """Hypothesis-flag assembly for the absolutely-continuous prediction
     on the kernel complement of a fiber.
 
@@ -554,8 +540,7 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     conditional on the heuristic ones; a vanishing degree yields
     NO-CLAIM because the theory is silent there.
 
-    `dini` is this rep's entry of a shared `dini_modulus` pass; None runs
-    the pass for this rep alone.
+    `dini` is this rep's entry of a shared `dini_modulus` pass.
     """
     hypotheses = []
     if isinstance(degree, DG.DegreeField):
@@ -571,9 +556,6 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
     else:
         raise ConfigError("degree must be an AlgebraElement or a DegreeField")
 
-    if dini is None:
-        dini, = dini_modulus(c.m_field, [differential_map(rep, c.group)],
-                             flow, DINI_SHIFTS)
     samples = np.asarray(dini["samples"])
     peak = float(np.max(samples)) if samples.size else 0.0
     shrinking = bool(samples[0] <= 0.5 * peak + 1e-12) if peak > 0 else True
@@ -605,7 +587,7 @@ def ac_verdict(rep: R.Representation, j: int, c: D.Cocycle,
               "countable multiplicity on the kernel complement")
     return {
         "rep_label": rep.name,
-        "j": j,
+        "j": 0,
         "kernel_indices": DG.kernel_indices(rep, M_rep),
         "hypotheses": hypotheses,
         "verdict": verdict,

@@ -24,10 +24,10 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]  # five ticks per axis
 
 
 def _panel(x0: float, title: str, xs, ys, y_lo: float, y_hi: float,

@@ -389,7 +389,7 @@ def _term_count(rep: Representation) -> int:
     return math.comb(l + 3, 3)
 
 
-def peter_weyl_check(rep: Representation, nodes: int = 64) -> dict:
+def peter_weyl_check(rep: Representation, nodes: int) -> dict:
     """Gram matrix of the matrix elements against Haar measure, by the
     Euler-angle product rule at `nodes` per angle: equispaced x3-angles,
     Gauss-Legendre in cos(beta).

@@ -436,10 +436,10 @@ def _series_probe(rep: R.Representation, probes: list, d: int) -> K.FiberVector:
         return probes[0]
     if rep.group.tag == G.TORUS and not np.any(np.atleast_1d(rep.label)):
         winding = [[1] + [0] * (d - 1)]
-        return K.monomial_fiber(rep, 0, winding, name="base-eigenfunction")
+        return K.monomial_fiber(rep, winding, name="base-eigenfunction")
     vec = np.zeros(rep.dim, dtype=complex)
     vec[0] = 1.0
-    return K.constant_fiber(rep, 0, vec, name="kernel-witness")
+    return K.constant_fiber(rep, vec, name="kernel-witness")
 
 
 def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
@@ -460,11 +460,8 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
         if zeta is not None:
             probes = [replace(K.conjugate_vector(pr, zeta), name=f"{pr.name}-conjugated")
                       for pr in probes]
-        mixing, walked = K.mixing_verdict(rep, 0, phi, flow, M_star,
-                                          N_max=config.n_corr,
-                                          quadrature=quad, probes=probes)
-        ac = K.ac_verdict(rep, 0, phi, flow,
-                          deg_field if deg_field is not None else M_star, dini=dini)
+        mixing, walked = K.mixing_verdict(rep, phi, flow, M_star, config.n_corr, quad, probes)
+        ac = K.ac_verdict(rep, deg_field if deg_field is not None else M_star, dini)
         probe = _series_probe(rep, probes, flow.dim)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))

@@ -457,9 +457,9 @@ class TestSelfTestAndHelp:
     def test_self_test_exit_codes(self, monkeypatch, capsys):
         ok = acceptance.CriterionResult(1, "stub", True, "fine", 0.0)
         bad = acceptance.CriterionResult(2, "stub", False, "broken", 0.0)
-        monkeypatch.setattr(acceptance, "run_all", lambda verbose: [ok])
+        monkeypatch.setattr(acceptance, "run_all", lambda: [ok])
         assert cli.main(["--self-test"]) == 0
-        monkeypatch.setattr(acceptance, "run_all", lambda verbose: [ok, bad])
+        monkeypatch.setattr(acceptance, "run_all", lambda: [ok, bad])
         assert cli.main(["--self-test"]) == 1
         capsys.readouterr()
 

@@ -713,15 +713,6 @@ def test_verdict_zero_degree_no_obstruction():
     assert out["verdict"] == DG.NO_OBSTRUCTION
 
 
-def test_verdict_upgrade_to_not_ergodic():
-    out = DG.ergodicity_verdict(G.SU2_GROUP, H.algebra_zero(G.SU2_GROUP),
-                                True, flow_uniquely_ergodic=True)
-    assert out["verdict"] == DG.NOT_ERGODIC_C
-    M = G.AlgebraElement(G.U2_GROUP, 1j * np.diag([1.0, -1.0]))
-    out = DG.ergodicity_verdict(G.U2_GROUP, M, True, flow_uniquely_ergodic=True)
-    assert out["verdict"] == DG.NOT_ERGODIC_C
-
-
 def test_degree_report_serializes():
     M = G.AlgebraElement(G.SU2_GROUP, 1.1 * G.E3)
     verdict = DG.ergodicity_verdict(G.SU2_GROUP, M, True)
@@ -749,6 +740,6 @@ def test_degree_report_torus_vector():
     M = G.AlgebraElement(G.torus_group(2), np.array([2j * np.pi, 0.0j]))
     verdict = DG.ergodicity_verdict(G.torus_group(2), M, True)
     rep = DG.degree_report(G.torus_group(2), M, [R.torus_rep([1, 0])],
-                           verdict, 100, "diagonal-route")
+                           verdict, 100, "diagonal-route", {})
     json.dumps(rep)
     assert rep["M_star"][0][1] == pytest.approx(2 * np.pi)

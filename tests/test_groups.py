@@ -342,7 +342,10 @@ def _shepperd_four_candidates(R):
     pick = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
     qq = np.take_along_axis(q, pick[..., None, None].repeat(4, axis=-1), axis=-2)[..., 0, :]
     qq = qq / np.linalg.norm(qq, axis=-1, keepdims=True)
-    lead = np.take_along_axis(qq, np.argmax(np.abs(qq), axis=-1)[..., None], axis=-1)
+    # the first entry within 2**-48 of the largest magnitude leads the sign
+    size = np.abs(qq)
+    first = np.argmax(size >= size.max(axis=-1, keepdims=True) - 2.0 ** -48, axis=-1)
+    lead = np.take_along_axis(qq, first[..., None], axis=-1)
     qq = qq * np.where(lead < 0, -1.0, 1.0)
     return np.stack([qq[..., 0] + 1j * qq[..., 3], qq[..., 1] - 1j * qq[..., 2]], axis=-1)
 
@@ -353,9 +356,9 @@ def test_lift_matches_four_candidate_shepperd():
         return G.exp_alg(G.AlgebraElement(G.SO3_GROUP, Z)).payload
 
     t = np.array([np.pi, -np.pi, np.pi - 1e-9, np.pi - 1e-5, -np.pi + 1e-7])
-    # (1, 1, 0) ties two quaternion entries of the same sign; a tie of
-    # opposite signs would leave the canonical sign to round-off
-    tilted = np.array([[1.0, 1.0, 0.0], [0.3, 0.4, -0.2]])
+    # (1, 1, 0) ties two quaternion entries of the same sign at t = pi,
+    # (1, -1, 1) three of opposite signs
+    tilted = np.array([[1.0, 1.0, 0.0], [0.3, 0.4, -0.2], [1.0, -1.0, 1.0]])
     R = np.concatenate(
         [_haar(G.SO3_GROUP, 500, 3).payload, np.eye(3)[None]]
         + [rot(e, t) for e in np.eye(3)]
@@ -370,6 +373,17 @@ def test_lift_matches_four_candidate_shepperd():
     assert G.so3_to_su2(batched).payload.shape == (2, 3, 2)
     one = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.eye(3))).payload
     assert np.array_equal(one, [1.0, 0.0])
+    # at the three-way tie the first entry leads, so one ulp on R, on all
+    # entries or on any one, leaves the lift where it is
+    tied = rot(tilted[2] / np.sqrt(3), np.array([np.pi, -np.pi]))
+    nudged = [np.nextafter(tied, np.inf), np.nextafter(tied, -np.inf)]
+    for i in range(9):
+        for to in (np.inf, -np.inf):
+            flat = tied.reshape(2, 9).copy()
+            flat[:, i] = np.nextafter(flat[:, i], to)
+            nudged.append(flat.reshape(2, 3, 3))
+    lifts = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.concatenate([tied] + nudged))).payload
+    assert np.max(np.abs(lifts - lifts[0])) <= 2e-15
 
 
 def test_lift_of_x3_rotation_is_diagonal_phase():

@@ -44,20 +44,18 @@ def manufactured_degree(manufactured):
 def test_fiber_vector_validation():
     rep = R.su2_rep(1)
     with pytest.raises(ConfigError):
-        K.constant_fiber(rep, 2, [1.0, 0.0])
+        K.constant_fiber(rep, [1.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
-        K.constant_fiber(rep, 0, [1.0, 0.0, 0.0])
-    with pytest.raises(ConfigError):
-        K.monomial_fiber(rep, 0, [[1], [0], [2]])
+        K.monomial_fiber(rep, [[1], [0], [2]])
     # non-integral windings are refused, not truncated to [[1], [0]]
     with pytest.raises(ConfigError):
-        K.monomial_fiber(rep, 0, [[1.5], [0.7]])
-    assert K.monomial_fiber(rep, 0, [[1.0], [0.0]]).degree_bound == 1
+        K.monomial_fiber(rep, [[1.5], [0.7]])
+    assert K.monomial_fiber(rep, [[1.0], [0.0]]).degree_bound == 1
     # one length-d_pi vector per two-dimensional mode row, or a refusal
     with pytest.raises(ConfigError):
-        K.FiberVector(rep, 0, np.zeros((1, 1), dtype=int), np.ones((1, 3)))
+        K.FiberVector(rep, np.zeros((1, 1), dtype=int), np.ones((1, 3)))
     with pytest.raises(ConfigError):
-        K.FiberVector(rep, 0, np.zeros(2, dtype=int), np.ones((2, 2)))
+        K.FiberVector(rep, np.zeros(2, dtype=int), np.ones((2, 2)))
 
 
 def test_mode_dimension_guard():
@@ -65,15 +63,15 @@ def test_mode_dimension_guard():
     # while a constant's zero mode fits any d
     anzai = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep((0,))
-    psi = K.monomial_fiber(rep, 0, [[1, 0]])
+    psi = K.monomial_fiber(rep, [[1, 0]])
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     for run in (lambda: K.correlation_series(psi, psi, anzai, FLOW, 4, QUAD),
                 lambda: K.koopman_apply_corr(psi, psi, anzai, FLOW, 1, QUAD),
-                lambda: K.mixing_verdict(rep, 0, anzai, FLOW, zero, probes=[psi]),
+                lambda: K.mixing_verdict(rep, anzai, FLOW, zero, 50, QUAD, [psi]),
                 lambda: K.fiber_coefficients(psi, np.zeros((1, 1)))):
         with pytest.raises(ConfigError, match="do not fit a d = 1 base torus"):
             run()
-    const = K.constant_fiber(rep, 0, [1.0])
+    const = K.constant_fiber(rep, [1.0])
     flow2 = D.default_flow(2)
     for flow in (FLOW, flow2):
         c = D.torus_monomial(flow, [[1] * flow.dim])
@@ -83,10 +81,10 @@ def test_mode_dimension_guard():
 
 def test_coefficient_shapes():
     rep = R.su2_rep(2)
-    psi = K.constant_fiber(rep, 1, [1.0, 2.0, 3.0])
+    psi = K.constant_fiber(rep, [1.0, 2.0, 3.0])
     pts = np.random.default_rng(0).random((7, 1))
     assert K.fiber_coefficients(psi, pts).shape == (7, 3)
-    mono = K.monomial_fiber(rep, 0, [[1], [0], [-2]])
+    mono = K.monomial_fiber(rep, [[1], [0], [-2]])
     vals = K.fiber_coefficients(mono, pts)
     assert vals.shape == (7, 3)
     assert np.allclose(vals[:, 1], 1.0)
@@ -100,25 +98,22 @@ def _norm(psi, quadrature, d):
 
 def test_inner_product_orthonormality():
     rep = R.su2_rep(1)
-    psi1 = K.monomial_fiber(rep, 0, [[1], [2]])
-    psi2 = K.monomial_fiber(rep, 0, [[3], [-1]])
+    psi1 = K.monomial_fiber(rep, [[1], [2]])
+    psi2 = K.monomial_fiber(rep, [[3], [-1]])
     assert abs(H.inner_product(psi1, psi1, QUAD, 1) - 1.0) < 1e-12
     assert abs(H.inner_product(psi1, psi2, QUAD, 1)) < 1e-12
     assert abs(_norm(psi1, QUAD, 1) - 1.0) < 1e-12
     # a winding row of length 2 needs the T^2 grid, which `d` selects
-    psi = K.monomial_fiber(R.torus_rep([1]), 0, [[1, 2]])
+    psi = K.monomial_fiber(R.torus_rep([1]), [[1, 2]])
     assert abs(_norm(psi, QUAD, 2) - 1.0) < 1e-12
 
 
 def test_inner_product_guards(manufactured):
-    # a pair must share the representation and the row
+    # a pair must share the representation
     _, _, phi = manufactured
     with pytest.raises(TagMismatchError):
-        K.correlation_series(K.constant_fiber(R.su2_rep(1), 0, [1, 0]),
-                             K.constant_fiber(R.su2_rep(2), 0, [1, 0, 0]), phi, FLOW, 1, QUAD)
-    with pytest.raises(TagMismatchError):
-        K.correlation_series(K.constant_fiber(R.su2_rep(1), 0, [1, 0]),
-                             K.constant_fiber(R.su2_rep(1), 1, [1, 0]), phi, FLOW, 1, QUAD)
+        K.correlation_series(K.constant_fiber(R.su2_rep(1), [1, 0]),
+                             K.constant_fiber(R.su2_rep(2), [1, 0, 0]), phi, FLOW, 1, QUAD)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +125,7 @@ def test_constant_cocycle_closed_form():
     # on the torus rep of weight q:  c_N = w0^(q N) exp(2 pi i q1 N alpha).
     const = D.torus_monomial(FLOW, [[0]], theta0=[0.3])
     rep = R.torus_rep((2,))
-    psi = K.monomial_fiber(rep, 0, [[1]])
+    psi = K.monomial_fiber(rep, [[1]])
     w0 = np.exp(2j * np.pi * 0.3)
     for N in range(0, 7):
         expected = w0 ** (2 * N) * np.exp(2j * np.pi * N * ALPHA)
@@ -142,8 +137,8 @@ def test_constant_cocycle_closed_form():
 def test_corr_at_zero_matches_inner_product(manufactured):
     _, _, phi = manufactured
     rep = R.su2_rep(1)
-    psi1 = K.monomial_fiber(rep, 0, [[1], [0]])
-    psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
+    psi1 = K.monomial_fiber(rep, [[1], [0]])
+    psi2 = K.monomial_fiber(rep, [[0], [2]])
     c0, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, 0, QUAD)
     assert abs(c0 - H.inner_product(psi1, psi2, QUAD, 1)) < 1e-13
     self0, _ = K.koopman_apply_corr(psi1, psi1, phi, FLOW, 0, QUAD)
@@ -155,7 +150,7 @@ def test_winding_fiber_correlations_vanish():
     # exactly: the integrand winds N full turns.
     anzai = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep((1,))
-    probe = K.constant_fiber(rep, 0, [1.0])
+    probe = K.constant_fiber(rep, [1.0])
     for N in range(1, 21):
         c, err = K.koopman_apply_corr(probe, probe, anzai, FLOW, N, QUAD)
         assert abs(c) < 1e-12
@@ -167,7 +162,7 @@ def test_zero_weight_fiber_is_pure_point():
     # own eigenfunction returns c_N = exp(2 pi i N alpha), |c_N| = 1.
     anzai = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep((0,))
-    psi = K.monomial_fiber(rep, 0, [[1]])
+    psi = K.monomial_fiber(rep, [[1]])
     for N in range(1, 9):
         c, _ = K.koopman_apply_corr(psi, psi, anzai, FLOW, N, QUAD)
         assert abs(c - np.exp(2j * np.pi * N * ALPHA)) < 1e-12
@@ -178,8 +173,8 @@ def test_zero_weight_fiber_is_pure_point():
 def test_correlation_conjugation_symmetry(q1, q2, N):
     anzai = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep((1,))
-    psi1 = K.monomial_fiber(rep, 0, [[q1]])
-    psi2 = K.monomial_fiber(rep, 0, [[q2]])
+    psi1 = K.monomial_fiber(rep, [[q1]])
+    psi2 = K.monomial_fiber(rep, [[q2]])
     a, _ = K.koopman_apply_corr(psi1, psi2, anzai, FLOW, N, QUAD)
     b, _ = K.koopman_apply_corr(psi2, psi1, anzai, FLOW, -N, QUAD)
     assert abs(a - np.conj(b)) < 1e-10
@@ -188,8 +183,8 @@ def test_correlation_conjugation_symmetry(q1, q2, N):
 def test_correlation_norm_bound(manufactured):
     _, _, phi = manufactured
     rep = R.su2_rep(1)
-    psi1 = K.monomial_fiber(rep, 0, [[1], [0]])
-    psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
+    psi1 = K.monomial_fiber(rep, [[1], [0]])
+    psi2 = K.monomial_fiber(rep, [[0], [2]])
     bound = _norm(psi1, QUAD, 1) * _norm(psi2, QUAD, 1)
     for N in range(0, 8):
         c, _ = K.koopman_apply_corr(psi1, psi2, phi, FLOW, N, QUAD)
@@ -199,13 +194,13 @@ def test_correlation_norm_bound(manufactured):
 def test_correlation_linear_in_second_argument(manufactured):
     _, _, phi = manufactured
     rep = R.su2_rep(1)
-    psi1 = K.monomial_fiber(rep, 0, [[1], [0]])
-    psi2 = K.monomial_fiber(rep, 0, [[0], [2]])
-    psi3 = K.constant_fiber(rep, 0, [0.5, -1.0])
+    psi1 = K.monomial_fiber(rep, [[1], [0]])
+    psi2 = K.monomial_fiber(rep, [[0], [2]])
+    psi3 = K.constant_fiber(rep, [0.5, -1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     # a psi2 + b psi3 as a two-term mode sum: mode 0 carries a e_0 + b v3
     vectors = a * psi2.vectors + b * np.array([psi3.vectors[0], [0.0, 0.0]])
-    psi_mix = K.FiberVector(rep, 0, psi2.modes, vectors)
+    psi_mix = K.FiberVector(rep, psi2.modes, vectors)
     assert psi_mix.degree_bound == psi2.degree_bound
     for N in (0, 1, 3, 5):
         mixed, _ = K.koopman_apply_corr(psi1, psi_mix, phi, FLOW, N, QUAD)
@@ -217,7 +212,7 @@ def test_correlation_linear_in_second_argument(manufactured):
 def test_correlation_group_guard(manufactured):
     _, _, phi = manufactured
     rep = R.torus_rep((1,))
-    psi = K.constant_fiber(rep, 0, [1.0])
+    psi = K.constant_fiber(rep, [1.0])
     with pytest.raises(TagMismatchError):
         K.koopman_apply_corr(psi, psi, phi, FLOW, 1, QUAD)
 
@@ -227,7 +222,7 @@ def test_sizing_rule_beats_aliasing():
     # the sizing rule lifts the node count so the result is exact.
     anzai = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep((1,))
-    probe = K.constant_fiber(rep, 0, [1.0])
+    probe = K.constant_fiber(rep, [1.0])
     sized, _ = K.koopman_apply_corr(probe, probe, anzai, FLOW, 10, D.QuadratureSpec(4))
     assert abs(sized) < 1e-12
     aliased = K._corr_on_grid(probe, probe, anzai, FLOW, 10, 5)
@@ -241,7 +236,7 @@ def test_sizing_rule_beats_aliasing():
 def test_series_structure_and_csv(manufactured):
     _, _, phi = manufactured
     rep = R.su2_rep(1)
-    psi = K.monomial_fiber(rep, 0, [[1], [0]])
+    psi = K.monomial_fiber(rep, [[1], [0]])
     s = K.correlation_series(psi, psi, phi, FLOW, 12, QUAD)
     assert s.n_max == 12
     assert len(s.values) == len(s.err_estimates) == 13
@@ -264,7 +259,7 @@ def test_series_flags_discontinuous_integrands():
     # and the grid-doubling estimate must say so
     u2m = D.u2_product(FLOW, [1], [2])
     rep = R.u2_rep(1, 1)
-    probe = K.constant_fiber(rep, 0, np.array([1.0, 1.0]) / np.sqrt(2))
+    probe = K.constant_fiber(rep, np.array([1.0, 1.0]) / np.sqrt(2))
     s = K.correlation_series(probe, probe, u2m, FLOW, 5, QUAD)
     assert len(s.flagged) >= 3
     assert s.err_estimates.max() > K.ERR_FLAG_THRESHOLD
@@ -274,18 +269,18 @@ def _series_reference_case(name, manufactured):
     if name == "su2-manufactured":
         rep = R.su2_rep(2)
         return (manufactured[2], FLOW,
-                K.monomial_fiber(rep, 0, [[1], [0], [-1]]),
-                K.monomial_fiber(rep, 0, [[0], [1], [1]]))
+                K.monomial_fiber(rep, [[1], [0], [-1]]),
+                K.monomial_fiber(rep, [[0], [1], [1]]))
     if name == "u2-product":
         rep = R.u2_rep(2, 1)
         return (D.u2_product(FLOW, [1], [0], 0.7), FLOW,
-                K.constant_fiber(rep, 0, np.array([1.0, 1.0, 1.0]) / np.sqrt(3)),
-                K.monomial_fiber(rep, 0, [[1], [0], [2]]))
+                K.constant_fiber(rep, np.array([1.0, 1.0, 1.0]) / np.sqrt(3)),
+                K.monomial_fiber(rep, [[1], [0], [2]]))
     flow2 = D.default_flow(2)
     rep = R.torus_rep((1, -1))
     return (D.torus_monomial(flow2, [[1, 0], [1, 1]]), flow2,
-            K.monomial_fiber(rep, 0, [[1, 0]]),
-            K.monomial_fiber(rep, 0, [[1, -1]]))
+            K.monomial_fiber(rep, [[1, 0]]),
+            K.monomial_fiber(rep, [[1, -1]]))
 
 
 @pytest.mark.parametrize("name", ["su2-manufactured", "u2-product", "torus-d2"])
@@ -303,7 +298,7 @@ def test_series_matches_per_n_reference(manufactured, name):
 
 def test_series_validation(manufactured):
     _, _, phi = manufactured
-    psi = K.constant_fiber(R.su2_rep(1), 0, [1.0, 0.0])
+    psi = K.constant_fiber(R.su2_rep(1), [1.0, 0.0])
     with pytest.raises(ConfigError):
         K.correlation_series(psi, psi, phi, FLOW, 0, QUAD)
 
@@ -317,19 +312,19 @@ def _mean_series_cases(manufactured):
     """(name, cocycle, flow, psi1, psi2)."""
     _, zeta, phi = manufactured
     for l in (1, 2, 3, 4):
-        psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(l), 0, _unit(l + 1, l)), zeta)
+        psi = K.conjugate_vector(K.constant_fiber(R.su2_rep(l), _unit(l + 1, l)), zeta)
         yield f"su2-l{l}-conjugated", phi, FLOW, psi, psi
-    so3 = K.constant_fiber(R.so3_rep(2), 0, _unit(5, 7))
+    so3 = K.constant_fiber(R.so3_rep(2), _unit(5, 7))
     yield "so3-l2", D.so3_x3_rotation(FLOW, [1], 0.5), FLOW, so3, so3
-    u2 = K.constant_fiber(R.u2_rep(2, 1), 0, _unit(3, 8))
+    u2 = K.constant_fiber(R.u2_rep(2, 1), _unit(3, 8))
     yield "u2-2-1", D.u2_product(FLOW, [1], [0], 0.7), FLOW, u2, u2
     rep = R.su2_rep(2)
-    a = K.conjugate_vector(K.constant_fiber(rep, 0, [1.0, 0.0, 0.0]), zeta)
-    b = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 9)), zeta)
+    a = K.conjugate_vector(K.constant_fiber(rep, [1.0, 0.0, 0.0]), zeta)
+    b = K.conjugate_vector(K.constant_fiber(rep, _unit(3, 9)), zeta)
     yield "cross-pair", phi, FLOW, a, b
-    mono = K.monomial_fiber(rep, 0, [[1], [0], [-1]])
+    mono = K.monomial_fiber(rep, [[1], [0], [-1]])
     yield "constant-monomial", phi, FLOW, a, mono
-    plain = K.constant_fiber(rep, 0, _unit(3, 10))
+    plain = K.constant_fiber(rep, _unit(3, 10))
     yield "plain-conjugated", phi, FLOW, plain, a
 
 
@@ -391,12 +386,12 @@ def _nested_cases(manufactured):
     each pair has the zero mode difference only, the second a weighted one."""
     _, zeta, phi = manufactured
     rep = R.su2_rep(2)
-    conj = K.conjugate_vector(K.constant_fiber(rep, 0, _unit(3, 11)), zeta)
+    conj = K.conjugate_vector(K.constant_fiber(rep, _unit(3, 11)), zeta)
     yield "su2-d1-mean", phi, FLOW, conj, conj
-    yield "su2-d1-grid", phi, FLOW, K.monomial_fiber(rep, 0, [[1], [0], [-1]]), conj
+    yield "su2-d1-grid", phi, FLOW, K.monomial_fiber(rep, [[1], [0], [-1]]), conj
     flow2 = D.default_flow(2)
     torus = D.torus_monomial(flow2, [[1, 0], [1, 1]])
-    plain = K.constant_fiber(R.torus_rep((1, -1)), 0, [1.0])
+    plain = K.constant_fiber(R.torus_rep((1, -1)), [1.0])
     yield "torus-d2-mean", torus, flow2, plain, plain
     yield "torus-d2-grid", torus, flow2, *_series_reference_case("torus-d2", manufactured)[2:]
 
@@ -447,12 +442,12 @@ def test_nested_conjugation_walks_once(manufactured):
     # zeta then zeta is one more factor of the transfer, read off one walk
     _, zeta, phi = manufactured
     rep = R.su2_rep(1)
-    psi = K.conjugate_vector(K.constant_fiber(rep, 0, [1.0, 0.0]), zeta)
+    psi = K.conjugate_vector(K.constant_fiber(rep, [1.0, 0.0]), zeta)
     assert psi.transfers == (zeta,) and psi.degree_bound == zeta.freq_bound
     nested = K.conjugate_vector(psi, zeta)
     assert nested.transfers == (zeta, zeta)
     assert nested.degree_bound == 2 * zeta.freq_bound
-    mono = K.conjugate_vector(K.monomial_fiber(rep, 0, [[1], [0]]), zeta)
+    mono = K.conjugate_vector(K.monomial_fiber(rep, [[1], [0]]), zeta)
     assert mono.transfers == (zeta,) and mono.degree_bound == 1 + zeta.freq_bound
     # conjugating by a second transfer applies pi(zeta2(x)^{-1}) on the left
     zeta2 = D.su2_twisted_diagonal(FLOW, 2, c0=1.1)
@@ -476,8 +471,7 @@ def test_nested_conjugation_walks_once(manufactured):
               for pr in K.default_probes(R.su2_rep(4), M_star)]
     K._mean_rep_series.cache_clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
-        K.mixing_verdict(R.su2_rep(4), 0, phi, FLOW, M_star, N_max=10, quadrature=QUAD,
-                         probes=probes)
+        K.mixing_verdict(R.su2_rep(4), phi, FLOW, M_star, 10, QUAD, probes)
     assert len(probes) == 4 and walk.call_count == 1
 
 
@@ -508,11 +502,11 @@ def _probe(draw, rep, transfers, d):
     seed = draw(st.integers(0, 2 ** 16))
     vectors = np.random.default_rng(seed).normal(size=(max(count, 1), rep.dim, 2)) @ [1, 1j]
     if count == 0:
-        psi = K.constant_fiber(rep, 0, vectors[0])
+        psi = K.constant_fiber(rep, vectors[0])
     else:
         modes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
                               min_size=count, max_size=count))
-        psi = K.FiberVector(rep, 0, np.array(modes), vectors)
+        psi = K.FiberVector(rep, np.array(modes), vectors)
     zeta, other = transfers
     for t in draw(st.sampled_from([(), (zeta,), (zeta, zeta), (zeta, other)])):
         psi = K.conjugate_vector(psi, t)
@@ -559,8 +553,7 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     monkeypatch.setattr(D, "cocycle_iterate", counted_walk)
     monkeypatch.setattr(R, "rep_eval_payload", counted_eval)
     K._mean_rep_series.cache_clear()
-    verdict, walked = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=n_max,
-                                       quadrature=QUAD, probes=probes)
+    verdict, walked = K.mixing_verdict(rep, phi, FLOW, M_star, n_max, QUAD, probes)
     assert verdict["verdict"] == K.SUPPORTED
     assert all(w is not None for w in walked)
     assert calls["walks"] == 1
@@ -582,7 +575,7 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
 def test_conjugate_vector_preserves_norm(manufactured):
     _, zeta, _ = manufactured
     rep = R.su2_rep(2)
-    psi = K.monomial_fiber(rep, 0, [[1], [0], [-1]])
+    psi = K.monomial_fiber(rep, [[1], [0], [-1]])
     conj = K.conjugate_vector(psi, zeta)
     n1 = _norm(psi, D.QuadratureSpec(32), 1)
     n2 = _norm(conj, D.QuadratureSpec(32), 1)
@@ -596,8 +589,8 @@ def test_intertwining_matches_diagonal_model(manufactured):
     delta, zeta, phi = manufactured
     for l in (1, 2):
         rep = R.su2_rep(l)
-        psi1 = K.monomial_fiber(rep, 0, [[1]] * rep.dim)
-        psi2 = K.monomial_fiber(rep, 0, [[k - 1] for k in range(rep.dim)])
+        psi1 = K.monomial_fiber(rep, [[1]] * rep.dim)
+        psi2 = K.monomial_fiber(rep, [[k - 1] for k in range(rep.dim)])
         s1 = K.conjugate_vector(psi1, zeta)
         s2 = K.conjugate_vector(psi2, zeta)
         for N in range(0, 11):
@@ -609,14 +602,14 @@ def test_intertwining_matches_diagonal_model(manufactured):
 def test_diagonal_model_weight_series_vanishes(manufactured):
     delta, _, _ = manufactured
     rep = R.su2_rep(1)
-    probe = K.constant_fiber(rep, 0, [1.0, 0.0])
+    probe = K.constant_fiber(rep, [1.0, 0.0])
     s = K.correlation_series(probe, probe, delta, FLOW, 15, QUAD)
     assert np.max(np.abs(s.values[1:])) < 1e-12
 
 
 def test_conjugate_vector_group_guard(manufactured):
     _, zeta, _ = manufactured
-    psi = K.constant_fiber(R.torus_rep((1,)), 0, [1.0])
+    psi = K.constant_fiber(R.torus_rep((1,)), [1.0])
     with pytest.raises(TagMismatchError):
         K.conjugate_vector(psi, zeta)
 
@@ -726,12 +719,12 @@ def test_kernel_split_matches_degree_lab(manufactured_degree):
 
 def test_wiener_average_separates_point_and_mixing():
     anzai = D.torus_monomial(FLOW, [[1]])
-    probe = K.constant_fiber(R.torus_rep((1,)), 0, [1.0])
+    probe = K.constant_fiber(R.torus_rep((1,)), [1.0])
     s_mix = K.correlation_series(probe, probe, anzai, FLOW, 40, QUAD)
     A_mix = K.wiener_average(s_mix)
     assert len(A_mix) == 40
     assert A_mix[-1] < 1e-20
-    psi = K.monomial_fiber(R.torus_rep((0,)), 0, [[1]])
+    psi = K.monomial_fiber(R.torus_rep((0,)), [[1]])
     s_pp = K.correlation_series(psi, psi, anzai, FLOW, 40, QUAD)
     A_pp = K.wiener_average(s_pp)
     assert np.all(A_pp > 0.999)
@@ -826,8 +819,6 @@ def test_dini_modulus_blocked_matches_whole_grid(varying_su2):
         # scale of the modulus, not of its small-t samples
         np.testing.assert_allclose(out["samples"], ref, rtol=0, atol=1e-14 * np.max(ref))
         assert np.array_equal(out["t"], np.asarray(K.DINI_SHIFTS))
-        assert K.ac_verdict(rep, 0, c, FLOW2, M_star) == \
-            K.ac_verdict(rep, 0, c, FLOW2, M_star, dini=out)
 
 
 def test_dini_modulus_peak_below_one_grid_field(varying_su2):
@@ -847,10 +838,21 @@ def test_dini_modulus_peak_below_one_grid_field(varying_su2):
 # verdicts
 # ---------------------------------------------------------------------------
 
+def _mixing(rep, c, M_star, N_max, probes=None):
+    """mixing_verdict on a 32-node rule, by default with the pipeline's probes."""
+    return K.mixing_verdict(rep, c, FLOW, M_star, N_max, D.QuadratureSpec(32),
+                            K.default_probes(rep, M_star) if probes is None else probes)
+
+
+def _dini(rep, c):
+    """rep's entry of a Dini pass over c's M-field alone."""
+    return K.dini_modulus(c.m_field, [K.differential_map(rep, c.group)], FLOW, K.DINI_SHIFTS)[0]
+
+
 def test_mixing_verdict_winding_fiber_supported():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
-    v, series = K.mixing_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star, N_max=50)
+    v, series = _mixing(R.torus_rep((1,)), anzai, M_star, 50)
     assert v["verdict"] == K.SUPPORTED
     assert len(series) == 1 and series[0].n_max == 50
     assert v["kernel_indices"] == []
@@ -862,8 +864,8 @@ def test_mixing_verdict_kernel_probe_not_in_scope():
     anzai = D.torus_monomial(FLOW, [[1]])
     rep0 = R.torus_rep((0,))
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
-    probe = K.monomial_fiber(rep0, 0, [[1]])
-    v, series = K.mixing_verdict(rep0, 0, anzai, FLOW, zero, N_max=50, probes=[probe])
+    probe = K.monomial_fiber(rep0, [[1]])
+    v, series = _mixing(rep0, anzai, zero, 50, [probe])
     assert v["verdict"] == K.NO_CLAIM
     assert series == [None]
     assert v["probes"][0]["status"] == K.NOT_IN_SCOPE
@@ -876,15 +878,15 @@ def test_mixing_verdict_rotating_kernel_scope(manufactured, manufactured_degree)
     _, zeta, phi = manufactured
     rep = R.su2_rep(2)
     M_star = manufactured_degree.mean_value
-    v_const, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30)
+    v_const, _ = _mixing(rep, phi, M_star, 30)
     assert v_const["verdict"] == K.VIOLATED
-    probes = [K.conjugate_vector(K.constant_fiber(rep, 0, np.eye(3)[j]), zeta)
+    probes = [K.conjugate_vector(K.constant_fiber(rep, np.eye(3)[j]), zeta)
               for j in (0, 2)]
-    v_conj, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=probes)
+    v_conj, _ = _mixing(rep, phi, M_star, 30, probes)
     assert v_conj["verdict"] == K.SUPPORTED
     assert all(p["tail_max"] < 1e-12 for p in v_conj["probes"])
-    middle = [K.conjugate_vector(K.constant_fiber(rep, 0, np.eye(3)[1]), zeta)]
-    v_mid, _ = K.mixing_verdict(rep, 0, phi, FLOW, M_star, N_max=30, probes=middle)
+    middle = [K.conjugate_vector(K.constant_fiber(rep, np.eye(3)[1]), zeta)]
+    v_mid, _ = _mixing(rep, phi, M_star, 30, middle)
     assert v_mid["verdict"] == K.VIOLATED
     assert abs(v_mid["probes"][0]["tail_max"] - 1.0 / 3.0) < 1e-10
 
@@ -892,11 +894,11 @@ def test_mixing_verdict_rotating_kernel_scope(manufactured, manufactured_degree)
 def test_mixing_verdict_u2_fibers():
     u2 = D.u2_product(FLOW, [1], [1])
     M_star = DG.degree_constant_diagonal(u2, D.QuadratureSpec(64))
-    v, _ = K.mixing_verdict(R.u2_rep(1, 1), 0, u2, FLOW, M_star, N_max=40)
+    v, _ = _mixing(R.u2_rep(1, 1), u2, M_star, 40)
     assert v["kernel_indices"] == [1]
     assert v["verdict"] == K.SUPPORTED
     central = G.p_ad(M_star)
-    v2, _ = K.mixing_verdict(R.u2_rep(2, 1), 0, u2, FLOW, central, N_max=40)
+    v2, _ = _mixing(R.u2_rep(2, 1), u2, central, 40)
     assert v2["kernel_indices"] == [0, 1, 2]
     assert v2["verdict"] == K.NO_CLAIM
     assert v2["probes"] == []
@@ -906,13 +908,14 @@ def test_mixing_verdict_validation():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(16))
     with pytest.raises(ConfigError):
-        K.mixing_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star, N_max=2)
+        _mixing(R.torus_rep((1,)), anzai, M_star, 2)
 
 
 def test_ac_verdict_winding_fiber_predicted():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
-    v = K.ac_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star)
+    rep = R.torus_rep((1,))
+    v = K.ac_verdict(rep, M_star, _dini(rep, anzai))
     assert v["verdict"] == K.AC_PREDICTED
     assert v["kernel_indices"] == []
     assert "input assumption" in v["notes"]
@@ -924,7 +927,8 @@ def test_ac_verdict_winding_fiber_predicted():
 def test_ac_verdict_zero_degree_no_claim():
     anzai = D.torus_monomial(FLOW, [[1]])
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
-    v = K.ac_verdict(R.torus_rep((1,)), 0, anzai, FLOW, zero)
+    rep = R.torus_rep((1,))
+    v = K.ac_verdict(rep, zero, _dini(rep, anzai))
     assert v["verdict"] == K.NO_CLAIM
     assert "no claim" in v["notes"]
 
@@ -932,10 +936,10 @@ def test_ac_verdict_zero_degree_no_claim():
 def test_ac_verdict_manufactured_fibers(manufactured, manufactured_degree):
     _, _, phi = manufactured
     field = manufactured_degree
-    v1 = K.ac_verdict(R.su2_rep(1), 0, phi, FLOW, field)
+    v1 = K.ac_verdict(R.su2_rep(1), field, _dini(R.su2_rep(1), phi))
     assert v1["verdict"] == K.AC_PREDICTED
     assert v1["kernel_indices"] == []
-    v2 = K.ac_verdict(R.su2_rep(2), 0, phi, FLOW, field)
+    v2 = K.ac_verdict(R.su2_rep(2), field, _dini(R.su2_rep(2), phi))
     assert v2["verdict"] == K.NO_CLAIM
     assert "unmet hypotheses" in v2["notes"]
     assert v2["kernel_indices"] == [1]
@@ -946,12 +950,12 @@ def test_ac_verdict_heuristic_failure_blocks_prediction():
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
     plateau = {"t": np.array([1e-4, 1.0]), "samples": np.array([5.0, 5.0]),
                "integral_estimate": 50.0, "heuristic": True}
-    v = K.ac_verdict(R.torus_rep((1,)), 0, anzai, FLOW, M_star, dini=plateau)
+    v = K.ac_verdict(R.torus_rep((1,)), M_star, plateau)
     assert v["verdict"] == K.NO_CLAIM
     assert "unmet hypotheses" in v["notes"]
 
 
 def test_ac_verdict_bad_degree_type():
-    anzai = D.torus_monomial(FLOW, [[1]])
+    rep = R.torus_rep((1,))
     with pytest.raises(ConfigError):
-        K.ac_verdict(R.torus_rep((1,)), 0, anzai, FLOW, degree=3.0)
+        K.ac_verdict(rep, 3.0, _dini(rep, D.torus_monomial(FLOW, [[1]])))

@@ -14,7 +14,7 @@ FLOW = D.default_flow(1)
 def _series(n_max: int = 3) -> K.CorrelationSeries:
     c = D.torus_monomial(FLOW, [[1]])
     rep = R.torus_rep([1])
-    probe = K.constant_fiber(rep, 0, [1.0])
+    probe = K.constant_fiber(rep, [1.0])
     return K.correlation_series(probe, probe, c, FLOW, n_max, D.QuadratureSpec(8))
 
 

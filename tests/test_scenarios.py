@@ -1,5 +1,6 @@
 """Tests for scenario configs, the pipeline runner and report artifacts."""
 
+import importlib.util
 import inspect
 import json
 import sys
@@ -361,3 +362,22 @@ class TestScenarioRun:
         assert empty["verdict"] == "SUPPORTED"
         s_phi = rr.report["degree"]["diagnostics"]["s_phi"]
         assert abs(s_phi - np.pi * FLOW.alpha[0]) < 1e-6
+
+
+def _perfbench_reference():
+    """perfbench/reference.py, loaded from its file as the benchmark uses it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_preset_matches_benchmark_reference(name, tmp_path):
+    """Each preset at its default seed reproduces the benchmark's reference
+    verdicts, kernel indices, flagged N and degree floats, and reports its
+    fibers as row 0."""
+    rr = scenario_run(default_config(name, outdir=str(tmp_path)))
+    assert _perfbench_reference().check(name, tmp_path) == []
+    assert all(e["mixing"]["j"] == 0 and e["ac"]["j"] == 0 for e in rr.report["spectral"])
