@@ -155,7 +155,7 @@ def _criterion_05():
         dev_p = np.abs(paper - np.diag(weights * rho * (l - 2 * jj)))
         worst = max(worst, float(np.max(dev_o)), float(np.max(dev_p)))
         expect_kernel = [] if l % 2 else [l // 2]
-        if DG.kernel_indices(R.su2_rep(l), Z) != expect_kernel:
+        if DG.kernel_split(R.multiplication_matrix(R.su2_rep(l), Z))[2] != expect_kernel:
             return False, f"su2 l={l} kernel indices mismatch"
     Zc = G.AlgebraElement(G.U2_GROUP, 1j * s * np.eye(2))
     for l in range(5):
@@ -172,7 +172,7 @@ def _criterion_05():
             dev_p = np.abs(paper - np.diag(weights * scale))
             worst = max(worst, float(np.max(dev_o)), float(np.max(dev_p)))
             expect_kernel = list(range(l + 1)) if 2 * m == l else []
-            if DG.kernel_indices(rep, Zc) != expect_kernel:
+            if DG.kernel_split(R.multiplication_matrix(rep, Zc))[2] != expect_kernel:
                 return False, f"u2 (l,m)=({l},{m}) kernel indices mismatch"
     passed = worst <= 1e-10
     return passed, (f"su2 l<=6 eigs rho(l-2j) / j!(l-j)! rho(l-2j), u2 "

@@ -270,22 +270,16 @@ def kernel_split(Dm: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return Q, lam, kernel
 
 
-def a_phi_pi(rep: R.Representation, degree) -> float:
-    """Spectral floor: the smallest eigenvalue of (i dpi(degree))^2.
+def a_phi_pi(rep: R.Representation, values: G.AlgebraElement) -> float:
+    """Spectral floor: the smallest eigenvalue of (i dpi(Z))^2 over the
+    batch of algebra elements Z in `values`.
 
-    For a constant degree this is (min |eigenvalue of i dpi(M_star)|)^2;
-    for a DegreeField it is the minimum over the sample points — a grid
-    surrogate for the essential infimum (see DegreeReport diagnostics).
+    Pass M* for a constant degree, or a DegreeField's `values` for the
+    minimum over its sample points — a grid surrogate for the essential
+    infimum, unchanged when the field is conjugated pointwise.
     """
-    values = degree.values if isinstance(degree, DegreeField) else degree
     lam = np.linalg.eigvalsh(R.multiplication_matrix(rep, values))
     return float(np.min(lam ** 2))
-
-
-def kernel_indices(rep: R.Representation, M_star: G.AlgebraElement) -> list[int]:
-    """Indices of near-zero eigenvalues of i dpi(M_star), ascending by
-    eigenvalue; empty when the differential is injective on the line."""
-    return kernel_split(R.multiplication_matrix(rep, M_star))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +487,18 @@ def _matrix_json(payload: np.ndarray):
 
 
 def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
-                  reps: Sequence[R.Representation], verdict: dict,
-                  n_used: int, constant_form: str, diagnostics: dict) -> dict:
+                  reps: Sequence[R.Representation], splits: Sequence[tuple],
+                  verdict: dict, n_used: int, constant_form: str,
+                  diagnostics: dict) -> dict:
     """JSON-ready summary of a degree computation.
 
-    `constant_form` names the route that justified treating the degree as
-    constant: 'diagonal-route', 'ergodic-route', 'pointwise-cesaro', or
-    'manufactured'.
+    `splits[i]` is `kernel_split` of i dpi(M_star) on `reps[i]`.
+    `constant_form` names the route that justified treating the degree
+    as constant: 'diagonal-route', 'ergodic-route', 'pointwise-cesaro',
+    or 'manufactured'.
     """
     per_rep = []
-    for rep in reps:
-        _, lam, kernel = kernel_split(R.multiplication_matrix(rep, M_star))
+    for rep, (_, lam, kernel) in zip(reps, splits):
         per_rep.append({
             "label": rep.name,
             "eigenvalues": [float(v) for v in lam],

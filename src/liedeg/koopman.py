@@ -441,28 +441,31 @@ def _kernel_mass_fraction(probe: FiberVector, Q: np.ndarray, kernel: list[int],
     return float(np.sum(mass[kernel])) / total
 
 
-def default_probes(rep: R.Representation, M_star: G.AlgebraElement) -> list[FiberVector]:
+def default_probes(rep: R.Representation, split: tuple) -> list[FiberVector]:
     """Constant probes spanning the kernel complement of D = i dpi(M*).
 
-    One constant-coefficient fiber vector per non-kernel eigenslot of D
+    `split` is `DG.kernel_split(D)` = (Q, eigenvalues, kernel).  One
+    constant-coefficient fiber vector per non-kernel eigenslot of D
     (empty when D vanishes on the whole fiber).  Meaningful for constant
     degree fields only; see `mixing_verdict` for the scope discussion.
     """
-    Q, _, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
+    Q, _, kernel = split
     return [constant_fiber(rep, Q[:, s], name=f"eigenslot-{s}")
             for s in range(rep.dim) if s not in kernel]
 
 
 def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
-                   M_star: G.AlgebraElement, N_max: int, quadrature: D.QuadratureSpec,
+                   split: tuple, N_max: int, quadrature: D.QuadratureSpec,
                    probes: Sequence[FiberVector],
                    ) -> tuple[dict, list[CorrelationSeries | None]]:
     """Correlation-decay check on the kernel complement of D = i dpi(M*).
 
-    `default_probes` are the non-kernel eigenvectors of D as constant
-    coefficient vectors (each with c_0 = 1/d_pi).  That construction is
-    meaningful when the degree field is constant in x (so D really is
-    the fiber multiplication matrix); for a cocycle whose degree field
+    `split` is `DG.kernel_split(D)` = (Q, eigenvalues, kernel), shared
+    with `default_probes` and `ac_verdict`.  `default_probes` are the
+    non-kernel eigenvectors of D as constant coefficient vectors (each
+    with c_0 = 1/d_pi).  That construction is meaningful when the
+    degree field is constant in x (so D really is the fiber
+    multiplication matrix); for a cocycle whose degree field
     rotates with x — e.g. one cohomologous to a diagonal model — the
     kernel direction rotates too, constant probes overlap it almost
     everywhere and genuinely recur, and honest probes are the conjugated
@@ -480,7 +483,7 @@ def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
     """
     if N_max < 4:
         raise ConfigError("N_max must be >= 4")
-    Q, lam, kernel = DG.kernel_split(R.multiplication_matrix(rep, M_star))
+    Q, lam, kernel = split
 
     probe_reports = []
     walked = []
@@ -529,32 +532,31 @@ def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
     }, walked
 
 
-def ac_verdict(rep: R.Representation, degree, dini: dict) -> dict:
+def ac_verdict(rep: R.Representation, field: DG.DegreeField | None,
+               M_star: G.AlgebraElement, kernel: list[int], dini: dict) -> dict:
     """Hypothesis-flag assembly for the absolutely-continuous prediction
     on the kernel complement of a fiber.
 
-    Flags: (convergence) the degree data's orbit-average diagnostic;
+    `field` is the sampled degree field, None for a closed-form degree.
+    `kernel` is that of the `DG.kernel_split` of i dpi(M_star) which
+    `mixing_verdict` reads, so both verdicts claim one orthocomplement.
+
+    Flags: (convergence) the field's orbit-average diagnostic;
     (regularity) a finite-grid modulus-integral estimate, heuristic by
-    construction; (spectral floor) the squared-multiplication floor
-    a > 0.  Emits AC-PREDICTED only when all flags pass, explicitly
-    conditional on the heuristic ones; a vanishing degree yields
-    NO-CLAIM because the theory is silent there.
+    construction; (spectral floor) `DG.a_phi_pi` > 0 over the field's
+    points, or at M_star without a field.  Emits AC-PREDICTED only when
+    all flags pass, explicitly conditional on the heuristic ones; a
+    vanishing M_star yields NO-CLAIM because the theory is silent there.
 
     `dini` is this rep's entry of a shared `dini_modulus` pass.
     """
-    hypotheses = []
-    if isinstance(degree, DG.DegreeField):
-        conv = float(np.max(degree.diagnostics))
-        M_rep = degree.mean_value
-        hypotheses.append(_hypothesis(
-            "orbit averages converged (grid diagnostic)",
-            "pass" if conv <= 1e-2 else "fail", conv))
-    elif isinstance(degree, G.AlgebraElement):
-        M_rep = degree
-        hypotheses.append(_hypothesis(
-            "orbit averages converged (constant closed form)", "pass", 0.0))
+    if field is not None:
+        conv = float(np.max(field.diagnostics))
+        hypotheses = [_hypothesis("orbit averages converged (grid diagnostic)",
+                                  "pass" if conv <= 1e-2 else "fail", conv)]
     else:
-        raise ConfigError("degree must be an AlgebraElement or a DegreeField")
+        hypotheses = [_hypothesis(
+            "orbit averages converged (constant closed form)", "pass", 0.0)]
 
     samples = np.asarray(dini["samples"])
     peak = float(np.max(samples)) if samples.size else 0.0
@@ -564,12 +566,12 @@ def ac_verdict(rep: R.Representation, degree, dini: dict) -> dict:
         "heuristic-pass" if shrinking else "heuristic-fail",
         float(dini["integral_estimate"])))
 
-    a_val = DG.a_phi_pi(rep, degree)
+    a_val = DG.a_phi_pi(rep, field.values if field is not None else M_star)
     hypotheses.append(_hypothesis(
         "spectral floor positive", "pass" if a_val > 1e-12 else "fail",
         float(a_val)))
 
-    degree_zero = float(G.algebra_norm(M_rep)) <= 1e-12
+    degree_zero = float(G.algebra_norm(M_star)) <= 1e-12
     if degree_zero:
         verdict = NO_CLAIM
         notes = "degree vanishes; the theory makes no claim on this fiber"
@@ -588,7 +590,7 @@ def ac_verdict(rep: R.Representation, degree, dini: dict) -> dict:
     return {
         "rep_label": rep.name,
         "j": 0,
-        "kernel_indices": DG.kernel_indices(rep, M_rep),
+        "kernel_indices": kernel,
         "hypotheses": hypotheses,
         "verdict": verdict,
         "notes": notes,

@@ -362,7 +362,8 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     ergodicity verdict and the degree section of the report.
 
     Returns a dict with keys report / M_star / degree_field (None when
-    the closed form made sampling unnecessary) / degree_nonzero.
+    the closed form made sampling unnecessary) / splits (the one
+    `kernel_split` of i dpi(M_star) per rep that every verdict reads).
     """
     group = phi.group
     quad = D.QuadratureSpec(config.nodes)
@@ -417,12 +418,13 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
 
     integral_M = DG.degree_constant_diagonal(phi, quad)
     verdict = DG.ergodicity_verdict(group, integral_M, degree_nonzero)
-    report = DG.degree_report(group, M_star, reps, verdict,
+    splits = [DG.kernel_split(R.multiplication_matrix(rep, M_star)) for rep in reps]
+    report = DG.degree_report(group, M_star, reps, splits, verdict,
                               n_used=config.n_degree,
                               constant_form=constant_form,
                               diagnostics=diagnostics)
     return {"report": report, "M_star": M_star, "degree_field": deg_field,
-            "degree_nonzero": degree_nonzero}
+            "splits": splits}
 
 
 def _series_probe(rep: R.Representation, probes: list, d: int) -> K.FiberVector:
@@ -447,21 +449,19 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
                     outdir: Path) -> tuple[list, dict]:
     """Mixing + absolute-continuity verdicts and series files per rep."""
     quad = D.QuadratureSpec(config.nodes)
-    M_star = stage["M_star"]
-    deg_field = stage["degree_field"]
     zeta = extras.get("zeta")
     entries, series_paths = [], {}
     # one M-field difference per Dini shift serves every representation
     dinis = K.dini_modulus(phi.m_field,
                            [K.differential_map(rep, phi.group) for rep in reps],
                            flow, K.DINI_SHIFTS)
-    for rep, dini in zip(reps, dinis):
-        probes = K.default_probes(rep, M_star)
+    for rep, dini, split in zip(reps, dinis, stage["splits"]):
+        probes = K.default_probes(rep, split)
         if zeta is not None:
             probes = [replace(K.conjugate_vector(pr, zeta), name=f"{pr.name}-conjugated")
                       for pr in probes]
-        mixing, walked = K.mixing_verdict(rep, phi, flow, M_star, config.n_corr, quad, probes)
-        ac = K.ac_verdict(rep, deg_field if deg_field is not None else M_star, dini)
+        mixing, walked = K.mixing_verdict(rep, phi, flow, split, config.n_corr, quad, probes)
+        ac = K.ac_verdict(rep, stage["degree_field"], stage["M_star"], split[2], dini)
         probe = _series_probe(rep, probes, flow.dim)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))

@@ -456,7 +456,7 @@ def test_a_phi_pi_field_takes_grid_minimum():
     fld = DG.DegreeField(D.BasePoint(np.array([[0.1], [0.2]])),
                          G.AlgebraElement(G.SU2_GROUP, vals),
                          100, np.zeros(2), 1.0, False)
-    got = DG.a_phi_pi(R.su2_rep(1), fld)
+    got = DG.a_phi_pi(R.su2_rep(1), fld.values)
     assert abs(got - rho ** 2) < 1e-10
 
 
@@ -466,24 +466,33 @@ def test_a_phi_pi_field_is_pointwise_minimum(manufactured_field, l):
     values = manufactured_field.values
     per_point = [DG.a_phi_pi(rep, G.AlgebraElement(values.group, p))
                  for p in values.payload]
-    assert DG.a_phi_pi(rep, manufactured_field) == min(per_point)
+    assert DG.a_phi_pi(rep, values) == min(per_point)
+
+
+def _kernel(rep, M):
+    """Kernel indices of i dpi(M), as the pipeline's one split gives them."""
+    return DG.kernel_split(R.multiplication_matrix(rep, M))[2]
+
+
+def _splits(M, reps):
+    return [DG.kernel_split(R.multiplication_matrix(rep, M)) for rep in reps]
 
 
 def test_kernel_indices_su2_parity():
     M = G.AlgebraElement(G.SU2_GROUP, 0.9 * G.E3)
-    assert DG.kernel_indices(R.su2_rep(2), M) == [1]
-    assert DG.kernel_indices(R.su2_rep(4), M) == [2]
-    assert DG.kernel_indices(R.su2_rep(1), M) == []
-    assert DG.kernel_indices(R.su2_rep(3), M) == []
+    assert _kernel(R.su2_rep(2), M) == [1]
+    assert _kernel(R.su2_rep(4), M) == [2]
+    assert _kernel(R.su2_rep(1), M) == []
+    assert _kernel(R.su2_rep(3), M) == []
 
 
 def test_kernel_indices_u2_balanced():
     s = 0.7
     M = G.AlgebraElement(G.U2_GROUP, 1j * s * np.eye(2))
     # 2m - l = 0: the differential kills the central direction entirely
-    assert DG.kernel_indices(R.u2_rep(2, 1), M) == [0, 1, 2]
+    assert _kernel(R.u2_rep(2, 1), M) == [0, 1, 2]
     # 2m - l != 0: no kernel
-    assert DG.kernel_indices(R.u2_rep(1, 1), M) == []
+    assert _kernel(R.u2_rep(1, 1), M) == []
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +527,8 @@ def test_a_invariance_under_cohomology(manufactured, manufactured_field):
     pts = D.BasePoint(np.array([[0.13], [0.41], [0.77]]))
     fld_d = DG.degree_field(delta, FLOW, pts, 400)
     for ell in (1, 2):
-        a_d = DG.a_phi_pi(R.su2_rep(ell), fld_d)
-        a_p = DG.a_phi_pi(R.su2_rep(ell), manufactured_field)
+        a_d = DG.a_phi_pi(R.su2_rep(ell), fld_d.values)
+        a_p = DG.a_phi_pi(R.su2_rep(ell), manufactured_field.values)
         assert abs(a_d - a_p) < 5e-2
 
 
@@ -716,7 +725,8 @@ def test_verdict_zero_degree_no_obstruction():
 def test_degree_report_serializes():
     M = G.AlgebraElement(G.SU2_GROUP, 1.1 * G.E3)
     verdict = DG.ergodicity_verdict(G.SU2_GROUP, M, True)
-    rep = DG.degree_report(G.SU2_GROUP, M, [R.su2_rep(1), R.su2_rep(2)],
+    reps = [R.su2_rep(1), R.su2_rep(2)]
+    rep = DG.degree_report(G.SU2_GROUP, M, reps, _splits(M, reps),
                            verdict, 10_000, "manufactured",
                            diagnostics={"spread": 1e-7})
     text = json.dumps(rep, sort_keys=True)
@@ -739,7 +749,8 @@ def test_degree_report_serializes():
 def test_degree_report_torus_vector():
     M = G.AlgebraElement(G.torus_group(2), np.array([2j * np.pi, 0.0j]))
     verdict = DG.ergodicity_verdict(G.torus_group(2), M, True)
-    rep = DG.degree_report(G.torus_group(2), M, [R.torus_rep([1, 0])],
+    reps = [R.torus_rep([1, 0])]
+    rep = DG.degree_report(G.torus_group(2), M, reps, _splits(M, reps),
                            verdict, 100, "diagonal-route", {})
     json.dumps(rep)
     assert rep["M_star"][0][1] == pytest.approx(2 * np.pi)

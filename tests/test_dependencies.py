@@ -1,7 +1,8 @@
 """numpy stays the only runtime dependency: every module of the package
 imports only the standard library, numpy and the package itself, and the
 package's own modules import each other without a cycle.  No module of
-the package or of the tests imports a name it never uses."""
+the package or of the tests imports a name it never uses, and the
+package stays smaller than it was at the seed."""
 
 import ast
 import sys
@@ -14,6 +15,7 @@ import liedeg
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "liedeg"}
 MODULES = sorted(Path(liedeg.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+SEED_LINES = 4289  # lines of src/liedeg/*.py at the seed
 
 
 def _imported_roots(tree: ast.AST):
@@ -167,3 +169,9 @@ def test_every_package_definition_is_used_by_the_package():
                          for node in tree.body if id(node) not in owned))
     unused = sorted(f"{m}.{n}" for (m, n) in defs if n not in used)
     assert not unused, f"defined in the package but used only outside it: {unused}"
+
+
+def test_package_stays_below_the_seed_line_count():
+    # lines as `wc -l` counts them: newline characters
+    total = sum(p.read_bytes().count(b"\n") for p in MODULES)
+    assert total < SEED_LINES, f"src/liedeg has {total} lines, the seed had {SEED_LINES}"

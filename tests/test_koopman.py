@@ -67,7 +67,7 @@ def test_mode_dimension_guard():
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     for run in (lambda: K.correlation_series(psi, psi, anzai, FLOW, 4, QUAD),
                 lambda: K.koopman_apply_corr(psi, psi, anzai, FLOW, 1, QUAD),
-                lambda: K.mixing_verdict(rep, anzai, FLOW, zero, 50, QUAD, [psi]),
+                lambda: K.mixing_verdict(rep, anzai, FLOW, _split(rep, zero), 50, QUAD, [psi]),
                 lambda: K.fiber_coefficients(psi, np.zeros((1, 1)))):
         with pytest.raises(ConfigError, match="do not fit a d = 1 base torus"):
             run()
@@ -467,11 +467,12 @@ def test_nested_conjugation_walks_once(manufactured):
             assert abs(s.values[n] - ref) < 1e-12
     # doubly conjugated probes of one fiber still share one walk
     M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
+    split = _split(R.su2_rep(4), M_star)
     probes = [K.conjugate_vector(K.conjugate_vector(pr, zeta), zeta)
-              for pr in K.default_probes(R.su2_rep(4), M_star)]
+              for pr in K.default_probes(R.su2_rep(4), split)]
     K._mean_rep_series.cache_clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
-        K.mixing_verdict(R.su2_rep(4), phi, FLOW, M_star, 10, QUAD, probes)
+        K.mixing_verdict(R.su2_rep(4), phi, FLOW, split, 10, QUAD, probes)
     assert len(probes) == 4 and walk.call_count == 1
 
 
@@ -537,7 +538,8 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     _, zeta, phi = manufactured
     rep, n_max = R.su2_rep(4), 10
     M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
-    probes = [K.conjugate_vector(pr, zeta) for pr in K.default_probes(rep, M_star)]
+    split = _split(rep, M_star)
+    probes = [K.conjugate_vector(pr, zeta) for pr in K.default_probes(rep, split)]
     assert len(probes) == 4
     calls = {"walks": 0, "evals": 0}
     walk, evaluate = D.cocycle_iterate, R.rep_eval_payload
@@ -553,7 +555,7 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     monkeypatch.setattr(D, "cocycle_iterate", counted_walk)
     monkeypatch.setattr(R, "rep_eval_payload", counted_eval)
     K._mean_rep_series.cache_clear()
-    verdict, walked = K.mixing_verdict(rep, phi, FLOW, M_star, n_max, QUAD, probes)
+    verdict, walked = K.mixing_verdict(rep, phi, FLOW, split, n_max, QUAD, probes)
     assert verdict["verdict"] == K.SUPPORTED
     assert all(w is not None for w in walked)
     assert calls["walks"] == 1
@@ -679,6 +681,11 @@ def test_multiplication_matrix_weight_pattern():
     assert np.max(np.abs(np.conj(Q.T) @ Q - np.eye(3))) < 1e-12
 
 
+def _split(rep, M):
+    """The pipeline's one split of i dpi(M) on rep's fiber."""
+    return DG.kernel_split(R.multiplication_matrix(rep, M))
+
+
 def test_kernel_split_guards():
     with pytest.raises(NonHermitianError):
         DG.kernel_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -696,11 +703,11 @@ def test_kernel_split_u2_patterns():
     M_full = G.AlgebraElement(G.U2_GROUP, np.diag([1j * s, 0.0]))
     expected_full = {(1, 1): [1], (2, 1): [1], (1, 0): [0]}
     for (l, m), ker in expected_full.items():
-        got = DG.kernel_indices(R.u2_rep(l, m), M_full)
+        got = _split(R.u2_rep(l, m), M_full)[2]
         assert got == ker, (l, m)
     M_central = G.p_ad(M_full)
-    assert DG.kernel_indices(R.u2_rep(1, 1), M_central) == []
-    assert DG.kernel_indices(R.u2_rep(2, 1), M_central) == [0, 1, 2]
+    assert _split(R.u2_rep(1, 1), M_central)[2] == []
+    assert _split(R.u2_rep(2, 1), M_central)[2] == [0, 1, 2]
 
 
 def test_kernel_split_matches_degree_lab(manufactured_degree):
@@ -840,13 +847,19 @@ def test_dini_modulus_peak_below_one_grid_field(varying_su2):
 
 def _mixing(rep, c, M_star, N_max, probes=None):
     """mixing_verdict on a 32-node rule, by default with the pipeline's probes."""
-    return K.mixing_verdict(rep, c, FLOW, M_star, N_max, D.QuadratureSpec(32),
-                            K.default_probes(rep, M_star) if probes is None else probes)
+    split = _split(rep, M_star)
+    return K.mixing_verdict(rep, c, FLOW, split, N_max, D.QuadratureSpec(32),
+                            K.default_probes(rep, split) if probes is None else probes)
 
 
 def _dini(rep, c):
     """rep's entry of a Dini pass over c's M-field alone."""
     return K.dini_modulus(c.m_field, [K.differential_map(rep, c.group)], FLOW, K.DINI_SHIFTS)[0]
+
+
+def _ac(rep, field, M_star, dini):
+    """ac_verdict with the kernel of i dpi(M_star), as the pipeline passes it."""
+    return K.ac_verdict(rep, field, M_star, _split(rep, M_star)[2], dini)
 
 
 def test_mixing_verdict_winding_fiber_supported():
@@ -915,7 +928,7 @@ def test_ac_verdict_winding_fiber_predicted():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
     rep = R.torus_rep((1,))
-    v = K.ac_verdict(rep, M_star, _dini(rep, anzai))
+    v = _ac(rep, None, M_star, _dini(rep, anzai))
     assert v["verdict"] == K.AC_PREDICTED
     assert v["kernel_indices"] == []
     assert "input assumption" in v["notes"]
@@ -928,7 +941,7 @@ def test_ac_verdict_zero_degree_no_claim():
     anzai = D.torus_monomial(FLOW, [[1]])
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     rep = R.torus_rep((1,))
-    v = K.ac_verdict(rep, zero, _dini(rep, anzai))
+    v = _ac(rep, None, zero, _dini(rep, anzai))
     assert v["verdict"] == K.NO_CLAIM
     assert "no claim" in v["notes"]
 
@@ -936,10 +949,10 @@ def test_ac_verdict_zero_degree_no_claim():
 def test_ac_verdict_manufactured_fibers(manufactured, manufactured_degree):
     _, _, phi = manufactured
     field = manufactured_degree
-    v1 = K.ac_verdict(R.su2_rep(1), field, _dini(R.su2_rep(1), phi))
+    v1 = _ac(R.su2_rep(1), field, field.mean_value, _dini(R.su2_rep(1), phi))
     assert v1["verdict"] == K.AC_PREDICTED
     assert v1["kernel_indices"] == []
-    v2 = K.ac_verdict(R.su2_rep(2), field, _dini(R.su2_rep(2), phi))
+    v2 = _ac(R.su2_rep(2), field, field.mean_value, _dini(R.su2_rep(2), phi))
     assert v2["verdict"] == K.NO_CLAIM
     assert "unmet hypotheses" in v2["notes"]
     assert v2["kernel_indices"] == [1]
@@ -950,12 +963,26 @@ def test_ac_verdict_heuristic_failure_blocks_prediction():
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
     plateau = {"t": np.array([1e-4, 1.0]), "samples": np.array([5.0, 5.0]),
                "integral_estimate": 50.0, "heuristic": True}
-    v = K.ac_verdict(R.torus_rep((1,)), M_star, plateau)
+    v = _ac(R.torus_rep((1,)), None, M_star, plateau)
     assert v["verdict"] == K.NO_CLAIM
     assert "unmet hypotheses" in v["notes"]
 
 
-def test_ac_verdict_bad_degree_type():
-    rep = R.torus_rep((1,))
-    with pytest.raises(ConfigError):
-        K.ac_verdict(rep, 3.0, _dini(rep, D.torus_monomial(FLOW, [[1]])))
+@pytest.mark.parametrize("l, kernel, verdict", [(1, [], K.AC_PREDICTED), (2, [1], K.NO_CLAIM)])
+def test_ac_and_mixing_share_the_kernel_of_m_star(l, kernel, verdict):
+    # a field of two half-turn conjugates rho E3, -rho E3 has sample mean 0,
+    # yet M* = rho E3 does not vanish: both verdicts read the kernel of
+    # i dpi(M*), and the AC entry makes no "degree vanishes" exception
+    c = D.su2_diagonal(FLOW, [1])
+    M_star = DG.degree_constant_diagonal(c, D.QuadratureSpec(32))
+    field = DG.DegreeField(D.BasePoint(np.array([[0.1], [0.6]])),
+                           G.AlgebraElement(G.SU2_GROUP, np.stack([M_star.payload,
+                                                                   -M_star.payload])),
+                           100, np.zeros(2), 2 * float(G.algebra_norm(M_star)), False)
+    assert float(G.algebra_norm(field.mean_value)) == 0.0
+    rep = R.su2_rep(l)
+    mixing, _ = _mixing(rep, c, M_star, 8)
+    ac = _ac(rep, field, M_star, _dini(rep, c))
+    assert mixing["kernel_indices"] == ac["kernel_indices"] == kernel
+    assert ac["verdict"] == verdict
+    assert "degree vanishes" not in ac["notes"]

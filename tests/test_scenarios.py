@@ -360,6 +360,25 @@ class TestScenarioRun:
         assert full["verdict"] == "NO-CLAIM"
         assert empty["kernel_indices"] == []
         assert empty["verdict"] == "SUPPORTED"
+
+    def test_each_fiber_split_once(self, tmp_path, monkeypatch):
+        # the degree report, the probes and both verdicts read one
+        # eigen-split of i dpi(M*) per fiber
+        calls = []
+        split = DG.kernel_split
+
+        def counted(Dm):
+            calls.append(Dm.shape)
+            return split(Dm)
+
+        monkeypatch.setattr(DG, "kernel_split", counted)
+        cfg = default_config("u2-product", outdir=str(tmp_path / "run"))
+        rr = scenario_run(cfg)
+        assert len(cfg.reps) == 3
+        assert len(calls) == len(cfg.reps)
+        for entry, row in zip(rr.report["spectral"], rr.report["degree"]["per_rep"]):
+            assert entry["mixing"]["kernel_indices"] == row["kernel_indices"]
+            assert entry["ac"]["kernel_indices"] == row["kernel_indices"]
         s_phi = rr.report["degree"]["diagnostics"]["s_phi"]
         assert abs(s_phi - np.pi * FLOW.alpha[0]) < 1e-6
 
