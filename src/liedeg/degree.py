@@ -47,6 +47,8 @@ CONSTANT_SPREAD_FACTOR = 10.0
 RHO_THRESHOLD = 1e-3
 BRANCH_TOL = 1e-9
 NORM_TOL = 1e-6
+# the one "degree vanishes" rule of the ergodicity and AC verdicts
+DEGREE_NONZERO_THRESHOLD = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +448,12 @@ def su2_straighten(phi: D.Cocycle, flow: D.TranslationFlow, N: int,
 NOT_UNIQUELY_ERGODIC_A = "NOT_UNIQUELY_ERGODIC(a)"
 NOT_UNIQUELY_ERGODIC_B = "NOT_UNIQUELY_ERGODIC(b)"
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
+
+
+def degree_vanishes(M_star: G.AlgebraElement) -> bool:
+    """Whether the verdicts treat the degree M_star as zero: its norm is at
+    most DEGREE_NONZERO_THRESHOLD."""
+    return float(G.algebra_norm(M_star)) <= DEGREE_NONZERO_THRESHOLD
 
 
 def ergodicity_verdict(group: G.GroupSpec, integral_M: G.AlgebraElement,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -166,6 +166,12 @@ class Cocycle:
     it holds work that point did for this one.  The one successor rule:
     a step reuses its carry only when `flow` is the flow the cocycle was
     built with, since only then are `phases` the carry's F_1 x.
+
+    `m_const` is the M-field's one payload when its constructor knows
+    the field constant, else None.  Given with `m_field` None, it builds
+    `m_field` as its broadcast.  It takes no part in == or hash (a
+    Cocycle keys `koopman._mean_rep_series`'s cache) and rides through
+    `dataclasses.replace`.
     """
 
     group: G.GroupSpec
@@ -175,6 +181,13 @@ class Cocycle:
     base_dim: int
     name: str = ""
     step: Callable | None = None
+    m_const: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        m = self.m_const
+        if m is not None and self.m_field is None:
+            object.__setattr__(self, "m_field", lambda phases: np.broadcast_to(
+                m, phases.shape[:-1] + m.shape).copy())
 
 
 def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
@@ -302,7 +315,7 @@ def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
                        from_chars: Callable, m, freq_bound: int, name: str) -> Cocycle:
     """The cocycle phi(x) = from_chars(chi(x)) of the characters
     chi = `characters(x, K, offsets)`, with a carried `step`; its M-field
-    `m` is a constant payload or a map of chi.
+    `m` is a map of chi or a constant payload, which becomes `m_const`.
 
     `value(phases)` is from_chars(characters(phases)), the reference.  As
     chi_r(F_1 x) = e(K_r . alpha) chi_r(x), e(t) = exp(2 pi i t), a walk
@@ -328,14 +341,9 @@ def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
     def value(phases):
         return from_chars(characters(phases, K, offsets))
 
-    def m_field(phases):
-        if callable(m):
-            return m(characters(phases, K, offsets))
-        return np.broadcast_to(m, phases.shape[:-1] + m.shape).copy()
-
     def step(phases, carry, want_m, walk_flow):
         if want_m:
-            return value(phases), m_field(phases), None
+            return value(phases), c.m_field(phases), None
         if carry is not None and walk_flow == flow:
             j, chi0 = carry[0] + 1, carry[1]
             chi = chi0 * np.exp(2j * np.pi * turns(j))
@@ -344,7 +352,10 @@ def _character_cocycle(group: G.GroupSpec, flow: TranslationFlow, K, offsets,
             chi = chi0.copy()  # from_chars may hand chi back as the value
         return from_chars(chi), None, (j, chi0)
 
-    return Cocycle(group, value, m_field, freq_bound, flow.dim, name=name, step=step)
+    c = Cocycle(group, value, (lambda phases: m(characters(phases, K, offsets)))
+                if callable(m) else None, freq_bound, flow.dim, name=name, step=step,
+                m_const=None if callable(m) else m)
+    return c
 
 
 def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
@@ -506,12 +517,9 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
         out[..., 1, 1] = z * (c - 1j * s)
         return out
 
-    def m_field(phases):
-        return np.broadcast_to(mconst, phases.shape[:-1] + (2, 2)).copy()
-
-    return Cocycle(G.U2_GROUP, value, m_field,
+    return Cocycle(G.U2_GROUP, value, None,
                    max(int(np.max(np.abs(kt)) + np.max(np.abs(kr))), 1), flow.dim,
-                   name=name)
+                   name=name, m_const=mconst)
 
 
 def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:
@@ -528,6 +536,8 @@ def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:
     def m_field(phases):
         return dconst * np.eye(2) + inner.m_field(phases)
 
-    return Cocycle(G.U2_GROUP, value, m_field if inner.m_field else None,
+    m_const = None if inner.m_const is None else dconst * np.eye(2) + inner.m_const
+    return Cocycle(G.U2_GROUP, value,
+                   m_field if inner.m_field and m_const is None else None,
                    int(np.max(np.abs(k))) + inner.freq_bound, flow.dim,
-                   name=f"u2-scalar k={k.tolist()} times [{inner.name}]")
+                   name=f"u2-scalar k={k.tolist()} times [{inner.name}]", m_const=m_const)

@@ -354,18 +354,18 @@ def differential_map(rep: R.Representation,
     return lambda payload: R.rep_differential(rep, G.AlgebraElement(group, payload))
 
 
-def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
-                 maps: Sequence[Callable[[np.ndarray], np.ndarray]],
+def dini_modulus(c: D.Cocycle, maps: Sequence[Callable[[np.ndarray], np.ndarray]],
                  flow: D.TranslationFlow, t_grid: Sequence[float]) -> list[dict]:
     """Per linear map L in `maps` (dpi per representation, or the identity):
-    samples of t -> sup_x |L(field(F_t x) - field(x))| (entrywise sup on
-    the DINI_NODES^d grid) and a trapezoid estimate of
+    samples of t -> sup_x |L(M(F_t x) - M(x))| of c's M-field M (entrywise
+    sup on the DINI_NODES^d grid) and a trapezoid estimate of
     integral_0^1 modulus(t)/t dt.
 
-    One field difference per shift serves every map, and a zero one (a
-    constant field) is skipped: the maps are linear and the sups start
-    at 0.  The grid is walked in blocks of DINI_BLOCK points, so no
-    whole-grid field is alive.
+    A constant M-field (`c.m_const` set) has modulus 0 by construction
+    and is not sampled.  Otherwise one field difference per shift serves
+    every map, and a zero one is skipped: the maps are linear and the
+    sups start at 0.  The grid is walked in blocks of DINI_BLOCK points,
+    so no whole-grid field is alive.
 
     The tail below the smallest grid point is modeled as Lipschitz
     (modulus ~ C t), contributing C * t_min = modulus(t_min).  Finite
@@ -375,15 +375,17 @@ def dini_modulus(field_fn: Callable[[np.ndarray], np.ndarray],
     t = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
     if t.size == 0 or t[0] <= 0 or t[-1] > 1.0:
         raise ConfigError("t_grid must be sorted inside (0, 1]")
-    # the grid is already in [0, 1); only the shifted phases need wrapping
-    pts = D.quadrature_points(D.QuadratureSpec(DINI_NODES), flow.dim)
-    shifts = t[:, None] * flow.alpha_array
     sups = np.zeros((len(maps), t.size))
+    # a constant field has no grid to walk; the Dini grid is already in
+    # [0, 1), so only the shifted phases need wrapping
+    pts = (np.empty((0, flow.dim)) if c.m_const is not None else
+           D.quadrature_points(D.QuadratureSpec(DINI_NODES), flow.dim))
+    shifts = t[:, None] * flow.alpha_array
     for start in range(0, pts.shape[0], DINI_BLOCK):
         block = pts[start:start + DINI_BLOCK]
-        base = np.asarray(field_fn(block))
+        base = np.asarray(c.m_field(block))
         for i, shift in enumerate(shifts):
-            diff = np.asarray(field_fn(D.wrap_phases(block + shift)))
+            diff = np.asarray(c.m_field(D.wrap_phases(block + shift)))
             diff -= base
             if not diff.any():
                 continue
@@ -415,9 +417,11 @@ def _hypothesis(name: str, status: str, value) -> dict:
 
 def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
                      flow: D.TranslationFlow) -> list[dict]:
-    # the field is made afresh per representation, so it is not alive
-    # through the next one's correlation walks
+    # a constant field's sups are those of its one payload; a sampled field
+    # is made afresh per representation, so it is not alive through the
+    # next one's correlation walks
     M = G.AlgebraElement(c.group, np.asarray(
+        c.m_const[None] if c.m_const is not None else
         c.m_field(D.quadrature_points(D.QuadratureSpec(128), flow.dim))))
     m_sup = float(np.max(G.algebra_norm(M)))
     dm_sup = float(np.max(np.abs(R.rep_differential(rep, M))))
@@ -545,8 +549,9 @@ def ac_verdict(rep: R.Representation, field: DG.DegreeField | None,
     (regularity) a finite-grid modulus-integral estimate, heuristic by
     construction; (spectral floor) `DG.a_phi_pi` > 0 over the field's
     points, or at M_star without a field.  Emits AC-PREDICTED only when
-    all flags pass, explicitly conditional on the heuristic ones; a
-    vanishing M_star yields NO-CLAIM because the theory is silent there.
+    all flags pass, explicitly conditional on the heuristic ones; an
+    M_star that `DG.degree_vanishes` calls zero, as the ergodicity verdict
+    does, yields NO-CLAIM because the theory is silent there.
 
     `dini` is this rep's entry of a shared `dini_modulus` pass.
     """
@@ -571,8 +576,7 @@ def ac_verdict(rep: R.Representation, field: DG.DegreeField | None,
         "spectral floor positive", "pass" if a_val > 1e-12 else "fail",
         float(a_val)))
 
-    degree_zero = float(G.algebra_norm(M_star)) <= 1e-12
-    if degree_zero:
+    if DG.degree_vanishes(M_star):
         verdict = NO_CLAIM
         notes = "degree vanishes; the theory makes no claim on this fiber"
     elif all(h["status"] in ("pass", "heuristic-pass") for h in hypotheses):

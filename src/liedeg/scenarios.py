@@ -44,7 +44,6 @@ from .rng import RngHandle
 SCENARIO_NAMES = ("anzai-torus", "torus-general", "su2-straighten",
                   "so3-maximal-torus", "u2-product", "custom")
 
-DEGREE_NONZERO_THRESHOLD = 1e-3
 DEGREE_SAMPLE_POINTS = 6
 
 REPORT_FILENAME = "report.json"
@@ -384,8 +383,6 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
         diagnostics["spot_check_max_deviation"] = float(
             np.max(G.algebra_norm(dev)))
         diagnostics["spot_check_n"] = spot.n_used
-        degree_nonzero = float(G.algebra_norm(M_star)) > \
-            DEGREE_NONZERO_THRESHOLD
     else:
         straight = None
         if group.tag == G.SU2 and "zeta" in extras:
@@ -407,17 +404,14 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
                         "min_diagonal_magnitude", "cesaro_diagnostic",
                         "conditioning_ratio"):
                 diagnostics[f"straighten_{key}"] = float(straight[key])
-            degree_nonzero = rho_hat > DEGREE_NONZERO_THRESHOLD
         else:
             M_star = deg_field.mean_value
-            degree_nonzero = float(G.algebra_norm(M_star)) > \
-                DEGREE_NONZERO_THRESHOLD
         if group.tag == G.U2:
             diagnostics["s_phi"] = float(
                 np.imag(np.trace(M_star.payload)) / 2.0)
 
     integral_M = DG.degree_constant_diagonal(phi, quad)
-    verdict = DG.ergodicity_verdict(group, integral_M, degree_nonzero)
+    verdict = DG.ergodicity_verdict(group, integral_M, not DG.degree_vanishes(M_star))
     splits = [DG.kernel_split(R.multiplication_matrix(rep, M_star)) for rep in reps]
     report = DG.degree_report(group, M_star, reps, splits, verdict,
                               n_used=config.n_degree,
@@ -452,8 +446,7 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     zeta = extras.get("zeta")
     entries, series_paths = [], {}
     # one M-field difference per Dini shift serves every representation
-    dinis = K.dini_modulus(phi.m_field,
-                           [K.differential_map(rep, phi.group) for rep in reps],
+    dinis = K.dini_modulus(phi, [K.differential_map(rep, phi.group) for rep in reps],
                            flow, K.DINI_SHIFTS)
     for rep, dini, split in zip(reps, dinis, stage["splits"]):
         probes = K.default_probes(rep, split)

@@ -9,7 +9,7 @@ the import path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -75,6 +75,13 @@ def algebra_zero(group: G.GroupSpec, batch_shape=()) -> G.AlgebraElement:
 
 def cocycle_value(c: D.Cocycle, x: D.BasePoint) -> G.GroupElement:
     return G.GroupElement(c.group, c.value(x.phases))
+
+
+def sampled(c: D.Cocycle) -> D.Cocycle:
+    """c without its constant M-field payload, so that `K.dini_modulus` and
+    `K._grid_hypotheses` sample its field on their grids: the reference for
+    their constant-field shortcut."""
+    return replace(c, m_const=None)
 
 
 def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElement:

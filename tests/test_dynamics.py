@@ -117,6 +117,29 @@ def test_value_at_a_wrapped_one_matches_zero(name):
     assert np.max(np.abs(c.value(one) - c.value(np.zeros(1)))) <= 1e-14
 
 
+@pytest.mark.parametrize("name", sorted(_BUILT_INS))
+def test_constant_m_field_rides_outside_equality(name):
+    """A carried constant is the field's value everywhere; it survives
+    `dataclasses.replace` (how perfbench wraps `value` and `m_field`) and
+    takes no part in == or hash, so a Cocycle stays a cache key."""
+    c = _BUILT_INS[name]()
+    pts = RNG.random((5, 1))
+    wrapped = dataclasses.replace(c, value=lambda ph: c.value(ph),
+                                  m_field=lambda ph: c.m_field(ph))
+    hash(wrapped)
+    assert c == dataclasses.replace(c, m_const=None)
+    if name in ("su2-two-angle", "cohomologous"):
+        assert c.m_const is None and wrapped.m_const is None
+        return
+    assert np.array_equal(wrapped.m_const, c.m_const)
+    assert hash(c) == hash(dataclasses.replace(c, m_const=2 * c.m_const))
+    assert np.array_equal(c.m_field(pts), np.broadcast_to(c.m_const, (5,) + c.m_const.shape))
+    if name == "u2-scalar-su2":  # the constant is the sum the field would add up
+        inner = D.su2_diagonal(_F1, [1])
+        want = 2j * np.pi * float(2 * _F1.alpha[0]) * np.eye(2) + inner.m_field(pts)
+        assert np.array_equal(c.m_field(pts), want)
+
+
 def _np_mod_walk(c, flow, x, n):
     """The walk with `phases %= 1.0` and step-less evaluation: the phases
     it visits and phi^(n)(x)."""

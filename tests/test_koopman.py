@@ -1,5 +1,6 @@
 """Fiber correlations, commutator averages, and spectral verdicts."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -741,8 +742,13 @@ def _identity(v):
     return v
 
 
+def _field(fld, d=1):
+    """A cocycle that carries only the M-field `fld`, for `dini_modulus`."""
+    return D.Cocycle(G.SU2_GROUP, None, fld, 0, d)
+
+
 def test_dini_modulus_constant_field():
-    out, = K.dini_modulus(lambda ph: np.ones(np.asarray(ph).shape[:-1] + (2, 2)),
+    out, = K.dini_modulus(_field(lambda ph: np.ones(np.asarray(ph).shape[:-1] + (2, 2))),
                           [_identity], FLOW, np.logspace(-3, 0, 7))
     assert np.max(out["samples"]) == 0.0
     assert out["integral_estimate"] == 0.0
@@ -754,7 +760,7 @@ def test_dini_modulus_skips_zero_differences():
     def refuse(v):
         raise AssertionError("a zero difference reached a map")
 
-    out, = K.dini_modulus(lambda ph: np.full(np.asarray(ph).shape[:-1] + (2, 2), 0.5j),
+    out, = K.dini_modulus(_field(lambda ph: np.full(np.asarray(ph).shape[:-1] + (2, 2), 0.5j), 2),
                           [refuse], D.default_flow(2), np.logspace(-3, 0, 7))
     assert np.max(out["samples"]) == 0.0
 
@@ -763,7 +769,7 @@ def test_dini_modulus_trig_field_is_lipschitz():
     def fld(ph):
         return np.sin(2 * np.pi * np.asarray(ph))[..., None] * np.eye(2)
 
-    out, = K.dini_modulus(fld, [_identity], FLOW, np.logspace(-4, 0, 9))
+    out, = K.dini_modulus(_field(fld), [_identity], FLOW, np.logspace(-4, 0, 9))
     # modulus ~ C t at small t: consecutive small-t ratios track the grid
     assert out["samples"][0] < 0.5 * np.max(out["samples"])
     slope0 = out["samples"][0] / out["t"][0]
@@ -777,12 +783,12 @@ def test_dini_modulus_discontinuous_field_plateaus():
     def fld(ph):
         return np.where(np.asarray(ph)[..., 0] > 0.5, 1.0, -1.0)[..., None, None] * np.eye(2)
 
-    out, = K.dini_modulus(fld, [_identity], FLOW, np.logspace(-4, 0, 9))
+    out, = K.dini_modulus(_field(fld), [_identity], FLOW, np.logspace(-4, 0, 9))
     assert out["samples"][0] > 0.5 * np.max(out["samples"])
 
 
 def test_dini_modulus_validation():
-    fld = lambda ph: np.zeros(np.asarray(ph).shape[:-1] + (1, 1))
+    fld = _field(lambda ph: np.zeros(np.asarray(ph).shape[:-1] + (1, 1)))
     with pytest.raises(ConfigError):
         K.dini_modulus(fld, [_identity], FLOW, [])
     with pytest.raises(ConfigError):
@@ -815,7 +821,7 @@ def _dini_samples_whole_grid(field_fn, flow, t_grid, nodes):
 def test_dini_modulus_blocked_matches_whole_grid(varying_su2):
     c = varying_su2
     assert (256 ** 2) // K.DINI_BLOCK >= 4
-    outs = K.dini_modulus(c.m_field, [K.differential_map(r, c.group) for r in DINI_REPS],
+    outs = K.dini_modulus(c, [K.differential_map(r, c.group) for r in DINI_REPS],
                           FLOW2, K.DINI_SHIFTS)
     M_star = G.AlgebraElement(c.group, 0.8 * G.E3)
     for rep, out in zip(DINI_REPS, outs):
@@ -834,11 +840,68 @@ def test_dini_modulus_peak_below_one_grid_field(varying_su2):
     maps = [_identity] + [K.differential_map(r, c.group) for r in DINI_REPS]
     tracemalloc.start()
     try:
-        K.dini_modulus(c.m_field, maps, FLOW2, K.DINI_SHIFTS)
+        K.dini_modulus(c, maps, FLOW2, K.DINI_SHIFTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < field_bytes
+
+
+def _constant_built_ins(flow):
+    """name -> (a built-in whose M-field is constant, representations of its
+    group)."""
+    k = np.arange(1, flow.dim + 1)
+    su2 = [R.su2_rep(l) for l in (1, 2, 3)]
+    u2 = [R.u2_rep(l, m) for l, m in ((2, 2), (2, 1), (1, 0), (0, 1))]
+    return {
+        "torus-monomial": (D.torus_monomial(flow, [k, -k[::-1]], [0.3, 0.1]),
+                           [R.torus_rep(q) for q in ((1, 0), (0, 1), (2, -1))]),
+        "su2-diagonal": (D.su2_diagonal(flow, k, 0.4), su2),
+        "su2-twisted-diagonal": (D.su2_twisted_diagonal(flow, 2 * k, 0.7), su2),
+        "so3-x3-rotation": (D.so3_x3_rotation(flow, k, 0.2), [R.so3_rep(1), R.so3_rep(2)]),
+        "u2-product": (D.u2_product(flow, k, k + 2, 0.7), u2),
+        "u2-product-mismatch": (D.u2_product(flow, k, k + 1, 0.7), u2),
+        "u2-scalar-su2": (D.u2_scalar_su2(flow, k, D.su2_twisted_diagonal(flow, k)), u2),
+    }
+
+
+def _bits(result):
+    """Every value of a list of result dicts as bytes, -0.0 and 0.0 apart."""
+    return [{key: np.asarray(v).tobytes() for key, v in r.items()} for r in result]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(_constant_built_ins(FLOW)))
+def test_constant_field_shortcut_matches_the_sampled_pass(name, d):
+    """A built-in with a constant M-field carries it, and neither the Dini
+    pass nor the grid hypotheses evaluate its field: their results are the
+    sampled pass's bit for bit."""
+    flow = D.default_flow(d)
+    c, reps = _constant_built_ins(flow)[name]
+    assert c.m_const is not None
+
+    def refuse(phases):
+        raise AssertionError("a constant M-field was sampled")
+
+    blind = dataclasses.replace(c, m_field=refuse)
+    maps = [_identity] + [K.differential_map(r, c.group) for r in reps]
+    got = K.dini_modulus(blind, maps, flow, K.DINI_SHIFTS)
+    assert _bits(got) == _bits(K.dini_modulus(H.sampled(c), maps, flow, K.DINI_SHIFTS))
+    assert all(np.max(out["samples"]) == 0.0 for out in got)
+    for rep in reps:
+        assert _bits(K._grid_hypotheses(rep, blind, flow)) == _bits(
+            K._grid_hypotheses(rep, H.sampled(c), flow))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_x_dependent_fields_carry_no_constant(d):
+    flow = D.default_flow(d)
+    k = np.arange(1, d + 1)
+    two_angle = D.su2_two_angle(flow, k, 2 * k, 0.3, 0.1)
+    pair = D.cohomologous_build(D.su2_diagonal(flow, k), D.su2_twisted_diagonal(flow, k), flow)
+    for c in (two_angle, pair, D.u2_scalar_su2(flow, k, two_angle),
+              D.u2_scalar_su2(flow, k, pair)):
+        assert c.m_const is None, c.name
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +917,7 @@ def _mixing(rep, c, M_star, N_max, probes=None):
 
 def _dini(rep, c):
     """rep's entry of a Dini pass over c's M-field alone."""
-    return K.dini_modulus(c.m_field, [K.differential_map(rep, c.group)], FLOW, K.DINI_SHIFTS)[0]
+    return K.dini_modulus(c, [K.differential_map(rep, c.group)], FLOW, K.DINI_SHIFTS)[0]
 
 
 def _ac(rep, field, M_star, dini):

@@ -1,5 +1,6 @@
 """Tests for scenario configs, the pipeline runner and report artifacts."""
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -16,6 +17,7 @@ import liedeg.dynamics as D
 import liedeg.groups as G
 import liedeg.koopman as K
 import liedeg.reps as R
+import liedeg.scenarios as SC
 from liedeg.errors import ConfigError
 from liedeg.rng import RngHandle
 from liedeg.scenarios import (_CONFIG_FIELDS, COCYCLE_BUILDERS,
@@ -382,6 +384,51 @@ class TestScenarioRun:
         s_phi = rr.report["degree"]["diagnostics"]["s_phi"]
         assert abs(s_phi - np.pi * FLOW.alpha[0]) < 1e-6
 
+    def test_constant_field_is_not_sampled_by_the_dini_pass(self, tmp_path, monkeypatch):
+        # torus-general's M-field is constant: its one Dini pass evaluates
+        # the field nowhere, while the degree stage still samples it
+        calls = {"dini": 0, "inside": 0, "outside": 0}
+        active = []
+        build, dini = SC.build_cocycle, K.dini_modulus
+
+        def counting_build(flow, spec):
+            phi, extras = build(flow, spec)
+
+            def m_field(phases):
+                calls["inside" if active else "outside"] += 1
+                return phi.m_field(phases)
+            return dataclasses.replace(phi, m_field=m_field), extras
+
+        def counting_dini(*args):
+            calls["dini"] += 1
+            active.append(True)
+            try:
+                return dini(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(SC, "build_cocycle", counting_build)
+        monkeypatch.setattr(K, "dini_modulus", counting_dini)
+        scenario_run(default_config("torus-general", outdir=str(tmp_path / "run")))
+        assert calls["dini"] == 1
+        assert calls["inside"] == 0
+        assert calls["outside"] > 0
+
+    def test_a_small_degree_vanishes_for_both_verdicts(self, tmp_path):
+        # ||M*|| = 2 pi 1e-5 is below the one "degree vanishes" threshold:
+        # no obstruction to ergodicity, and no AC claim either
+        cfg = ScenarioConfig.from_dict(dict(
+            name="custom", d=1, alpha=[1e-5], reps=[[1], [2]], seed=5,
+            cocycle={"name": "su2-diagonal", "params": {"k": [1]}}, outdir=str(tmp_path)))
+        rr = scenario_run(cfg)
+        assert rr.report["degree"]["verdict"] == DG.NO_OBSTRUCTION
+        for entry in rr.report["spectral"]:
+            assert entry["ac"]["verdict"] == K.NO_CLAIM
+            assert entry["ac"]["notes"].startswith("degree vanishes")
+        # the entrywise norm of rho E3 is sqrt(2) rho
+        norm = float(np.linalg.norm(rr.report["degree"]["M_star"])) / np.sqrt(2)
+        assert 1e-12 < norm <= DG.DEGREE_NONZERO_THRESHOLD
+
 
 def _perfbench_reference():
     """perfbench/reference.py, loaded from its file as the benchmark uses it."""
@@ -392,11 +439,19 @@ def _perfbench_reference():
     return module
 
 
+# (hits, misses) of the memoised mean-series walks in one preset run
+_SERIES_CACHE = {"anzai-torus": (0, 7), "torus-general": (0, 4), "su2-straighten": (8, 4),
+                 "so3-maximal-torus": (4, 2), "u2-product": (2, 3)}
+
+
 @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
 def test_preset_matches_benchmark_reference(name, tmp_path):
     """Each preset at its default seed reproduces the benchmark's reference
-    verdicts, kernel indices, flagged N and degree floats, and reports its
-    fibers as row 0."""
+    verdicts, kernel indices, flagged N and degree floats and the cache hits
+    of its walks, and reports its fibers as row 0."""
+    K._mean_rep_series.cache_clear()
     rr = scenario_run(default_config(name, outdir=str(tmp_path)))
+    info = K._mean_rep_series.cache_info()
+    assert (info.hits, info.misses) == _SERIES_CACHE[name]
     assert _perfbench_reference().check(name, tmp_path) == []
     assert all(e["mixing"]["j"] == 0 and e["ac"]["j"] == 0 for e in rr.report["spectral"])
