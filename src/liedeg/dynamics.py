@@ -169,7 +169,8 @@ class Cocycle:
 
     `m_const` is the M-field's one payload when its constructor knows
     the field constant, else None.  Given with `m_field` None, it builds
-    `m_field` as its broadcast.  It takes no part in == or hash (a
+    `m_field` as its broadcast; `cohomologous_build` reads it instead of
+    `m_field` for its parts.  It takes no part in == or hash (a
     Cocycle keys `koopman._mean_rep_series`'s cache) and rides through
     `dataclasses.replace`.
     """
@@ -232,6 +233,11 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
     return G.maybe_renormalize(g)
 
 
+def _m_at(c: Cocycle, phases: np.ndarray) -> np.ndarray:
+    """c's M-field at phases: its unbroadcast `m_const` when it has one."""
+    return c.m_field(phases) if c.m_const is None else c.m_const
+
+
 def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow) -> Cocycle:
     """The cocycle phi(x) = zeta(x)^{-1} delta(x) zeta(F_1 x).
 
@@ -247,7 +253,11 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow) -> 
     which it does not need).  Along an orbit zeta(F_1 x) is the next
     point's zeta(x): the step carries (zeta(F_1 x), M_zeta(F_1 x)) and
     reuses them on a walk under the flow given here, whose
-    `wrap_phases(x + alpha)` is this step's F_1 x bit for bit.
+    `wrap_phases(x + alpha)` is this step's F_1 x bit for bit.  A part
+    with `m_const` is read as that one payload, not sampled: constant
+    M_zeta and M_delta leave a constant bracket (-M_zeta + M_delta), and
+    the carry holds zeta's `m_const` itself.  The M-field is batch-shaped
+    for every part mix and group.
     """
     if zeta.group != delta.group:
         raise TagMismatchError("zeta and delta must share the group")
@@ -260,18 +270,21 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow) -> 
             zl, mzl = carry
         else:
             zl = zeta.value(phases)
-            mzl = zeta.m_field(phases) if want_m else None
+            mzl = _m_at(zeta, phases) if want_m else None
         zr = zeta.value(ahead) if want_value else None
-        mzr = zeta.m_field(ahead) if want_m else None
+        mzr = _m_at(zeta, ahead) if want_m else None
         zinv = G.group_inv(G.GroupElement(group, zl))
         dm = G.GroupElement(group, delta.value(phases))
         value = m = None
         if want_value:
             value = G.group_mul(G.group_mul(zinv, dm), G.GroupElement(group, zr)).payload
         if want_m:
-            inner = np.negative(mzl)
-            inner += delta.m_field(phases)
-            inner += G.ad(dm, G.AlgebraElement(group, mzr)).payload
+            # Ad_delta(M_zeta o F_1) first, with the bits of the sum in the
+            # other order; the bracket is one payload for constant parts
+            inner = G.ad(dm, G.AlgebraElement(group, mzr)).payload
+            if group.tag == G.TORUS:  # its Ad ignores delta: a constant stays unbatched
+                inner = np.broadcast_to(inner, dm.batch_shape + inner.shape[-1:]).copy()
+            inner += -mzl + _m_at(delta, phases)
             m = G.ad(zinv, G.AlgebraElement(group, inner)).payload
         return value, m, (zr, mzr)
 

@@ -492,13 +492,15 @@ class RunReport:
 
 
 def _clock() -> dict:
-    """Wall seconds and, where the resource module exists, minor page faults."""
+    """Wall seconds and, where the resource module exists, minor page
+    faults and system (kernel) seconds."""
     try:
         import resource
-    except ImportError:  # not on every platform: the sidecar omits faults
+    except ImportError:  # not on every platform: the sidecar omits both
         return {"seconds": time.perf_counter()}
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    return {"seconds": time.perf_counter(), "minor_faults": faults}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"seconds": time.perf_counter(), "minor_faults": usage.ru_minflt,
+            "system_seconds": usage.ru_stime}
 
 
 def scenario_run(config: ScenarioConfig) -> RunReport:

@@ -571,6 +571,67 @@ def test_fused_step_ignores_a_carry_it_cannot_use():
             assert np.array_equal(got.payload, want.payload)
 
 
+def _part_mixes(flow):
+    """(delta, zeta) pairs of every mix of constant and x-dependent fields."""
+    k = np.arange(1, flow.dim + 1)
+    return {
+        "constant-pair": (D.su2_diagonal(flow, k), D.su2_twisted_diagonal(flow, k)),
+        "constant-zeta": (D.su2_two_angle(flow, k, 2 * k, 0.3, 0.1),
+                          D.su2_twisted_diagonal(flow, k)),
+        "constant-delta": (D.su2_diagonal(flow, k), D.su2_two_angle(flow, k, 2 * k, 0.3, 0.1)),
+        # the torus Ad is the identity, so nothing in it batches a constant
+        "torus": (D.torus_monomial(flow, [k, 2 * k]),
+                  D.torus_monomial(flow, [-k, 3 * k], theta0=[0.2, 0.5])),
+        "so3": (D.so3_x3_rotation(flow, k), D.so3_x3_rotation(flow, 2 * k, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mix", ["constant-pair", "constant-zeta", "constant-delta",
+                                 "torus", "so3"])
+def test_constant_parts_give_the_sampled_parts_bits(mix, d):
+    """The composite reads a constant part's `m_const` unbroadcast, and its
+    value, M-field and carried walks (with and without M, along its own
+    flow and along another) have the bits and shapes of the composite
+    of the sampled parts, for each part left constant or sampled."""
+    flow = D.default_flow(d)
+    other = D.TranslationFlow(tuple(0.3 + 0.1 * j for j in range(d)))
+    delta, zeta = _part_mixes(flow)[mix]
+    ref = D.cohomologous_build(H.sampled(delta), H.sampled(zeta), flow)
+    pts = RNG.random((5, d))
+    x = D.BasePoint(pts)
+
+    def walk(c, walk_flow, with_m):
+        ms = []
+        visit = (lambda k, ph, g, m: ms.append(m.copy())) if with_m else None
+        g = D.cocycle_iterate(c, walk_flow, x, 300, visit, with_m=with_m)
+        return g.payload, ms
+
+    walks = [(walk_flow, with_m) for walk_flow in (flow, other) for with_m in (False, True)]
+    wants = [walk(ref, *how) for how in walks]
+    for parts in [(delta, zeta), (H.sampled(delta), zeta), (delta, H.sampled(zeta))]:
+        phi = D.cohomologous_build(*parts, flow)
+        for at in (pts, pts[0]):
+            assert np.array_equal(phi.value(at), ref.value(at))
+            assert np.array_equal(phi.m_field(at), ref.m_field(at))
+        for how, (want, want_ms) in zip(walks, wants):
+            got, got_ms = walk(phi, *how)
+            assert np.array_equal(got, want)
+            assert len(got_ms) == len(want_ms)
+            assert all(np.array_equal(a, b) for a, b in zip(got_ms, want_ms))
+
+
+def test_a_constant_pair_carries_the_constant_itself():
+    flow = D.default_flow(1)
+    delta, zeta = _part_mixes(flow)["constant-pair"]
+    phi = D.cohomologous_build(delta, zeta, flow)
+    pts = RNG.random((5, 1))
+    _, m, carry = phi.step(pts, None, True, flow)
+    assert carry[1] is zeta.m_const and m.shape == (5, 2, 2)
+    _, m, carry = phi.step(D.wrap_phases(pts + flow.alpha_array), carry, True, flow)
+    assert carry[1] is zeta.m_const and m.shape == (5, 2, 2)
+
+
 def test_walk_drops_each_value_before_the_next_visit():
     """At every visit of a step-less walk on the 163^2 grid only the
     walk's phases and phi^(k)(x) are alive: a value array kept into the

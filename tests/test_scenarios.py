@@ -268,12 +268,18 @@ class TestScenarioRun:
         assert set(faults) == stages
         assert all(isinstance(v, int) and v >= 0 for v in faults.values())
         assert faults["total"] >= faults["degree"] + faults["spectral"]
-        # without the resource module the key is left out and the report
-        # keeps its bytes
+        system = sidecar["system_seconds"]
+        assert set(system) == stages
+        assert all(isinstance(v, float) and v >= 0.0 for v in system.values())
+        # the spans partition the run, up to the rounding of the sums
+        parts = system["setup"] + system["degree"] + system["spectral"]
+        assert abs(system["total"] - parts) <= 1e-9
+        # without the resource module both keys are left out and the
+        # report keeps its bytes
         monkeypatch.setitem(sys.modules, "resource", None)
         again = scenario_run(_small_anzai(tmp_path / "again"))
         sidecar = json.loads((again.outdir / TIMINGS_FILENAME).read_text())
-        assert "minor_faults" not in sidecar and set(sidecar["seconds"]) == stages
+        assert set(sidecar) == {"seconds", "note"} and set(sidecar["seconds"]) == stages
         assert again.report_path.read_bytes() == rr.report_path.read_bytes()
 
     def test_report_json_parses_from_disk(self, tmp_path):
@@ -348,6 +354,27 @@ class TestScenarioRun:
         assert abs(field.spread - alone.spread) <= 1e-12
         assert np.max(np.abs(field.values.payload - alone.values.payload)) <= 1e-12
         assert np.max(np.abs(field.diagnostics - alone.diagnostics)) <= 1e-12
+
+    def test_su2_straighten_degree_stage_samples_no_part_field(self):
+        """Both parts of the preset's pair have constant M-fields, so its
+        degree stage reads them off `m_const` and never calls a part's
+        `m_field`: the stage with refusing parts is the stage as run."""
+        cfg = default_config("su2-straighten")
+        flow = D.default_flow(cfg.d)
+        phi, extras = build_cocycle(flow, cfg.cocycle)
+        reps = [_rep_from_label(phi.group, label, cfg.d) for label in cfg.reps]
+
+        def refuse(phases):
+            raise AssertionError("a constant part's M-field was sampled")
+
+        blind = {name: dataclasses.replace(extras[name], m_field=refuse)
+                 for name in ("delta", "zeta")}
+        assert all(part.m_const is not None for part in blind.values())
+        blind_phi = D.cohomologous_build(blind["delta"], blind["zeta"], flow)
+        got = _degree_stage(cfg, flow, blind_phi, {**extras, **blind}, reps)
+        want = _degree_stage(cfg, flow, phi, extras, reps)
+        assert _jsonify(got["report"]) == _jsonify(want["report"])
+        assert np.array_equal(got["M_star"].payload, want["M_star"].payload)
 
     def test_u2_product_kernel_contrast(self, tmp_path):
         cfg = default_config("u2-product", outdir=str(tmp_path / "run"))
