@@ -138,6 +138,20 @@ def quadrature_points(spec: QuadratureSpec, d: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
+def coarse_first_points(nodes: int, d: int, start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1 of the (2 nodes)^d grid in coarse-first order:
+    the even nodes first, which are the nodes^d grid bit for bit and in its
+    own order (node 2j of 2 nodes is node j of nodes), then the other
+    parity classes in the same order.  A walk builds one block at a time,
+    so no whole grid exists."""
+    cls, local = np.divmod(np.arange(start, min(stop, (2 * nodes) ** d)), nodes ** d)
+    pts = np.empty((len(cls), d))
+    for k in range(d - 1, -1, -1):
+        local, j = np.divmod(local, nodes)
+        np.divide(2 * j + ((cls >> (d - 1 - k)) & 1), 2 * nodes, out=pts[:, k])
+    return pts
+
+
 def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """chi_r(x) = exp(i (2 pi K_r . x + offsets_r)) per row r of the integer
     matrix K, offsets in radians, shape (..., rows): every fresh evaluation
@@ -518,13 +532,17 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
     def value(phases):
         # sqrt(w) lift(R) in closed form: the x3-rotation by theta lifts
         # to diag(e^{ih}, e^{-ih}), h = theta/2 wrapped into [-pi/2, pi/2),
-        # with so3_to_su2's sign: the quaternion (c, 0, 0, s) is negated
-        # when s < 0 leads, past the tie band of c
+        # with the canonical lift's sign: the quaternion (c, 0, 0, s) is
+        # negated when s < 0 leads, past the tie band of c
         h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
         h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
         c, s = np.cos(h), np.sin(h)
         sign = np.where((np.abs(c) < np.abs(s) - G.LEAD_TIE) & (s < 0), -1.0, 1.0)
-        z = G.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt))) * sign
+        # the principal root of e^{2 pi i t} is e^{i pi s}, s = t - n in
+        # [-1/2, 1/2] for the integer n nearest t; at the cut (t a half-integer)
+        # n is the one nearer 0, so s = +-1/2 keeps the sign of t
+        t = phases @ kt
+        z = G.unit_exp(np.pi * (t - np.copysign(np.ceil(np.abs(t) - 0.5), t))) * sign
         out = np.zeros(h.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = z * (c + 1j * s)
         out[..., 1, 1] = z * (c - 1j * s)

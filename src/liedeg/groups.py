@@ -30,10 +30,13 @@ orthonormal for <Z, W> = Re tr(Z W*) / 2.  Writing g = q0 I + q1 E1 +
 q2 E2 + q3 E3 (unit quaternion q), the adjoint action of g on the
 coordinates (x1, x2, x3) is the *transpose* of the standard quaternion
 rotation matrix, so the x3-rotation by angle t, exp(t J3), has first row
-(cos t, sin t, 0).  The covering map `su2_to_so3` and its canonical lift
-`so3_to_su2` (Shepperd's method in matrix form: 4 q q^T is one constant
-linear map of R; the first quaternion entry of nearly largest magnitude
-is made positive) are inverse to each other up to center.
+(cos t, sin t, 0).  The covering map `su2_to_so3` and the lift
+`so3_lift` (Shepperd's method in matrix form: 4 q q^T is one constant
+linear map of R) are inverse to each other up to center.  The lift
+carries no sign rule; the canonical lift, whose first quaternion entry
+of nearly largest magnitude (within LEAD_TIE) is positive, is the
+closed-form sign of `dynamics.u2_product`.  On so(3), Ad_g rotates the
+coordinates: g Z g^T has coordinates g a.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 RENORM_TRIGGER = 1e-13
 # quaternion entries this close to the largest magnitude tie for the lead
-# of `so3_to_su2`'s sign, far above the lift's round-off
+# of the canonical lift's sign, far above the lift's round-off
 LEAD_TIE = 2.0 ** -48
 
 
@@ -261,7 +264,8 @@ def maybe_renormalize(g: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
-    """Adjoint action Ad_g Z = g Z g^{-1}."""
+    """Adjoint action Ad_g Z = g Z g^{-1}; an SO(3) Z is read through its
+    coordinates, so it must be skew-symmetric."""
     _same_group(g, Z)
     tag = g.group.tag
     if tag == TORUS:
@@ -278,7 +282,9 @@ def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
         p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
         p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
     elif tag == SO3:
-        p = g.payload @ Z.payload @ np.swapaxes(g.payload, -1, -2)
+        # g Z g^T is the so(3) element of g a, a the coordinates of Z
+        p = so3_alg_from_components(np.einsum("...ij,...j", g.payload,
+                                              so3_alg_components(Z.payload)))
     else:
         p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
     return AlgebraElement(Z.group, p)
@@ -428,31 +434,25 @@ def _shepperd_map() -> np.ndarray:
 _SHEPPERD = _shepperd_map()
 
 
-def so3_to_su2(R: GroupElement) -> GroupElement:
-    """Canonical lift through the double cover.
-
-    Shepperd's method in matrix form: K = 4 q q^T is linear in R, and its
-    row with the largest diagonal entry, normalized, is the quaternion q
-    with the best-conditioned division.  The sign ambiguity is fixed by
-    making the quaternion entry of largest magnitude positive; entries
-    within LEAD_TIE of it tie, and the lowest index among them leads, so
-    round-off does not pick the sign (rotations by pi about (1, -1, 1)
-    tie three entries of opposite signs).  On the
-    x3-rotation with angle t in (0, pi] the lift is diag(e^{it/2}, e^{-it/2}).
-    """
-    if R.group.tag != SO3:
-        raise TagMismatchError("so3_to_su2 expects an SO3 element")
-    batch = R.payload.shape[:-2]
+def _shepperd(R: np.ndarray) -> np.ndarray:
+    """A unit quaternion +-q over each rotation payload R by Shepperd's
+    method in matrix form: K = 4 q q^T is linear in R, and its row with the
+    largest diagonal entry, normalized, is +-q with the best-conditioned
+    division."""
+    batch = R.shape[:-2]
     # einsum, not @: a BLAS call here raised u2-product's peak RSS
-    K = np.einsum("...i,ij->...j", R.payload.reshape(batch + (9,)), _SHEPPERD)
+    K = np.einsum("...i,ij->...j", R.reshape(batch + (9,)), _SHEPPERD)
     K = K.reshape(batch + (4, 4)) + np.eye(4)
     pick = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
     q = np.take_along_axis(K, pick[..., None, None], axis=-2)[..., 0, :]
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    size = np.abs(q)
-    first = np.argmax(size >= np.max(size, axis=-1, keepdims=True) - LEAD_TIE, axis=-1)
-    q = q * np.where(np.take_along_axis(q, first[..., None], axis=-1) < 0, -1.0, 1.0)
-    return GroupElement(SU2_GROUP, _from_quaternion(q))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def so3_lift(R: np.ndarray) -> np.ndarray:
+    """One of the two SU(2) payloads over each rotation payload R, with no
+    sign rule: the canonical lift of the module docstring up to sign.  Even
+    SU(2) labels, which the SO(3) irreps read, cannot tell the two apart."""
+    return _from_quaternion(_shepperd(R))
 
 
 def d_cover_inv(S: AlgebraElement) -> AlgebraElement:
@@ -525,7 +525,3 @@ def unit_exp(theta: np.ndarray) -> np.ndarray:
     np.sin(theta, out=out.imag)
     return out
 
-
-def circle_sqrt(w: np.ndarray) -> np.ndarray:
-    """Principal square root on the unit circle, exp(i arg(w) / 2)."""
-    return unit_exp(0.5 * np.arctan2(w.imag, w.real))

@@ -20,8 +20,9 @@ with zeta = e unless it was conjugated; as pi is a unitary homomorphism,
     Mhat_N(m) = mean_x e(-m.x) pi(zeta1(x) phi^(N)(x) zeta2(F_N x)^{-1}),
 
 so every pair reads one walk of the mean representation-matrix series
-(taken over the grid in blocks of points), which all constant probes of
-a fiber share.  The walk still runs under
+(taken over the grid in blocks of points, each mean reduced from the
+representation's term products before they are scattered into a matrix),
+which all constant probes of a fiber share.  The walk still runs under
 phi, so the check stays numerical and never assumes the cohomology; a
 per-point evaluation of psi stays as the independent reference.
 
@@ -192,22 +193,26 @@ def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple
                      diffs: tuple, c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
                      nodes: int) -> np.ndarray:
     """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
-    m in `diffs`, on the nodes^d grid and its check grid, with one
-    representation evaluation per step.  The check grid is walked in blocks
-    of SERIES_BLOCK points, so no walk array outgrows a block; a grid of one
-    block gets its plain means.  m = 0 is a plain mean.
+    m in `diffs`, on the nodes^d grid and its check grid, from one walk.
+
+    The check grid is ordered coarse-first and walked in blocks of
+    SERIES_BLOCK points, each built when its walk starts, so no array
+    outgrows a block and each block's share of the nodes^d grid is a
+    leading slice.  A block has one (r, n) weight matrix, row i the wave
+    e(-m_i.x) (ones for m = 0), and each step adds the two weighted sums of
+    `reps.rep_mean_payload`, which reduces the term products before it
+    scatters: no per-point matrix exists.
     Read-only: every pair with these transfers and differences shares it."""
-    pts = D.quadrature_points(D.QuadratureSpec(2 * nodes), flow.dim)
-    # node i of 2 nodes sits at i / (2 nodes): the even ones are the nodes^d grid bit for bit
-    even = np.zeros((2 * nodes,) * flow.dim, dtype=bool)
-    even[(slice(None, None, 2),) * flow.dim] = True
-    coarse = even.ravel()
+    total, coarse = (2 * nodes) ** flow.dim, nodes ** flow.dim
     # the block sums, added in block order, then divided as np.mean divides
     out = np.empty((2, len(diffs), N_max + 1, rep.dim, rep.dim), dtype=complex)
-    for start in range(0, len(pts), SERIES_BLOCK):
-        block, in_coarse = pts[start:start + SERIES_BLOCK], coarse[start:start + SERIES_BLOCK]
-        waves = [G.unit_exp(-2 * np.pi * (block @ m))[:, None, None] if any(m) else None
-                 for m in diffs]
+    for start in range(0, total, SERIES_BLOCK):
+        block = D.coarse_first_points(nodes, flow.dim, start, start + SERIES_BLOCK)
+        split = min(max(coarse - start, 0), len(block))
+        weights = np.ones((len(diffs), len(block)), dtype=complex)
+        for w, m in zip(weights, diffs):
+            if any(m):
+                w[:] = G.unit_exp(-2 * np.pi * (block @ m))
         z1 = _transfer(rep.group, transfers1, block)
 
         def visit(k, phases, g):
@@ -216,18 +221,15 @@ def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple
             z2 = _transfer(rep.group, transfers2, phases)
             if z2 is not None:
                 g = G.group_mul(g, G.group_inv(z2))
-            P = R.rep_eval_payload(rep, g.payload)
-            for i, w in enumerate(waves):
-                wP = P if w is None else w * P
-                sums = np.add.reduce(wP[in_coarse]), np.add.reduce(wP)
-                if start:
-                    out[:, i, k] += sums
-                else:
-                    out[:, i, k] = sums
+            sums = R.rep_mean_payload(rep, g.payload, weights, split)
+            if start:
+                out[:, :, k] += sums
+            else:
+                out[:, :, k] = sums
 
         D.cocycle_iterate(c, flow, D.BasePoint(block), N_max + 1, visit)
-    out[0] /= np.intp(np.count_nonzero(coarse))
-    out[1] /= np.intp(len(pts))
+    out[0] /= np.intp(coarse)
+    out[1] /= np.intp(total)
     out.flags.writeable = False
     return out
 

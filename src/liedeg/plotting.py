@@ -60,13 +60,16 @@ def _panel(x0: float, title: str, xs, ys, y_lo: float, y_hi: float,
                f'text-anchor="middle">N</text>')
 
     if len(xs):
-        pts = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(xs, ys))
+        # each coordinate formatted once, for the polyline and the circles
+        cx = map(_fmt, np.broadcast_to(px(np.asarray(xs)), np.shape(xs)).tolist())
+        coords = list(zip(cx, map(_fmt, py(np.asarray(ys)).tolist())))
         if len(xs) > 1:
+            pts = " ".join(map(",".join, coords))
             out.append(f'<polyline points="{pts}" fill="none" stroke="#1f6feb" '
                        f'stroke-width="1.2"/>')
-        for n, v in zip(xs, ys):
-            out.append(f'<circle class="{marker_class}" cx="{_fmt(px(n))}" '
-                       f'cy="{_fmt(py(v))}" r="2.6" fill="#1f6feb"/>')
+        for x, y in coords:
+            out.append(f'<circle class="{marker_class}" cx="{x}" cy="{y}" r="2.6" '
+                       f'fill="#1f6feb"/>')
     else:
         out.append(f'<text x="{_fmt(x0 + _PANEL_W / 2)}" '
                    f'y="{_fmt(_TOP + _PANEL_H / 2)}" text-anchor="middle" '

@@ -27,16 +27,23 @@ The matrix is assembled from the expansion
     p_k((w1,w2) u) = sum_j c_jk(u) p_j,   u = [[u00, u01], [u10, u11]],
 
 whose coefficients are an explicit double sum in u00, u11, u01, u10
-(z1, conj(z1), z2, -conj(z2) for SU(2)); the implementation tabulates the
-exponent patterns once per l and evaluates them with power tables.  U(2)
-multiplies c(u) by (det / |det|)^(m-l), no sqrt(det u) needed; normalizing
-keeps the payload's modulus round-off out of the power.  SO(3) = SU(2)/{+-1}
-has the even SU(2) labels as its irreps: label l evaluates
+(z1, conj(z1), z2, -conj(z2) for SU(2)): C(l+3, 3) term products, each
+landing with a binomial coefficient in one slot of c.  `_terms` builds
+them points-last, one outer product per column, and a fixed scatter
+matrix per l takes them to c: `rep_eval_payload` scatters per point,
+while `rep_mean_payload` first reduces the terms against quadrature
+weights (one GEMM) and scatters only the sums, so a grid mean of pi
+never forms a per-point matrix.  U(2) multiplies c(u) by
+(det / |det|)^(m-l), no sqrt(det u) needed (a mean folds it into the
+weights); normalizing keeps the payload's modulus round-off out of the
+power.  SO(3) = SU(2)/{+-1} has the even SU(2) labels as its irreps:
+label l evaluates
 
     pi_l(R) = C pi_2l(lift R) C^-1,   C = diag(i^j), j = -l..l,
 
-on the canonical lift `groups.so3_to_su2` (the sign cancels because 2l
-is even); the x3-rotation with angle t maps to diag(e^{ijt}).
+on the unsigned lift `groups.so3_lift`: every term has even degree 2l,
+so the lift's sign cancels exactly; the x3-rotation with angle t maps to
+diag(e^{ijt}).
 
 Differentials are exact: su(2) acts on the binary forms as derivations,
 so d pi(Z) is tridiagonal in the c_jk basis, and so(3) reuses it at
@@ -144,48 +151,57 @@ def rep_weight(rep: Representation) -> int:
 # SU(2): expansion-coefficient tables
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _su2_table(l: int):
+    """The (terms, (l+1)^2) scatter taking term (k, m, n) of `_terms`, times
+    its binomial coefficient C(k, m) C(l-k, n), to the flat slot
+    j (l+1) + k of c_jk, j = m + n; and the norms."""
+    rows = [(k, m, n) for k in range(l + 1) for m in range(k + 1) for n in range(l - k + 1)]
+    scatter = np.zeros((len(rows), (l + 1) ** 2))
+    for t, (k, m, n) in enumerate(rows):
+        scatter[t, (m + n) * (l + 1) + k] = math.comb(k, m) * math.comb(l - k, n)
+    norms = np.array([math.sqrt(math.factorial(j) * math.factorial(l - j))
+                      for j in range(l + 1)])
+    return scatter, norms
+
+
 def _powers(z: np.ndarray, maxp: int) -> np.ndarray:
-    out = np.empty(z.shape + (maxp + 1,), dtype=complex)
-    out[..., 0] = 1.0
+    """z^0..z^maxp of a flat z, exponent first: shape (maxp + 1, n)."""
+    out = np.empty((maxp + 1,) + z.shape, dtype=complex)
+    out[0] = 1.0
     for p in range(1, maxp + 1):
-        out[..., p] = out[..., p - 1] * z
+        np.multiply(out[p - 1], z, out=out[p])
     return out
 
 
-@lru_cache(maxsize=None)
-def _su2_table(l: int):
-    p1, p2, p3, p4, coeff, flat = [], [], [], [], [], []
-    for k in range(l + 1):
-        for m in range(k + 1):
-            for n in range(l - k + 1):
-                j = m + n
-                p1.append(m)
-                p2.append(l - k - n)
-                p3.append(n)
-                p4.append(k - m)
-                coeff.append(math.comb(k, m) * math.comb(l - k, n))
-                flat.append(j * (l + 1) + k)
-    nt = len(coeff)
-    scatter = np.zeros((nt, (l + 1) ** 2))
-    scatter[np.arange(nt), np.array(flat)] = 1.0
-    norms = np.array([math.sqrt(math.factorial(j) * math.factorial(l - j))
-                      for j in range(l + 1)])
-    return (np.array(p1), np.array(p2), np.array(p3), np.array(p4),
-            np.array(coeff, dtype=float), scatter, norms)
+def _terms(l: int, u00, u11, u01, u10) -> np.ndarray:
+    """The expansion's term products at label l on flat entry arrays of n
+    points, points last: shape (terms, n), ordered by column k, then m,
+    then n, so that `terms.T @ scatter` holds the raw coefficients c_jk(u),
+    which are multiplicative in u.
 
-
-def _c_matrix(l: int, u00, u11, u01, u10) -> np.ndarray:
-    """Raw expansion coefficients c_jk(u) of the batched 2x2 matrix with
-    these entries; this matrix is multiplicative."""
-    p1, p2, p3, p4, coeff, scatter, _ = _su2_table(l)
-    vals = (coeff * _powers(u00, l)[..., p1] * _powers(u11, l)[..., p2]
-            * _powers(u01, l)[..., p3] * _powers(u10, l)[..., p4])
-    return (vals @ scatter).reshape(u00.shape + (l + 1, l + 1))
+    Term (k, m, n) is a_k[m] b_k[n], a_k[m] = u00^m u10^(k-m) and
+    b_k[n] = u01^n u11^(l-k-n).  One pass writes every column's a_k from
+    the powers of u00 and u10, and a second multiplies in b_k from those
+    of u01 and u11, so only two power tables exist at a time and no
+    gathered copy of the table."""
+    n = len(u00)
+    out = np.empty((math.comb(l + 3, 3), n), dtype=complex)
+    ends = np.cumsum([(k + 1) * (l - k + 1) for k in range(l)])
+    cols = [c.reshape(k + 1, l - k + 1, n) for k, c in enumerate(np.split(out, ends))]
+    p, q = _powers(u00, l), _powers(u10, l)
+    for k, col in enumerate(cols):
+        col[...] = (p[:k + 1] * q[k::-1])[:, None]  # a_k
+    del p, q
+    p, q = _powers(u01, l), _powers(u11, l)
+    for k, col in enumerate(cols):
+        col *= (p[:l - k + 1] * q[l - k::-1])[None]  # b_k
+    return out
 
 
 def su2_norms(l: int) -> np.ndarray:
     """Norms ||p_j|| = sqrt(j!(l-j)!) of the monomial basis."""
-    return _su2_table(l)[6]
+    return _su2_table(l)[1]
 
 
 @lru_cache(maxsize=None)
@@ -227,28 +243,67 @@ def _unit_power(z: np.ndarray, e: int) -> np.ndarray:
     return out.copy() if e == 1 else out
 
 
+def _characters(rep: Representation, payload: np.ndarray) -> np.ndarray:
+    """The torus character of rep on raw payloads, batched."""
+    val = None
+    for j, e in enumerate(rep.label):
+        if e:
+            chi = _unit_power(payload[..., j], e)
+            val = chi if val is None else val * chi
+    return np.ones(payload.shape[:-1], dtype=complex) if val is None else val
+
+
+def _expansion(rep: Representation, payload: np.ndarray):
+    """(SU(2) label, term products, U(2)'s det^(m-l) or None) of rep on
+    payloads flattened to n points.  SO(3) reads label 2l on the unsigned
+    lift: the terms have even degree 2l, so the lift's sign cancels exactly."""
+    tag, l = rep.group.tag, rep.label[0]
+    if tag == G.U2:
+        u00, u01, u10, u11 = payload.reshape(-1, 4).T
+        det, e = u00 * u11 - u01 * u10, rep.label[1] - l
+        return l, _terms(l, u00, u11, u01, u10), (
+            _unit_power(det / np.abs(det), e) if e else None)
+    if tag == G.SO3:
+        l, payload = 2 * l, G.so3_lift(payload)
+    z = payload.reshape(-1, 2)
+    z1, z2 = z[:, 0], z[:, 1]
+    return l, _terms(l, z1, np.conj(z1), z2, -np.conj(z2)), None
+
+
 def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
-    """Representation matrix on raw payloads, batched over leading axes."""
+    """Representation matrix on raw payloads, batched over leading axes:
+    the term products scattered point by point."""
     tag = rep.group.tag
     if tag == G.TORUS:
-        val = None
-        for j, e in enumerate(rep.label):
-            if e:
-                chi = _unit_power(payload[..., j], e)
-                val = chi if val is None else val * chi
-        if val is None:
-            val = np.ones(payload.shape[:-1], dtype=complex)
-        return val[..., None, None]
-    l = rep.label[0]
-    if tag == G.U2:
-        u00, u01, u10, u11 = (payload[..., i, j] for i in (0, 1) for j in (0, 1))
-        det = u00 * u11 - u01 * u10
-        scaled = _c_matrix(l, u00, u11, u01, u10) * _scale(rep)
-        return _unit_power(det / np.abs(det), rep.label[1] - l)[..., None, None] * scaled
-    if tag == G.SO3:
-        l, payload = 2 * l, G.so3_to_su2(G.GroupElement(rep.group, payload)).payload
-    z1, z2 = payload[..., 0], payload[..., 1]
-    return _c_matrix(l, z1, np.conj(z1), z2, -np.conj(z2)) * _scale(rep)
+        return _characters(rep, payload)[..., None, None]
+    batch = payload.shape[:-2] if tag in (G.SO3, G.U2) else payload.shape[:-1]
+    l, terms, det = _expansion(rep, payload)
+    out = (terms.T @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
+    if det is not None:
+        out *= det[:, None]
+    return out.reshape(batch + (rep.dim, rep.dim))
+
+
+def rep_mean_payload(rep: Representation, payload: np.ndarray, weights: np.ndarray,
+                     split: int) -> np.ndarray:
+    """Weighted sums of pi over n points, shape (2, r, d, d): entry [0, i]
+    is sum_{x < split} w_i(x) pi(g(x)) and entry [1, i] the sum over all n
+    points, for payloads of n points and the (r, n) complex `weights`.
+
+    The term products are reduced against the weights (one GEMM per part)
+    before anything is scattered: no per-point matrix exists.  U(2)'s
+    det^(m-l) folds into the weights, and the torus is weights @ characters.
+    """
+    torus = rep.group.tag == G.TORUS
+    l, vals, det = (0, _characters(rep, payload), None) if torus else _expansion(rep, payload)
+    if det is not None:
+        weights = weights * det
+    head = vals[..., :split] @ weights[:, :split].T
+    sums = np.stack((head, head + vals[..., split:] @ weights[:, split:].T))
+    if torus:
+        return sums[..., None, None]
+    out = (np.swapaxes(sums, 1, 2) @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
+    return out.reshape(sums.shape[0], weights.shape[0], rep.dim, rep.dim)
 
 
 def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:

@@ -9,6 +9,7 @@ the import path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -84,6 +85,67 @@ def sampled(c: D.Cocycle) -> D.Cocycle:
     return replace(c, m_const=None)
 
 
+def circle_sqrt(w: np.ndarray) -> np.ndarray:
+    """Principal square root on the unit circle, exp(i arg(w) / 2): the
+    reference for `u2_product`'s root e^{i pi (t - round(t))} of
+    e^{2 pi i t}."""
+    return G.unit_exp(0.5 * np.arctan2(w.imag, w.real))
+
+
+def so3_to_su2(R: G.GroupElement) -> G.GroupElement:
+    """Canonical lift through the double cover: `groups.so3_lift`'s
+    quaternion with the sign that makes its entry of largest magnitude
+    positive; entries within LEAD_TIE of it tie, and the lowest index among
+    them leads, so round-off does not pick the sign (rotations by pi about
+    (1, -1, 1) tie three entries of opposite signs).  On the x3-rotation
+    with angle t in (0, pi] the lift is diag(e^{it/2}, e^{-it/2}).  The
+    package reads only even SU(2) labels on the lift, which cannot tell
+    the signs apart; `u2_product`'s closed form follows this sign."""
+    if R.group.tag != G.SO3:
+        raise TagMismatchError("so3_to_su2 expects an SO3 element")
+    q = G._shepperd(R.payload)
+    size = np.abs(q)
+    first = np.argmax(size >= np.max(size, axis=-1, keepdims=True) - G.LEAD_TIE, axis=-1)
+    q = q * np.where(np.take_along_axis(q, first[..., None], axis=-1) < 0, -1.0, 1.0)
+    return G.GroupElement(G.SU2_GROUP, G._from_quaternion(q))
+
+
+def so3_ad_sandwich(g: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Ad_g Z = g Z g^T on raw SO(3) payloads as a batched 3x3 sandwich:
+    the reference for `groups.ad`'s rotation of coordinates."""
+    return g @ Z @ np.swapaxes(g, -1, -2)
+
+
+def su2_table_reference(l: int, u00, u11, u01, u10) -> np.ndarray:
+    """Raw coefficients c_jk(u) of batched 2x2 entries from a points-first
+    term table, coefficient first, gathered per point and scattered by a
+    0/1 matrix: the reference for `reps`' points-last term products."""
+    p1, p2, p3, p4, coeff, flat = [], [], [], [], [], []
+    for k in range(l + 1):
+        for m in range(k + 1):
+            for n in range(l - k + 1):
+                p1.append(m)
+                p2.append(l - k - n)
+                p3.append(n)
+                p4.append(k - m)
+                coeff.append(math.comb(k, m) * math.comb(l - k, n))
+                flat.append((m + n) * (l + 1) + k)
+    scatter = np.zeros((len(coeff), (l + 1) ** 2))
+    scatter[np.arange(len(coeff)), flat] = 1.0
+    coeff = np.array(coeff, dtype=float)
+
+    def powers(z):
+        out = np.empty(np.shape(z) + (l + 1,), dtype=complex)
+        out[..., 0] = 1.0
+        for p in range(1, l + 1):
+            out[..., p] = out[..., p - 1] * z
+        return out
+
+    vals = (coeff * powers(u00)[..., p1] * powers(u11)[..., p2]
+            * powers(u01)[..., p3] * powers(u10)[..., p4])
+    return (vals @ scatter).reshape(np.shape(u00) + (l + 1, l + 1))
+
+
 def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElement:
     """Map (R, w) -> branch * sqrt(w) * lift(R) in U(2).
 
@@ -95,8 +157,8 @@ def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElemen
         raise TagMismatchError("iso_so3_torus_to_u2 expects an SO3 element")
     if branch not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
-    z = G.circle_sqrt(np.asarray(w, dtype=complex))
-    lift = G.su2_matrix(G.so3_to_su2(R).payload)
+    z = circle_sqrt(np.asarray(w, dtype=complex))
+    lift = G.su2_matrix(so3_to_su2(R).payload)
     return G.GroupElement(G.U2_GROUP, branch * z[..., None, None] * lift)
 
 
@@ -115,7 +177,7 @@ def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u = z g on raw U(2) payloads: (det u, z, SU(2) payload of g), with
     z = circle_sqrt(det u) the one branch choice for sqrt(det u)."""
     det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    z = G.circle_sqrt(det)
+    z = circle_sqrt(det)
     return det, z, su2_from_matrix(u / z[..., None, None])
 
 

@@ -253,16 +253,22 @@ class TestCorrCommand:
     @pytest.mark.parametrize("nodes, rc", [(20, 0), (21, 2)])
     def test_check_grid_refusal_boundary(self, nodes, rc, monkeypatch, capsys):
         # a 40^2-node check grid fits a cap of exactly its bytes; at one
-        # node more (42^2) the request is refused before any grid exists
+        # node more (42^2) the request is refused before any grid exists,
+        # whether built as a quadrature grid or coarse-first
         monkeypatch.setattr(K, "MAX_GRID_BYTES", 40 ** 2 * 16)
         built = []
-        real = D.quadrature_points
+        real, real_coarse_first = D.quadrature_points, D.coarse_first_points
 
         def recorded(spec, d):
             built.append(spec.nodes_per_dim)
             return real(spec, d)
 
+        def recorded_coarse_first(nodes, d, start, stop):
+            built.append(2 * nodes)
+            return real_coarse_first(nodes, d, start, stop)
+
         monkeypatch.setattr(D, "quadrature_points", recorded)
+        monkeypatch.setattr(D, "coarse_first_points", recorded_coarse_first)
         assert cli.main(["corr", "--cocycle", "torus-monomial",
                          "--params", '{"k": [[1, 0]]}', "--d", "2",
                          "--rep", "1", "--n-max", "4",

@@ -955,6 +955,34 @@ def test_u2_product_mismatch_lift_matches_iso(k_torus, k_rot, theta0):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _mismatch_value_reference(kt, kr, theta0, phases):
+    """u2_product's parity-mismatch value with the root of e^{2 pi i t}
+    through arctan2 (`helpers.circle_sqrt`): the form it replaced."""
+    h = 0.5 * (2 * np.pi * (phases @ kr) + theta0)
+    h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
+    c, s = np.cos(h), np.sin(h)
+    sign = np.where((np.abs(c) < np.abs(s) - G.LEAD_TIE) & (s < 0), -1.0, 1.0)
+    z = H.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt))) * sign
+    out = np.zeros(h.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = z * (c + 1j * s)
+    out[..., 1, 1] = z * (c - 1j * s)
+    return out
+
+
+@pytest.mark.parametrize("k_torus", [1, -1, 3])
+def test_u2_mismatch_root_matches_the_arctan2_form(k_torus):
+    # t = k_torus x at the cut (half-integers, and one ulp either side of
+    # 1/2), at integers and one ulp below 1, and at random phases
+    flow = D.default_flow(1)
+    t = np.array([0.0, 0.25, 0.5, 1.0, 0.5 + 2.0 ** -53, 0.5 - 2.0 ** -53, 1.0 - 2.0 ** -53,
+                  1.5, 0.75])
+    ph = np.concatenate([t / k_torus, np.random.default_rng(3).random(500)])[:, None]
+    got = D.u2_product(flow, [k_torus], [0], 0.3).value(ph)
+    want = _mismatch_value_reference(np.array([k_torus]), np.array([0]), 0.3, ph)
+    # the arctan2 form rounds 2 pi t, so its error grows with |t| <= |k_torus|
+    assert np.max(np.abs(got - want)) <= 5e-16 * (1 + abs(k_torus))
+
+
 def test_u2_scalar_su2_composition():
     flow = D.default_flow(1)
     inner = D.su2_two_angle(flow, [1], [1], 0.1, 0.2)

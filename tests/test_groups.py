@@ -135,6 +135,25 @@ def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
        st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
        st.floats(-3.0, 3.0))
+def test_ad_so3_rotates_coordinates_as_the_sandwich(seed, n, shape, log_scale):
+    # g Z g^T on so(3) is the element of g a: against the 3x3 sandwich
+    rng = np.random.default_rng(seed)
+    g = G.haar_sample(G.SO3_GROUP, n, rng).payload
+    Z = G.so3_alg_from_components(10.0 ** log_scale * rng.standard_normal((n, 3)))
+    if shape == "scalar-g":
+        g = g[0]
+    elif shape == "scalar-z":
+        Z = Z[0]
+    got = G.ad(G.GroupElement(G.SO3_GROUP, g), G.AlgebraElement(G.SO3_GROUP, Z)).payload
+    want = H.so3_ad_sandwich(g, Z)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
+       st.floats(-3.0, 3.0))
 def test_u2_written_out_products_match_matmul(seed, n, shape, log_scale):
     # any complex 2x2 payload, not only unitary or skew-Hermitian ones
     rng = np.random.default_rng(seed)
@@ -299,12 +318,12 @@ def test_cover_is_homomorphism_and_round_trips():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     R = G.su2_to_so3(a)
     assert G.element_defect(R) < 1e-12
-    back = G.su2_to_so3(G.so3_to_su2(R))
+    back = G.su2_to_so3(H.so3_to_su2(R))
     assert np.max(np.abs(back.payload - R.payload)) < 1e-12
     # lift is canonical: same output for g and -g
-    lift1 = G.so3_to_su2(G.su2_to_so3(a)).payload
+    lift1 = H.so3_to_su2(G.su2_to_so3(a)).payload
     neg = G.GroupElement(G.SU2_GROUP, -a.payload)
-    lift2 = G.so3_to_su2(G.su2_to_so3(neg)).payload
+    lift2 = H.so3_to_su2(G.su2_to_so3(neg)).payload
     assert np.max(np.abs(lift1 - lift2)) < 1e-12
 
 
@@ -363,15 +382,15 @@ def test_lift_matches_four_candidate_shepperd():
         [_haar(G.SO3_GROUP, 500, 3).payload, np.eye(3)[None]]
         + [rot(e, t) for e in np.eye(3)]
         + [rot(a / np.linalg.norm(a), t) for a in tilted])
-    got = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, R)).payload
+    got = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, R)).payload
     want = _shepperd_four_candidates(R)
     assert np.max(np.abs(got - want)) <= 1e-15
     # same sign: no near-antipodal pair
     assert np.min(np.linalg.norm(got + want, axis=-1)) > 1.9
     # batch shape and the unbatched identity
     batched = G.GroupElement(G.SO3_GROUP, R[:6].reshape(2, 3, 3, 3))
-    assert G.so3_to_su2(batched).payload.shape == (2, 3, 2)
-    one = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.eye(3))).payload
+    assert H.so3_to_su2(batched).payload.shape == (2, 3, 2)
+    one = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.eye(3))).payload
     assert np.array_equal(one, [1.0, 0.0])
     # at the three-way tie the first entry leads, so one ulp on R, on all
     # entries or on any one, leaves the lift where it is
@@ -382,7 +401,7 @@ def test_lift_matches_four_candidate_shepperd():
             flat = tied.reshape(2, 9).copy()
             flat[:, i] = np.nextafter(flat[:, i], to)
             nudged.append(flat.reshape(2, 3, 3))
-    lifts = G.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.concatenate([tied] + nudged))).payload
+    lifts = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.concatenate([tied] + nudged))).payload
     assert np.max(np.abs(lifts - lifts[0])) <= 2e-15
 
 
@@ -392,7 +411,7 @@ def test_lift_of_x3_rotation_is_diagonal_phase():
             [[np.cos(alpha), np.sin(alpha), 0.0],
              [-np.sin(alpha), np.cos(alpha), 0.0],
              [0.0, 0.0, 1.0]]))
-        lift = G.so3_to_su2(R).payload
+        lift = H.so3_to_su2(R).payload
         assert np.max(np.abs(lift - [np.exp(0.5j * alpha), 0.0])) < 1e-12
 
 

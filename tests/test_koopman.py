@@ -401,8 +401,9 @@ def _nested_cases(manufactured):
 @pytest.mark.parametrize("name", ["su2-d1-mean", "su2-d1-grid", "torus-d2-mean",
                                   "torus-d2-grid"])
 def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
-    # the coarse rule of one (2n)^d walk is the n^d-grid walk bit for bit;
-    # the check rule agrees with a per-N evaluation on the (2n)^d grid
+    # the coarse rule of one (2n)^d walk is the n^d-grid walk up to the
+    # order of the sums (3.4e-16 at most measured); the check rule agrees
+    # with a per-N evaluation on the (2n)^d grid
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     n_max = 6
@@ -410,7 +411,8 @@ def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
     assert (diffs == ((0,) * flow.dim,)) == name.endswith("mean")
     M = K._mean_rep_series(psi1.rep, psi1.transfers, psi2.transfers, diffs, c, flow,
                            n_max, nodes)
-    assert np.array_equal(M[0], _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes))
+    ref = _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes)
+    assert np.allclose(M[0], ref, rtol=0.0, atol=1e-15)
     _, check = K._series(psi1, psi2, c, flow, n_max, nodes)
     for n in range(n_max + 1):
         assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
@@ -420,12 +422,14 @@ def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
 @pytest.mark.parametrize("name", ["su2-d1-grid", "torus-d2-grid"])
 def test_mean_series_blocks_match_one_block(manufactured, name, monkeypatch):
     # the check grid walked in blocks of SERIES_BLOCK points gives the means
-    # of one whole-grid walk up to the order of the sums
+    # of one whole-grid walk up to the order of the sums; one block holds the
+    # last coarse points and the first fine ones, and the coarse rule is
+    # still the one-grid walk's
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     args = (psi1.rep, psi1.transfers, psi2.transfers,
             _mode_differences(psi1, psi2, flow.dim), c, flow, 6, 7)
-    assert 14 ** flow.dim <= K.SERIES_BLOCK
+    assert 14 ** flow.dim <= K.SERIES_BLOCK and 7 ** flow.dim % 5
     K._mean_rep_series.cache_clear()
     whole = K._mean_rep_series(*args)
     monkeypatch.setattr(K, "SERIES_BLOCK", 5)
@@ -437,6 +441,23 @@ def test_mean_series_blocks_match_one_block(manufactured, name, monkeypatch):
         K._mean_rep_series.cache_clear()
     assert walk.call_count == -(-14 ** flow.dim // 5)
     assert np.max(np.abs(blocked - whole)) <= 1e-15 * max(1.0, np.max(np.abs(whole)))
+    ref = _one_grid_mean_series(psi1, psi2, c, flow, 6, 7)
+    assert np.allclose(blocked[0], ref, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nodes", [1, 6, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coarse_first_grid_leads_with_the_coarse_grid(nodes, d):
+    # the leading nodes^d rows are that grid bit for bit, the whole is the
+    # (2 nodes)^d grid reordered, and blocks of it tile it
+    total = (2 * nodes) ** d
+    pts = D.coarse_first_points(nodes, d, 0, total + 5)
+    assert np.array_equal(pts[:nodes ** d], D.quadrature_points(D.QuadratureSpec(nodes), d))
+    fine = D.quadrature_points(D.QuadratureSpec(2 * nodes), d)
+    assert np.array_equal(np.unique(pts, axis=0), np.unique(fine, axis=0))
+    assert len(pts) == total == len(np.unique(pts, axis=0))
+    blocks = [D.coarse_first_points(nodes, d, s, s + 5) for s in range(0, total, 5)]
+    assert np.array_equal(np.concatenate(blocks), pts)
 
 
 def test_nested_conjugation_walks_once(manufactured):

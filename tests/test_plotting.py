@@ -56,6 +56,69 @@ class TestRenderSeriesSvg:
         assert "0.55" in svg
 
 
+def _panel_formatting_per_use(x0, title, xs, ys, y_lo, y_hi, x_max, marker_class):
+    """The panel renderer that formatted each coordinate at every use, point
+    by point: the reference for `plotting._panel`."""
+    out = [f'<g font-family="monospace" font-size="11">']
+    out.append(f'<rect x="{P._fmt(x0)}" y="{P._fmt(P._TOP)}" width="{P._fmt(P._PANEL_W)}" '
+               f'height="{P._fmt(P._PANEL_H)}" fill="none" stroke="#444"/>')
+    out.append(f'<text x="{P._fmt(x0 + P._PANEL_W / 2)}" y="{P._fmt(P._TOP - 14)}" '
+               f'text-anchor="middle" font-size="13">{title}</text>')
+
+    def px(n):
+        return x0 + P._PANEL_W * (n / x_max if x_max > 0 else 0.5)
+
+    def py(v):
+        return P._TOP + P._PANEL_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+    for tv in P._ticks(y_lo, y_hi):
+        y = py(tv)
+        out.append(f'<line x1="{P._fmt(x0 - 4)}" y1="{P._fmt(y)}" x2="{P._fmt(x0)}" '
+                   f'y2="{P._fmt(y)}" stroke="#444"/>')
+        out.append(f'<text x="{P._fmt(x0 - 8)}" y="{P._fmt(y + 4)}" '
+                   f'text-anchor="end">{P._fmt(tv)}</text>')
+    for tn in P._ticks(0.0, x_max):
+        x = px(tn)
+        out.append(f'<line x1="{P._fmt(x)}" y1="{P._fmt(P._TOP + P._PANEL_H)}" '
+                   f'x2="{P._fmt(x)}" y2="{P._fmt(P._TOP + P._PANEL_H + 4)}" stroke="#444"/>')
+        out.append(f'<text x="{P._fmt(x)}" y="{P._fmt(P._TOP + P._PANEL_H + 18)}" '
+                   f'text-anchor="middle">{P._fmt(round(tn))}</text>')
+    out.append(f'<text x="{P._fmt(x0 + P._PANEL_W / 2)}" '
+               f'y="{P._fmt(P._TOP + P._PANEL_H + 36)}" text-anchor="middle">N</text>')
+    if len(xs):
+        pts = " ".join(f"{P._fmt(px(n))},{P._fmt(py(v))}" for n, v in zip(xs, ys))
+        if len(xs) > 1:
+            out.append(f'<polyline points="{pts}" fill="none" stroke="#1f6feb" '
+                       f'stroke-width="1.2"/>')
+        for n, v in zip(xs, ys):
+            out.append(f'<circle class="{marker_class}" cx="{P._fmt(px(n))}" '
+                       f'cy="{P._fmt(py(v))}" r="2.6" fill="#1f6feb"/>')
+    else:
+        out.append(f'<text x="{P._fmt(x0 + P._PANEL_W / 2)}" '
+                   f'y="{P._fmt(P._TOP + P._PANEL_H / 2)}" text-anchor="middle" '
+                   f'fill="#888">no entries</text>')
+    out.append("</g>")
+    return out
+
+
+def test_panel_formats_each_coordinate_once_with_the_same_bytes(monkeypatch):
+    rng = np.random.default_rng(150)
+    # N = 0 (one value, an empty average panel), one and two points, then
+    # random lengths, scales and phases
+    series = [np.array([0.3 + 0.1j]), np.array([1.0, 0.0]), np.array([1.0, 2e-17j])]
+    for _ in range(147):
+        n = int(rng.integers(1, 80))
+        scale = 10.0 ** rng.uniform(-18, 2, size=n)
+        series.append(scale * np.exp(2j * np.pi * rng.random(n)))
+    for xs, ys in (([], []), ([0], [0.5]), (np.arange(3), np.array([1.0, -2.0, 0.0]))):
+        for x_max in (0.0, 2.0):
+            args = (60, "p", xs, ys, -3.0, 1.0, x_max, "pt")
+            assert P._panel(*args) == _panel_formatting_per_use(*args)
+    got = [P.render_series_svg(v, "t") for v in series]
+    monkeypatch.setattr(P, "_panel", _panel_formatting_per_use)
+    assert got == [P.render_series_svg(v, "t") for v in series]
+
+
 class TestEmitPlot:
     def test_file_roundtrip(self, tmp_path):
         series = _series(3)

@@ -75,9 +75,17 @@ def _substitution_coefficients(l, u):
     return out
 
 
+def _c_matrix(l, u00, u11, u01, u10):
+    """Raw coefficients c_jk(u) of one 2x2 matrix from the points-last term
+    products and the table's scatter."""
+    entries = (np.atleast_1d(e) for e in (u00, u11, u01, u10))
+    return (R._terms(l, *entries).T @ R._su2_table(l)[0]).reshape(l + 1, l + 1)
+
+
 def test_su2_matrix_matches_polynomial_substitution_oracle():
     """On SU(2) pairs and on general complex 2x2 matrices, the form U(2)
-    reads straight from its payload."""
+    reads straight from its payload; the points-first table of
+    `helpers.su2_table_reference` agrees."""
     gen = RngHandle(4242).generator()
     for l in (1, 2, 3):
         for _ in range(5):
@@ -85,11 +93,97 @@ def test_su2_matrix_matches_polynomial_substitution_oracle():
             v /= np.linalg.norm(v)
             z1, z2 = v[0] + 1j * v[1], v[2] + 1j * v[3]
             u = G.su2_matrix(np.array([z1, z2]))
-            got = R._c_matrix(l, z1, np.conj(z1), z2, -np.conj(z2))
-            assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-13
+            entries = (z1, np.conj(z1), z2, -np.conj(z2))
+            for got in (_c_matrix(l, *entries), H.su2_table_reference(l, *entries)):
+                assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-13
             u = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-            got = R._c_matrix(l, u[0, 0], u[1, 1], u[0, 1], u[1, 0])
-            assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-12
+            entries = (u[0, 0], u[1, 1], u[0, 1], u[1, 0])
+            for got in (_c_matrix(l, *entries), H.su2_table_reference(l, *entries)):
+                assert np.max(np.abs(got - _substitution_coefficients(l, u))) < 1e-12
+
+
+def _table_eval(rep, payload):
+    """rep on raw payloads through `helpers.su2_table_reference`, SO(3) on
+    the canonical (signed) lift: the evaluation the term products replaced."""
+    tag, l = rep.group.tag, rep.label[0]
+    if tag == G.U2:
+        u00, u01, u10, u11 = (payload[..., i, j] for i in (0, 1) for j in (0, 1))
+        det = u00 * u11 - u01 * u10
+        c = H.su2_table_reference(l, u00, u11, u01, u10) * R._scale(rep)
+        return R._unit_power(det / np.abs(det), rep.label[1] - l)[..., None, None] * c
+    if tag == G.SO3:
+        l, payload = 2 * l, H.so3_to_su2(G.GroupElement(G.SO3_GROUP, payload)).payload
+    z1, z2 = payload[..., 0], payload[..., 1]
+    return H.su2_table_reference(l, z1, np.conj(z1), z2, -np.conj(z2)) * R._scale(rep)
+
+
+@pytest.mark.parametrize("rep, tol", [(R.su2_rep(l), 5e-15) for l in (0, 1, 4, 8, 12)]
+                         + [(R.u2_rep(l, m), 5e-15) for l, m in ((3, 1), (4, 4), (12, 14))]
+                         + [(R.so3_rep(l), 2e-13) for l in (1, 2, 6, 12)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_term_products_match_the_points_first_table(rep, tol):
+    # batched over two axes, and one unbatched payload
+    payload = _haar(rep.group, 120, 5).payload
+    payload = payload.reshape((4, 30) + payload.shape[1:])
+    got = R.rep_eval_payload(rep, payload)
+    assert got.shape == (4, 30, rep.dim, rep.dim)
+    assert np.max(np.abs(got - _table_eval(rep, payload))) <= tol
+    one = R.rep_eval_payload(rep, payload[0, 0])
+    assert one.shape == (rep.dim, rep.dim) and np.max(np.abs(one - got[0, 0])) <= tol
+
+
+def _rotations_by_pi(n):
+    axes = np.concatenate([np.random.default_rng(23).normal(size=(n, 3)), np.eye(3),
+                           [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]])
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    Z = G.so3_alg_from_components(np.pi * axes)
+    return G.exp_alg(G.AlgebraElement(G.SO3_GROUP, Z)).payload
+
+
+def test_so3_irreps_read_the_unsigned_lift():
+    # the lift is the canonical one up to an exact sign, and label 2l is even,
+    # so pi is the same bits on either sign: Haar draws, rotations by pi, e
+    rots = np.concatenate([_haar(G.SO3_GROUP, 400, 6).payload, _rotations_by_pi(40),
+                           np.eye(3)[None]])
+    lift = G.so3_lift(rots)
+    signed = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, rots)).payload
+    assert np.all(np.all(lift == signed, axis=-1) | np.all(lift == -signed, axis=-1))
+
+    def via_terms(rep, z):
+        z1, z2 = z[:, 0], z[:, 1]
+        terms = R._terms(2 * rep.label[0], z1, np.conj(z1), z2, -np.conj(z2))
+        out = (terms.T @ R._su2_table(2 * rep.label[0])[0]) * R._scale(rep).reshape(-1)
+        return out.reshape(-1, rep.dim, rep.dim)
+
+    for l in range(13):
+        rep = R.so3_rep(l)
+        want = via_terms(rep, signed)
+        assert np.array_equal(R.rep_eval_payload(rep, rots), want), l
+        assert np.array_equal(via_terms(rep, -signed), want), l
+
+
+@pytest.mark.parametrize("rep", [R.su2_rep(l) for l in (0, 1, 2, 4, 7, 12)]
+                         + [R.so3_rep(l) for l in (0, 1, 3, 12)]
+                         + [R.u2_rep(3, m) for m in (1, 3, 5)] + [R.u2_rep(0, -2)]
+                         + [R.torus_rep((2,)), R.torus_rep((1, -3)), R.torus_rep((0, 0))],
+                         ids=lambda r: r.name)
+def test_mean_payload_is_the_weighted_sum_of_matrices(rep):
+    # U(2) covers det^(m - l) with m - l < 0, = 0 and > 0; both sides carry
+    # the per-point round-off of the term table (2e-13 for SO(3) at label 24)
+    n, rng = 50, np.random.default_rng(rep.dim)
+    payload = _haar(rep.group, n, 7).payload
+    weights = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    P = R.rep_eval_payload(rep, payload)
+    per_point = 2e-13 if rep == R.so3_rep(12) else 5e-15
+    for split in (0, 1, 21, n):
+        got = R.rep_mean_payload(rep, payload, weights, split)
+        assert got.shape == (2, 3, rep.dim, rep.dim)
+        for part, stop in zip(got, (split, n)):
+            want = np.einsum("rn,nij->rij", weights[:, :stop], P[:stop])
+            bound = 2 * per_point * np.sum(np.abs(weights[:, :stop]), axis=1)
+            assert np.all(np.max(np.abs(part - want), axis=(1, 2)) <= bound), (split, stop)
+    one = R.rep_mean_payload(rep, payload, weights[:1], 7)
+    assert one.shape == (2, 1, rep.dim, rep.dim)
 
 
 def test_paper_diagonal_formulas_exact():
