@@ -115,6 +115,13 @@ def orbit_turns(flow: TranslationFlow, K=None) -> Callable[[int], np.ndarray]:
     return lambda n: np.array([n * r % den / den for r in row_nums])
 
 
+def orbit_phases(flow: TranslationFlow, q, n: int) -> np.ndarray:
+    """e(k q.alpha) for k = 0..n-1, e(t) = exp(2 pi i t), each k q.alpha
+    mod 1 exactly rounded (`orbit_turns`)."""
+    turns = orbit_turns(flow, np.asarray(q)[None])
+    return np.exp(2j * np.pi * np.fromiter((turns(k)[0] for k in range(n)), float, n))
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Equispaced product grid on the torus, nodes_per_dim per dimension.
@@ -152,6 +159,15 @@ def coarse_first_points(nodes: int, d: int, start: int, stop: int) -> np.ndarray
     return pts
 
 
+def mode_waves(points: np.ndarray, modes) -> np.ndarray:
+    """(r, n) waves e(-m_i.x) at n points per mode m_i; ones for m = 0."""
+    waves = np.ones((len(modes), len(points)), dtype=complex)
+    for w, m in zip(waves, modes):
+        if any(m):
+            w[:] = G.unit_exp(-2 * np.pi * (points @ m))
+    return waves
+
+
 def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """chi_r(x) = exp(i (2 pi K_r . x + offsets_r)) per row r of the integer
     matrix K, offsets in radians, shape (..., rows): every fresh evaluation
@@ -185,7 +201,7 @@ class Cocycle:
     the field constant, else None.  Given with `m_field` None, it builds
     `m_field` as its broadcast; `cohomologous_build` reads it instead of
     `m_field` for its parts.  It takes no part in == or hash (a
-    Cocycle keys `koopman._mean_rep_series`'s cache) and rides through
+    Cocycle keys `koopman`'s planned walks) and rides through
     `dataclasses.replace`.
     """
 
@@ -205,6 +221,10 @@ class Cocycle:
                 m, phases.shape[:-1] + m.shape).copy())
 
 
+# work of every orbit walk since import; `scenarios` reads it per stage
+WALKS = {"walks": 0, "point_steps": 0}
+
+
 def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
                     visit: Callable | None = None, *,
                     with_m: bool = False) -> G.GroupElement:
@@ -219,6 +239,7 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
     or by `c.value` (and `c.m_field`) for a cocycle without one.
     `phases_k` is stepped in place, so a visitor copies whatever it
     keeps.  Drift renormalization happens every 256 steps and on return.
+    A walk of n > 0 steps adds 1 and n times its batch to `WALKS`.
     """
     if n == 0:
         return G.identity(c.group, x.phases.shape[:-1])
@@ -227,6 +248,8 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
         return G.group_inv(cocycle_iterate(c, flow, shifted, -n))
     alpha = flow.alpha_array
     phases = np.array(x.phases)
+    WALKS["walks"] += 1
+    WALKS["point_steps"] += n * math.prod(phases.shape[:-1])
     step = c.step or (lambda ph, carry, want_m, flow: (
         c.value(ph), c.m_field(ph) if want_m else None, None))
     g = carry = None
@@ -245,6 +268,53 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
             g = G.maybe_renormalize(g)
         del value, m  # no array of this point lives into the next visit
     return G.maybe_renormalize(g)
+
+
+def transfer(transfers, phases: np.ndarray) -> G.GroupElement | None:
+    """zeta(phases), zeta the pointwise product of `transfers`; None for e."""
+    z = None
+    for t in transfers:
+        value = G.GroupElement(t.group, t.value(phases))
+        z = value if z is None else G.group_mul(z, value)
+    return z
+
+
+def walk_grids(c: Cocycle, flow: TranslationFlow, grids, n: int, size: int,
+               visitors: Callable) -> None:
+    """n steps from the (2 m)^d check grids of the node counts m in `grids`,
+    each once: the coarse-first blocks of `size` points of each grid
+    (`coarse_first_points`) are packed whole, in order, into walks of at
+    most `size` points, each built when it starts.  `visitors(m, start,
+    block)` gives the (transfers1, transfers2, visit) of the block of
+    points start.. of grid m; each step calls visit(k, payload) on the
+    block's rows of zeta1(x) phi^(k)(x) zeta2(F_k x)^{-1} (`transfer`)."""
+    d, batches, jobs = flow.dim, [[]], []
+    for m in grids:
+        for start in range(0, (2 * m) ** d, size):
+            length = min(size, (2 * m) ** d - start)
+            if sum(block[2] for block in batches[-1]) + length > size:
+                batches.append([])
+            batches[-1].append((m, start, length))
+
+    def step(k, phases, g):
+        for rows, z1, transfers2, visit in jobs:
+            h = G.GroupElement(g.group, g.payload[rows])
+            if z1 is not None:
+                h = G.group_mul(z1, h)
+            z2 = transfer(transfers2, phases[rows])
+            if z2 is not None:
+                h = G.group_mul(h, G.group_inv(z2))
+            visit(k, h.payload)
+
+    for batch in batches:
+        blocks = [coarse_first_points(m, d, start, start + size) for m, start, _ in batch]
+        ends = np.cumsum([length for *_, length in batch])
+        jobs = [(slice(end - len(pts), end), transfer(t1, pts), t2, visit)
+                for end, (m, start, _), pts in zip(ends, batch, blocks)
+                for t1, t2, visit in visitors(m, start, pts)]
+        x = BasePoint(np.concatenate(blocks))
+        del blocks  # the walker copies the points: hold them once
+        cocycle_iterate(c, flow, x, n, step)
 
 
 def _m_at(c: Cocycle, phases: np.ndarray) -> np.ndarray:

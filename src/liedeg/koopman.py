@@ -19,12 +19,13 @@ with zeta = e unless it was conjugated; as pi is a unitary homomorphism,
     c_N = d_pi^{-1} sum_{a,b} e(q2_b.N alpha) v1_a^H Mhat_N(q1_a - q2_b) v2_b,
     Mhat_N(m) = mean_x e(-m.x) pi(zeta1(x) phi^(N)(x) zeta2(F_N x)^{-1}),
 
-so every pair reads one walk of the mean representation-matrix series
-(taken over the grid in blocks of points, each mean reduced from the
-representation's term products before they are scattered into a matrix),
-which all constant probes of a fiber share.  The walk still runs under
-phi, so the check stays numerical and never assumes the cohomology; a
-per-point evaluation of psi stays as the independent reference.
+so every pair reads the mean representation-matrix series.  phi^(N) on
+a grid does not depend on pi, so there is one walk per stage: the pairs
+that `plan_series` names share one walk of their fibers' check grids,
+each grid once, and each fiber's means are reduced from its term
+products before they are scattered into a matrix.  The walk still runs
+under phi, so the check stays numerical and never assumes the
+cohomology; a per-point evaluation of psi stays as the reference.
 
 The fiber multiplication matrix D = i dpi(degree), the limit of the
 finite-N commutator averages, is Hermitian, and its kernel separates
@@ -40,7 +41,7 @@ identities below require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ MAX_GRID_BYTES = 2 ** 28  # representation values on one (2n)^d check grid
 # Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
 # block-sized temporaries, so a 256^2 pass stays below one whole-grid field
 DINI_BLOCK = 4096
-# check-grid points per walk of `_mean_rep_series`: a walk's arrays stay near
+# check-grid points per walk of `_walk_means`: a walk's arrays stay near
 # 0.3 MB for a two-row torus payload, and every d = 1 preset grid is one block
 SERIES_BLOCK = 8192
 DINI_NODES = 256  # Dini grid points per dimension
@@ -124,31 +125,15 @@ def _modes(psi: FiberVector, d: int) -> np.ndarray:
     return q if q.shape[1] else np.zeros((len(q), d), dtype=int)
 
 
-def _transfer(group: G.GroupSpec, transfers: tuple, phases: np.ndarray) -> G.GroupElement | None:
-    """zeta(phases), zeta the pointwise product of `transfers`; None for e."""
-    z = None
-    for t in transfers:
-        value = G.GroupElement(group, t.value(phases))
-        z = value if z is None else G.group_mul(z, value)
-    return z
-
-
 def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
     """psi's coefficient stack (..., d_pi) at raw phases (..., d), point by
     point: the independent reference for the mean-series engine."""
     out = np.exp(2j * np.pi * (phases @ _modes(psi, phases.shape[-1]).T)) @ psi.vectors
-    z = _transfer(psi.rep.group, psi.transfers, phases)
+    z = D.transfer(psi.transfers, phases)
     if z is not None:
         P = R.rep_eval_payload(psi.rep, G.group_inv(z).payload)
         out = np.einsum("...lk,...k->...l", P, out)
     return out
-
-
-def _check_fiber_cocycle(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle):
-    if psi1.rep != psi2.rep:
-        raise TagMismatchError("fiber vectors live on different representations")
-    if psi1.rep.group != c.group:
-        raise TagMismatchError("fiber and cocycle live on different groups")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +147,13 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     degree at most max(B1, B2) + |N| * freq(cocycle) * weight(pi), and an
     equispaced rule with more than twice that many nodes is exact.
 
-    Raises ConfigError, before any grid exists, when the representation
-    values on the (2 nodes)^d check grid would exceed MAX_GRID_BYTES."""
+    Raises TagMismatchError for a pair off one representation of c's group
+    and ConfigError, before any grid exists, when the representation values
+    on the (2 nodes)^d check grid would exceed MAX_GRID_BYTES."""
+    if psi1.rep != psi2.rep:
+        raise TagMismatchError("fiber vectors live on different representations")
+    if psi1.rep.group != c.group:
+        raise TagMismatchError("fiber and cocycle live on different groups")
     f_eff = c.freq_bound * R.rep_weight(psi1.rep)
     nodes = max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
                             + abs(N) * f_eff) + 1)
@@ -188,71 +178,87 @@ def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     return complex(np.mean(np.einsum("...l,...lk,...k->...", conj_v1, P, v2)) / psi1.rep.dim)
 
 
-@lru_cache(maxsize=1)  # one fiber's walk
-def _mean_rep_series(rep: R.Representation, transfers1: tuple, transfers2: tuple,
-                     diffs: tuple, c: D.Cocycle, flow: D.TranslationFlow, N_max: int,
-                     nodes: int) -> np.ndarray:
+def _fiber(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle, flow: D.TranslationFlow,
+           N_max: int, quadrature: D.QuadratureSpec) -> tuple:
+    """The walk the pair's series reads: (c, flow, N_max, rep, transfers1,
+    transfers2, mode differences q1_a - q2_b, nodes)."""
+    nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
+    diffs = {tuple(qa - qb) for qa in _modes(psi1, flow.dim) for qb in _modes(psi2, flow.dim)}
+    return c, flow, N_max, psi1.rep, psi1.transfers, psi2.transfers, tuple(sorted(diffs)), nodes
+
+
+# the planned walk: Mhat per fiber key of `_fiber`, None until it is walked
+_STAGE = {}
+
+
+def plan_series(pairs: Sequence[tuple], c: D.Cocycle,
+                flow: D.TranslationFlow, N_max: int, quadrature: D.QuadratureSpec) -> None:
+    """Plan one walk for the series of every (psi1, psi2) in `pairs`, taken
+    by the first `correlation_series` that reads one of them; it replaces
+    the walk planned before.  A series outside the plan plans its own."""
+    _STAGE.clear()
+    _STAGE.update(dict.fromkeys(_fiber(*pair, c, flow, N_max, quadrature) for pair in pairs))
+
+
+def _walk_means(means: dict) -> None:
     """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
-    m in `diffs`, on the nodes^d grid and its check grid, from one walk.
+    m of each fiber key in `means`, on its nodes^d grid and check grid, from
+    one `D.walk_grids` pass over the distinct grids.  A block has one (r, n)
+    weight matrix e(-m_i.x) per mode set and its nodes^d share is a leading
+    slice; each step adds the two weighted sums of `R.rep_mean_payload`, in
+    block order as a lone walk adds them, divided as np.mean divides.
+    `means` takes the read-only results once the walk is done."""
+    c, flow, N_max = next(iter(means))[:3]
+    walked = {key: np.empty((2, len(key[6]), N_max + 1, key[3].dim, key[3].dim), dtype=complex)
+              for key in means}
 
-    The check grid is ordered coarse-first and walked in blocks of
-    SERIES_BLOCK points, each built when its walk starts, so no array
-    outgrows a block and each block's share of the nodes^d grid is a
-    leading slice.  A block has one (r, n) weight matrix, row i the wave
-    e(-m_i.x) (ones for m = 0), and each step adds the two weighted sums of
-    `reps.rep_mean_payload`, which reduces the term products before it
-    scatters: no per-point matrix exists.
-    Read-only: every pair with these transfers and differences shares it."""
-    total, coarse = (2 * nodes) ** flow.dim, nodes ** flow.dim
-    # the block sums, added in block order, then divided as np.mean divides
-    out = np.empty((2, len(diffs), N_max + 1, rep.dim, rep.dim), dtype=complex)
-    for start in range(0, total, SERIES_BLOCK):
-        block = D.coarse_first_points(nodes, flow.dim, start, start + SERIES_BLOCK)
-        split = min(max(coarse - start, 0), len(block))
-        weights = np.ones((len(diffs), len(block)), dtype=complex)
-        for w, m in zip(weights, diffs):
-            if any(m):
-                w[:] = G.unit_exp(-2 * np.pi * (block @ m))
-        z1 = _transfer(rep.group, transfers1, block)
+    def visitors(nodes, start, block):
+        split = min(max(nodes ** flow.dim - start, 0), len(block))
+        fibers = [(key, out) for key, out in walked.items() if key[-1] == nodes]
+        # fibers with one set of mode differences share its waves
+        waves = {key[6]: D.mode_waves(block, key[6]) for key, _ in fibers}
+        return [(key[4], key[5], partial(_add_means, key[3], waves[key[6]], split, start, out))
+                for key, out in fibers]
 
-        def visit(k, phases, g):
-            if z1 is not None:
-                g = G.group_mul(z1, g)
-            z2 = _transfer(rep.group, transfers2, phases)
-            if z2 is not None:
-                g = G.group_mul(g, G.group_inv(z2))
-            sums = R.rep_mean_payload(rep, g.payload, weights, split)
-            if start:
-                out[:, :, k] += sums
-            else:
-                out[:, :, k] = sums
-
-        D.cocycle_iterate(c, flow, D.BasePoint(block), N_max + 1, visit)
-    out[0] /= np.intp(coarse)
-    out[1] /= np.intp(total)
-    out.flags.writeable = False
-    return out
+    D.walk_grids(c, flow, dict.fromkeys(key[-1] for key in means), N_max + 1,
+                 SERIES_BLOCK, visitors)
+    for key, out in walked.items():
+        out[0] /= key[-1] ** flow.dim
+        out[1] /= (2 * key[-1]) ** flow.dim
+        out.flags.writeable = False
+    means.update(walked)
 
 
-def _series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
-            flow: D.TranslationFlow, N_max: int, nodes: int) -> list[np.ndarray]:
-    """Rows c_0..c_N_max on the nodes^d grid and its check grid: the sum
-    over mode pairs of the module docstring."""
+def _add_means(rep, weights, split, start, out, k, payload):
+    """Add one block's two weighted sums of pi at step k into out[:, :, k]."""
+    sums = R.rep_mean_payload(rep, payload, weights, split)
+    if start:
+        out[:, :, k] += sums
+    else:
+        out[:, :, k] = sums
+
+
+def _series(psi1: FiberVector, psi2: FiberVector, key: tuple) -> list[np.ndarray]:
+    """Rows c_0..c_N_max on the nodes^d grid and its check grid of the
+    pair's `_fiber` key: the sum over mode pairs of the module docstring,
+    on Mhat from the planned walk, or from a walk of the pair's fiber alone
+    when the plan does not hold it."""
+    if key not in _STAGE:
+        _STAGE.clear()
+        _STAGE[key] = None
+    if _STAGE[key] is None:
+        _walk_means(_STAGE)
+    flow, N_max, diffs = key[1], key[2], key[6]
     q1, q2 = _modes(psi1, flow.dim), _modes(psi2, flow.dim)
-    diffs = sorted({tuple(qa - qb) for qa in q1 for qb in q2})
-    M = _mean_rep_series(psi1.rep, psi1.transfers, psi2.transfers, tuple(diffs),
-                         c, flow, N_max, nodes)
     rows = []
-    for M_r in M:
+    for M_r in _STAGE[key]:
         terms = []
         for qb, v2 in zip(q2, psi2.vectors):
             for qa, v1 in zip(q1, psi1.vectors):
                 terms.append(np.einsum("l,nlk,k->n", np.conj(v1),
                                        M_r[diffs.index(tuple(qa - qb))], v2))
-                if any(qb):  # e(q2_b . N alpha), N q2_b.alpha mod 1 exactly rounded
-                    turns = D.orbit_turns(flow, qb[None])
-                    terms[-1] *= np.exp(2j * np.pi * np.fromiter(
-                        (turns(n)[0] for n in range(N_max + 1)), float, N_max + 1))
+                if any(qb):
+                    terms[-1] *= D.orbit_phases(flow, qb, N_max + 1)
         rows.append(sum(terms[1:], terms[0]) / psi1.rep.dim)
     return rows
 
@@ -263,7 +269,6 @@ def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     """c_N = <psi1, U^N psi2> by quadrature, plus a grid-doubling error
     estimate |value - value on the (2 nodes)^d grid|, each walked apart
     from per-point coefficients: any N, the reference for the engine."""
-    _check_fiber_cocycle(psi1, psi2, c)
     nodes = _sizing_nodes(psi1, psi2, c, flow, N, quadrature.nodes_per_dim)
     value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
     check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes)
@@ -300,14 +305,12 @@ def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     at N_max's degree is exact below it).  Its check grid has twice the
     nodes per dimension and nests it, so one walk yields both rules; the
     blind spot is aliasing onto even multiples of the node count only,
-    which moves both rules alike.  Every pair reads the memoised walk of
-    `_mean_rep_series` (see `_series`), one per fiber for constant probes.
+    which moves both rules alike.  The pair reads the walk `plan_series`
+    planned for it, or one of its fiber alone (see `_series`).
     """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
-    _check_fiber_cocycle(psi1, psi2, c)
-    nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
-    values, check = _series(psi1, psi2, c, flow, N_max, nodes)
+    values, check = _series(psi1, psi2, _fiber(psi1, psi2, c, flow, N_max, quadrature))
     errs = np.abs(values - check)
     return CorrelationSeries(values, errs,
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
@@ -344,8 +347,6 @@ def wiener_average(series: CorrelationSeries) -> np.ndarray:
     to 0 is the observable surrogate for a purely continuous spectrum
     and A_N near |c_0|^2-scale mass indicates dominant point spectrum."""
     sq = np.abs(series.values[1:]) ** 2
-    if sq.size == 0:
-        return np.zeros(0)
     return np.cumsum(sq) / np.arange(1, len(sq) + 1)
 
 
@@ -433,18 +434,27 @@ def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
     ]
 
 
-def _kernel_mass_fraction(probe: FiberVector, Q: np.ndarray, kernel: list[int],
-                          d: int) -> float:
-    """Fraction of the probe's L^2 coefficient mass lying in the kernel
-    eigendirections (1.0 means entirely out of the claim's scope)."""
-    pts = D.quadrature_points(D.QuadratureSpec(max(64, 2 * probe.degree_bound + 1)), d)
-    coeffs = fiber_coefficients(probe, pts)
-    comps = np.einsum("ls,...l->...s", np.conj(Q), coeffs)
-    mass = np.mean(np.abs(comps) ** 2, axis=0)
-    total = float(np.sum(mass))
-    if total <= 0.0:
-        return 1.0
-    return float(np.sum(mass[kernel])) / total
+def _slot_mass(probe: FiberVector, Q: np.ndarray, d: int) -> np.ndarray:
+    """The probe's L^2 coefficient mass in each column of Q: Parseval's sum
+    over distinct modes of |Q^H v|^2, v the sum of the mode's vectors, or,
+    as a transfer's pi(zeta^{-1}) mixes modes, a grid that integrates
+    |psi|^2 exactly."""
+    if probe.transfers:
+        pts = D.quadrature_points(D.QuadratureSpec(max(64, 2 * probe.degree_bound + 1)), d)
+        coeffs = fiber_coefficients(probe, pts)
+        return np.mean(np.abs(np.einsum("ls,...l->...s", np.conj(Q), coeffs)) ** 2, axis=0)
+    sums = {}
+    for q, v in zip(map(tuple, _modes(probe, d)), probe.vectors):
+        sums[q] = sums.get(q, 0) + v
+    return np.sum(np.abs(np.array(list(sums.values())) @ np.conj(Q)) ** 2, axis=0)
+
+
+def in_scope(probe: FiberVector, split: tuple, d: int) -> bool:
+    """Whether more than a 1e-12 fraction of the probe's coefficient mass
+    lies off ker D, for `split` = `DG.kernel_split(D)`: a probe that lies
+    in it is NOT-IN-SCOPE of the mixing claim, and so is a zero probe."""
+    mass = _slot_mass(probe, split[0], d)
+    return bool(np.sum(mass[split[2]]) < (1.0 - 1e-12) * np.sum(mass))
 
 
 def default_probes(rep: R.Representation, split: tuple) -> list[FiberVector]:
@@ -489,12 +499,12 @@ def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
     """
     if N_max < 4:
         raise ConfigError("N_max must be >= 4")
-    Q, lam, kernel = split
+    _, lam, kernel = split
 
     probe_reports = []
     walked = []
     for probe in probes:
-        if _kernel_mass_fraction(probe, Q, kernel, flow.dim) >= 1.0 - 1e-12:
+        if not in_scope(probe, split, flow.dim):
             probe_reports.append({"probe": probe.name, "status": NOT_IN_SCOPE,
                                   "reason": "coefficients lie in ker D"})
             walked.append(None)

@@ -448,14 +448,21 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     # one M-field difference per Dini shift serves every representation
     dinis = K.dini_modulus(phi, [K.differential_map(rep, phi.group) for rep in reps],
                            flow, K.DINI_SHIFTS)
-    for rep, dini, split in zip(reps, dinis, stage["splits"]):
+    fibers = []
+    for rep, split in zip(reps, stage["splits"]):
         probes = K.default_probes(rep, split)
         if zeta is not None:
             probes = [replace(K.conjugate_vector(pr, zeta), name=f"{pr.name}-conjugated")
                       for pr in probes]
+        fibers.append((probes, _series_probe(rep, probes, flow.dim)))
+    # one walk for every series the stage reads: each fiber's series probe
+    # and its probes in scope of the mixing claim
+    K.plan_series([(pr, pr) for (probes, probe), split in zip(fibers, stage["splits"])
+                   for pr in [probe, *(p for p in probes if K.in_scope(p, split, flow.dim))]],
+                  phi, flow, config.n_corr, quad)
+    for rep, dini, split, (probes, probe) in zip(reps, dinis, stage["splits"], fibers):
         mixing, walked = K.mixing_verdict(rep, phi, flow, split, config.n_corr, quad, probes)
         ac = K.ac_verdict(rep, stage["degree_field"], stage["M_star"], split[2], dini)
-        probe = _series_probe(rep, probes, flow.dim)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))
         slug = _slug(rep)
@@ -492,15 +499,16 @@ class RunReport:
 
 
 def _clock() -> dict:
-    """Wall seconds and, where the resource module exists, minor page
-    faults and system (kernel) seconds."""
+    """Wall seconds, the orbit walks and point-steps of `D.WALKS` and,
+    where the resource module exists, minor page faults and system
+    (kernel) seconds."""
+    counts = {"seconds": time.perf_counter(), **D.WALKS}
     try:
         import resource
     except ImportError:  # not on every platform: the sidecar omits both
-        return {"seconds": time.perf_counter()}
+        return counts
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    return {"seconds": time.perf_counter(), "minor_faults": usage.ru_minflt,
-            "system_seconds": usage.ru_stime}
+    return {**counts, "minor_faults": usage.ru_minflt, "system_seconds": usage.ru_stime}
 
 
 def scenario_run(config: ScenarioConfig) -> RunReport:

@@ -335,3 +335,12 @@ def invariance_check_homomorphism(delta, h: Homomorphism,
         "pushed_degree": pushed,
         "composed_degree": est_comp.value.payload,
     }
+
+
+def grid_slot_mass(probe: K.FiberVector, Q: np.ndarray, d: int) -> np.ndarray:
+    """The probe's coefficient mass per column of Q, sampled on a grid that
+    integrates |psi|^2 exactly: the reference for the Parseval sum of
+    `koopman._slot_mass`, which keeps this form for conjugated probes."""
+    pts = D.quadrature_points(D.QuadratureSpec(max(64, 2 * probe.degree_bound + 1)), d)
+    comps = np.einsum("ls,...l->...s", np.conj(Q), K.fiber_coefficients(probe, pts))
+    return np.mean(np.abs(comps) ** 2, axis=0)

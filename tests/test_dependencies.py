@@ -110,11 +110,17 @@ def _callers(tree: ast.AST, module: str, name: str) -> set[str]:
 
 
 def test_koopman_has_one_correlation_engine():
-    # every correlation series reads the mean-series walk; the per-point
-    # route is the reference, so no third orbit walk may appear
+    # every correlation series reads the planned walk of `_walk_means`, which
+    # walks through `D.walk_grids`; the per-point route is the reference, so
+    # no third orbit walk may appear
     path = Path(liedeg.__file__).parent / "koopman.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _callers(tree, "D", "cocycle_iterate") == {"_mean_rep_series", "_corr_on_grid"}
+    assert _callers(tree, "D", "cocycle_iterate") == {"_corr_on_grid"}
+    assert _callers(tree, "D", "walk_grids") == {"_walk_means"}
+    walkers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_walk_means"}
+    assert walkers == {"_series"}
 
 
 def test_one_module_knows_the_series_csv_format():

@@ -339,11 +339,11 @@ def test_mean_series_matches_per_point_walk(manufactured, name):
     cases = {case[0]: case[1:] for case in _mean_series_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     n_max = 12
-    K._mean_rep_series.cache_clear()
+    K._STAGE.clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
         s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
     assert walk.call_count == 1
-    assert K._mean_rep_series.cache_info().misses == 1
+    assert len(K._STAGE) == 1  # a plan of the pair's fiber alone
     nodes = K._sizing_nodes(psi1, psi2, c, flow, n_max, QUAD.nodes_per_dim)
     for n in range(n_max + 1):
         ref = K._corr_on_grid(psi1, psi2, c, flow, n, nodes)
@@ -358,6 +358,19 @@ def test_mean_series_matches_per_point_walk(manufactured, name):
 def _mode_differences(psi1, psi2, d):
     return tuple(sorted({tuple((a - b).tolist()) for a in K._modes(psi1, d)
                          for b in K._modes(psi2, d)}))
+
+
+def _fiber_key(psi1, psi2, c, flow, n_max, nodes):
+    """The `K._fiber` key of the pair's walk on the nodes^d grid."""
+    return (c, flow, n_max, psi1.rep, psi1.transfers, psi2.transfers,
+            _mode_differences(psi1, psi2, flow.dim), nodes)
+
+
+def _walk_alone(key):
+    """Mhat of one fiber key from a walk of that fiber alone."""
+    means = {key: None}
+    K._walk_means(means)
+    return means[key]
 
 
 def _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes):
@@ -409,11 +422,11 @@ def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
     n_max = 6
     diffs = _mode_differences(psi1, psi2, flow.dim)
     assert (diffs == ((0,) * flow.dim,)) == name.endswith("mean")
-    M = K._mean_rep_series(psi1.rep, psi1.transfers, psi2.transfers, diffs, c, flow,
-                           n_max, nodes)
+    key = _fiber_key(psi1, psi2, c, flow, n_max, nodes)
+    M = _walk_alone(key)
     ref = _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes)
     assert np.allclose(M[0], ref, rtol=0.0, atol=1e-15)
-    _, check = K._series(psi1, psi2, c, flow, n_max, nodes)
+    _, check = K._series(psi1, psi2, key)
     for n in range(n_max + 1):
         assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
 
@@ -427,18 +440,12 @@ def test_mean_series_blocks_match_one_block(manufactured, name, monkeypatch):
     # still the one-grid walk's
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
-    args = (psi1.rep, psi1.transfers, psi2.transfers,
-            _mode_differences(psi1, psi2, flow.dim), c, flow, 6, 7)
+    key = _fiber_key(psi1, psi2, c, flow, 6, 7)
     assert 14 ** flow.dim <= K.SERIES_BLOCK and 7 ** flow.dim % 5
-    K._mean_rep_series.cache_clear()
-    whole = K._mean_rep_series(*args)
+    whole = _walk_alone(key)
     monkeypatch.setattr(K, "SERIES_BLOCK", 5)
-    K._mean_rep_series.cache_clear()
-    try:
-        with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
-            blocked = K._mean_rep_series(*args)
-    finally:
-        K._mean_rep_series.cache_clear()
+    with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
+        blocked = _walk_alone(key)
     assert walk.call_count == -(-14 ** flow.dim // 5)
     assert np.max(np.abs(blocked - whole)) <= 1e-15 * max(1.0, np.max(np.abs(whole)))
     ref = _one_grid_mean_series(psi1, psi2, c, flow, 6, 7)
@@ -480,7 +487,7 @@ def test_nested_conjugation_walks_once(manufactured):
     got = K.fiber_coefficients(K.conjugate_vector(mono, zeta2), pts)
     assert np.max(np.abs(got - want)) < 1e-14
     for psi1, psi2 in ((nested, nested), (mono, nested), (psi, nested)):
-        K._mean_rep_series.cache_clear()
+        K._STAGE.clear()
         with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
             s = K.correlation_series(psi1, psi2, phi, FLOW, 6, QUAD)
         assert walk.call_count == 1
@@ -492,7 +499,7 @@ def test_nested_conjugation_walks_once(manufactured):
     split = _split(R.su2_rep(4), M_star)
     probes = [K.conjugate_vector(K.conjugate_vector(pr, zeta), zeta)
               for pr in K.default_probes(R.su2_rep(4), split)]
-    K._mean_rep_series.cache_clear()
+    K._STAGE.clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
         K.mixing_verdict(R.su2_rep(4), phi, FLOW, split, 10, QUAD, probes)
     assert len(probes) == 4 and walk.call_count == 1
@@ -545,7 +552,7 @@ def test_engine_matches_per_point_reference(data, group, d, l):
     psi1 = data.draw(_probe(rep, transfers, d))
     psi2 = data.draw(_probe(rep, transfers, d))
     n_max = 3
-    K._mean_rep_series.cache_clear()
+    K._STAGE.clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
         s = K.correlation_series(psi1, psi2, c, flow, n_max, D.QuadratureSpec(4))
     assert walk.call_count == 1
@@ -576,17 +583,16 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
 
     monkeypatch.setattr(D, "cocycle_iterate", counted_walk)
     monkeypatch.setattr(R, "rep_eval_payload", counted_eval)
-    K._mean_rep_series.cache_clear()
+    K._STAGE.clear()
     verdict, walked = K.mixing_verdict(rep, phi, FLOW, split, n_max, QUAD, probes)
     assert verdict["verdict"] == K.SUPPORTED
     assert all(w is not None for w in walked)
     assert calls["walks"] == 1
     assert calls["evals"] <= (n_max + 1) + 4
-    info = K._mean_rep_series.cache_info()
-    assert info.maxsize == 1 and info.currsize <= 1
+    assert len(K._STAGE) == 1  # the memo holds one plan: this fiber's
     nodes = K._sizing_nodes(probes[0], probes[0], phi, FLOW, n_max, QUAD.nodes_per_dim)
-    M = K._mean_rep_series(rep, (zeta,), (zeta,), ((0,),), phi, FLOW, n_max, nodes)
-    assert calls["walks"] == 1  # a cache hit
+    M = K._STAGE[(phi, FLOW, n_max, rep, (zeta,), (zeta,), ((0,),), nodes)]
+    assert calls["walks"] == 1  # read off the memo
     assert M.shape == (2, 1, n_max + 1, 5, 5) and not M.flags.writeable
     with pytest.raises(ValueError):
         M[0, 0, 0, 0] = 0.0
@@ -955,6 +961,30 @@ def test_mixing_verdict_winding_fiber_supported():
     assert v["kernel_indices"] == []
     assert [p["status"] for p in v["probes"]] == [K.SUPPORTED]
     assert all("value" in h for h in v["hypotheses"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), group=st.sampled_from(["torus", "su2", "u2"]),
+       d=st.sampled_from([1, 2]), count=st.integers(1, 6))
+def test_parseval_mass_matches_the_grid_form(seed, group, d, count):
+    # modes drawn with repeats, so some vectors add up before their mass is
+    # taken; the grid form's own round-off over 64^d points sets the bound
+    # (measured at most 1.3e-15 of the mass at d = 1, 7.7e-14 at d = 2)
+    rng = np.random.default_rng(seed)
+    rep = {"torus": R.torus_rep((1,)), "su2": R.su2_rep(3), "u2": R.u2_rep(2, 1)}[group]
+    modes = rng.integers(-2, 3, size=(count, d))
+    probe = K.FiberVector(rep, modes, rng.normal(size=(count, rep.dim, 2)) @ [1, 1j])
+    Q, _ = np.linalg.qr(rng.normal(size=(rep.dim, rep.dim, 2)) @ [1, 1j])
+    got, want = K._slot_mass(probe, Q, d), H.grid_slot_mass(probe, Q, d)
+    assert np.max(np.abs(got - want)) <= {1: 1e-14, 2: 2e-13}[d] * float(np.sum(want))
+
+
+def test_conjugated_probes_keep_the_grid_mass(manufactured):
+    _, zeta, _ = manufactured
+    rep = R.su2_rep(2)
+    probe = K.conjugate_vector(K.monomial_fiber(rep, [[1], [0], [-1]]), zeta)
+    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    assert np.array_equal(K._slot_mass(probe, Q, 1), H.grid_slot_mass(probe, Q, 1))
 
 
 def test_mixing_verdict_kernel_probe_not_in_scope():

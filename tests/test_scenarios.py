@@ -25,6 +25,8 @@ from liedeg.scenarios import (_CONFIG_FIELDS, COCYCLE_BUILDERS,
                               _degree_stage, _jsonify, _rep_from_label, _slug,
                               build_cocycle, default_config, scenario_run)
 
+import helpers as H
+
 FLOW = D.default_flow(1)
 
 
@@ -274,12 +276,13 @@ class TestScenarioRun:
         # the spans partition the run, up to the rounding of the sums
         parts = system["setup"] + system["degree"] + system["spectral"]
         assert abs(system["total"] - parts) <= 1e-9
-        # without the resource module both keys are left out and the
-        # report keeps its bytes
+        # without the resource module both keys are left out, the walk
+        # counts stay, and the report keeps its bytes
         monkeypatch.setitem(sys.modules, "resource", None)
         again = scenario_run(_small_anzai(tmp_path / "again"))
         sidecar = json.loads((again.outdir / TIMINGS_FILENAME).read_text())
-        assert set(sidecar) == {"seconds", "note"} and set(sidecar["seconds"]) == stages
+        assert set(sidecar) == {"seconds", "walks", "point_steps", "note"}
+        assert set(sidecar["seconds"]) == stages
         assert again.report_path.read_bytes() == rr.report_path.read_bytes()
 
     def test_report_json_parses_from_disk(self, tmp_path):
@@ -466,19 +469,86 @@ def _perfbench_reference():
     return module
 
 
-# (hits, misses) of the memoised mean-series walks in one preset run
-_SERIES_CACHE = {"anzai-torus": (0, 7), "torus-general": (0, 4), "su2-straighten": (8, 4),
-                 "so3-maximal-torus": (4, 2), "u2-product": (2, 3)}
+# (orbit walks, fibers planned) of the spectral stage in one preset run; the
+# fibers are those the stage read before it planned one walk for them all
+_STAGE_WALKS = {"anzai-torus": (1, 7), "torus-general": (5, 4), "su2-straighten": (1, 4),
+                "so3-maximal-torus": (1, 2), "u2-product": (1, 3)}
 
 
 @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
 def test_preset_matches_benchmark_reference(name, tmp_path):
     """Each preset at its default seed reproduces the benchmark's reference
-    verdicts, kernel indices, flagged N and degree floats and the cache hits
-    of its walks, and reports its fibers as row 0."""
-    K._mean_rep_series.cache_clear()
+    verdicts, kernel indices, flagged N and degree floats, takes one
+    spectral walk per batch of its fibers' grids, and reports its fibers
+    as row 0."""
     rr = scenario_run(default_config(name, outdir=str(tmp_path)))
-    info = K._mean_rep_series.cache_info()
-    assert (info.hits, info.misses) == _SERIES_CACHE[name]
+    walks = json.loads((tmp_path / TIMINGS_FILENAME).read_text())["walks"]["spectral"]
+    assert (walks, len(K._STAGE)) == _STAGE_WALKS[name]
     assert _perfbench_reference().check(name, tmp_path) == []
     assert all(e["mixing"]["j"] == 0 and e["ac"]["j"] == 0 for e in rr.report["spectral"])
+
+
+def _grid_points(key) -> int:
+    """Points of the check grid of a `K._fiber` key."""
+    return (2 * key[-1]) ** key[1].dim
+
+
+@pytest.mark.parametrize("name, grids, batches", [
+    # the 26,244-point grid spans four blocks and packs after the 1,024- and
+    # 6,724-point grids, which two fibers share
+    ("torus-general", [1024, 6724, 6724, 26244], [7748, 8192, 8192, 8192, 1668]),
+    # conjugated probes on four distinct grids, one walk
+    ("su2-straighten", [366, 730, 1094, 1458], [3648]),
+    # fibers (2,1) and (0,1) share one 322-point grid
+    ("u2-product", [642, 322, 322], [964]),
+])
+def test_stage_walk_matches_walks_of_each_fiber_alone(name, grids, batches, tmp_path,
+                                                      monkeypatch):
+    scenario_run(default_config(name, outdir=str(tmp_path)))
+    stage = dict(K._STAGE)
+    assert [_grid_points(key) for key in stage] == grids
+    assert all(bool(key[4]) == (name == "su2-straighten") for key in stage)
+    for key, M in stage.items():
+        alone = {key: None}
+        K._walk_means(alone)
+        assert np.array_equal(M, alone[key]), key[3].name
+    # the stage's walks again, counting their points
+    sizes, walk = [], D.cocycle_iterate
+
+    def recorded(c, flow, x, n, visit=None, **kwargs):
+        sizes.append(len(x.phases))
+        return walk(c, flow, x, n, visit, **kwargs)
+
+    monkeypatch.setattr(D, "cocycle_iterate", recorded)
+    again = dict.fromkeys(stage)
+    K._walk_means(again)
+    assert sizes == batches
+    assert all(np.array_equal(again[key], stage[key]) for key in stage)
+
+
+def test_walk_counts_repeat_and_name_the_stage_walk(tmp_path):
+    # u2-product's spectral stage is one walk of its 642 + 322 grid points
+    # over N = 0..40; two runs count the same walks in every stage
+    counts = []
+    for run in ("a", "b"):
+        scenario_run(default_config("u2-product", outdir=str(tmp_path / run)))
+        sidecar = json.loads((tmp_path / run / TIMINGS_FILENAME).read_text())
+        counts.append({key: sidecar[key] for key in ("walks", "point_steps")})
+    assert counts[0] == counts[1]
+    assert counts[0]["walks"]["spectral"] == 1
+    assert counts[0]["point_steps"]["spectral"] == 964 * 41
+    assert counts[0]["walks"]["setup"] == 0 and counts[0]["walks"]["degree"] >= 1
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_parseval_scope_decides_as_the_grid_form(name, tmp_path, monkeypatch):
+    # every probe of every preset is in or out of scope under the Parseval
+    # mass exactly as under the grid form it replaced
+    def statuses(outdir):
+        rr = scenario_run(default_config(name, outdir=str(outdir)))
+        return [(p["probe"], p["status"]) for e in rr.report["spectral"]
+                for p in e["mixing"]["probes"]]
+
+    parseval = statuses(tmp_path / "parseval")
+    monkeypatch.setattr(K, "_slot_mass", H.grid_slot_mass)
+    assert statuses(tmp_path / "grid") == parseval
