@@ -32,9 +32,7 @@ from . import groups as G
 from . import koopman as K
 from . import plotting as P
 from . import reps as R
-from .errors import (ConfigError, DegenerateDegreeError,
-                     InconsistentDegreeError, NonHermitianError,
-                     NumericGuardError)
+from .errors import ConfigError, NumericGuardError
 from .rng import RngHandle
 from .scenarios import (SCENARIO_NAMES, ScenarioConfig, _dump_json,
                         _rep_from_label, build_cocycle, default_config,
@@ -134,6 +132,10 @@ def _cmd_degree(args) -> int:
     flow = _make_flow(args.d, _parse_alpha(args.alpha))
     cocycle, _ = build_cocycle(
         flow, {"name": args.cocycle, "params": _parse_params(args.params)})
+    # a point's phases and the ~40 M-field payloads, each at most two group
+    # payloads, that it takes in the walk and the spread's 16-row blocks
+    K.check_bytes(f"--points ({args.points} sample points)",
+                  args.points * (8 * args.d + 80 * G.identity(cocycle.group).payload.nbytes))
     rng = RngHandle(args.seed, stream=11).generator()
     points = D.BasePoint(rng.random((args.points, args.d)))
     field = DG.degree_field(cocycle, flow, points, N=args.n)
@@ -200,10 +202,8 @@ def _cmd_rep_check(args) -> int:
     if args.samples < 1 or args.nodes < 0:
         raise ConfigError("--samples must be >= 1 and --nodes >= 0")
     rep = _rep_from_label(group, label, d=1)
-    need = max(R.haar_batch_bytes(rep, args.samples), R.quadrature_bytes(group, args.nodes))
-    if need > K.MAX_GRID_BYTES:
-        raise ConfigError(f"--samples/--nodes need {need} bytes of Haar draws or "
-                          f"quadrature nodes (cap {K.MAX_GRID_BYTES})")
+    K.check_bytes("--samples/--nodes (Haar draws or quadrature nodes)", max(
+        R.haar_batch_bytes(rep, args.samples), R.quadrature_bytes(group, args.nodes)))
     hom_dev, unit_dev = R.haar_deviations(rep, args.samples,
                                           RngHandle(args.seed, stream=5))
     out = {
@@ -312,8 +312,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericGuardError, InconsistentDegreeError,
-            DegenerateDegreeError, NonHermitianError) as exc:
+    except NumericGuardError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

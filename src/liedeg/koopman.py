@@ -32,7 +32,9 @@ finite-N commutator averages, is Hermitian, and its kernel separates
 the (conjecturally) mixing complement from the unresolved part.
 Verdict builders run probe correlations and report three-valued
 outcomes with explicit hypothesis flags; they check observable
-consequences, never assert theorems.
+consequences, never assert theorems.  The regularity flags are certified
+bounds: `dini_modulus` reads the Fourier coefficients of dpi(M) off one
+rule that is exact for the cocycle's declared degree.
 
 Every representation is unitary (see `reps`), as the spectral
 identities below require.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,15 +55,10 @@ from . import reps as R
 from .errors import ConfigError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
-MAX_GRID_BYTES = 2 ** 28  # representation values on one (2n)^d check grid
-# Dini grid points per block: the cohomologous SU(2) pair's M-field keeps ~7
-# block-sized temporaries, so a 256^2 pass stays below one whole-grid field
-DINI_BLOCK = 4096
+MAX_GRID_BYTES = 2 ** 28  # one config-scaled array: grid points or their values
 # check-grid points per walk of `_walk_means`: a walk's arrays stay near
 # 0.3 MB for a two-row torus payload, and every d = 1 preset grid is one block
 SERIES_BLOCK = 8192
-DINI_NODES = 256  # Dini grid points per dimension
-DINI_SHIFTS = tuple(np.logspace(-4, 0, 17).tolist())  # t grid of the AC check
 
 SUPPORTED = "SUPPORTED"
 NO_CLAIM = "NO-CLAIM"
@@ -140,6 +137,14 @@ def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
 # correlations
 # ---------------------------------------------------------------------------
 
+def check_bytes(field: str, need: int) -> None:
+    """The one size check of a config-scaled allocation, made before it:
+    a ConfigError naming the field, the bytes and the cap when `need`
+    exceeds MAX_GRID_BYTES."""
+    if need > MAX_GRID_BYTES:
+        raise ConfigError(f"{field} needs {need} bytes, above the cap of {MAX_GRID_BYTES}")
+
+
 def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                   flow: D.TranslationFlow, N: int, floor: int) -> int:
     """Node count guaranteeing exactness for trig-polynomial data: the
@@ -148,8 +153,8 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     equispaced rule with more than twice that many nodes is exact.
 
     Raises TagMismatchError for a pair off one representation of c's group
-    and ConfigError, before any grid exists, when the representation values
-    on the (2 nodes)^d check grid would exceed MAX_GRID_BYTES."""
+    and, through `check_bytes` before any grid exists, ConfigError when the
+    representation values on the (2 nodes)^d check grid would not fit."""
     if psi1.rep != psi2.rep:
         raise TagMismatchError("fiber vectors live on different representations")
     if psi1.rep.group != c.group:
@@ -158,12 +163,8 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
     nodes = max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
                             + abs(N) * f_eff) + 1)
     check = 2 * nodes
-    need = check ** flow.dim * psi1.rep.dim ** 2 * 16
-    if need > MAX_GRID_BYTES:
-        raise ConfigError(
-            f"correlation at N={N} needs a {check}^{flow.dim}-node check grid "
-            f"({need} bytes of representation values, cap {MAX_GRID_BYTES}); "
-            f"lower the horizon, the cocycle degree or the representation")
+    check_bytes(f"correlation at N={N} (a {check}^{flow.dim}-node check grid of "
+                f"representation values)", check ** flow.dim * psi1.rep.dim ** 2 * 16)
     return nodes
 
 
@@ -350,63 +351,58 @@ def wiener_average(series: CorrelationSeries) -> np.ndarray:
     return np.cumsum(sq) / np.arange(1, len(sq) + 1)
 
 
-def differential_map(rep: R.Representation,
-                     group: G.GroupSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The linear map M -> dpi(M) on `group` algebra payloads: one of
-    `dini_modulus`'s maps."""
-    return lambda payload: R.rep_differential(rep, G.AlgebraElement(group, payload))
+def dini_modulus(c: D.Cocycle, reps: Sequence[R.Representation],
+                 flow: D.TranslationFlow) -> list[dict]:
+    """Certified regularity bounds of c's M-field M, one dict per rep pi:
+    `m_sup` >= sup |M|, `dm_sup` >= sup |dpi(M)| entrywise, and `integral`
+    >= integral_0^1 omega(t)/t dt, omega(t) = sup_x |dpi(M(x + t alpha)) -
+    dpi(M(x))| the modulus of continuity of the AC verdict.
 
+    M's entries, and so dpi(M)'s, are trigonometric polynomials of degree
+    at most 2f per dimension, f = c.freq_bound: a DFT matrix per axis reads
+    their Fourier coefficients c_k, |k_j| <= 2f, off one sample of M on the
+    n^d grid, n = 4f + 1, without aliasing.  A constant field (`c.m_const`)
+    is its own c_0 and is not sampled.  With C_k the largest entry of |c_k|
+    (`weights`), a_k = 2 pi |k.alpha| (`rates`) and |e(s) - 1| <= 2 pi |s|
+    (and <= 2),
 
-def dini_modulus(c: D.Cocycle, maps: Sequence[Callable[[np.ndarray], np.ndarray]],
-                 flow: D.TranslationFlow, t_grid: Sequence[float]) -> list[dict]:
-    """Per linear map L in `maps` (dpi per representation, or the identity):
-    samples of t -> sup_x |L(M(F_t x) - M(x))| of c's M-field M (entrywise
-    sup on the DINI_NODES^d grid) and a trapezoid estimate of
-    integral_0^1 modulus(t)/t dt.
+        omega(t) <= sum_k C_k min(2, a_k t),   dm_sup = sum_k C_k,
+        integral = sum_k C_k g(a_k),  g(a) = a (a <= 2), 2 + 2 ln(a/2) else;
 
-    A constant M-field (`c.m_const` set) has modulus 0 by construction
-    and is not sampled.  Otherwise one field difference per shift serves
-    every map, and a zero one is skipped: the maps are linear and the
-    sups start at 0.  The grid is walked in blocks of DINI_BLOCK points,
-    so no whole-grid field is alive.
-
-    The tail below the smallest grid point is modeled as Lipschitz
-    (modulus ~ C t), contributing C * t_min = modulus(t_min).  Finite
-    grids certify neither the sup nor the integral, so each result is
-    permanently flagged heuristic.
+    `m_sup` is the norm of the entrywise sums of M's own |c_k|.  The bounds
+    hold for the declared freq_bound, which the quadrature sizing trusts too.
     """
-    t = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
-    if t.size == 0 or t[0] <= 0 or t[-1] > 1.0:
-        raise ConfigError("t_grid must be sorted inside (0, 1]")
-    sups = np.zeros((len(maps), t.size))
-    # a constant field has no grid to walk; the Dini grid is already in
-    # [0, 1), so only the shifted phases need wrapping
-    pts = (np.empty((0, flow.dim)) if c.m_const is not None else
-           D.quadrature_points(D.QuadratureSpec(DINI_NODES), flow.dim))
-    shifts = t[:, None] * flow.alpha_array
-    for start in range(0, pts.shape[0], DINI_BLOCK):
-        block = pts[start:start + DINI_BLOCK]
-        base = np.asarray(c.m_field(block))
-        for i, shift in enumerate(shifts):
-            diff = np.asarray(c.m_field(D.wrap_phases(block + shift)))
-            diff -= base
-            if not diff.any():
-                continue
-            np.maximum(sups[:, i], [np.max(np.abs(L(diff))) for L in maps],
-                       out=sups[:, i])
+    d = flow.dim
+    if c.m_const is not None:  # its own c_0: nothing to sample or transform
+        n, M, axes = 1, c.m_const[None], ()
+    else:
+        n, axes = 4 * c.freq_bound + 1, range(d)
+        dim = max((r.dim for r in reps), default=1)  # dpi(M) and its transform
+        check_bytes(f"the cocycle's {n}^{d}-point regularity grid",
+                    n ** d * (8 * d + G.identity(c.group).payload.nbytes + 32 * dim ** 2))
+        M = np.asarray(c.m_field(D.quadrature_points(D.QuadratureSpec(n), d)))
+    k = np.arange(n) - n // 2
+    dft = G.unit_exp(-2 * np.pi * np.outer(k, np.arange(n)) / n) / n
+
+    def coefficients(values):
+        """|c_k| on the (n,) * d grid of k, from values on the node grid."""
+        out = values.reshape((n,) * d + values.shape[1:])
+        for axis in axes:
+            out = np.moveaxis(np.tensordot(dft, out, axes=(1, axis)), 0, axis)
+        return np.abs(out)
+
+    # i E has algebra_inner's entry weights for every group, the torus too
+    E = coefficients(M).reshape((n ** d,) + M.shape[1:]).sum(axis=0)
+    m_sup = float(G.algebra_norm(G.AlgebraElement(c.group, 1j * E)))
+    rates = 2 * np.pi * np.abs(sum(np.ix_(*(k * a for a in flow.alpha_array))))
+    g = np.where(rates <= 2, rates, 2 + 2 * np.log(np.maximum(rates, 2) / 2))
     out = []
-    for samples in sups:
-        integral = float(np.trapezoid(samples / t, t)) if t.size > 1 else 0.0
-        integral += float(samples[0])  # Lipschitz tail below t_min
-        out.append({
-            "t": t,
-            "samples": samples,
-            "integral_estimate": integral,
-            "lipschitz_constant_estimate": float(samples[0] / t[0]),
-            "heuristic": True,
-            "note": ("finite-grid estimate of the modulus integral; cannot "
-                     "certify the integrability condition"),
-        })
+    for rep in reps:
+        # dpi reads real coordinates, so it acts on M before the transform
+        C = np.max(coefficients(R.rep_differential(rep, G.AlgebraElement(c.group, M))),
+                   axis=(-2, -1))
+        out.append({"m_sup": m_sup, "dm_sup": float(np.sum(C)),
+                    "integral": float(np.sum(C * g)), "weights": C, "rates": rates})
     return out
 
 
@@ -414,24 +410,8 @@ def dini_modulus(c: D.Cocycle, maps: Sequence[Callable[[np.ndarray], np.ndarray]
 # verdicts
 # ---------------------------------------------------------------------------
 
-def _hypothesis(name: str, status: str, value) -> dict:
-    return {"name": name, "status": status, "value": value}
-
-
-def _grid_hypotheses(rep: R.Representation, c: D.Cocycle,
-                     flow: D.TranslationFlow) -> list[dict]:
-    # a constant field's sups are those of its one payload; a sampled field
-    # is made afresh per representation, so it is not alive through the
-    # next one's correlation walks
-    M = G.AlgebraElement(c.group, np.asarray(
-        c.m_const[None] if c.m_const is not None else
-        c.m_field(D.quadrature_points(D.QuadratureSpec(128), flow.dim))))
-    m_sup = float(np.max(G.algebra_norm(M)))
-    dm_sup = float(np.max(np.abs(R.rep_differential(rep, M))))
-    return [
-        _hypothesis("derivative field bounded (grid sup)", "checked-on-grid", m_sup),
-        _hypothesis("fiber multiplication bounded (grid sup)", "checked-on-grid", dm_sup),
-    ]
+def _hypothesis(name: str, passed: bool, value) -> dict:
+    return {"name": name, "status": "pass" if passed else "fail", "value": value}
 
 
 def _slot_mass(probe: FiberVector, Q: np.ndarray, d: int) -> np.ndarray:
@@ -472,7 +452,7 @@ def default_probes(rep: R.Representation, split: tuple) -> list[FiberVector]:
 
 def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
                    split: tuple, N_max: int, quadrature: D.QuadratureSpec,
-                   probes: Sequence[FiberVector],
+                   probes: Sequence[FiberVector], bound: dict,
                    ) -> tuple[dict, list[CorrelationSeries | None]]:
     """Correlation-decay check on the kernel complement of D = i dpi(M*).
 
@@ -492,7 +472,9 @@ def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
     maximum does not exceed the early-window maximum.  Probes whose
     coefficient mass lies entirely in the kernel directions are out of
     the claim's scope and reported NOT-IN-SCOPE; if no probe is in
-    scope the verdict is NO-CLAIM.
+    scope the verdict is NO-CLAIM.  `bound` is rep's entry of the stage's
+    `dini_modulus` certificate: its sups of M and dpi(M), when finite,
+    pass the two boundedness hypotheses.
 
     Returns (verdict, series): series[i] is probe i's correlation series,
     None when probe i is NOT-IN-SCOPE.
@@ -539,7 +521,9 @@ def mixing_verdict(rep: R.Representation, c: D.Cocycle, flow: D.TranslationFlow,
         "j": 0,
         "kernel_indices": kernel,
         "eigenvalues": [float(v) for v in lam],
-        "hypotheses": _grid_hypotheses(rep, c, flow),
+        "hypotheses": [_hypothesis(f"{name} bounded (certified sup)", np.isfinite(v), v)
+                       for name, v in (("derivative field", bound["m_sup"]),
+                                       ("fiber multiplication", bound["dm_sup"]))],
         "probes": probe_reports,
         "verdict": verdict,
         "notes": ("decay of probe correlations on the kernel complement is "
@@ -558,46 +542,33 @@ def ac_verdict(rep: R.Representation, field: DG.DegreeField | None,
     `mixing_verdict` reads, so both verdicts claim one orthocomplement.
 
     Flags: (convergence) the field's orbit-average diagnostic;
-    (regularity) a finite-grid modulus-integral estimate, heuristic by
-    construction; (spectral floor) `DG.a_phi_pi` > 0 over the field's
-    points, or at M_star without a field.  Emits AC-PREDICTED only when
-    all flags pass, explicitly conditional on the heuristic ones; an
-    M_star that `DG.degree_vanishes` calls zero, as the ergodicity verdict
-    does, yields NO-CLAIM because the theory is silent there.
-
-    `dini` is this rep's entry of a shared `dini_modulus` pass.
+    (regularity) the certified bound on the modulus integral of dpi(M),
+    rep's entry `dini` of the stage's one `dini_modulus` certificate;
+    (spectral floor) `DG.a_phi_pi` > 0 over the field's points, or at
+    M_star without a field.  Emits AC-PREDICTED only when all flags pass;
+    an M_star that `DG.degree_vanishes` calls zero, as the ergodicity
+    verdict does, yields NO-CLAIM because the theory is silent there.
     """
     if field is not None:
         conv = float(np.max(field.diagnostics))
         hypotheses = [_hypothesis("orbit averages converged (grid diagnostic)",
-                                  "pass" if conv <= 1e-2 else "fail", conv)]
+                                  conv <= 1e-2, conv)]
     else:
-        hypotheses = [_hypothesis(
-            "orbit averages converged (constant closed form)", "pass", 0.0)]
-
-    samples = np.asarray(dini["samples"])
-    peak = float(np.max(samples)) if samples.size else 0.0
-    shrinking = bool(samples[0] <= 0.5 * peak + 1e-12) if peak > 0 else True
-    hypotheses.append(_hypothesis(
-        "modulus integral finite (HEURISTIC)",
-        "heuristic-pass" if shrinking else "heuristic-fail",
-        float(dini["integral_estimate"])))
-
-    a_val = DG.a_phi_pi(rep, field.values if field is not None else M_star)
-    hypotheses.append(_hypothesis(
-        "spectral floor positive", "pass" if a_val > 1e-12 else "fail",
-        float(a_val)))
+        hypotheses = [_hypothesis("orbit averages converged (constant closed form)", True, 0.0)]
+    a_val = float(DG.a_phi_pi(rep, field.values if field is not None else M_star))
+    hypotheses += [_hypothesis("modulus integral finite (certified bound)",
+                               np.isfinite(dini["integral"]), dini["integral"]),
+                   _hypothesis("spectral floor positive", a_val > 1e-12, a_val)]
 
     if DG.degree_vanishes(M_star):
         verdict = NO_CLAIM
         notes = "degree vanishes; the theory makes no claim on this fiber"
-    elif all(h["status"] in ("pass", "heuristic-pass") for h in hypotheses):
+    elif all(h["status"] == "pass" for h in hypotheses):
         verdict = AC_PREDICTED
-        notes = "conditional on the heuristic regularity flags"
+        notes = "regularity bound certified for the cocycle's declared degree"
     else:
         verdict = NO_CLAIM
-        failing = [h["name"] for h in hypotheses
-                   if h["status"] not in ("pass", "heuristic-pass")]
+        failing = [h["name"] for h in hypotheses if h["status"] != "pass"]
         notes = "unmet hypotheses: " + "; ".join(failing)
     notes += ("; base is a torus translation, so for irrational frequency "
               "(an input assumption, not verified numerically) the "

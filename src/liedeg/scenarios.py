@@ -445,9 +445,8 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
     quad = D.QuadratureSpec(config.nodes)
     zeta = extras.get("zeta")
     entries, series_paths = [], {}
-    # one M-field difference per Dini shift serves every representation
-    dinis = K.dini_modulus(phi, [K.differential_map(rep, phi.group) for rep in reps],
-                           flow, K.DINI_SHIFTS)
+    # one certificate of the M-field's regularity serves every representation
+    bounds = K.dini_modulus(phi, reps, flow)
     fibers = []
     for rep, split in zip(reps, stage["splits"]):
         probes = K.default_probes(rep, split)
@@ -456,13 +455,13 @@ def _spectral_stage(config: ScenarioConfig, flow: D.TranslationFlow,
                       for pr in probes]
         fibers.append((probes, _series_probe(rep, probes, flow.dim)))
     # one walk for every series the stage reads: each fiber's series probe
-    # and its probes in scope of the mixing claim
-    K.plan_series([(pr, pr) for (probes, probe), split in zip(fibers, stage["splits"])
-                   for pr in [probe, *(p for p in probes if K.in_scope(p, split, flow.dim))]],
+    # and its probes, whose scope `mixing_verdict` alone decides
+    K.plan_series([(pr, pr) for probes, probe in fibers for pr in [probe, *probes]],
                   phi, flow, config.n_corr, quad)
-    for rep, dini, split, (probes, probe) in zip(reps, dinis, stage["splits"], fibers):
-        mixing, walked = K.mixing_verdict(rep, phi, flow, split, config.n_corr, quad, probes)
-        ac = K.ac_verdict(rep, stage["degree_field"], stage["M_star"], split[2], dini)
+    for rep, bound, split, (probes, probe) in zip(reps, bounds, stage["splits"], fibers):
+        mixing, walked = K.mixing_verdict(rep, phi, flow, split, config.n_corr, quad,
+                                          probes, bound)
+        ac = K.ac_verdict(rep, stage["degree_field"], stage["M_star"], split[2], bound)
         series = (walked[0] if walked and walked[0] is not None else
                   K.correlation_series(probe, probe, phi, flow, config.n_corr, quad))
         slug = _slug(rep)
@@ -525,6 +524,11 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     phi, extras = build_cocycle(flow, config.cocycle)
     reps = [_rep_from_label(phi.group, label, config.d)
             for label in config.reps]
+    # the degree stage's quadratures, its rule exact for a torus field too;
+    # a point is charged its phases and one group payload
+    nodes = max(config.nodes, 2 * phi.freq_bound + 2)
+    K.check_bytes(f"nodes ({nodes}^{config.d} degree quadrature points)", nodes ** config.d
+                  * (8 * config.d + G.identity(phi.group).payload.nbytes))
     # only a config that built is given a directory
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -79,10 +79,47 @@ def cocycle_value(c: D.Cocycle, x: D.BasePoint) -> G.GroupElement:
 
 
 def sampled(c: D.Cocycle) -> D.Cocycle:
-    """c without its constant M-field payload, so that `K.dini_modulus` and
-    `K._grid_hypotheses` sample its field on their grids: the reference for
-    their constant-field shortcut."""
+    """c without its constant M-field payload, so that `K.dini_modulus`
+    samples its field: the reference for its constant-field shortcut."""
     return replace(c, m_const=None)
+
+
+DINI_SHIFTS = tuple(np.logspace(-4, 0, 17).tolist())  # t grid of the sampled pass
+
+
+def sampled_modulus(c: D.Cocycle, reps, flow: D.TranslationFlow,
+                    t_grid=DINI_SHIFTS, nodes: int = 256) -> np.ndarray:
+    """The sampled regularity pass that `K.dini_modulus`'s certificate
+    replaced, now its reference: per rep pi (rows) and shift t (columns),
+    max over the nodes^d grid of the entries of
+    |dpi(M(x + t alpha) - M(x))|, in blocks of 4,096 points.  A finite
+    grid certifies neither this sup nor the modulus integral."""
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
+    sups = np.zeros((len(reps), len(t_grid)))
+    for start in range(0, len(pts), 4096):
+        block = pts[start:start + 4096]
+        base = np.asarray(c.m_field(block))
+        for i, t in enumerate(t_grid):
+            diff = G.AlgebraElement(c.group, np.asarray(
+                c.m_field(D.wrap_phases(block + t * flow.alpha_array))) - base)
+            sups[:, i] = np.maximum(sups[:, i], [np.max(np.abs(R.rep_differential(rep, diff)))
+                                                 for rep in reps])
+    return sups
+
+
+def grid_sups(rep, c: D.Cocycle, flow: D.TranslationFlow, nodes: int = 128) -> tuple:
+    """(sup |M|, sup |dpi(M)| entrywise) over the nodes^d grid: the sampled
+    boundedness hypotheses that `K.dini_modulus`'s certified sups replaced."""
+    M = G.AlgebraElement(c.group, np.asarray(
+        c.m_field(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))))
+    return (float(np.max(G.algebra_norm(M))),
+            float(np.max(np.abs(R.rep_differential(rep, M)))))
+
+
+def modulus_bound(entry: dict, t) -> np.ndarray:
+    """The certificate's modulus bound sum_k C_k min(2, a_k t) at shifts t."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return np.sum(entry["weights"].ravel() * np.minimum(2, entry["rates"].ravel() * t), axis=-1)
 
 
 def circle_sqrt(w: np.ndarray) -> np.ndarray:

@@ -414,7 +414,8 @@ _COCYCLE_FLAGS = {
 _SEED = _int_flag(0, 2 ** 64)
 _FUZZ_FLAGS = {
     "scenario": {"--seed": _SEED},
-    "degree": {"--n": _int_flag(1), "--points": _int_flag(1), "--seed": _SEED,
+    # 2^18 torus sample points are charged 2^18 * 1288 bytes, above the 2^28 cap
+    "degree": {"--n": _int_flag(1), "--points": _int_flag(1, 2 ** 18), "--seed": _SEED,
                **_COCYCLE_FLAGS},
     "corr": {"--n-max": _int_flag(1, 2 ** 23), "--nodes": _int_flag(1, 2 ** 24),
              "--slot": _int_flag(0, 1), "--rep": st.one_of(_NON_NUMERIC, st.just("")),
@@ -452,6 +453,64 @@ def test_malformed_argv_is_one_line_config_error(data, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)
     assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_int_flag(3, 2 ** 24))
+def test_malformed_config_nodes_is_one_line_config_error(value, tmp_path, capsys):
+    # the config field `nodes` takes the flag draws: an integer below 3 or
+    # from the size cap up (2^24 degree quadrature points of a torus field
+    # need 2^24 * 24 bytes), anything else as a JSON string
+    try:
+        nodes = int(value)
+    except ValueError:
+        nodes = value
+    cfg, out = tmp_path / "cfg.json", tmp_path / "never-written"
+    cfg.write_text(_cfg_text(nodes=nodes))
+    assert cli.main(["scenario", "anzai-torus", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), (value, err)
+    assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+@pytest.mark.parametrize("overrides, refusal", [
+    # each point is charged its phases and one group payload (16 bytes on
+    # the one-row torus, 32 on SU(2))
+    (dict(nodes=2 ** 24), "nodes (16777216^1 degree quadrature points) needs 402653184"),
+    (dict(d=2, alpha=[0.3, 0.7], nodes=40000,
+          cocycle={"name": "torus-monomial", "params": {"k": [[1, 0]]}}, reps=[[1]]),
+     "nodes (40000^2 degree quadrature points) needs 51200000000"),
+    (dict(nodes=10 ** 8, cocycle={"name": "su2-diagonal", "params": {"k": [1]}}, reps=[[1]]),
+     "nodes (100000000^1 degree quadrature points) needs 4000000000"),
+], ids=["torus-d1", "torus-d2", "su2"])
+def test_oversized_config_nodes_refused_before_allocating(overrides, refusal, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(D, "quadrature_points", _refuse)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "never-written"
+    cfg.write_text(_cfg_text(name="custom", **overrides))
+    assert cli.main(["scenario", "custom", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {refusal} bytes, above the cap of {K.MAX_GRID_BYTES}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^7 torus points pass a charge of one payload per point, then ask
+    # for 2.4 GiB in the pairwise spread
+    _TORUS_DEGREE + ["--points", "10000000"],
+    ["degree", "--cocycle", "su2-diagonal", "--params", '{"k": 1}', "--points", "200000"],
+])
+def test_oversized_points_refused_before_allocating(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "RngHandle", _refuse)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --points (")
+    assert err[0].endswith(f"bytes, above the cap of {K.MAX_GRID_BYTES}")
 
 
 class TestSelfTestAndHelp:

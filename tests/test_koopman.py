@@ -68,7 +68,8 @@ def test_mode_dimension_guard():
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     for run in (lambda: K.correlation_series(psi, psi, anzai, FLOW, 4, QUAD),
                 lambda: K.koopman_apply_corr(psi, psi, anzai, FLOW, 1, QUAD),
-                lambda: K.mixing_verdict(rep, anzai, FLOW, _split(rep, zero), 50, QUAD, [psi]),
+                lambda: K.mixing_verdict(rep, anzai, FLOW, _split(rep, zero), 50, QUAD, [psi],
+                                         _bound(rep, anzai)),
                 lambda: K.fiber_coefficients(psi, np.zeros((1, 1)))):
         with pytest.raises(ConfigError, match="do not fit a d = 1 base torus"):
             run()
@@ -501,7 +502,8 @@ def test_nested_conjugation_walks_once(manufactured):
               for pr in K.default_probes(R.su2_rep(4), split)]
     K._STAGE.clear()
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
-        K.mixing_verdict(R.su2_rep(4), phi, FLOW, split, 10, QUAD, probes)
+        K.mixing_verdict(R.su2_rep(4), phi, FLOW, split, 10, QUAD, probes,
+                         _bound(R.su2_rep(4), phi))
     assert len(probes) == 4 and walk.call_count == 1
 
 
@@ -584,7 +586,8 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     monkeypatch.setattr(D, "cocycle_iterate", counted_walk)
     monkeypatch.setattr(R, "rep_eval_payload", counted_eval)
     K._STAGE.clear()
-    verdict, walked = K.mixing_verdict(rep, phi, FLOW, split, n_max, QUAD, probes)
+    verdict, walked = K.mixing_verdict(rep, phi, FLOW, split, n_max, QUAD, probes,
+                                       _bound(rep, phi))
     assert verdict["verdict"] == K.SUPPORTED
     assert all(w is not None for w in walked)
     assert calls["walks"] == 1
@@ -709,6 +712,11 @@ def test_multiplication_matrix_weight_pattern():
     assert np.max(np.abs(np.conj(Q.T) @ Q - np.eye(3))) < 1e-12
 
 
+def _bound(rep, c, flow=FLOW):
+    """rep's entry of the regularity certificate of c's M-field alone."""
+    return K.dini_modulus(c, [rep], flow)[0]
+
+
 def _split(rep, M):
     """The pipeline's one split of i dpi(M) on rep's fiber."""
     return DG.kernel_split(R.multiplication_matrix(rep, M))
@@ -765,63 +773,55 @@ def test_wiener_average_separates_point_and_mixing():
     assert np.all(A_pp > 0.999)
 
 
-def _identity(v):
-    return v
-
-
-def _field(fld, d=1):
+def _field(fld, d=1, freq_bound=0):
     """A cocycle that carries only the M-field `fld`, for `dini_modulus`."""
-    return D.Cocycle(G.SU2_GROUP, None, fld, 0, d)
+    return D.Cocycle(G.SU2_GROUP, None, fld, freq_bound, d)
+
+
+def _peak(rep, payload):
+    """max |dpi(Z)| over the entries, for one su(2) payload Z."""
+    return float(np.max(np.abs(R.rep_differential(rep, G.AlgebraElement(G.SU2_GROUP, payload)))))
 
 
 def test_dini_modulus_constant_field():
-    out, = K.dini_modulus(_field(lambda ph: np.ones(np.asarray(ph).shape[:-1] + (2, 2))),
-                          [_identity], FLOW, np.logspace(-3, 0, 7))
-    assert np.max(out["samples"]) == 0.0
-    assert out["integral_estimate"] == 0.0
-    assert out["heuristic"] is True
+    # a field of declared degree 0 is read at one node, as its own c_0
+    calls = []
 
+    def fld(ph):
+        calls.append(len(ph))
+        return np.broadcast_to(0.5 * G.E3, np.shape(ph)[:-1] + (2, 2))
 
-def test_dini_modulus_skips_zero_differences():
-    # the maps are linear, so a zero field difference reaches none of them
-    def refuse(v):
-        raise AssertionError("a zero difference reached a map")
-
-    out, = K.dini_modulus(_field(lambda ph: np.full(np.asarray(ph).shape[:-1] + (2, 2), 0.5j), 2),
-                          [refuse], D.default_flow(2), np.logspace(-3, 0, 7))
-    assert np.max(out["samples"]) == 0.0
+    rep = R.su2_rep(2)
+    out, = K.dini_modulus(_field(fld, 2), [rep], D.default_flow(2))
+    assert calls == [1]
+    assert (out["m_sup"], out["dm_sup"], out["integral"]) == (0.5, _peak(rep, 0.5 * G.E3), 0.0)
 
 
 def test_dini_modulus_trig_field_is_lipschitz():
-    def fld(ph):
-        return np.sin(2 * np.pi * np.asarray(ph))[..., None] * np.eye(2)
-
-    out, = K.dini_modulus(_field(fld), [_identity], FLOW, np.logspace(-4, 0, 9))
-    # modulus ~ C t at small t: consecutive small-t ratios track the grid
-    assert out["samples"][0] < 0.5 * np.max(out["samples"])
-    slope0 = out["samples"][0] / out["t"][0]
-    slope1 = out["samples"][1] / out["t"][1]
-    assert 0.5 < slope0 / slope1 < 2.0
-    assert out["integral_estimate"] > 0
-    assert out["heuristic"] is True
-
-
-def test_dini_modulus_discontinuous_field_plateaus():
-    def fld(ph):
-        return np.where(np.asarray(ph)[..., 0] > 0.5, 1.0, -1.0)[..., None, None] * np.eye(2)
-
-    out, = K.dini_modulus(_field(fld), [_identity], FLOW, np.logspace(-4, 0, 9))
-    assert out["samples"][0] > 0.5 * np.max(out["samples"])
+    # M = sin(2 pi x) E3 has the coefficients -+i/2 E3 at k = +-1 alone, so
+    # the bounds come out in closed form, and the modulus bound is
+    # Lipschitz below t = 2 / a and bounds the sampled modulus
+    rep = R.su2_rep(1)
+    c = _field(lambda ph: np.sin(2 * np.pi * np.asarray(ph))[..., None] * G.E3, freq_bound=1)
+    out, = K.dini_modulus(c, [rep], FLOW)
+    peak, a = _peak(rep, G.E3), 2 * np.pi * ALPHA
+    assert abs(out["m_sup"] - 1.0) < 1e-14 and abs(out["dm_sup"] - peak) < 1e-14
+    g = a if a <= 2 else 2 + 2 * np.log(a / 2)
+    assert abs(out["integral"] - peak * g) < 1e-13
+    t = np.asarray(H.DINI_SHIFTS)
+    bound = H.modulus_bound(out, t)
+    np.testing.assert_allclose(bound[t < 2 / a] / t[t < 2 / a], peak * a, rtol=1e-12)
+    sampled, = H.sampled_modulus(c, [rep], FLOW)
+    assert np.all(sampled > 0) and np.all(sampled <= bound * (1 + 1e-12))
 
 
 def test_dini_modulus_validation():
-    fld = _field(lambda ph: np.zeros(np.asarray(ph).shape[:-1] + (1, 1)))
-    with pytest.raises(ConfigError):
-        K.dini_modulus(fld, [_identity], FLOW, [])
-    with pytest.raises(ConfigError):
-        K.dini_modulus(fld, [_identity], FLOW, [0.5, 1.5])
-    with pytest.raises(ConfigError):
-        K.dini_modulus(fld, [_identity], FLOW, [0.0, 0.5])
+    # the certificate's grid is refused before the field is sampled
+    def refuse(ph):
+        raise AssertionError("sampled before the size check")
+
+    with pytest.raises(ConfigError, match=r"40001\^2-point regularity grid needs"):
+        K.dini_modulus(_field(refuse, 2, 10 ** 4), [R.su2_rep(1)], D.default_flow(2))
 
 
 FLOW2 = D.default_flow(2)
@@ -830,48 +830,32 @@ DINI_REPS = (R.su2_rep(1), R.su2_rep(2))
 
 @pytest.fixture(scope="module")
 def varying_su2():
-    """The cohomologous SU(2) pair on T^2: an x-dependent M-field whose
-    256^2 Dini grid spans several blocks."""
+    """The cohomologous SU(2) pair on T^2: an x-dependent M-field."""
     return D.cohomologous_build(D.su2_diagonal(FLOW2, [1, 0]),
                                 D.su2_twisted_diagonal(FLOW2, [1, 1]), FLOW2)
 
 
-def _dini_samples_whole_grid(field_fn, flow, t_grid, nodes):
-    """The per-field, whole-grid pass `dini_modulus` replaced: the reference."""
-    grid = D.BasePoint(D.quadrature_points(D.QuadratureSpec(nodes), flow.dim))
-    base = np.asarray(field_fn(grid.phases))
-    return np.array([float(np.max(np.abs(
-        np.asarray(field_fn(D.flow_advance(flow, grid, ti).phases)) - base)))
-        for ti in sorted(t_grid)])
-
-
-def test_dini_modulus_blocked_matches_whole_grid(varying_su2):
+def test_dini_modulus_bounds_the_whole_grid_pass(varying_su2):
+    # the sampled pass the certificate replaced, on its own 256^2 grid
     c = varying_su2
-    assert (256 ** 2) // K.DINI_BLOCK >= 4
-    outs = K.dini_modulus(c, [K.differential_map(r, c.group) for r in DINI_REPS],
-                          FLOW2, K.DINI_SHIFTS)
-    M_star = G.AlgebraElement(c.group, 0.8 * G.E3)
-    for rep, out in zip(DINI_REPS, outs):
-        ref = _dini_samples_whole_grid(lambda ph: R.rep_differential(
-            rep, G.AlgebraElement(c.group, c.m_field(ph))), FLOW2, K.DINI_SHIFTS, 256)
-        assert np.all(ref > 0)
-        # dpi(a - b) in place of dpi(a) - dpi(b) moves round-off on the
-        # scale of the modulus, not of its small-t samples
-        np.testing.assert_allclose(out["samples"], ref, rtol=0, atol=1e-14 * np.max(ref))
-        assert np.array_equal(out["t"], np.asarray(K.DINI_SHIFTS))
+    outs = K.dini_modulus(c, DINI_REPS, FLOW2)
+    for out, sampled in zip(outs, H.sampled_modulus(c, DINI_REPS, FLOW2)):
+        assert np.all(sampled > 0)
+        assert np.all(sampled <= H.modulus_bound(out, H.DINI_SHIFTS) * (1 + 1e-12))
 
 
 def test_dini_modulus_peak_below_one_grid_field(varying_su2):
+    # one sample of M on the 13^2 grid, far below one field on the 256^2
+    # grid of the sampled pass
     c = varying_su2
     field_bytes = 256 ** 2 * np.asarray(c.m_field(np.zeros((1, 2)))).nbytes
-    maps = [_identity] + [K.differential_map(r, c.group) for r in DINI_REPS]
     tracemalloc.start()
     try:
-        K.dini_modulus(c, maps, FLOW2, K.DINI_SHIFTS)
+        K.dini_modulus(c, DINI_REPS, FLOW2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < field_bytes
+    assert peak < field_bytes / 16
 
 
 def _constant_built_ins(flow):
@@ -892,17 +876,12 @@ def _constant_built_ins(flow):
     }
 
 
-def _bits(result):
-    """Every value of a list of result dicts as bytes, -0.0 and 0.0 apart."""
-    return [{key: np.asarray(v).tobytes() for key, v in r.items()} for r in result]
-
-
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", sorted(_constant_built_ins(FLOW)))
 def test_constant_field_shortcut_matches_the_sampled_pass(name, d):
-    """A built-in with a constant M-field carries it, and neither the Dini
-    pass nor the grid hypotheses evaluate its field: their results are the
-    sampled pass's bit for bit."""
+    """A built-in with a constant M-field carries it, and the certificate
+    never evaluates its field: its sups are the sampled grid sups bit for
+    bit, and its modulus integral is 0, as the sampled modulus is."""
     flow = D.default_flow(d)
     c, reps = _constant_built_ins(flow)[name]
     assert c.m_const is not None
@@ -910,14 +889,40 @@ def test_constant_field_shortcut_matches_the_sampled_pass(name, d):
     def refuse(phases):
         raise AssertionError("a constant M-field was sampled")
 
-    blind = dataclasses.replace(c, m_field=refuse)
-    maps = [_identity] + [K.differential_map(r, c.group) for r in reps]
-    got = K.dini_modulus(blind, maps, flow, K.DINI_SHIFTS)
-    assert _bits(got) == _bits(K.dini_modulus(H.sampled(c), maps, flow, K.DINI_SHIFTS))
-    assert all(np.max(out["samples"]) == 0.0 for out in got)
-    for rep in reps:
-        assert _bits(K._grid_hypotheses(rep, blind, flow)) == _bits(
-            K._grid_hypotheses(rep, H.sampled(c), flow))
+    got = K.dini_modulus(dataclasses.replace(c, m_field=refuse), reps, flow)
+    assert not np.any(H.sampled_modulus(c, reps, flow, nodes=32))
+    for rep, out in zip(reps, got):
+        assert (out["m_sup"], out["dm_sup"]) == H.grid_sups(rep, H.sampled(c), flow)
+        assert out["integral"] == 0.0
+
+
+def _x_dependent(kind, flow, k1, k2, c0):
+    """(an x-dependent built-in, representations of its group)."""
+    su2 = (D.su2_two_angle(flow, k1, k2, c0, 0.1) if kind.endswith("two-angle") else
+           D.cohomologous_build(D.su2_diagonal(flow, k1), D.su2_twisted_diagonal(flow, k2, c0),
+                                flow))
+    if kind.startswith("u2"):
+        return D.u2_scalar_su2(flow, k2, su2), [R.u2_rep(2, 1), R.u2_rep(1, 0)]
+    return su2, [R.su2_rep(1), R.su2_rep(2)]
+
+
+@settings(max_examples=24, deadline=None)
+@given(d=st.sampled_from([1, 2]), kind=st.sampled_from(["two-angle", "pair", "u2-two-angle",
+                                                        "u2-pair"]),
+       k1=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+       k2=st.lists(st.integers(-2, 2), min_size=2, max_size=2), c0=st.floats(0.0, 1.5))
+def test_certificate_bounds_the_sampled_pass(d, kind, k1, k2, c0):
+    """The certificate bounds the sampled modulus at every shift and both
+    grid sups, on x-dependent built-ins; grids coarser at d = 2 keep the
+    sampled reference quick, and any grid is a lower bound."""
+    flow, nodes = D.default_flow(d), 256 if d == 1 else 48
+    c, reps = _x_dependent(kind, flow, k1[:d], k2[:d], c0)
+    outs = K.dini_modulus(c, reps, flow)
+    for rep, out, sampled in zip(reps, outs, H.sampled_modulus(c, reps, flow, nodes=nodes)):
+        assert np.all(sampled <= H.modulus_bound(out, H.DINI_SHIFTS) * (1 + 1e-12) + 1e-13)
+        m_sup, dm_sup = H.grid_sups(rep, c, flow, nodes)
+        assert m_sup <= out["m_sup"] * (1 + 1e-12) and dm_sup <= out["dm_sup"] * (1 + 1e-12)
+        assert out["integral"] <= out["dm_sup"] * (2 + 2 * np.log(max(1, np.max(out["rates"]))))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -939,17 +944,13 @@ def _mixing(rep, c, M_star, N_max, probes=None):
     """mixing_verdict on a 32-node rule, by default with the pipeline's probes."""
     split = _split(rep, M_star)
     return K.mixing_verdict(rep, c, FLOW, split, N_max, D.QuadratureSpec(32),
-                            K.default_probes(rep, split) if probes is None else probes)
+                            K.default_probes(rep, split) if probes is None else probes,
+                            _bound(rep, c))
 
 
-def _dini(rep, c):
-    """rep's entry of a Dini pass over c's M-field alone."""
-    return K.dini_modulus(c, [K.differential_map(rep, c.group)], FLOW, K.DINI_SHIFTS)[0]
-
-
-def _ac(rep, field, M_star, dini):
+def _ac(rep, field, M_star, bound):
     """ac_verdict with the kernel of i dpi(M_star), as the pipeline passes it."""
-    return K.ac_verdict(rep, field, M_star, _split(rep, M_star)[2], dini)
+    return K.ac_verdict(rep, field, M_star, _split(rep, M_star)[2], bound)
 
 
 def test_mixing_verdict_winding_fiber_supported():
@@ -1042,20 +1043,20 @@ def test_ac_verdict_winding_fiber_predicted():
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
     rep = R.torus_rep((1,))
-    v = _ac(rep, None, M_star, _dini(rep, anzai))
+    v = _ac(rep, None, M_star, _bound(rep, anzai))
     assert v["verdict"] == K.AC_PREDICTED
     assert v["kernel_indices"] == []
     assert "input assumption" in v["notes"]
-    assert "conditional" in v["notes"]
-    names = [h["name"] for h in v["hypotheses"]]
-    assert any("HEURISTIC" in n for n in names)
+    assert "certified for the cocycle's declared degree" in v["notes"]
+    assert [(h["name"], h["status"], h["value"]) for h in v["hypotheses"]][1] == (
+        "modulus integral finite (certified bound)", "pass", 0.0)
 
 
 def test_ac_verdict_zero_degree_no_claim():
     anzai = D.torus_monomial(FLOW, [[1]])
     zero = G.AlgebraElement(G.torus_group(1), np.zeros(1, dtype=complex))
     rep = R.torus_rep((1,))
-    v = _ac(rep, None, zero, _dini(rep, anzai))
+    v = _ac(rep, None, zero, _bound(rep, anzai))
     assert v["verdict"] == K.NO_CLAIM
     assert "no claim" in v["notes"]
 
@@ -1063,23 +1064,24 @@ def test_ac_verdict_zero_degree_no_claim():
 def test_ac_verdict_manufactured_fibers(manufactured, manufactured_degree):
     _, _, phi = manufactured
     field = manufactured_degree
-    v1 = _ac(R.su2_rep(1), field, field.mean_value, _dini(R.su2_rep(1), phi))
+    v1 = _ac(R.su2_rep(1), field, field.mean_value, _bound(R.su2_rep(1), phi))
     assert v1["verdict"] == K.AC_PREDICTED
     assert v1["kernel_indices"] == []
-    v2 = _ac(R.su2_rep(2), field, field.mean_value, _dini(R.su2_rep(2), phi))
+    v2 = _ac(R.su2_rep(2), field, field.mean_value, _bound(R.su2_rep(2), phi))
     assert v2["verdict"] == K.NO_CLAIM
     assert "unmet hypotheses" in v2["notes"]
     assert v2["kernel_indices"] == [1]
 
 
-def test_ac_verdict_heuristic_failure_blocks_prediction():
+def test_ac_verdict_unbounded_modulus_blocks_prediction():
+    # a regularity bound that is not finite settles nothing
     anzai = D.torus_monomial(FLOW, [[1]])
     M_star = DG.degree_constant_diagonal(anzai, D.QuadratureSpec(32))
-    plateau = {"t": np.array([1e-4, 1.0]), "samples": np.array([5.0, 5.0]),
-               "integral_estimate": 50.0, "heuristic": True}
-    v = _ac(R.torus_rep((1,)), None, M_star, plateau)
+    rep = R.torus_rep((1,))
+    v = _ac(rep, None, M_star, {**_bound(rep, anzai), "integral": np.inf})
     assert v["verdict"] == K.NO_CLAIM
-    assert "unmet hypotheses" in v["notes"]
+    assert v["notes"].startswith("unmet hypotheses: modulus integral finite (certified bound);")
+    assert [h["status"] for h in v["hypotheses"]] == ["pass", "fail", "pass"]
 
 
 @pytest.mark.parametrize("l, kernel, verdict", [(1, [], K.AC_PREDICTED), (2, [1], K.NO_CLAIM)])
@@ -1096,7 +1098,7 @@ def test_ac_and_mixing_share_the_kernel_of_m_star(l, kernel, verdict):
     assert float(G.algebra_norm(field.mean_value)) == 0.0
     rep = R.su2_rep(l)
     mixing, _ = _mixing(rep, c, M_star, 8)
-    ac = _ac(rep, field, M_star, _dini(rep, c))
+    ac = _ac(rep, field, M_star, _bound(rep, c))
     assert mixing["kernel_indices"] == ac["kernel_indices"] == kernel
     assert ac["verdict"] == verdict
     assert "degree vanishes" not in ac["notes"]

@@ -444,6 +444,49 @@ class TestScenarioRun:
         assert calls["inside"] == 0
         assert calls["outside"] > 0
 
+    def test_certificate_samples_its_own_grid_once(self, tmp_path, monkeypatch):
+        # su2-straighten's field varies with x: the stage's one certificate
+        # reads it once, on the 13 nodes of the rule exact for f = 3
+        calls, active = [], []
+        build, certify = SC.build_cocycle, K.dini_modulus
+
+        def counting_build(flow, spec):
+            phi, extras = build(flow, spec)
+
+            def m_field(phases):
+                if active:
+                    calls.append(len(phases))
+                return phi.m_field(phases)
+            return dataclasses.replace(phi, m_field=m_field), extras
+
+        def counting_certify(c, reps, flow):
+            calls.append("certificate")
+            active.append(True)
+            try:
+                return certify(c, reps, flow)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(SC, "build_cocycle", counting_build)
+        monkeypatch.setattr(K, "dini_modulus", counting_certify)
+        scenario_run(default_config("su2-straighten", outdir=str(tmp_path / "run")))
+        assert calls == ["certificate", 13]
+
+    def test_each_probe_scope_decided_once(self, tmp_path, monkeypatch):
+        # the stage plans every probe's walk and `mixing_verdict` alone
+        # decides its scope: twelve conjugated probes, twelve decisions
+        calls = []
+        real = K.in_scope
+
+        def counted(probe, split, d):
+            calls.append(probe.name)
+            return real(probe, split, d)
+
+        monkeypatch.setattr(K, "in_scope", counted)
+        rr = scenario_run(default_config("su2-straighten", outdir=str(tmp_path / "run")))
+        probes = [p["probe"] for e in rr.report["spectral"] for p in e["mixing"]["probes"]]
+        assert len(calls) == 12 and calls == probes
+
     def test_a_small_degree_vanishes_for_both_verdicts(self, tmp_path):
         # ||M*|| = 2 pi 1e-5 is below the one "degree vanishes" threshold:
         # no obstruction to ergodicity, and no AC claim either
@@ -460,13 +503,23 @@ class TestScenarioRun:
         assert 1e-12 < norm <= DG.DEGREE_NONZERO_THRESHOLD
 
 
-def _perfbench_reference():
-    """perfbench/reference.py, loaded from its file as the benchmark uses it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+def _perfbench(name="reference"):
+    """perfbench/<name>.py, loaded from its file as the benchmark uses it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer looks each wrapped function up by name: a renamed or
+    # removed one fails here, and leaving restores every module attribute
+    modules = (D, DG, G, K, R, SC, sys.modules["liedeg.plotting"])
+    before = [dict(vars(m)) for m in modules]
+    with _perfbench("tracing").Tracer().install():
+        assert K.dini_modulus is not before[3]["dini_modulus"]
+    assert [dict(vars(m)) for m in modules] == before
 
 
 # (orbit walks, fibers planned) of the spectral stage in one preset run; the
@@ -484,7 +537,7 @@ def test_preset_matches_benchmark_reference(name, tmp_path):
     rr = scenario_run(default_config(name, outdir=str(tmp_path)))
     walks = json.loads((tmp_path / TIMINGS_FILENAME).read_text())["walks"]["spectral"]
     assert (walks, len(K._STAGE)) == _STAGE_WALKS[name]
-    assert _perfbench_reference().check(name, tmp_path) == []
+    assert _perfbench().check(name, tmp_path) == []
     assert all(e["mixing"]["j"] == 0 and e["ac"]["j"] == 0 for e in rr.report["spectral"])
 
 
@@ -552,3 +605,39 @@ def test_parseval_scope_decides_as_the_grid_form(name, tmp_path, monkeypatch):
     parseval = statuses(tmp_path / "parseval")
     monkeypatch.setattr(K, "_slot_mass", H.grid_slot_mass)
     assert statuses(tmp_path / "grid") == parseval
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_certificate_bounds_the_sampled_pass_on_presets(name, tmp_path):
+    """On every preset the report's certified sups and modulus integral are
+    the stage's certificate, which bounds the sampled modulus at all 17
+    shifts of the pass it replaced and both sampled grid sups."""
+    cfg = default_config(name, outdir=str(tmp_path))
+    flow = D.default_flow(cfg.d)
+    phi, _ = build_cocycle(flow, cfg.cocycle)
+    reps = [_rep_from_label(phi.group, label, cfg.d) for label in cfg.reps]
+    outs = K.dini_modulus(phi, reps, flow)
+    entries = scenario_run(cfg).report["spectral"]
+    for rep, out, sampled, entry in zip(reps, outs, H.sampled_modulus(phi, reps, flow), entries):
+        assert np.all(sampled <= H.modulus_bound(out, H.DINI_SHIFTS) * (1 + 1e-12))
+        m_sup, dm_sup = H.grid_sups(rep, phi, flow)
+        assert m_sup <= out["m_sup"] and dm_sup <= out["dm_sup"]
+        flags = entry["mixing"]["hypotheses"] + entry["ac"]["hypotheses"][1:2]
+        assert [(h["status"], h["value"]) for h in flags] == [
+            ("pass", out["m_sup"]), ("pass", out["dm_sup"]), ("pass", out["integral"])]
+
+
+def test_certificate_on_a_four_dimensional_base():
+    # an x-dependent field on T^4 is read on the 9^4 grid of its f = 2, not
+    # on the 256^4 grid of the sampled pass it replaced
+    flow = D.TranslationFlow((0.6180339887498949, 0.41421356237309515,
+                              0.7320508075688772, 0.2360679774997898))
+    phi, _ = build_cocycle(flow, {"name": "su2-two-angle",
+                                  "params": {"m1": [1, 0, 0, 0], "m2": [0, 1, 0, 0]}})
+    sizes = []
+    field = phi.m_field
+    phi = dataclasses.replace(phi, m_field=lambda phases: sizes.append(len(phases)) or field(phases))
+    outs = K.dini_modulus(phi, [R.su2_rep(1), R.su2_rep(2)], flow)
+    assert sizes == [9 ** 4]
+    assert all(np.isfinite(out[key]) and out[key] > 0 for out in outs
+               for key in ("m_sup", "dm_sup", "integral"))
