@@ -545,17 +545,15 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
 
 
 def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
-    """Rotation about the x3 axis by theta(x) = 2 pi k.x + theta0."""
+    """Rotation about the x3 axis by theta(x) = 2 pi k.x + theta0: the
+    payload (sqrt(chi), 0), chi = e^{i theta}, a lift of either sign."""
     k = _winding(k, flow.dim)
     mconst = G.so3_alg_from_components(
         np.array([0.0, 0.0, 2 * np.pi * float(k @ flow.alpha_array)]))
 
     def from_chars(chi):
-        c, s = chi[..., 0].real, chi[..., 0].imag
-        out = np.zeros(c.shape + (3, 3))
-        out[..., 0, 0], out[..., 0, 1] = c, s
-        out[..., 1, 0], out[..., 1, 1] = -s, c
-        out[..., 2, 2] = 1.0
+        out = np.zeros(chi.shape[:-1] + (2,), dtype=complex)
+        np.sqrt(chi[..., 0], out=out[..., 0])
         return out
 
     return _character_cocycle(G.SO3_GROUP, flow, k, [theta0], from_chars,
@@ -566,7 +564,8 @@ def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
 def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Cocycle:
     """U(2) cocycle assembled from an x3-rotation factor with winding
     k_rot (angle 2 pi k_rot.x + theta0) and a torus factor with winding
-    k_torus, through (R, w) -> sqrt(w) lift(R).
+    k_torus, through (R, w) -> sqrt(w) lift(R), lift(R) the canonical
+    lift of `groups` (not the sign that an SO(3) payload happens to carry).
 
     When k_torus = k_rot (mod 2) componentwise, the two square-root sign
     jumps cancel and the result is the continuous diagonal cocycle

@@ -5,7 +5,8 @@ Element payloads
 TORUS(d)  complex vector of unit-modulus entries, shape (..., d)
 SU2       pair (z1, z2) with |z1|^2 + |z2|^2 = 1, shape (..., 2); the
           matrix form is [[z1, z2], [-conj(z2), conj(z1)]]
-SO3       real orthogonal 3x3 with det +1, shape (..., 3, 3)
+SO3       the SU2 pair of either lift through the double cover, shape
+          (..., 2); p and -p name one rotation
 U2        complex unitary 2x2, shape (..., 2, 2)
 
 Algebra payloads match: purely imaginary vectors for the torus, traceless
@@ -16,9 +17,9 @@ element" and "a grid of elements" go through the same code path.
 Products of 2x2 complex payloads (the U2 `group_mul`, `ad` and the Gram
 matrix of `element_defect`) are written out entry by entry in `_mul2`:
 at the orbit walker's batches a batched `@` on 2x2 matrices costs about
-ten times as much.  SO3 products (real 3x3) and the polar factor of
-`renormalize` stay `@`.  Points exp(i theta) of the unit circle are
-`unit_exp`: cos and sin written into one complex array.
+ten times as much.  The polar factor of `renormalize` stays `@`.
+Points exp(i theta) of the unit circle are `unit_exp`: cos and sin
+written into one complex array.
 
 Conventions
 -----------
@@ -29,14 +30,17 @@ The su(2) basis fixed throughout is
 orthonormal for <Z, W> = Re tr(Z W*) / 2.  Writing g = q0 I + q1 E1 +
 q2 E2 + q3 E3 (unit quaternion q), the adjoint action of g on the
 coordinates (x1, x2, x3) is the *transpose* of the standard quaternion
-rotation matrix, so the x3-rotation by angle t, exp(t J3), has first row
-(cos t, sin t, 0).  The covering map `su2_to_so3` and the lift
-`so3_lift` (Shepperd's method in matrix form: 4 q q^T is one constant
-linear map of R) are inverse to each other up to center.  The lift
-carries no sign rule; the canonical lift, whose first quaternion entry
-of nearly largest magnitude (within LEAD_TIE) is positive, is the
-closed-form sign of `dynamics.u2_product`.  On so(3), Ad_g rotates the
-coordinates: g Z g^T has coordinates g a.
+rotation matrix R(g).  SO(3) = SU(2)/{+-1} is R's image: an SO(3)
+element is stored as either g or -g and shares the SU2 group law, Haar
+measure and renormalization.  No sign is preferred, since the SO(3)
+irreps are even SU(2) labels and Ad is quadratic in g.  The so(3)
+payloads stay 3x3 skew-symmetric; `d_cover_inv` sends J_i to E_i / 2,
+so on so(3) `exp_alg` is the SU2 exponential and `ad` the SU2 Ad
+through it: Ad_g rotates the coordinates a to R(g) a, and exp(t J3) =
+(e^{it/2}, 0) is the x3-rotation by t, R with first row (cos t, sin t,
+0).  The canonical lift of a rotation, whose first quaternion entry of
+nearly largest magnitude (within LEAD_TIE) is positive, is the
+closed-form sign of `dynamics.u2_product`.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 RENORM_TRIGGER = 1e-13
 # quaternion entries this close to the largest magnitude tie for the lead
-# of the canonical lift's sign, far above the lift's round-off
+# of the canonical lift's sign, far above round-off
 LEAD_TIE = 2.0 ** -48
 
 
@@ -106,7 +110,7 @@ class GroupElement:
 
     @property
     def batch_shape(self):
-        if self.group.tag in (SO3, U2):
+        if self.group.tag == U2:
             return self.payload.shape[:-2]
         return self.payload.shape[:-1]
 
@@ -136,14 +140,20 @@ def identity(group: GroupSpec, batch_shape=()) -> GroupElement:
     tag = group.tag
     if tag == TORUS:
         p = np.ones(batch_shape + (group.torus_dim,), dtype=complex)
-    elif tag == SU2:
+    elif tag == U2:
+        p = np.broadcast_to(np.eye(2, dtype=complex), batch_shape + (2, 2)).copy()
+    else:
         p = np.zeros(batch_shape + (2,), dtype=complex)
         p[..., 0] = 1.0
-    elif tag == SO3:
-        p = np.broadcast_to(np.eye(3), batch_shape + (3, 3)).copy()
-    else:
-        p = np.broadcast_to(np.eye(2, dtype=complex), batch_shape + (2, 2)).copy()
     return GroupElement(group, p)
+
+
+def algebra_bytes(group: GroupSpec) -> int:
+    """Bytes of one algebra payload, known before any payload exists: a
+    complex d-vector, a real 3x3 for SO3, a complex 2x2 otherwise."""
+    if group.tag == TORUS:
+        return 16 * group.torus_dim
+    return 72 if group.tag == SO3 else 64
 
 
 def su2_matrix(payload: np.ndarray) -> np.ndarray:
@@ -182,16 +192,14 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     tag = a.group.tag
     if tag == TORUS:
         p = a.payload * b.payload
-    elif tag == SU2:
+    elif tag == U2:
+        p = _mul2(a.payload, b.payload)
+    else:
         a1, a2 = a.payload[..., 0], a.payload[..., 1]
         b1, b2 = b.payload[..., 0], b.payload[..., 1]
         p = np.empty(_broadcast(a1.shape, b1.shape) + (2,), dtype=complex)
         np.subtract(a1 * b1, a2 * np.conj(b2), out=p[..., 0])
         np.add(a1 * b2, a2 * np.conj(b1), out=p[..., 1])
-    elif tag == SO3:
-        p = a.payload @ b.payload
-    else:
-        p = _mul2(a.payload, b.payload)
     return GroupElement(a.group, p)
 
 
@@ -199,34 +207,26 @@ def group_inv(a: GroupElement) -> GroupElement:
     tag = a.group.tag
     if tag == TORUS:
         p = np.conj(a.payload)
-    elif tag == SU2:
+    elif tag == U2:
+        p = np.conj(np.swapaxes(a.payload, -1, -2))
+    else:
         p = np.empty(a.payload.shape, dtype=complex)
         np.conj(a.payload[..., 0], out=p[..., 0])
         np.negative(a.payload[..., 1], out=p[..., 1])
-    elif tag == SO3:
-        p = np.swapaxes(a.payload, -1, -2)
-    else:
-        p = np.conj(np.swapaxes(a.payload, -1, -2))
     return GroupElement(a.group, p)
 
 
 def element_defect(g: GroupElement) -> float:
-    """Max deviation from the unitarity/orthogonality constraints."""
+    """Max deviation from the unitarity constraints."""
     tag = g.group.tag
     p = g.payload
     if tag == TORUS:
         return float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
-    if tag == SU2:
-        n = np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2
-        return float(np.max(np.abs(n - 1.0), initial=0.0))
-    adj = np.swapaxes(np.conj(p), -1, -2)
-    gram = _mul2(adj, p) if tag == U2 else adj @ p
-    eye = np.eye(p.shape[-1])
-    dev = float(np.max(np.abs(gram - eye), initial=0.0))
-    if tag == SO3:
-        dev = max(dev, float(np.max(np.abs(np.imag(p)), initial=0.0)))
-        dev = max(dev, float(np.max(np.abs(np.linalg.det(p) - 1.0), initial=0.0)))
-    return dev
+    if tag == U2:
+        gram = _mul2(np.swapaxes(np.conj(p), -1, -2), p)
+        return float(np.max(np.abs(gram - np.eye(2)), initial=0.0))
+    n = np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2
+    return float(np.max(np.abs(n - 1.0), initial=0.0))
 
 
 def renormalize(g: GroupElement) -> GroupElement:
@@ -235,21 +235,11 @@ def renormalize(g: GroupElement) -> GroupElement:
     p = g.payload
     if tag == TORUS:
         return GroupElement(g.group, p / np.abs(p))
-    if tag == SU2:
-        n = np.sqrt(np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2)
-        return GroupElement(g.group, p / n[..., None])
-    u, _, vh = np.linalg.svd(p)
-    q = u @ vh
-    if tag == SO3:
-        q = np.real(q)
-        # flip the last singular direction if a reflection slipped in
-        det = np.linalg.det(q)
-        bad = det < 0
-        if np.any(bad):
-            u2 = np.array(u)
-            u2[bad, ..., -1] *= -1.0
-            q = np.where(bad[..., None, None], np.real(u2 @ vh), q)
-    return GroupElement(g.group, q)
+    if tag == U2:
+        u, _, vh = np.linalg.svd(p)
+        return GroupElement(g.group, u @ vh)
+    n = np.sqrt(np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2)
+    return GroupElement(g.group, p / n[..., None])
 
 
 def maybe_renormalize(g: GroupElement) -> GroupElement:
@@ -270,6 +260,10 @@ def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
     tag = g.group.tag
     if tag == TORUS:
         return AlgebraElement(Z.group, np.array(Z.payload))
+    if tag == SO3:
+        # the su(2) Ad of the lifted Z, its coordinates doubled back to so(3)
+        x = ad(GroupElement(SU2_GROUP, g.payload), d_cover_inv(Z)).payload
+        return AlgebraElement(Z.group, so3_alg_from_components(2.0 * su2_alg_components(x)))
     if tag == SU2:
         # g Z g* written out for any complex 2x2 Z; batched @ is faster below ~30
         z1, z2 = g.payload[..., 0], g.payload[..., 1]
@@ -281,10 +275,6 @@ def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
         p = np.empty(_broadcast(z1.shape, a.shape) + (2, 2), dtype=complex)
         p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
         p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
-    elif tag == SO3:
-        # g Z g^T is the so(3) element of g a, a the coordinates of Z
-        p = so3_alg_from_components(np.einsum("...ij,...j", g.payload,
-                                              so3_alg_components(Z.payload)))
     else:
         p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
     return AlgebraElement(Z.group, p)
@@ -329,12 +319,7 @@ def exp_alg(Z: AlgebraElement) -> GroupElement:
         z2 = s * p[..., 0, 1]
         return GroupElement(Z.group, np.stack([z1, z2], axis=-1))
     if tag == SO3:
-        theta = np.sqrt(0.5 * np.sum(p * p, axis=(-1, -2)))
-        a = _sinc(theta)
-        b = 0.5 * _sinc(0.5 * theta) ** 2  # (1 - cos)/theta^2
-        eye = np.broadcast_to(np.eye(3), p.shape)
-        r = eye + a[..., None, None] * p + b[..., None, None] * (p @ p)
-        return GroupElement(Z.group, r)
+        return GroupElement(Z.group, exp_alg(d_cover_inv(Z)).payload)
     # U2: Z = iH with H Hermitian; diagonalize H
     h = -1j * p
     w, v = np.linalg.eigh(h)
@@ -378,81 +363,6 @@ def so3_alg_from_components(a: np.ndarray) -> np.ndarray:
     S[..., 0, 1] = a[..., 2]
     S[..., 1, 0] = -a[..., 2]
     return S
-
-
-# ---------------------------------------------------------------------------
-# SU(2) <-> SO(3) covering map
-# ---------------------------------------------------------------------------
-
-def _quaternion(payload: np.ndarray) -> np.ndarray:
-    """(q0, q1, q2, q3) with g = q0 I + q1 E1 + q2 E2 + q3 E3."""
-    z1, z2 = payload[..., 0], payload[..., 1]
-    return np.stack([np.real(z1), np.real(z2), -np.imag(z2), np.imag(z1)], axis=-1)
-
-
-def _from_quaternion(q: np.ndarray) -> np.ndarray:
-    z1 = q[..., 0] + 1j * q[..., 3]
-    z2 = q[..., 1] - 1j * q[..., 2]
-    return np.stack([z1, z2], axis=-1)
-
-
-def su2_to_so3(g: GroupElement) -> GroupElement:
-    """Covering map: the matrix of Ad_g in the basis (E1, E2, E3)."""
-    if g.group.tag != SU2:
-        raise TagMismatchError("su2_to_so3 expects an SU2 element")
-    q = _quaternion(g.payload)
-    q0, q1, q2, q3 = (q[..., i] for i in range(4))
-    r = np.empty(q.shape[:-1] + (3, 3))
-    # transpose of the standard quaternion rotation matrix
-    r[..., 0, 0] = 1 - 2 * (q2 * q2 + q3 * q3)
-    r[..., 1, 0] = 2 * (q1 * q2 - q0 * q3)
-    r[..., 2, 0] = 2 * (q1 * q3 + q0 * q2)
-    r[..., 0, 1] = 2 * (q1 * q2 + q0 * q3)
-    r[..., 1, 1] = 1 - 2 * (q1 * q1 + q3 * q3)
-    r[..., 2, 1] = 2 * (q2 * q3 - q0 * q1)
-    r[..., 0, 2] = 2 * (q1 * q3 - q0 * q2)
-    r[..., 1, 2] = 2 * (q2 * q3 + q0 * q1)
-    r[..., 2, 2] = 1 - 2 * (q1 * q1 + q2 * q2)
-    return GroupElement(SO3_GROUP, r)
-
-
-def _shepperd_map() -> np.ndarray:
-    """The linear map R.reshape(9) -> K - I, K = 4 q q^T, for the unit
-    quaternion q whose `su2_to_so3` image is R."""
-    M = np.zeros((3, 3, 4, 4))
-    for a in range(3):
-        # trace and diagonal: 4 q0^2 - 1 = tr R, 4 q_(a+1)^2 - 1 = 2 R_aa - tr R
-        M[a, a] = np.diag([1.0] + [2.0 * (a == b) - 1.0 for b in range(3)])
-        # (a, b, c) cyclic: R_bc - R_cb = 4 q0 q_(a+1), R_bc + R_cb = 4 q_(b+1) q_(c+1)
-        b, c = (a + 1) % 3, (a + 2) % 3
-        for sign, (i, j) in ((1.0, (b, c)), (-1.0, (c, b))):
-            M[i, j, 0, a + 1] = M[i, j, a + 1, 0] = sign
-            M[i, j, b + 1, c + 1] = M[i, j, c + 1, b + 1] = 1.0
-    return M.reshape(9, 16)
-
-
-_SHEPPERD = _shepperd_map()
-
-
-def _shepperd(R: np.ndarray) -> np.ndarray:
-    """A unit quaternion +-q over each rotation payload R by Shepperd's
-    method in matrix form: K = 4 q q^T is linear in R, and its row with the
-    largest diagonal entry, normalized, is +-q with the best-conditioned
-    division."""
-    batch = R.shape[:-2]
-    # einsum, not @: a BLAS call here raised u2-product's peak RSS
-    K = np.einsum("...i,ij->...j", R.reshape(batch + (9,)), _SHEPPERD)
-    K = K.reshape(batch + (4, 4)) + np.eye(4)
-    pick = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
-    q = np.take_along_axis(K, pick[..., None, None], axis=-2)[..., 0, :]
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
-def so3_lift(R: np.ndarray) -> np.ndarray:
-    """One of the two SU(2) payloads over each rotation payload R, with no
-    sign rule: the canonical lift of the module docstring up to sign.  Even
-    SU(2) labels, which the SO(3) irreps read, cannot tell the two apart."""
-    return _from_quaternion(_shepperd(R))
 
 
 def d_cover_inv(S: AlgebraElement) -> AlgebraElement:
@@ -501,16 +411,17 @@ def haar_sample(group: GroupSpec, n: int, rng) -> GroupElement:
     if tag == TORUS:
         ph = gen.random((n, group.torus_dim))
         return GroupElement(group, np.exp(2j * np.pi * ph))
-    if tag == SU2:
-        v = gen.standard_normal((n, 4))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        return GroupElement(group, _from_quaternion(v))
-    if tag == SO3:
-        return su2_to_so3(haar_sample(SU2_GROUP, n, gen))
-    # U2 = (circle x SU2) pushed through (z, g) -> z g
-    z = np.exp(2j * np.pi * gen.random(n))
-    g = haar_sample(SU2_GROUP, n, gen)
-    return GroupElement(group, z[:, None, None] * su2_matrix(g.payload))
+    if tag == U2:
+        # U2 = (circle x SU2) pushed through (z, g) -> z g
+        z = np.exp(2j * np.pi * gen.random(n))
+        g = haar_sample(SU2_GROUP, n, gen)
+        return GroupElement(group, z[:, None, None] * su2_matrix(g.payload))
+    # a uniform unit quaternion q0 + q1 E1 + q2 E2 + q3 E3; Haar on SU2
+    # pushes forward to Haar on SO3
+    v = gen.standard_normal((n, 4))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return GroupElement(group, np.stack([v[:, 0] + 1j * v[:, 3], v[:, 1] - 1j * v[:, 2]],
+                                        axis=-1))
 
 
 # ---------------------------------------------------------------------------

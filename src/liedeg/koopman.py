@@ -379,7 +379,7 @@ def dini_modulus(c: D.Cocycle, reps: Sequence[R.Representation],
         n, axes = 4 * c.freq_bound + 1, range(d)
         dim = max((r.dim for r in reps), default=1)  # dpi(M) and its transform
         check_bytes(f"the cocycle's {n}^{d}-point regularity grid",
-                    n ** d * (8 * d + G.identity(c.group).payload.nbytes + 32 * dim ** 2))
+                    n ** d * (8 * d + G.algebra_bytes(c.group) + 32 * dim ** 2))
         M = np.asarray(c.m_field(D.quadrature_points(D.QuadratureSpec(n), d)))
     k = np.arange(n) - n // 2
     dft = G.unit_exp(-2 * np.pi * np.outer(k, np.arange(n)) / n) / n

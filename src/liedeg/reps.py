@@ -39,11 +39,11 @@ weights); normalizing keeps the payload's modulus round-off out of the
 power.  SO(3) = SU(2)/{+-1} has the even SU(2) labels as its irreps:
 label l evaluates
 
-    pi_l(R) = C pi_2l(lift R) C^-1,   C = diag(i^j), j = -l..l,
+    pi_l(g) = C pi_2l(g) C^-1,   C = diag(i^j), j = -l..l,
 
-on the unsigned lift `groups.so3_lift`: every term has even degree 2l,
-so the lift's sign cancels exactly; the x3-rotation with angle t maps to
-diag(e^{ijt}).
+on the SU(2) payload g that an SO(3) element carries: every term has
+even degree 2l, so either sign of g gives the same bits; the
+x3-rotation with angle t maps to diag(e^{ijt}).
 
 Differentials are exact: su(2) acts on the binary forms as derivations,
 so d pi(Z) is tridiagonal in the c_jk basis, and so(3) reuses it at
@@ -255,8 +255,8 @@ def _characters(rep: Representation, payload: np.ndarray) -> np.ndarray:
 
 def _expansion(rep: Representation, payload: np.ndarray):
     """(SU(2) label, term products, U(2)'s det^(m-l) or None) of rep on
-    payloads flattened to n points.  SO(3) reads label 2l on the unsigned
-    lift: the terms have even degree 2l, so the lift's sign cancels exactly."""
+    payloads flattened to n points.  SO(3) reads label 2l: the terms have
+    even degree 2l, so the payload's sign cancels exactly."""
     tag, l = rep.group.tag, rep.label[0]
     if tag == G.U2:
         u00, u01, u10, u11 = payload.reshape(-1, 4).T
@@ -264,7 +264,7 @@ def _expansion(rep: Representation, payload: np.ndarray):
         return l, _terms(l, u00, u11, u01, u10), (
             _unit_power(det / np.abs(det), e) if e else None)
     if tag == G.SO3:
-        l, payload = 2 * l, G.so3_lift(payload)
+        l *= 2
     z = payload.reshape(-1, 2)
     z1, z2 = z[:, 0], z[:, 1]
     return l, _terms(l, z1, np.conj(z1), z2, -np.conj(z2)), None
@@ -276,7 +276,7 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     tag = rep.group.tag
     if tag == G.TORUS:
         return _characters(rep, payload)[..., None, None]
-    batch = payload.shape[:-2] if tag in (G.SO3, G.U2) else payload.shape[:-1]
+    batch = payload.shape[:-2] if tag == G.U2 else payload.shape[:-1]
     l, terms, det = _expansion(rep, payload)
     out = (terms.T @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
     if det is not None:
@@ -411,8 +411,7 @@ def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarra
         return su2_euler_nodes(n)
     if tag == G.SO3:
         # Haar on SU(2) pushes forward to Haar on SO(3)
-        payload, weights = su2_euler_nodes(n, 2 * np.pi)
-        return G.su2_to_so3(G.GroupElement(G.SU2_GROUP, payload)).payload, weights
+        return su2_euler_nodes(n, 2 * np.pi)
     if tag == G.TORUS:
         d = group.torus_dim
         payload = np.exp(2j * np.pi * D.quadrature_points(D.QuadratureSpec(n), d))

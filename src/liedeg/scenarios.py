@@ -356,25 +356,25 @@ def _dump_json(data: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
-                  phi: D.Cocycle, extras: dict, reps) -> dict:
+                  phi: D.Cocycle, extras: dict, reps, quad: D.QuadratureSpec) -> dict:
     """Estimate the degree, pick a constant representative, build the
-    ergodicity verdict and the degree section of the report.
+    ergodicity verdict and the degree section of the report; `quad` is
+    the M-field's quadrature, exact for a torus field.
 
     Returns a dict with keys report / M_star / degree_field (None when
     the closed form made sampling unnecessary) / splits (the one
     `kernel_split` of i dpi(M_star) per rep that every verdict reads).
     """
     group = phi.group
-    quad = D.QuadratureSpec(config.nodes)
     rng = RngHandle(config.seed, stream=101).generator()
     sample = D.BasePoint(rng.random((DEGREE_SAMPLE_POINTS, config.d)))
     diagnostics: dict = {}
     deg_field = None
+    integral_M = DG.degree_constant_diagonal(phi, quad)
 
     if group.tag == G.TORUS:
-        # exact quadrature of the (trigonometric polynomial) M-field
-        exact_nodes = max(config.nodes, 2 * phi.freq_bound + 2)
-        M_star = DG.degree_constant_diagonal(phi, D.QuadratureSpec(exact_nodes))
+        # the exact quadrature of the (trigonometric polynomial) M-field
+        M_star = integral_M
         constant_form = "diagonal-route"
         spot = DG.degree_field(phi, flow, sample,
                                N=min(config.n_degree, 4000))
@@ -410,7 +410,6 @@ def _degree_stage(config: ScenarioConfig, flow: D.TranslationFlow,
             diagnostics["s_phi"] = float(
                 np.imag(np.trace(M_star.payload)) / 2.0)
 
-    integral_M = DG.degree_constant_diagonal(phi, quad)
     verdict = DG.ergodicity_verdict(group, integral_M, not DG.degree_vanishes(M_star))
     splits = [DG.kernel_split(R.multiplication_matrix(rep, M_star)) for rep in reps]
     report = DG.degree_report(group, M_star, reps, splits, verdict,
@@ -524,16 +523,17 @@ def scenario_run(config: ScenarioConfig) -> RunReport:
     phi, extras = build_cocycle(flow, config.cocycle)
     reps = [_rep_from_label(phi.group, label, config.d)
             for label in config.reps]
-    # the degree stage's quadratures, its rule exact for a torus field too;
-    # a point is charged its phases and one group payload
-    nodes = max(config.nodes, 2 * phi.freq_bound + 2)
-    K.check_bytes(f"nodes ({nodes}^{config.d} degree quadrature points)", nodes ** config.d
-                  * (8 * config.d + G.identity(phi.group).payload.nbytes))
+    # the degree stage's quadrature, its rule exact for a torus field too;
+    # a point is charged its phases and one M-field payload
+    quad = D.QuadratureSpec(max(config.nodes, 2 * phi.freq_bound + 2))
+    nodes = quad.nodes_per_dim
+    K.check_bytes(f"nodes ({nodes}^{config.d} degree quadrature points)",
+                  nodes ** config.d * (8 * config.d + G.algebra_bytes(phi.group)))
     # only a config that built is given a directory
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     clock.append(_clock())
-    stage = _degree_stage(config, flow, phi, extras, reps)
+    stage = _degree_stage(config, flow, phi, extras, reps, quad)
     clock.append(_clock())
     entries, series_paths = _spectral_stage(config, flow, phi, extras,
                                             reps, stage, outdir)

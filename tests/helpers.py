@@ -27,11 +27,14 @@ ELEMENT_TOL = {G.TORUS: 1e-12, G.SU2: 1e-12, G.SO3: 1e-10, G.U2: 1e-10}
 
 
 def to_matrix(g: G.GroupElement) -> np.ndarray:
-    """Matrix form of an element (torus -> diagonal matrix)."""
+    """Matrix form of an element (torus -> diagonal matrix, SO3 -> the
+    rotation matrix of its payload)."""
     tag = g.group.tag
     if tag == G.SU2:
         return G.su2_matrix(g.payload)
-    if tag in (G.SO3, G.U2):
+    if tag == G.SO3:
+        return so3_matrix(g.payload)
+    if tag == G.U2:
         return g.payload
     d = g.group.torus_dim
     m = np.zeros(g.payload.shape[:-1] + (d, d), dtype=complex)
@@ -129,22 +132,70 @@ def circle_sqrt(w: np.ndarray) -> np.ndarray:
     return G.unit_exp(0.5 * np.arctan2(w.imag, w.real))
 
 
-def so3_to_su2(R: G.GroupElement) -> G.GroupElement:
-    """Canonical lift through the double cover: `groups.so3_lift`'s
-    quaternion with the sign that makes its entry of largest magnitude
-    positive; entries within LEAD_TIE of it tie, and the lowest index among
-    them leads, so round-off does not pick the sign (rotations by pi about
-    (1, -1, 1) tie three entries of opposite signs).  On the x3-rotation
-    with angle t in (0, pi] the lift is diag(e^{it/2}, e^{-it/2}).  The
-    package reads only even SU(2) labels on the lift, which cannot tell
-    the signs apart; `u2_product`'s closed form follows this sign."""
-    if R.group.tag != G.SO3:
-        raise TagMismatchError("so3_to_su2 expects an SO3 element")
-    q = G._shepperd(R.payload)
+def _from_quaternion(q: np.ndarray) -> np.ndarray:
+    """The SU(2) payload of g = q0 I + q1 E1 + q2 E2 + q3 E3."""
+    return np.stack([q[..., 0] + 1j * q[..., 3], q[..., 1] - 1j * q[..., 2]], axis=-1)
+
+
+def so3_matrix(payload: np.ndarray) -> np.ndarray:
+    """Covering map on raw SU(2) or SO(3) payloads: the matrix of Ad_g in
+    the basis (E1, E2, E3), the transpose of the standard quaternion
+    rotation matrix.  Both signs of a payload give the same matrix: the
+    reference that SO(3) payloads are compared through."""
+    z1, z2 = payload[..., 0], payload[..., 1]
+    q0, q1, q2, q3 = np.real(z1), np.real(z2), -np.imag(z2), np.imag(z1)
+    r = np.empty(payload.shape[:-1] + (3, 3))
+    r[..., 0, 0] = 1 - 2 * (q2 * q2 + q3 * q3)
+    r[..., 1, 0] = 2 * (q1 * q2 - q0 * q3)
+    r[..., 2, 0] = 2 * (q1 * q3 + q0 * q2)
+    r[..., 0, 1] = 2 * (q1 * q2 + q0 * q3)
+    r[..., 1, 1] = 1 - 2 * (q1 * q1 + q3 * q3)
+    r[..., 2, 1] = 2 * (q2 * q3 - q0 * q1)
+    r[..., 0, 2] = 2 * (q1 * q3 - q0 * q2)
+    r[..., 1, 2] = 2 * (q2 * q3 + q0 * q1)
+    r[..., 2, 2] = 1 - 2 * (q1 * q1 + q2 * q2)
+    return r
+
+
+def _shepperd_map() -> np.ndarray:
+    """The linear map R.reshape(9) -> K - I, K = 4 q q^T, for the unit
+    quaternion q whose `so3_matrix` image is R."""
+    M = np.zeros((3, 3, 4, 4))
+    for a in range(3):
+        # trace and diagonal: 4 q0^2 - 1 = tr R, 4 q_(a+1)^2 - 1 = 2 R_aa - tr R
+        M[a, a] = np.diag([1.0] + [2.0 * (a == b) - 1.0 for b in range(3)])
+        # (a, b, c) cyclic: R_bc - R_cb = 4 q0 q_(a+1), R_bc + R_cb = 4 q_(b+1) q_(c+1)
+        b, c = (a + 1) % 3, (a + 2) % 3
+        for sign, (i, j) in ((1.0, (b, c)), (-1.0, (c, b))):
+            M[i, j, 0, a + 1] = M[i, j, a + 1, 0] = sign
+            M[i, j, b + 1, c + 1] = M[i, j, c + 1, b + 1] = 1.0
+    return M.reshape(9, 16)
+
+
+_SHEPPERD = _shepperd_map()
+
+
+def so3_to_su2(R: np.ndarray) -> np.ndarray:
+    """Canonical lift of rotation matrices R through the double cover, as
+    SU(2) payloads.  Shepperd's method in matrix form: K = 4 q q^T is
+    linear in R, and its row with the largest diagonal entry, normalized,
+    is +-q with the best-conditioned division.  The sign makes the entry
+    of largest magnitude positive; entries within LEAD_TIE of it tie, and
+    the lowest index among them leads, so round-off does not pick the sign
+    (rotations by pi about (1, -1, 1) tie three entries of opposite
+    signs).  On the x3-rotation with angle t in (0, pi] the lift is
+    diag(e^{it/2}, e^{-it/2}).  SO(3) payloads carry either sign;
+    `u2_product`'s closed form follows this one."""
+    batch = R.shape[:-2]
+    K = np.einsum("...i,ij->...j", R.reshape(batch + (9,)), _SHEPPERD)
+    K = K.reshape(batch + (4, 4)) + np.eye(4)
+    pick = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, pick[..., None, None], axis=-2)[..., 0, :]
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
     size = np.abs(q)
     first = np.argmax(size >= np.max(size, axis=-1, keepdims=True) - G.LEAD_TIE, axis=-1)
     q = q * np.where(np.take_along_axis(q, first[..., None], axis=-1) < 0, -1.0, 1.0)
-    return G.GroupElement(G.SU2_GROUP, G._from_quaternion(q))
+    return _from_quaternion(q)
 
 
 def so3_ad_sandwich(g: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -195,7 +246,7 @@ def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElemen
     if branch not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
     z = circle_sqrt(np.asarray(w, dtype=complex))
-    lift = G.su2_matrix(so3_to_su2(R).payload)
+    lift = G.su2_matrix(so3_to_su2(so3_matrix(R.payload)))
     return G.GroupElement(G.U2_GROUP, branch * z[..., None, None] * lift)
 
 
@@ -243,11 +294,9 @@ def validate_m_field(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
         if c.group.tag == G.TORUS:
             raw = (plus - minus) / (2 * step) * np.conj(c.value(x.phases))
             return 1j * np.imag(raw)
-        if c.group.tag == G.SU2:
-            plus, minus = G.su2_matrix(plus), G.su2_matrix(minus)
-            here = G.su2_matrix(c.value(x.phases))
-        else:
-            here = c.value(x.phases)
+        # SO(3) payloads of either sign give one rotation matrix
+        plus, minus, here = (to_matrix(G.GroupElement(c.group, v))
+                             for v in (plus, minus, c.value(x.phases)))
         raw = (plus - minus) / (2 * step) @ np.conj(np.swapaxes(here, -1, -2))
         skew = 0.5 * (raw - np.conj(np.swapaxes(raw, -1, -2)))
         if c.group.tag == G.SO3:

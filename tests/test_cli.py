@@ -414,8 +414,8 @@ _COCYCLE_FLAGS = {
 _SEED = _int_flag(0, 2 ** 64)
 _FUZZ_FLAGS = {
     "scenario": {"--seed": _SEED},
-    # 2^18 torus sample points are charged 2^18 * 1288 bytes, above the 2^28 cap
-    "degree": {"--n": _int_flag(1), "--points": _int_flag(1, 2 ** 18), "--seed": _SEED,
+    # 2^19 torus sample points are charged 2^19 * 648 bytes, above the 2^28 cap
+    "degree": {"--n": _int_flag(1), "--points": _int_flag(1, 2 ** 19), "--seed": _SEED,
                **_COCYCLE_FLAGS},
     "corr": {"--n-max": _int_flag(1, 2 ** 23), "--nodes": _int_flag(1, 2 ** 24),
              "--slot": _int_flag(0, 1), "--rep": st.one_of(_NON_NUMERIC, st.just("")),
@@ -479,15 +479,20 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("overrides, refusal", [
-    # each point is charged its phases and one group payload (16 bytes on
-    # the one-row torus, 32 on SU(2))
+    # each point is charged its phases and one M-field payload (16 bytes on
+    # the one-row torus, 64 on SU(2)); at d = 2 and 2000 nodes SU(2) needs
+    # 64 MB of points and 256 MB of M-field, and one 32-byte group payload
+    # per point would pass at 192 MB
     (dict(nodes=2 ** 24), "nodes (16777216^1 degree quadrature points) needs 402653184"),
     (dict(d=2, alpha=[0.3, 0.7], nodes=40000,
           cocycle={"name": "torus-monomial", "params": {"k": [[1, 0]]}}, reps=[[1]]),
      "nodes (40000^2 degree quadrature points) needs 51200000000"),
     (dict(nodes=10 ** 8, cocycle={"name": "su2-diagonal", "params": {"k": [1]}}, reps=[[1]]),
-     "nodes (100000000^1 degree quadrature points) needs 4000000000"),
-], ids=["torus-d1", "torus-d2", "su2"])
+     "nodes (100000000^1 degree quadrature points) needs 7200000000"),
+    (dict(d=2, alpha=[0.3, 0.7], nodes=2000,
+          cocycle={"name": "su2-diagonal", "params": {"k": [1, 0]}}, reps=[[1]]),
+     "nodes (2000^2 degree quadrature points) needs 320000000"),
+], ids=["torus-d1", "torus-d2", "su2", "su2-d2"])
 def test_oversized_config_nodes_refused_before_allocating(overrides, refusal, tmp_path,
                                                           monkeypatch, capsys):
     monkeypatch.setattr(D, "quadrature_points", _refuse)

@@ -714,6 +714,15 @@ def _recorded_walk(c, flow, x, n, with_m=False):
     return seen
 
 
+def _deviation(c, got, want):
+    """max |got - want| over the points; an SO(3) payload and its negative
+    name one rotation, so there the nearer sign counts."""
+    if c.group.tag != G.SO3:
+        return np.max(np.abs(got - want))
+    return np.max(np.minimum(np.max(np.abs(got - want), axis=-1),
+                             np.max(np.abs(got + want), axis=-1)))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", STEPPED)
 def test_carried_values_stay_within_the_drift_bound(name, d):
@@ -733,10 +742,31 @@ def test_carried_values_stay_within_the_drift_bound(name, d):
     for j, (phases, value, m) in enumerate(seen):
         assert m is None
         drift = 2 * np.pi * kabs * (j + 1) * 2.0 ** -53
-        assert np.max(np.abs(value - c.value(phases))) <= 2 * drift + 4e-15, j
+        assert _deviation(c, value, c.value(phases)) <= 2 * drift + 4e-15, j
         exact = np.mod(x.phases + turns(j), 1.0)
-        assert np.max(np.abs(value - c.value(exact))) <= 4 * np.pi * kabs * 2.0 ** -52 + 4e-15, j
+        assert _deviation(c, value, c.value(exact)) <= 4 * np.pi * kabs * 2.0 ** -52 + 4e-15, j
     assert np.array_equal(seen[0][1], c.value(x.phases))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.lists(st.floats(-2e-15, 2e-15), min_size=8, max_size=16),
+       st.floats(0.0, 2 * np.pi), st.sampled_from([1, -2, 3]))
+def test_so3_carried_step_is_value_up_to_sign(j, deltas, theta0, k):
+    """Walks that reach rotation angle pi, within 2e-15, at their j-th step:
+    there the carried character and the fresh one may sit on either side
+    of the principal root's cut (at about one point in 27), so the carried
+    payload equals value(phases) up to sign, and its rotation matrix
+    equals value's."""
+    flow = D.default_flow(1)
+    c = D.so3_x3_rotation(flow, [k], theta0)
+    x = np.mod((np.pi + np.array(deltas) - theta0) / (2 * np.pi * k)
+               - j * flow.alpha[0], 1.0)[:, None]
+    seen = _recorded_walk(c, flow, D.BasePoint(x), j + 1)
+    for i, (phases, value, _) in enumerate(seen):
+        bound = 4 * np.pi * abs(k) * (i + 1) * 2.0 ** -53 + 4e-15
+        fresh = c.value(phases)
+        assert _deviation(c, value, fresh) <= bound, i
+        assert np.max(np.abs(H.so3_matrix(value) - H.so3_matrix(fresh))) <= 2 * bound, i
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -892,12 +922,20 @@ def test_so3_x3_rotation_embeds_circle():
     flow = D.default_flow(1)
     c = D.so3_x3_rotation(flow, [1], 0.25)
     ph = np.array([[0.125]])
-    R = c.value(ph)[0]
+    g = c.value(ph)[0]
     th = 2 * np.pi * 0.125 + 0.25
+    assert np.max(np.abs(g - [np.exp(0.5j * th), 0.0])) < 1e-15
+    R = H.so3_matrix(g)
     assert abs(R[0, 0] - math.cos(th)) < 1e-15
     assert abs(R[0, 1] - math.sin(th)) < 1e-15
     assert abs(R[2, 2] - 1.0) < 1e-15
     assert float(G.element_defect(G.GroupElement(G.SO3_GROUP, c.value(ph)))) < 1e-14
+    # the principal root turns its sign where theta crosses pi, and the
+    # rotation does not
+    at = np.array([[(np.pi - 0.25) / (2 * np.pi) + e] for e in (-1e-12, 1e-12)])
+    below, above = c.value(at)
+    assert np.max(np.abs(below + above)) < 1e-10
+    assert np.max(np.abs(H.so3_matrix(below) - H.so3_matrix(above))) < 1e-10
 
 
 def test_u2_product_matched_parity_is_continuous():

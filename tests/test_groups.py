@@ -78,7 +78,7 @@ def test_element_validation_and_renormalize():
     assert again.payload is g.payload
 
     R = _haar(G.SO3_GROUP, 5)
-    noisy = G.GroupElement(G.SO3_GROUP, R.payload + 1e-8 * np.ones((3, 3)))
+    noisy = G.GroupElement(G.SO3_GROUP, R.payload + 1e-8)
     repaired = G.renormalize(noisy)
     assert G.element_defect(repaired) < 1e-12
 
@@ -136,7 +136,8 @@ def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
        st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
        st.floats(-3.0, 3.0))
 def test_ad_so3_rotates_coordinates_as_the_sandwich(seed, n, shape, log_scale):
-    # g Z g^T on so(3) is the element of g a: against the 3x3 sandwich
+    # Ad_g Z on so(3) is the element of R(g) a, R(g) the rotation matrix of
+    # the payload g: against the 3x3 sandwich R Z R^T
     rng = np.random.default_rng(seed)
     g = G.haar_sample(G.SO3_GROUP, n, rng).payload
     Z = G.so3_alg_from_components(10.0 ** log_scale * rng.standard_normal((n, 3)))
@@ -145,7 +146,7 @@ def test_ad_so3_rotates_coordinates_as_the_sandwich(seed, n, shape, log_scale):
     elif shape == "scalar-z":
         Z = Z[0]
     got = G.ad(G.GroupElement(G.SO3_GROUP, g), G.AlgebraElement(G.SO3_GROUP, Z)).payload
-    want = H.so3_ad_sandwich(g, Z)
+    want = H.so3_ad_sandwich(H.so3_matrix(g), Z)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Z))
 
@@ -310,21 +311,30 @@ def test_p_ad_monte_carlo_converges_with_half_order():
 # covering map and the U(2) parametrization
 # ---------------------------------------------------------------------------
 
-def test_cover_is_homomorphism_and_round_trips():
-    a = _haar(G.SU2_GROUP, 500, 1)
-    b = _haar(G.SU2_GROUP, 500, 2)
-    lhs = G.su2_to_so3(G.group_mul(a, b)).payload
-    rhs = (G.su2_to_so3(a).payload @ G.su2_to_so3(b).payload)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    R = G.su2_to_so3(a)
-    assert G.element_defect(R) < 1e-12
-    back = G.su2_to_so3(H.so3_to_su2(R))
-    assert np.max(np.abs(back.payload - R.payload)) < 1e-12
-    # lift is canonical: same output for g and -g
-    lift1 = H.so3_to_su2(G.su2_to_so3(a)).payload
-    neg = G.GroupElement(G.SU2_GROUP, -a.payload)
-    lift2 = H.so3_to_su2(G.su2_to_so3(neg)).payload
-    assert np.max(np.abs(lift1 - lift2)) < 1e-12
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_cover_is_homomorphism_and_round_trips(seed, n):
+    """SO(3) payloads against their rotation matrices: products, inverses,
+    the exponential and renormalization, and the canonical lift of the
+    matrices, which is the payload up to sign and the same for p and -p."""
+    rng = np.random.default_rng(seed)
+    a, b = G.haar_sample(G.SO3_GROUP, n, rng), G.haar_sample(G.SO3_GROUP, n, rng)
+    Ra, Rb = H.so3_matrix(a.payload), H.so3_matrix(b.payload)
+    assert np.max(np.abs(H.so3_matrix(G.group_mul(a, b).payload) - Ra @ Rb)) < 1e-12
+    assert np.max(np.abs(H.so3_matrix(G.group_inv(a).payload)
+                         - np.swapaxes(Ra, -1, -2))) < 1e-15
+    Z = _rand_alg(G.SO3_GROUP, n, rng)
+    want = np.stack([_series_exp(z.astype(complex)) for z in Z.payload])
+    assert np.max(np.abs(H.so3_matrix(G.exp_alg(Z).payload) - want)) < 1e-12
+    drifted = G.GroupElement(G.SO3_GROUP, a.payload * (1 + 1e-9 * rng.standard_normal((n, 1))))
+    fixed = G.renormalize(drifted)
+    assert G.element_defect(fixed) < 1e-15
+    assert np.max(np.abs(H.so3_matrix(fixed.payload) - Ra)) < 1e-12
+    lift = H.so3_to_su2(Ra)
+    assert np.max(np.abs(H.so3_matrix(lift) - Ra)) < 1e-12
+    sign = np.where(np.sum(np.real(lift * np.conj(a.payload)), axis=-1) < 0, -1.0, 1.0)
+    assert np.max(np.abs(lift - sign[:, None] * a.payload)) < 1e-12
+    assert np.array_equal(lift, H.so3_to_su2(H.so3_matrix(-a.payload)))
 
 
 def _shepperd_four_candidates(R):
@@ -372,25 +382,24 @@ def _shepperd_four_candidates(R):
 def test_lift_matches_four_candidate_shepperd():
     def rot(axis, t):
         Z = G.so3_alg_from_components(np.multiply.outer(t, axis))
-        return G.exp_alg(G.AlgebraElement(G.SO3_GROUP, Z)).payload
+        return H.so3_matrix(G.exp_alg(G.AlgebraElement(G.SO3_GROUP, Z)).payload)
 
     t = np.array([np.pi, -np.pi, np.pi - 1e-9, np.pi - 1e-5, -np.pi + 1e-7])
     # (1, 1, 0) ties two quaternion entries of the same sign at t = pi,
     # (1, -1, 1) three of opposite signs
     tilted = np.array([[1.0, 1.0, 0.0], [0.3, 0.4, -0.2], [1.0, -1.0, 1.0]])
     R = np.concatenate(
-        [_haar(G.SO3_GROUP, 500, 3).payload, np.eye(3)[None]]
+        [H.so3_matrix(_haar(G.SO3_GROUP, 500, 3).payload), np.eye(3)[None]]
         + [rot(e, t) for e in np.eye(3)]
         + [rot(a / np.linalg.norm(a), t) for a in tilted])
-    got = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, R)).payload
+    got = H.so3_to_su2(R)
     want = _shepperd_four_candidates(R)
     assert np.max(np.abs(got - want)) <= 1e-15
     # same sign: no near-antipodal pair
     assert np.min(np.linalg.norm(got + want, axis=-1)) > 1.9
     # batch shape and the unbatched identity
-    batched = G.GroupElement(G.SO3_GROUP, R[:6].reshape(2, 3, 3, 3))
-    assert H.so3_to_su2(batched).payload.shape == (2, 3, 2)
-    one = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.eye(3))).payload
+    assert H.so3_to_su2(R[:6].reshape(2, 3, 3, 3)).shape == (2, 3, 2)
+    one = H.so3_to_su2(np.eye(3))
     assert np.array_equal(one, [1.0, 0.0])
     # at the three-way tie the first entry leads, so one ulp on R, on all
     # entries or on any one, leaves the lift where it is
@@ -401,17 +410,15 @@ def test_lift_matches_four_candidate_shepperd():
             flat = tied.reshape(2, 9).copy()
             flat[:, i] = np.nextafter(flat[:, i], to)
             nudged.append(flat.reshape(2, 3, 3))
-    lifts = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, np.concatenate([tied] + nudged))).payload
+    lifts = H.so3_to_su2(np.concatenate([tied] + nudged))
     assert np.max(np.abs(lifts - lifts[0])) <= 2e-15
 
 
 def test_lift_of_x3_rotation_is_diagonal_phase():
     for alpha in (0.4, 1.3, np.pi / 2, 2.8, np.pi):
-        R = G.GroupElement(G.SO3_GROUP, np.array(
-            [[np.cos(alpha), np.sin(alpha), 0.0],
-             [-np.sin(alpha), np.cos(alpha), 0.0],
-             [0.0, 0.0, 1.0]]))
-        lift = H.so3_to_su2(R).payload
+        lift = H.so3_to_su2(np.array([[np.cos(alpha), np.sin(alpha), 0.0],
+                                      [-np.sin(alpha), np.cos(alpha), 0.0],
+                                      [0.0, 0.0, 1.0]]))
         assert np.max(np.abs(lift - [np.exp(0.5j * alpha), 0.0])) < 1e-12
 
 
@@ -421,8 +428,8 @@ def test_d_cover_matches_derivative_of_cover():
     # the differential of the cover sends E_i to 2 J_i
     got = G.so3_alg_from_components(2.0 * G.su2_alg_components(Z.payload))
     h = 1e-6
-    plus = G.su2_to_so3(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, h * Z.payload))).payload
-    minus = G.su2_to_so3(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, -h * Z.payload))).payload
+    plus = H.so3_matrix(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, h * Z.payload)).payload)
+    minus = H.so3_matrix(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, -h * Z.payload)).payload)
     fd = (plus - minus) / (2 * h)
     assert np.max(np.abs(got - fd)) < 1e-8
     back = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, got))
@@ -431,10 +438,11 @@ def test_d_cover_matches_derivative_of_cover():
 
 def test_iso_to_u2_example_and_inverse():
     alpha = 1.1
-    R = G.GroupElement(G.SO3_GROUP, np.array(
-        [[np.cos(alpha), np.sin(alpha), 0.0],
-         [-np.sin(alpha), np.cos(alpha), 0.0],
-         [0.0, 0.0, 1.0]]))
+    Rm = np.array([[np.cos(alpha), np.sin(alpha), 0.0],
+                   [-np.sin(alpha), np.cos(alpha), 0.0],
+                   [0.0, 0.0, 1.0]])
+    # the payload of either sign maps to the canonical lift
+    R = G.GroupElement(G.SO3_GROUP, -H.so3_to_su2(Rm))
     u = H.iso_so3_torus_to_u2(R, 1.0, +1)
     assert np.allclose(u.payload, np.diag([np.exp(0.5j * alpha), np.exp(-0.5j * alpha)]),
                        atol=1e-12)
@@ -442,8 +450,7 @@ def test_iso_to_u2_example_and_inverse():
     w = np.exp(2j * np.pi * 0.37)
     u2 = H.iso_so3_torus_to_u2(R, w, -1)
     det, _, g = H.u2_factor(u2.payload)
-    R2 = G.su2_to_so3(G.GroupElement(G.SU2_GROUP, g))
-    assert np.max(np.abs(R2.payload - R.payload)) < 1e-12
+    assert np.max(np.abs(H.so3_matrix(g) - Rm)) < 1e-12
     assert abs(det - w) < 1e-12
 
 

@@ -103,8 +103,8 @@ def test_su2_matrix_matches_polynomial_substitution_oracle():
 
 
 def _table_eval(rep, payload):
-    """rep on raw payloads through `helpers.su2_table_reference`, SO(3) on
-    the canonical (signed) lift: the evaluation the term products replaced."""
+    """rep on raw payloads through `helpers.su2_table_reference`, SO(3) at
+    label 2l: the evaluation the term products replaced."""
     tag, l = rep.group.tag, rep.label[0]
     if tag == G.U2:
         u00, u01, u10, u11 = (payload[..., i, j] for i in (0, 1) for j in (0, 1))
@@ -112,7 +112,7 @@ def _table_eval(rep, payload):
         c = H.su2_table_reference(l, u00, u11, u01, u10) * R._scale(rep)
         return R._unit_power(det / np.abs(det), rep.label[1] - l)[..., None, None] * c
     if tag == G.SO3:
-        l, payload = 2 * l, H.so3_to_su2(G.GroupElement(G.SO3_GROUP, payload)).payload
+        l *= 2
     z1, z2 = payload[..., 0], payload[..., 1]
     return H.su2_table_reference(l, z1, np.conj(z1), z2, -np.conj(z2)) * R._scale(rep)
 
@@ -141,13 +141,10 @@ def _rotations_by_pi(n):
 
 
 def test_so3_irreps_read_the_unsigned_lift():
-    # the lift is the canonical one up to an exact sign, and label 2l is even,
-    # so pi is the same bits on either sign: Haar draws, rotations by pi, e
+    # label 2l is even, so pi is the same bits on either sign of the
+    # payload: Haar draws, rotations by pi, e
     rots = np.concatenate([_haar(G.SO3_GROUP, 400, 6).payload, _rotations_by_pi(40),
-                           np.eye(3)[None]])
-    lift = G.so3_lift(rots)
-    signed = H.so3_to_su2(G.GroupElement(G.SO3_GROUP, rots)).payload
-    assert np.all(np.all(lift == signed, axis=-1) | np.all(lift == -signed, axis=-1))
+                           [[1.0, 0.0]]])
 
     def via_terms(rep, z):
         z1, z2 = z[:, 0], z[:, 1]
@@ -157,9 +154,9 @@ def test_so3_irreps_read_the_unsigned_lift():
 
     for l in range(13):
         rep = R.so3_rep(l)
-        want = via_terms(rep, signed)
+        want = via_terms(rep, rots)
         assert np.array_equal(R.rep_eval_payload(rep, rots), want), l
-        assert np.array_equal(via_terms(rep, -signed), want), l
+        assert np.array_equal(R.rep_eval_payload(rep, -rots), want), l
 
 
 @pytest.mark.parametrize("rep", [R.su2_rep(l) for l in (0, 1, 2, 4, 7, 12)]
@@ -200,10 +197,10 @@ def test_paper_diagonal_formulas_exact():
     # so3: x3-rotation by t -> diag(e^{ijt}), j = -l..l
     for _ in range(20):
         t = 2 * np.pi * gen.random()
-        Rz = G.GroupElement(G.SO3_GROUP, np.array(
+        Rz = H.so3_to_su2(np.array(
             [[np.cos(t), np.sin(t), 0], [-np.sin(t), np.cos(t), 0], [0, 0, 1.0]]))
         for l in (1, 2, 4):
-            mat = R.rep_eval_payload(R.so3_rep(l), Rz.payload)
+            mat = R.rep_eval_payload(R.so3_rep(l), Rz)
             want = np.diag(np.exp(1j * np.arange(-l, l + 1) * t))
             assert np.max(np.abs(mat - want)) < 1e-11
     # u2: diag(u1, u2) -> diag(u1^{m+j-l} u2^{m-j})
@@ -229,10 +226,11 @@ def test_u2_scalar_twist_consistency():
 
 
 def test_so3_character_matches_su2_double_label():
+    # the SO(3) payload is the canonical lift of g's rotation matrix, +-g
     g = _haar(G.SU2_GROUP, 100)
-    Rg = G.su2_to_so3(g)
+    Rg = H.so3_to_su2(H.so3_matrix(g.payload))
     for l in (1, 2):
-        tr1 = np.trace(R.rep_eval_payload(R.so3_rep(l), Rg.payload), axis1=-2, axis2=-1)
+        tr1 = np.trace(R.rep_eval_payload(R.so3_rep(l), Rg), axis1=-2, axis2=-1)
         tr2 = np.trace(R.rep_eval_payload(R.su2_rep(2 * l), g.payload), axis1=-2, axis2=-1)
         assert np.max(np.abs(tr1 - tr2)) < 1e-9
 
@@ -335,23 +333,28 @@ def test_wigner_middle_entry_is_cos_beta():
 
 
 def _so3_reference_inputs():
-    """Haar samples, rotations about each axis (through pi) and the
-    gimbal tilts beta in {0, pi}."""
+    """SO(3) payloads: Haar samples, rotations about each axis (through pi)
+    and the lifted gimbal tilts beta in {0, pi}."""
     gen = RngHandle(77).generator()
     t = np.concatenate([2 * np.pi * gen.random(6), [np.pi, np.pi - 1e-9, 0.0]])
     axes = [G.exp_alg(G.AlgebraElement(
         G.SO3_GROUP, G.so3_alg_from_components(np.outer(t, e)))).payload
         for e in np.eye(3)]
-    tilts = [so3_from_euler(2 * np.pi * gen.random(4), beta, 2 * np.pi * gen.random(4))
+    tilts = [H.so3_to_su2(so3_from_euler(2 * np.pi * gen.random(4), beta,
+                                         2 * np.pi * gen.random(4)))
              for beta in (0.0, np.pi)]
     return np.concatenate([_haar(G.SO3_GROUP, 40, 7).payload] + axes + tilts)
 
 
 @pytest.mark.parametrize("l", range(R.L_CAP + 1))
-def test_so3_cover_evaluation_matches_wigner_reference(l):
-    Rm = _so3_reference_inputs()
-    got = R.rep_eval_payload(R.so3_rep(l), Rm)
-    assert np.max(np.abs(got - _wigner_so3(l, Rm))) < 1e-12
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_so3_cover_evaluation_matches_wigner_reference(l, seed):
+    # the fixed inputs and 20 drawn Haar payloads, against the rotation matrices
+    drawn = G.haar_sample(G.SO3_GROUP, 20, np.random.default_rng(seed)).payload
+    payload = np.concatenate([_so3_reference_inputs(), drawn])
+    got = R.rep_eval_payload(R.so3_rep(l), payload)
+    assert np.max(np.abs(got - _wigner_so3(l, H.so3_matrix(payload)))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +667,18 @@ def test_su2_euler_nodes_match_meshgrid_reference(n, gamma_period):
     assert np.array_equal(weights, ref_weights)
 
 
-def test_su2_euler_nodes_peak_near_payload():
+@pytest.mark.parametrize("group", [G.SU2_GROUP, G.SO3_GROUP], ids=lambda g: g.name)
+def test_su2_euler_nodes_peak_near_payload(group):
+    # SO(3) nodes are SU(2) payloads too, one preimage each
     n = 48
     R.su2_euler_nodes(2)  # numpy's leggauss set-up is not the nodes' cost
     tracemalloc.start()
     try:
-        R.su2_euler_nodes(n)
+        R._quadrature_nodes(group, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * R.quadrature_bytes(G.SU2_GROUP, n)
+    assert peak <= 1.5 * R.quadrature_bytes(group, n)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +696,7 @@ def test_paper_element_values_and_ranges():
     for j in range(l + 1):
         for k in range(l + 1):
             assert abs(paper[..., j, k] - n[j] * n[k] * ortho[..., j, k]) < 1e-11
-    Rg = G.su2_to_so3(g)
-    full = R.rep_eval_payload(R.so3_rep(2), Rg.payload)
+    full = R.rep_eval_payload(R.so3_rep(2), g.payload)
     assert np.array_equal(full * R.paper_scale(R.so3_rep(2)), full)
 
 

@@ -347,7 +347,8 @@ class TestScenarioRun:
         cfg = default_config("su2-straighten")
         flow = D.default_flow(cfg.d)
         phi, extras = build_cocycle(flow, cfg.cocycle)
-        field = _degree_stage(cfg, flow, phi, extras, [])["degree_field"]
+        field = _degree_stage(cfg, flow, phi, extras, [],
+                              D.QuadratureSpec(cfg.nodes))["degree_field"]
         sample = D.BasePoint(RngHandle(cfg.seed, stream=101).generator().random(
             (DEGREE_SAMPLE_POINTS, cfg.d)))
         assert np.array_equal(field.points.phases, sample.phases)
@@ -374,8 +375,9 @@ class TestScenarioRun:
                  for name in ("delta", "zeta")}
         assert all(part.m_const is not None for part in blind.values())
         blind_phi = D.cohomologous_build(blind["delta"], blind["zeta"], flow)
-        got = _degree_stage(cfg, flow, blind_phi, {**extras, **blind}, reps)
-        want = _degree_stage(cfg, flow, phi, extras, reps)
+        quad = D.QuadratureSpec(cfg.nodes)
+        got = _degree_stage(cfg, flow, blind_phi, {**extras, **blind}, reps, quad)
+        want = _degree_stage(cfg, flow, phi, extras, reps, quad)
         assert _jsonify(got["report"]) == _jsonify(want["report"])
         assert np.array_equal(got["M_star"].payload, want["M_star"].payload)
 
@@ -413,6 +415,26 @@ class TestScenarioRun:
             assert entry["ac"]["kernel_indices"] == row["kernel_indices"]
         s_phi = rr.report["degree"]["diagnostics"]["s_phi"]
         assert abs(s_phi - np.pi * FLOW.alpha[0]) < 1e-6
+
+    def test_one_degree_quadrature_per_scenario(self, tmp_path, monkeypatch):
+        # M_star on the torus route is the one integral of the M-field, on the
+        # quadrature the size check charged: lifted to 2 freq_bound + 2 nodes
+        seen = []
+        integral = DG.degree_constant_diagonal
+
+        def recorded(c, quad):
+            seen.append(quad.nodes_per_dim)
+            return integral(c, quad)
+
+        monkeypatch.setattr(DG, "degree_constant_diagonal", recorded)
+        cfg = _small_anzai(tmp_path / "run")
+        cfg.cocycle = {"name": "torus-monomial", "params": {"k": [[3]]}}
+        cfg.nodes = 3
+        rr = scenario_run(cfg)
+        assert seen == [8]
+        # [re, im] of the one torus entry: 2 pi k alpha
+        (re, im), = rr.report["degree"]["M_star"]
+        assert re == 0.0 and abs(im - 6 * np.pi * FLOW.alpha[0]) < 1e-12
 
     def test_constant_field_is_not_sampled_by_the_dini_pass(self, tmp_path, monkeypatch):
         # torus-general's M-field is constant: its one Dini pass evaluates
@@ -520,6 +542,17 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     with _perfbench("tracing").Tracer().install():
         assert K.dini_modulus is not before[3]["dini_modulus"]
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_benchmark_kernel_cases_run_on_the_package():
+    # the kernel microbenchmarks run only under `--trace 1`: each case they
+    # time is called once here, on the payloads the package makes now
+    cases = list(_perfbench("kernels")._cases(5))
+    assert {name.split(".")[2] for name, *_ in cases if name.startswith("kernel.ad.")} == {
+        "su2", "so3", "u2"}
+    for name, units, fn, _, _ in cases:
+        assert units > 0, name
+        fn()
 
 
 # (orbit walks, fibers planned) of the spectral stage in one preset run; the
