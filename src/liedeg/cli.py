@@ -132,10 +132,10 @@ def _cmd_degree(args) -> int:
     flow = _make_flow(args.d, _parse_alpha(args.alpha))
     cocycle, _ = build_cocycle(
         flow, {"name": args.cocycle, "params": _parse_params(args.params)})
-    # a point's phases and the ~40 M-field payloads that it takes in the
-    # walk and the spread's 16-row blocks
+    # a point's phases, its diagnostic norm and the ~40 M-field payloads
+    # that it takes in the walk and the spread's 16-row blocks
     K.check_bytes(f"--points ({args.points} sample points)",
-                  args.points * (8 * args.d + 40 * G.algebra_bytes(cocycle.group)))
+                  args.points * (8 * args.d + 8 + 40 * G.algebra_bytes(cocycle.group)))
     rng = RngHandle(args.seed, stream=11).generator()
     points = D.BasePoint(rng.random((args.points, args.d)))
     field = DG.degree_field(cocycle, flow, points, N=args.n)
@@ -148,7 +148,7 @@ def _cmd_degree(args) -> int:
         "spread": field.spread,
         "constant": field.constant,
         "diagnostic_max": float(np.max(field.diagnostics)),
-        "mean_payload": mean.payload,
+        "mean_payload": DG.report_payload(mean),
         "mean_norm": float(G.algebra_norm(mean)),
     }
     text = _dump_json(out)

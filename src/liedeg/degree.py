@@ -215,7 +215,8 @@ def _pairwise_spread(values: G.AlgebraElement) -> float:
 
 
 def _field_from_estimate(points: D.BasePoint, est: DegreeEstimate) -> DegreeField:
-    diags, spread = est.diagnostic, _pairwise_spread(est.value)
+    # the spread's blocks peak before the diagnostics exist
+    spread, diags = _pairwise_spread(est.value), est.diagnostic
     tol = CONSTANT_SPREAD_FACTOR * max(float(np.max(diags)), 1e-12)
     return DegreeField(points, est.value, est.n_used, diags, spread,
                        constant=spread <= tol)
@@ -224,7 +225,7 @@ def _field_from_estimate(points: D.BasePoint, est: DegreeEstimate) -> DegreeFiel
 def degree_field(c: D.Cocycle, flow: D.TranslationFlow, points: D.BasePoint,
                  N: int) -> DegreeField:
     """Degree estimates over a point family, in one batched orbit walk."""
-    points = D.BasePoint(np.atleast_2d(points.phases))
+    points = points if points.phases.ndim > 1 else D.BasePoint(points.phases[None])
     return _field_from_estimate(points, degree_pointwise(c, flow, points, N))
 
 
@@ -486,6 +487,11 @@ def ergodicity_verdict(group: G.GroupSpec, integral_M: G.AlgebraElement,
 # report assembly
 # ---------------------------------------------------------------------------
 
+def report_payload(Z: G.AlgebraElement) -> np.ndarray:
+    """Z's payload as reports show it: so(3) as its real skew-symmetric 3x3."""
+    return G.so3_alg_matrix(Z.payload) if Z.group.tag == G.SO3 else Z.payload
+
+
 def _matrix_json(payload: np.ndarray):
     arr = np.atleast_1d(payload)
     if arr.ndim == 1:
@@ -515,7 +521,7 @@ def degree_report(group: G.GroupSpec, M_star: G.AlgebraElement,
         })
     return {
         "group": group.name,
-        "M_star": _matrix_json(M_star.payload),
+        "M_star": _matrix_json(report_payload(M_star)),
         "per_rep": per_rep,
         "verdict": verdict["verdict"],
         "justification": verdict["justification"],

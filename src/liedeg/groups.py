@@ -10,9 +10,10 @@ SO3       the SU2 pair of either lift through the double cover, shape
 U2        complex unitary 2x2, shape (..., 2, 2)
 
 Algebra payloads match: purely imaginary vectors for the torus, traceless
-skew-Hermitian 2x2 for SU2, skew-symmetric 3x3 for SO3, skew-Hermitian
-2x2 for U2.  All operations broadcast over leading batch axes; "one
-element" and "a grid of elements" go through the same code path.
+skew-Hermitian 2x2 for SU2 and for SO3 (an so(3) element is stored as its
+su(2) preimage under the cover), skew-Hermitian 2x2 for U2.  All
+operations broadcast over leading batch axes; "one element" and "a grid
+of elements" go through the same code path.
 
 Products of 2x2 complex payloads (the U2 `group_mul`, `ad` and the Gram
 matrix of `element_defect`) are written out entry by entry in `_mul2`:
@@ -33,10 +34,11 @@ coordinates (x1, x2, x3) is the *transpose* of the standard quaternion
 rotation matrix R(g).  SO(3) = SU(2)/{+-1} is R's image: an SO(3)
 element is stored as either g or -g and shares the SU2 group law, Haar
 measure and renormalization.  No sign is preferred, since the SO(3)
-irreps are even SU(2) labels and Ad is quadratic in g.  The so(3)
-payloads stay 3x3 skew-symmetric; `d_cover_inv` sends J_i to E_i / 2,
-so on so(3) `exp_alg` is the SU2 exponential and `ad` the SU2 Ad
-through it: Ad_g rotates the coordinates a to R(g) a, and exp(t J3) =
+irreps are even SU(2) labels and Ad is quadratic in g.  The cover's
+differential is invertible, so so(3) is stored as its su(2) preimage,
+J_i as E_i / 2: the bracket is the commutator, `ad`, `exp_alg` and `p_ad`
+are the SU2 ones, and only `algebra_inner`'s factor (2, for unit J_i)
+differs.  Ad_g rotates the so(3) coordinates a to R(g) a, and exp(t J3) =
 (e^{it/2}, 0) is the x3-rotation by t, R with first row (cos t, sin t,
 0).  The canonical lift of a rotation, whose first quaternion entry of
 nearly largest magnitude (within LEAD_TIE) is positive, is the
@@ -62,11 +64,8 @@ E1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 E2 = np.array([[0.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
 E3 = np.array([[1.0j, 0.0], [0.0, -1.0j]], dtype=complex)
 
-# so(3) basis, orthonormal for <Z, W> = tr(Z W^T) / 2; J_i generates the
-# one-parameter group whose adjoint image under the cover is exp(2t J_i).
-J1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-J2 = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-J3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# so(3) basis as su(2) preimages: J_i rotates about the x_i axis
+J1, J2, J3 = E1 / 2, E2 / 2, E3 / 2
 
 RENORM_TRIGGER = 1e-13
 # quaternion entries this close to the largest magnitude tie for the lead
@@ -150,10 +149,8 @@ def identity(group: GroupSpec, batch_shape=()) -> GroupElement:
 
 def algebra_bytes(group: GroupSpec) -> int:
     """Bytes of one algebra payload, known before any payload exists: a
-    complex d-vector, a real 3x3 for SO3, a complex 2x2 otherwise."""
-    if group.tag == TORUS:
-        return 16 * group.torus_dim
-    return 72 if group.tag == SO3 else 64
+    complex d-vector for the torus, a complex 2x2 otherwise."""
+    return 16 * group.torus_dim if group.tag == TORUS else 64
 
 
 def su2_matrix(payload: np.ndarray) -> np.ndarray:
@@ -254,17 +251,14 @@ def maybe_renormalize(g: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
-    """Adjoint action Ad_g Z = g Z g^{-1}; an SO(3) Z is read through its
-    coordinates, so it must be skew-symmetric."""
+    """Adjoint action Ad_g Z = g Z g^{-1}, for any complex 2x2 Z on SU2 and SO3."""
     _same_group(g, Z)
     tag = g.group.tag
     if tag == TORUS:
         return AlgebraElement(Z.group, np.array(Z.payload))
-    if tag == SO3:
-        # the su(2) Ad of the lifted Z, its coordinates doubled back to so(3)
-        x = ad(GroupElement(SU2_GROUP, g.payload), d_cover_inv(Z)).payload
-        return AlgebraElement(Z.group, so3_alg_from_components(2.0 * su2_alg_components(x)))
-    if tag == SU2:
+    if tag == U2:
+        p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
+    else:
         # g Z g* written out for any complex 2x2 Z; batched @ is faster below ~30
         z1, z2 = g.payload[..., 0], g.payload[..., 1]
         w1, w2 = np.conj(z1), np.conj(z2)
@@ -275,23 +269,21 @@ def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
         p = np.empty(_broadcast(z1.shape, a.shape) + (2, 2), dtype=complex)
         p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
         p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
-    else:
-        p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
     return AlgebraElement(Z.group, p)
 
 
 def algebra_inner(Z: AlgebraElement, W: AlgebraElement) -> np.ndarray | float:
     """Ad-invariant inner product used for all norms.
 
-    Torus: Euclidean product of the imaginary parts.  Matrix groups:
-    Re tr(Z W*) / 2, which makes the bases above orthonormal.
+    Torus: Euclidean product of the imaginary parts.  SU2 and U2:
+    Re tr(Z W*) / 2, SO3: 2 Re tr(Z W*); the bases above are orthonormal.
     """
     _same_group(Z, W)
     if Z.group.tag == TORUS:
         val = np.sum(np.imag(Z.payload) * np.imag(W.payload), axis=-1)
     else:
         prod = Z.payload * np.conj(W.payload)
-        val = 0.5 * np.real(np.sum(prod, axis=(-1, -2)))
+        val = (2.0 if Z.group.tag == SO3 else 0.5) * np.real(np.sum(prod, axis=(-1, -2)))
     return val if np.ndim(val) else float(val)
 
 
@@ -310,7 +302,7 @@ def exp_alg(Z: AlgebraElement) -> GroupElement:
     p = Z.payload
     if tag == TORUS:
         return GroupElement(Z.group, np.exp(p))
-    if tag == SU2:
+    if tag in (SU2, SO3):
         # Z^2 = -theta^2 I with theta = |coordinates|
         theta = np.sqrt(np.maximum(np.real(p[..., 0, 0] * p[..., 1, 1]
                                            - p[..., 0, 1] * p[..., 1, 0]), 0.0))
@@ -318,8 +310,6 @@ def exp_alg(Z: AlgebraElement) -> GroupElement:
         z1 = c + s * p[..., 0, 0]
         z2 = s * p[..., 0, 1]
         return GroupElement(Z.group, np.stack([z1, z2], axis=-1))
-    if tag == SO3:
-        return GroupElement(Z.group, exp_alg(d_cover_inv(Z)).payload)
     # U2: Z = iH with H Hermitian; diagonalize H
     h = -1j * p
     w, v = np.linalg.eigh(h)
@@ -329,7 +319,7 @@ def exp_alg(Z: AlgebraElement) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# component helpers for su(2) / so(3)
+# coordinates of su(2) / so(3) payloads
 # ---------------------------------------------------------------------------
 
 def su2_alg_components(Z: np.ndarray) -> np.ndarray:
@@ -349,27 +339,20 @@ def su2_alg_from_components(x: np.ndarray) -> np.ndarray:
     return Z
 
 
-def so3_alg_components(S: np.ndarray) -> np.ndarray:
-    """Coordinates (a1, a2, a3) in the basis (J1, J2, J3)."""
-    return np.stack([S[..., 1, 2], -S[..., 0, 2], S[..., 0, 1]], axis=-1)
-
-
 def so3_alg_from_components(a: np.ndarray) -> np.ndarray:
-    S = np.zeros(a.shape[:-1] + (3, 3))
-    S[..., 1, 2] = a[..., 0]
-    S[..., 2, 1] = -a[..., 0]
-    S[..., 0, 2] = -a[..., 1]
-    S[..., 2, 0] = a[..., 1]
-    S[..., 0, 1] = a[..., 2]
-    S[..., 1, 0] = -a[..., 2]
+    """The so(3) payload a1 J1 + a2 J2 + a3 J3."""
+    return su2_alg_from_components(a / 2)
+
+
+def so3_alg_matrix(Z: np.ndarray) -> np.ndarray:
+    """The real skew-symmetric 3x3 of so(3) payloads, for the JSON edge:
+    J1, J2, J3 generate the rotations about x1, x2, x3.  `+ 0.0` and
+    `0.0 -` write a zero coordinate as 0.0 whatever the sign it carries."""
+    a = np.moveaxis(2.0 * su2_alg_components(Z), -1, 0)
+    S = np.zeros(a.shape[1:] + (3, 3))
+    for (i, j), ak in zip(((1, 2), (2, 0), (0, 1)), a):
+        S[..., i, j], S[..., j, i] = ak + 0.0, 0.0 - ak
     return S
-
-
-def d_cover_inv(S: AlgebraElement) -> AlgebraElement:
-    """Inverse differential so(3) -> su(2): J_i -> E_i / 2."""
-    if S.group.tag != SO3:
-        raise TagMismatchError("d_cover_inv expects an so(3) element")
-    return AlgebraElement(SU2_GROUP, su2_alg_from_components(0.5 * so3_alg_components(S.payload)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ x3-rotation with angle t maps to diag(e^{ijt}).
 
 Differentials are exact: su(2) acts on the binary forms as derivations,
 so d pi(Z) is tridiagonal in the c_jk basis, and so(3) reuses it at
-label 2l through `groups.d_cover_inv` (see `rep_differential`).
+label 2l on its su(2) payload (see `rep_differential`).
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
               Z10 = -x1 - i x2, Z01 = x1 - i x2, where (x1, x2, x3) are
               the coordinates of the traceless part against E1..E3 and
               t = Im tr Z / 2; it is rescaled by n_j / n_k as pi is
-      so3     the su2 formula at label 2l on d_cover_inv(Z), whose
-              coordinates are (a1, a2, a3) / 2, rescaled as pi is
+      so3     the su2 formula at label 2l on the payload, the su(2)
+              preimage with coordinates (a1, a2, a3) / 2, rescaled as pi is
     """
     if Z.group != rep.group:
         raise TagMismatchError("algebra element and rep on different groups")
@@ -351,9 +351,7 @@ def rep_differential(rep: Representation, Z: G.AlgebraElement) -> np.ndarray:
         out = np.zeros(p.shape[:-1] + (1, 1), dtype=complex)
         np.matmul(np.imag(p), np.array(rep.label), out=out.imag[..., 0, 0])
         return out
-    l = rep.label[0]
-    if tag == G.SO3:
-        l, p = 2 * l, G.d_cover_inv(Z).payload
+    l = 2 * rep.label[0] if tag == G.SO3 else rep.label[0]
     x = G.su2_alg_components(p)
     k = np.arange(l + 1)
     if tag == G.U2:

@@ -59,9 +59,7 @@ def algebra_defect(Z: G.AlgebraElement) -> float:
         return float(np.max(np.abs(np.real(p)), initial=0.0))
     skew = p + np.conj(np.swapaxes(p, -1, -2))
     dev = float(np.max(np.abs(skew), initial=0.0))
-    if tag == G.SO3:
-        dev = max(dev, float(np.max(np.abs(np.imag(p)), initial=0.0)))
-    if tag == G.SU2:
+    if tag in (G.SU2, G.SO3):
         tr = p[..., 0, 0] + p[..., 1, 1]
         dev = max(dev, float(np.max(np.abs(tr), initial=0.0)))
     return dev
@@ -70,8 +68,6 @@ def algebra_defect(Z: G.AlgebraElement) -> float:
 def algebra_zero(group: G.GroupSpec, batch_shape=()) -> G.AlgebraElement:
     if group.tag == G.TORUS:
         p = np.zeros(batch_shape + (group.torus_dim,), dtype=complex)
-    elif group.tag == G.SO3:
-        p = np.zeros(batch_shape + (3, 3))
     else:
         p = np.zeros(batch_shape + (2, 2), dtype=complex)
     return G.AlgebraElement(group, p)
@@ -198,10 +194,41 @@ def so3_to_su2(R: np.ndarray) -> np.ndarray:
     return _from_quaternion(q)
 
 
-def so3_ad_sandwich(g: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Ad_g Z = g Z g^T on raw SO(3) payloads as a batched 3x3 sandwich:
-    the reference for `groups.ad`'s rotation of coordinates."""
-    return g @ Z @ np.swapaxes(g, -1, -2)
+def so3_skew(a: np.ndarray) -> np.ndarray:
+    """The real skew-symmetric 3x3 a1 J1 + a2 J2 + a3 J3, J_i orthonormal
+    for tr(S T^T) / 2 and generating the rotation about x_i: so(3) as
+    matrices, the reference that `groups.so3_alg_matrix` reproduces."""
+    S = np.zeros(a.shape[:-1] + (3, 3))
+    S[..., 1, 2] = a[..., 0]
+    S[..., 2, 1] = -a[..., 0]
+    S[..., 0, 2] = -a[..., 1]
+    S[..., 2, 0] = a[..., 1]
+    S[..., 0, 1] = a[..., 2]
+    S[..., 1, 0] = -a[..., 2]
+    return S
+
+
+def so3_skew_components(S: np.ndarray) -> np.ndarray:
+    """Coordinates (a1, a2, a3) of 3x3 skew-symmetric S in (J1, J2, J3)."""
+    return np.stack([S[..., 1, 2], -S[..., 0, 2], S[..., 0, 1]], axis=-1)
+
+
+def d_cover(Z: np.ndarray) -> np.ndarray:
+    """Differential of the cover on su(2) payloads, E_i -> 2 J_i, as 3x3
+    skew-symmetric matrices."""
+    return so3_skew(2.0 * G.su2_alg_components(Z))
+
+
+def d_cover_inv(S: np.ndarray) -> np.ndarray:
+    """Inverse differential of the cover on 3x3 skew-symmetric S: the su(2)
+    payload with J_i -> E_i / 2, which is how `groups` stores so(3)."""
+    return G.su2_alg_from_components(0.5 * so3_skew_components(S))
+
+
+def so3_ad_sandwich(g: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Ad_g S = g S g^T on rotation matrices g and 3x3 skew-symmetric S:
+    the reference for `groups.ad` on so(3) payloads."""
+    return g @ S @ np.swapaxes(g, -1, -2)
 
 
 def su2_table_reference(l: int, u00, u11, u01, u10) -> np.ndarray:
@@ -300,7 +327,7 @@ def validate_m_field(c: D.Cocycle, flow: D.TranslationFlow, x: D.BasePoint,
         raw = (plus - minus) / (2 * step) @ np.conj(np.swapaxes(here, -1, -2))
         skew = 0.5 * (raw - np.conj(np.swapaxes(raw, -1, -2)))
         if c.group.tag == G.SO3:
-            skew = np.real(skew)
+            return d_cover_inv(np.real(skew))
         return skew
 
     err_h = float(np.max(np.abs(fd(h) - declared)))
@@ -354,8 +381,9 @@ def hom_so3_circle_u2() -> Homomorphism:
 
     Payloads are pairs: value_map takes (R_payload, w_payload) with w the
     unit-circle coordinate of shape (..., 1); alg_map takes
-    (S_payload, v_payload) and returns lift(S)/1 + (v/2) I with lift the
-    inverse of the double-cover differential.  The differential is
+    (S_payload, v_payload) and returns lift(S) + (v/2) I with lift the
+    inverse of the double-cover differential, which is the so(3) payload
+    itself (stored as its su(2) preimage).  The differential is
     single-valued even though the value map has a sign ambiguity.
     """
     def value_map(pair):
@@ -364,8 +392,7 @@ def hom_so3_circle_u2() -> Homomorphism:
 
     def alg_map(pair):
         Sp, vp = pair
-        half_lift = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, Sp)).payload
-        return half_lift + 0.5 * vp[..., 0][..., None, None] * np.eye(2)
+        return Sp + 0.5 * vp[..., 0][..., None, None] * np.eye(2)
 
     return Homomorphism("so3-circle-to-u2", G.U2_GROUP, value_map, alg_map)
 

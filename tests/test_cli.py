@@ -2,7 +2,9 @@
 
 import json
 import string
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,16 @@ class TestDegreeCommand:
         assert rc == 0
         assert json.loads(out.read_text())["group"] == "SU2"
         capsys.readouterr()
+
+    def test_so3_mean_payload_is_the_3x3_form(self, capsys):
+        # so(3) leaves as its real skew-symmetric 3x3: the x3-rotation's
+        # degree 2 pi alpha J3 sits at (0, 1)
+        rc = cli.main(["degree", "--cocycle", "so3-x3-rotation", "--params", '{"k": 1}',
+                       "--n", "200", "--points", "3"])
+        assert rc == 0
+        mean = np.array(json.loads(capsys.readouterr().out)["mean_payload"])
+        assert mean.shape == (3, 3)
+        assert abs(mean[0, 1] - 2 * np.pi * D.default_flow(1).alpha[0]) < 1e-12
 
     def test_bad_params_json(self, capsys):
         rc = cli.main(["degree", "--cocycle", "torus-monomial",
@@ -414,7 +426,7 @@ _COCYCLE_FLAGS = {
 _SEED = _int_flag(0, 2 ** 64)
 _FUZZ_FLAGS = {
     "scenario": {"--seed": _SEED},
-    # 2^19 torus sample points are charged 2^19 * 648 bytes, above the 2^28 cap
+    # 2^19 torus sample points are charged 2^19 * 656 bytes, above the 2^28 cap
     "degree": {"--n": _int_flag(1), "--points": _int_flag(1, 2 ** 19), "--seed": _SEED,
                **_COCYCLE_FLAGS},
     "corr": {"--n-max": _int_flag(1, 2 ** 23), "--nodes": _int_flag(1, 2 ** 24),
@@ -516,6 +528,38 @@ def test_oversized_points_refused_before_allocating(argv, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: --points (")
     assert err[0].endswith(f"bytes, above the cap of {K.MAX_GRID_BYTES}")
+
+
+@pytest.mark.parametrize("cocycle, params", [
+    ("torus-monomial", '{"k": [[1]]}'), ("su2-diagonal", '{"k": 1}'),
+    ("so3-x3-rotation", '{"k": 1}'), ("u2-product", '{"k_torus": 1, "k_rot": 1}')])
+def test_points_charge_covers_the_peak_per_point(cocycle, params, monkeypatch, tmp_path,
+                                                 capsys):
+    # the tracemalloc peak of `degree --points` grows per added point by at
+    # most the size check's charge per point (d = 1, N = 50); the pairwise
+    # spread is quadratic in the points, so the growth is read between
+    # 1,000 and 4,000 of them
+    charges, check = [], K.check_bytes
+
+    def recording(field, need):
+        charges.append(need)
+        return check(field, need)
+
+    monkeypatch.setattr(K, "check_bytes", recording)
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            assert cli.main(["degree", "--cocycle", cocycle, "--params", params, "--n", "50",
+                             "--points", str(points), "--out", str(tmp_path / "deg.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations stay out of the measured runs
+    low, high = peak(1000), peak(4000)
+    assert (high - low) / 3000 <= charges[-1] / 4000
+    capsys.readouterr()
 
 
 class TestSelfTestAndHelp:

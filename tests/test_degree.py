@@ -559,6 +559,10 @@ def test_invariance_hom_so3_circle_u2():
     # full matrix: diag(i pi alpha (kT+kR), i pi alpha (kT-kR))
     want = np.diag([2j * np.pi * ALPHA, 0.0])
     assert np.max(np.abs(pushed - want)) < 1e-12
+    # its traceless part is the rotation's degree 2 pi alpha J3, lifted from
+    # the 3x3 form by the inverse of the cover's differential
+    lift = H.d_cover_inv(H.so3_skew(np.array([0.0, 0.0, 2 * np.pi * ALPHA])))
+    assert np.max(np.abs(pushed - np.trace(pushed) / 2 * np.eye(2) - lift)) < 1e-12
 
 
 def test_hom_pair_requires_so3_torus():

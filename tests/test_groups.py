@@ -136,19 +136,38 @@ def test_ad_su2_closed_form_matches_matmul(seed, n, shape, log_scale):
        st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
        st.floats(-3.0, 3.0))
 def test_ad_so3_rotates_coordinates_as_the_sandwich(seed, n, shape, log_scale):
-    # Ad_g Z on so(3) is the element of R(g) a, R(g) the rotation matrix of
-    # the payload g: against the 3x3 sandwich R Z R^T
+    # Ad_g on so(3) payloads, read as 3x3 matrices, is the sandwich R S R^T
+    # with R the rotation matrix of the Haar-drawn payload g
     rng = np.random.default_rng(seed)
     g = G.haar_sample(G.SO3_GROUP, n, rng).payload
-    Z = G.so3_alg_from_components(10.0 ** log_scale * rng.standard_normal((n, 3)))
+    a = 10.0 ** log_scale * rng.standard_normal((n, 3))
     if shape == "scalar-g":
         g = g[0]
     elif shape == "scalar-z":
-        Z = Z[0]
-    got = G.ad(G.GroupElement(G.SO3_GROUP, g), G.AlgebraElement(G.SO3_GROUP, Z)).payload
-    want = H.so3_ad_sandwich(H.so3_matrix(g), Z)
+        a = a[0]
+    Z = G.AlgebraElement(G.SO3_GROUP, G.so3_alg_from_components(a))
+    got = G.so3_alg_matrix(G.ad(G.GroupElement(G.SO3_GROUP, g), Z).payload)
+    want = H.so3_ad_sandwich(H.so3_matrix(g), H.so3_skew(a))
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Z))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.floats(-3.0, 3.0))
+def test_so3_payloads_carry_the_3x3_bracket_and_metric(seed, n, log_scale):
+    # on payloads a1 J1 + a2 J2 + a3 J3 the matrix commutator is the
+    # commutator of the 3x3 forms, and algebra_inner is tr(S T^T) / 2
+    rng = np.random.default_rng(seed)
+    a, b = 10.0 ** log_scale * rng.standard_normal((2, n, 3))
+    Z, W = G.so3_alg_from_components(a), G.so3_alg_from_components(b)
+    S, T = H.so3_skew(a), H.so3_skew(b)
+    scale = np.max(np.abs(a)) * np.max(np.abs(b))
+    assert np.array_equal(G.so3_alg_matrix(Z), S)
+    assert np.max(np.abs(H.d_cover_inv(S) - Z)) == 0.0
+    bracket = G.so3_alg_matrix(Z @ W - W @ Z)
+    assert np.max(np.abs(bracket - (S @ T - T @ S))) <= 1e-14 * scale
+    inner = G.algebra_inner(G.AlgebraElement(G.SO3_GROUP, Z), G.AlgebraElement(G.SO3_GROUP, W))
+    assert np.max(np.abs(inner - 0.5 * np.sum(S * T, axis=(-1, -2)))) <= 1e-14 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,6 +235,10 @@ def test_su2_basis_orthonormal():
     basis = [G.AlgebraElement(G.SO3_GROUP, J) for J in (G.J1, G.J2, G.J3)]
     gram = np.array([[G.algebra_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(3), atol=1e-15)
+    # J_i is the 3x3 generator of the rotation about x_i, with no -0.0
+    for J, e in zip((G.J1, G.J2, G.J3), np.eye(3)):
+        S = G.so3_alg_matrix(J)
+        assert np.array_equal(S, H.so3_skew(e)) and not np.any(np.signbit(S[S == 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,9 @@ def test_exp_matches_power_series(group):
         assert np.max(np.abs(got.payload - want)) < 1e-13
         return
     mat = H.to_matrix(got)
-    want = np.stack([_series_exp(z.astype(complex)) for z in Z.payload])
+    # so(3) exponentiates as its 3x3 form, into the rotation matrix
+    alg = H.d_cover(Z.payload) if group.tag == G.SO3 else Z.payload
+    want = np.stack([_series_exp(z.astype(complex)) for z in alg])
     assert np.max(np.abs(mat - want)) < 1e-12
 
 
@@ -323,8 +348,9 @@ def test_cover_is_homomorphism_and_round_trips(seed, n):
     assert np.max(np.abs(H.so3_matrix(G.group_mul(a, b).payload) - Ra @ Rb)) < 1e-12
     assert np.max(np.abs(H.so3_matrix(G.group_inv(a).payload)
                          - np.swapaxes(Ra, -1, -2))) < 1e-15
-    Z = _rand_alg(G.SO3_GROUP, n, rng)
-    want = np.stack([_series_exp(z.astype(complex)) for z in Z.payload])
+    a3 = rng.standard_normal((n, 3))
+    Z = G.AlgebraElement(G.SO3_GROUP, G.so3_alg_from_components(a3))
+    want = np.stack([_series_exp(S.astype(complex)) for S in H.so3_skew(a3)])
     assert np.max(np.abs(H.so3_matrix(G.exp_alg(Z).payload) - want)) < 1e-12
     drifted = G.GroupElement(G.SO3_GROUP, a.payload * (1 + 1e-9 * rng.standard_normal((n, 1))))
     fixed = G.renormalize(drifted)
@@ -426,14 +452,16 @@ def test_d_cover_matches_derivative_of_cover():
     rng = RngHandle(5).generator()
     Z = _rand_alg(G.SU2_GROUP, 6, rng)
     # the differential of the cover sends E_i to 2 J_i
-    got = G.so3_alg_from_components(2.0 * G.su2_alg_components(Z.payload))
+    got = H.d_cover(Z.payload)
     h = 1e-6
     plus = H.so3_matrix(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, h * Z.payload)).payload)
     minus = H.so3_matrix(G.exp_alg(G.AlgebraElement(G.SU2_GROUP, -h * Z.payload)).payload)
     fd = (plus - minus) / (2 * h)
     assert np.max(np.abs(got - fd)) < 1e-8
-    back = G.d_cover_inv(G.AlgebraElement(G.SO3_GROUP, got))
-    assert np.max(np.abs(back.payload - Z.payload)) < 1e-12
+    assert np.max(np.abs(H.d_cover_inv(got) - Z.payload)) < 1e-12
+    # an so(3) payload is its su(2) preimage: the JSON edge's 3x3 is the
+    # cover's differential of it
+    assert np.array_equal(G.so3_alg_matrix(Z.payload), got)
 
 
 def test_iso_to_u2_example_and_inverse():
