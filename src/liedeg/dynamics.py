@@ -126,9 +126,11 @@ def orbit_phases(flow: TranslationFlow, q, n: int) -> np.ndarray:
 class QuadratureSpec:
     """Equispaced product grid on the torus, nodes_per_dim per dimension.
 
-    Exact for trigonometric polynomials of per-dimension degree below
-    nodes_per_dim; callers size it by the rule
-    nodes >= 2 * (coefficient degree + N * cocycle degree) + 1.
+    An equispaced rule with m > D nodes per dimension integrates a trig
+    polynomial of per-dimension degree D exactly (L. N. Trefethen and
+    J. A. C. Weideman, SIAM Review 56 (2014)).  The correlation sizing
+    (`koopman._sizing_nodes`) takes 2 * (coefficient degree + N * cocycle
+    degree) + 1 nodes: a margin over that condition, not the condition.
     """
 
     nodes_per_dim: int
@@ -576,6 +578,15 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
     otherwise no continuous branch exists: the value falls back to the
     pointwise principal-branch construction, whose jumps the correlation
     series' grid-doubling estimates flag.
+
+    The payload is a triple (z1, 0, r), the element diag(r z1, r conj(z1)),
+    with r the principal square root of the torus factor e(k_torus.x),
+    e(t) = exp(2 pi i t).  Mismatched, (z1, 0) is lift(R).  Matched,
+    r = sqrt(chi0 chi1) and z1 = chi0 conj(r) for the diagonal entries
+    chi0, chi1 above.  With k_torus odd no continuous root exists, so even
+    the matched payload changes sign where r crosses the cut while the
+    element stays continuous: continuity is judged on the element, not on
+    the payload.
     """
     kt = _winding(k_torus, flow.dim)
     kr = _winding(k_rot, flow.dim)
@@ -587,9 +598,9 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
 
     if matched:
         def from_chars(chi):
-            out = np.zeros(chi.shape[:-1] + (2, 2), dtype=complex)
-            out[..., 0, 0] = chi[..., 0]
-            out[..., 1, 1] = chi[..., 1]
+            out = np.zeros(chi.shape[:-1] + (3,), dtype=complex)
+            np.sqrt(chi[..., 0] * chi[..., 1], out=out[..., 2])
+            np.multiply(chi[..., 0], np.conj(out[..., 2]), out=out[..., 0])
             return out
 
         # entries wind as exp(i pi k.x) with k even, i.e. degree |k|/2
@@ -611,10 +622,9 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
         # [-1/2, 1/2] for the integer n nearest t; at the cut (t a half-integer)
         # n is the one nearer 0, so s = +-1/2 keeps the sign of t
         t = phases @ kt
-        z = G.unit_exp(np.pi * (t - np.copysign(np.ceil(np.abs(t) - 0.5), t))) * sign
-        out = np.zeros(h.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = z * (c + 1j * s)
-        out[..., 1, 1] = z * (c - 1j * s)
+        out = np.zeros(h.shape + (3,), dtype=complex)
+        out[..., 0] = sign * (c + 1j * s)
+        out[..., 2] = G.unit_exp(np.pi * (t - np.copysign(np.ceil(np.abs(t) - 0.5), t)))
         return out
 
     return Cocycle(G.U2_GROUP, value, None,
@@ -630,8 +640,8 @@ def u2_scalar_su2(flow: TranslationFlow, k_scalar, inner: Cocycle) -> Cocycle:
     dconst = 2j * np.pi * float(k @ flow.alpha_array)
 
     def value(phases):
-        z = np.exp(2j * np.pi * (phases @ k))
-        return z[..., None, None] * G.su2_matrix(inner.value(phases))
+        w = np.exp(2j * np.pi * (phases @ k))
+        return np.concatenate([inner.value(phases), w[..., None]], axis=-1)
 
     def m_field(phases):
         return dconst * np.eye(2) + inner.m_field(phases)

@@ -7,18 +7,17 @@ SU2       pair (z1, z2) with |z1|^2 + |z2|^2 = 1, shape (..., 2); the
           matrix form is [[z1, z2], [-conj(z2), conj(z1)]]
 SO3       the SU2 pair of either lift through the double cover, shape
           (..., 2); p and -p name one rotation
-U2        complex unitary 2x2, shape (..., 2, 2)
+U2        triple (z1, z2, w): the SU2 pair and a unit complex w, shape
+          (..., 3), for the unitary w [[z1, z2], [-conj(z2), conj(z1)]];
+          (z1, z2, w) and -(z1, z2, w) name one element
 
 Algebra payloads match: purely imaginary vectors for the torus, traceless
 skew-Hermitian 2x2 for SU2 and for SO3 (an so(3) element is stored as its
 su(2) preimage under the cover), skew-Hermitian 2x2 for U2.  All
 operations broadcast over leading batch axes; "one element" and "a grid
-of elements" go through the same code path.
-
-Products of 2x2 complex payloads (the U2 `group_mul`, `ad` and the Gram
-matrix of `element_defect`) are written out entry by entry in `_mul2`:
-at the orbit walker's batches a batched `@` on 2x2 matrices costs about
-ten times as much.  The polar factor of `renormalize` stays `@`.
+of elements" go through the same code path.  The group operations read
+the SU2 pair in the first two slots of every non-torus payload, so U2
+runs the SU2 arithmetic and carries w alongside.
 Points exp(i theta) of the unit circle are `unit_exp`: cos and sin
 written into one complex array.
 
@@ -43,6 +42,12 @@ differs.  Ad_g rotates the so(3) coordinates a to R(g) a, and exp(t J3) =
 0).  The canonical lift of a rotation, whose first quaternion entry of
 nearly largest magnitude (within LEAD_TIE) is positive, is the
 closed-form sign of `dynamics.u2_product`.
+
+U(2) = (SU(2) x U(1))/{+-1} through (g, w) -> w g, and a U2 element is
+stored as either preimage, (g, w) or (-g, -w).  Its product is the SU2
+product beside w1 w2 and its inverse (g^-1, conj(w)); w cancels from
+Ad_{wg} = Ad_g, so `ad` is the SU2 sandwich.  The centre of u(2) is
+i R I, and exp(i t I + X) = (exp(X), e^{it}) for traceless X.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ E3 = np.array([[1.0j, 0.0], [0.0, -1.0j]], dtype=complex)
 
 # so(3) basis as su(2) preimages: J_i rotates about the x_i axis
 J1, J2, J3 = E1 / 2, E2 / 2, E3 / 2
+
+# payload slots of the non-torus groups: the SU2 pair, and U2's circle factor w
+_WIDTH = {SU2: 2, SO3: 2, U2: 3}
 
 RENORM_TRIGGER = 1e-13
 # quaternion entries this close to the largest magnitude tie for the lead
@@ -109,8 +117,6 @@ class GroupElement:
 
     @property
     def batch_shape(self):
-        if self.group.tag == U2:
-            return self.payload.shape[:-2]
         return self.payload.shape[:-1]
 
 
@@ -136,14 +142,11 @@ def _same_group(a, b):
 # ---------------------------------------------------------------------------
 
 def identity(group: GroupSpec, batch_shape=()) -> GroupElement:
-    tag = group.tag
-    if tag == TORUS:
+    if group.tag == TORUS:
         p = np.ones(batch_shape + (group.torus_dim,), dtype=complex)
-    elif tag == U2:
-        p = np.broadcast_to(np.eye(2, dtype=complex), batch_shape + (2, 2)).copy()
     else:
-        p = np.zeros(batch_shape + (2,), dtype=complex)
-        p[..., 0] = 1.0
+        p = np.zeros(batch_shape + (_WIDTH[group.tag],), dtype=complex)
+        p[..., 0] = p[..., 2:] = 1.0
     return GroupElement(group, p)
 
 
@@ -173,70 +176,51 @@ def _broadcast(s: tuple, t: tuple) -> tuple:
     return s if s == t else np.broadcast_shapes(s, t)
 
 
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 payloads, written out; broadcasts as @ does."""
-    p = np.empty(_broadcast(a.shape, b.shape), dtype=np.result_type(a, b))
-    for i in (0, 1):
-        for j in (0, 1):
-            out = p[..., i, j]
-            np.multiply(a[..., i, 0], b[..., 0, j], out=out)
-            out += a[..., i, 1] * b[..., 1, j]
-    return p
-
-
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     _same_group(a, b)
     tag = a.group.tag
     if tag == TORUS:
-        p = a.payload * b.payload
-    elif tag == U2:
-        p = _mul2(a.payload, b.payload)
-    else:
-        a1, a2 = a.payload[..., 0], a.payload[..., 1]
-        b1, b2 = b.payload[..., 0], b.payload[..., 1]
-        p = np.empty(_broadcast(a1.shape, b1.shape) + (2,), dtype=complex)
-        np.subtract(a1 * b1, a2 * np.conj(b2), out=p[..., 0])
-        np.add(a1 * b2, a2 * np.conj(b1), out=p[..., 1])
+        return GroupElement(a.group, a.payload * b.payload)
+    a1, a2 = a.payload[..., 0], a.payload[..., 1]
+    b1, b2 = b.payload[..., 0], b.payload[..., 1]
+    p = np.empty(_broadcast(a1.shape, b1.shape) + (_WIDTH[tag],), dtype=complex)
+    np.subtract(a1 * b1, a2 * np.conj(b2), out=p[..., 0])
+    np.add(a1 * b2, a2 * np.conj(b1), out=p[..., 1])
+    if tag == U2:
+        np.multiply(a.payload[..., 2], b.payload[..., 2], out=p[..., 2])
     return GroupElement(a.group, p)
 
 
 def group_inv(a: GroupElement) -> GroupElement:
-    tag = a.group.tag
-    if tag == TORUS:
-        p = np.conj(a.payload)
-    elif tag == U2:
-        p = np.conj(np.swapaxes(a.payload, -1, -2))
-    else:
-        p = np.empty(a.payload.shape, dtype=complex)
-        np.conj(a.payload[..., 0], out=p[..., 0])
+    """Every slot conjugated, except that the SU2 pair (z1, z2) inverts to
+    (conj(z1), -z2)."""
+    p = np.conj(a.payload)
+    if a.group.tag != TORUS:
         np.negative(a.payload[..., 1], out=p[..., 1])
     return GroupElement(a.group, p)
 
 
 def element_defect(g: GroupElement) -> float:
-    """Max deviation from the unitarity constraints."""
-    tag = g.group.tag
+    """Max deviation from the unitarity constraints: |z1|^2 + |z2|^2 = 1 for
+    the SU2 pair, |w| = 1 for U2's w and every torus entry."""
     p = g.payload
-    if tag == TORUS:
+    if g.group.tag == TORUS:
         return float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
-    if tag == U2:
-        gram = _mul2(np.swapaxes(np.conj(p), -1, -2), p)
-        return float(np.max(np.abs(gram - np.eye(2)), initial=0.0))
     n = np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2
-    return float(np.max(np.abs(n - 1.0), initial=0.0))
+    return float(max(np.max(np.abs(n - 1.0), initial=0.0),
+                     np.max(np.abs(np.abs(p[..., 2:]) - 1.0), initial=0.0)))
 
 
 def renormalize(g: GroupElement) -> GroupElement:
-    """Project back onto the group (phases / unit sphere / polar factor)."""
-    tag = g.group.tag
+    """Project back onto the group: the unit sphere for the SU2 pair, the
+    unit circle for U2's w and every torus entry."""
     p = g.payload
-    if tag == TORUS:
+    if g.group.tag == TORUS:
         return GroupElement(g.group, p / np.abs(p))
-    if tag == U2:
-        u, _, vh = np.linalg.svd(p)
-        return GroupElement(g.group, u @ vh)
     n = np.sqrt(np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2)
-    return GroupElement(g.group, p / n[..., None])
+    out = p / n[..., None]
+    out[..., 2:] = p[..., 2:] / np.abs(p[..., 2:])
+    return GroupElement(g.group, out)
 
 
 def maybe_renormalize(g: GroupElement) -> GroupElement:
@@ -251,24 +235,21 @@ def maybe_renormalize(g: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 def ad(g: GroupElement, Z: AlgebraElement) -> AlgebraElement:
-    """Adjoint action Ad_g Z = g Z g^{-1}, for any complex 2x2 Z on SU2 and SO3."""
+    """Adjoint action Ad_g Z = g Z g^{-1}: the sandwich of any complex 2x2 Z
+    by the SU2 pair g of an SU2, SO3 or U2 payload (U2's w cancels)."""
     _same_group(g, Z)
-    tag = g.group.tag
-    if tag == TORUS:
+    if g.group.tag == TORUS:
         return AlgebraElement(Z.group, np.array(Z.payload))
-    if tag == U2:
-        p = _mul2(_mul2(g.payload, Z.payload), np.conj(np.swapaxes(g.payload, -1, -2)))
-    else:
-        # g Z g* written out for any complex 2x2 Z; batched @ is faster below ~30
-        z1, z2 = g.payload[..., 0], g.payload[..., 1]
-        w1, w2 = np.conj(z1), np.conj(z2)
-        Zp = Z.payload
-        a, b, c, d = Zp[..., 0, 0], Zp[..., 0, 1], Zp[..., 1, 0], Zp[..., 1, 1]
-        p00, p01 = z1 * a + z2 * c, z1 * b + z2 * d
-        p10, p11 = w1 * c - w2 * a, w1 * d - w2 * b
-        p = np.empty(_broadcast(z1.shape, a.shape) + (2, 2), dtype=complex)
-        p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
-        p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
+    # g Z g* written out; batched @ is faster below ~30
+    z1, z2 = g.payload[..., 0], g.payload[..., 1]
+    w1, w2 = np.conj(z1), np.conj(z2)
+    Zp = Z.payload
+    a, b, c, d = Zp[..., 0, 0], Zp[..., 0, 1], Zp[..., 1, 0], Zp[..., 1, 1]
+    p00, p01 = z1 * a + z2 * c, z1 * b + z2 * d
+    p10, p11 = w1 * c - w2 * a, w1 * d - w2 * b
+    p = np.empty(_broadcast(z1.shape, a.shape) + (2, 2), dtype=complex)
+    p[..., 0, 0], p[..., 0, 1] = p00 * w1 + p01 * w2, p01 * z1 - p00 * z2
+    p[..., 1, 0], p[..., 1, 1] = p10 * w1 + p11 * w2, p11 * z1 - p10 * z2
     return AlgebraElement(Z.group, p)
 
 
@@ -297,25 +278,21 @@ def _sinc(x):
 
 
 def exp_alg(Z: AlgebraElement) -> GroupElement:
-    """Group exponential, closed form per group."""
+    """Group exponential in closed form: exp(X) = cos(theta) I + sinc(theta) X
+    for traceless X, X^2 = -theta^2 I; a U2 payload Z = i t I + X splits
+    off its trace part as w = e^{it}."""
     tag = Z.group.tag
     p = Z.payload
     if tag == TORUS:
         return GroupElement(Z.group, np.exp(p))
-    if tag in (SU2, SO3):
-        # Z^2 = -theta^2 I with theta = |coordinates|
-        theta = np.sqrt(np.maximum(np.real(p[..., 0, 0] * p[..., 1, 1]
-                                           - p[..., 0, 1] * p[..., 1, 0]), 0.0))
-        c, s = np.cos(theta), _sinc(theta)
-        z1 = c + s * p[..., 0, 0]
-        z2 = s * p[..., 0, 1]
-        return GroupElement(Z.group, np.stack([z1, z2], axis=-1))
-    # U2: Z = iH with H Hermitian; diagonalize H
-    h = -1j * p
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * w)
-    u = (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return GroupElement(Z.group, u)
+    a, d = p[..., 0, 0], p[..., 1, 1]
+    slots = []
+    if tag == U2:
+        t = 0.5 * np.imag(a + d)
+        a, d, slots = a - 1j * t, d - 1j * t, [unit_exp(t)]
+    theta = np.sqrt(np.maximum(np.real(a * d - p[..., 0, 1] * p[..., 1, 0]), 0.0))
+    c, s = np.cos(theta), _sinc(theta)
+    return GroupElement(Z.group, np.stack([c + s * a, s * p[..., 0, 1]] + slots, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +367,18 @@ def p_ad_monte_carlo(Z: AlgebraElement, n_samples: int, rng) -> AlgebraElement:
 def haar_sample(group: GroupSpec, n: int, rng) -> GroupElement:
     """n independent Haar draws, batched along the first axis."""
     gen = as_generator(rng)
-    tag = group.tag
-    if tag == TORUS:
+    if group.tag == TORUS:
         ph = gen.random((n, group.torus_dim))
         return GroupElement(group, np.exp(2j * np.pi * ph))
-    if tag == U2:
-        # U2 = (circle x SU2) pushed through (z, g) -> z g
-        z = np.exp(2j * np.pi * gen.random(n))
-        g = haar_sample(SU2_GROUP, n, gen)
-        return GroupElement(group, z[:, None, None] * su2_matrix(g.payload))
-    # a uniform unit quaternion q0 + q1 E1 + q2 E2 + q3 E3; Haar on SU2
-    # pushes forward to Haar on SO3
+    # U2's uniform w first (none for SU2 and SO3), then a uniform unit
+    # quaternion q0 + q1 E1 + q2 E2 + q3 E3: Haar on SU2 pushes forward to
+    # Haar on SO3, and Haar on SU2 x U(1) to Haar on U2
+    p = np.empty((n, _WIDTH[group.tag]), dtype=complex)
+    p[:, 2:] = np.exp(2j * np.pi * gen.random((n, p.shape[1] - 2)))
     v = gen.standard_normal((n, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return GroupElement(group, np.stack([v[:, 0] + 1j * v[:, 3], v[:, 1] - 1j * v[:, 2]],
-                                        axis=-1))
+    p[:, 0], p[:, 1] = v[:, 0] + 1j * v[:, 3], v[:, 1] - 1j * v[:, 2]
+    return GroupElement(group, p)
 
 
 # ---------------------------------------------------------------------------

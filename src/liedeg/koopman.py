@@ -147,10 +147,14 @@ def check_bytes(field: str, need: int) -> None:
 
 def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                   flow: D.TranslationFlow, N: int, floor: int) -> int:
-    """Node count guaranteeing exactness for trig-polynomial data: the
+    """Node count of the correlation rule for trig-polynomial data.  The
     integrand conj(phi1) pi(phi^(N)) (phi2 o F_N) has per-dimension trig
-    degree at most max(B1, B2) + |N| * freq(cocycle) * weight(pi), and an
-    equispaced rule with more than twice that many nodes is exact.
+    degree at most D = B1 + B2 + |N| * freq(cocycle) * weight(pi), and an
+    equispaced rule with m > D nodes per dimension integrates a trig
+    polynomial of degree D exactly (L. N. Trefethen and J. A. C. Weideman,
+    SIAM Review 56 (2014)).  The count 2 (max(B1, B2) + |N| freq weight)
+    + 1, at least `floor`, is the sizing in use, with a margin over that
+    condition; it is not the exactness condition itself.
 
     Raises TagMismatchError for a pair off one representation of c's group
     and, through `check_bytes` before any grid exists, ConfigError when the

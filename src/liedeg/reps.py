@@ -8,12 +8,12 @@ SU2       integer l >= 0, dimension l+1 (action on binary forms of
 SO3       integer l >= 0, dimension 2l+1 (the SU(2) label 2l through the
           double cover; its rows and columns j = -l..l)
 U2        pair (l, m), dimension l+1: Sym^l(u) times det(u)^{m-l}, which
-          is z^{2m-l} pi_l(g) for u = z g with z^2 = det u and g in SU(2)
+          is w^{2m-l} pi_l(g) for the payload (g, w), u = w g
 
-Characters and U(2)'s determinant factor are integer powers of unit
-complex numbers, taken by square-and-multiply: |e|.bit_length() - 1
-squarings (at most 30 for a character, 31 for det^{m-l}) and conj for
-e < 0.  Round-off is about |e| eps, about 1e-6 at the largest labels.
+Characters and U(2)'s centre factor are integer powers of unit complex
+numbers, taken by square-and-multiply: |e|.bit_length() - 1 squarings
+(at most 30 for a character, 32 for w^{2m-l}) and conj for e < 0.
+Round-off is about |e| eps, about 1e-6 at the largest labels.
 
 Every representation is unitary: the monomial basis is normalized, as
 the paper's results for unitary irreducible pi require.  The paper's
@@ -27,16 +27,18 @@ The matrix is assembled from the expansion
     p_k((w1,w2) u) = sum_j c_jk(u) p_j,   u = [[u00, u01], [u10, u11]],
 
 whose coefficients are an explicit double sum in u00, u11, u01, u10
-(z1, conj(z1), z2, -conj(z2) for SU(2)): C(l+3, 3) term products, each
+(z1, conj(z1), z2, -conj(z2) for the SU(2) pair that the SU(2), SO(3)
+and U(2) payloads carry alike): C(l+3, 3) term products, each
 landing with a binomial coefficient in one slot of c.  `_terms` builds
 them points-last, one outer product per column, and a fixed scatter
 matrix per l takes them to c: `rep_eval_payload` scatters per point,
 while `rep_mean_payload` first reduces the terms against quadrature
 weights (one GEMM) and scatters only the sums, so a grid mean of pi
-never forms a per-point matrix.  U(2) multiplies c(u) by
-(det / |det|)^(m-l), no sqrt(det u) needed (a mean folds it into the
-weights); normalizing keeps the payload's modulus round-off out of the
-power.  SO(3) = SU(2)/{+-1} has the even SU(2) labels as its irreps:
+never forms a per-point matrix.  U(2) multiplies c(g) by the centre
+factor (w / |w|)^(2m-l) (a mean folds it into the weights); normalizing
+keeps the payload's modulus round-off out of the power.  The payload's
+sign cancels: pi_l(-g) = (-1)^l pi_l(g) and (-w)^(2m-l) = (-1)^l w^(2m-l)
+exactly.  SO(3) = SU(2)/{+-1} has the even SU(2) labels as its irreps:
 label l evaluates
 
     pi_l(g) = C pi_2l(g) C^-1,   C = diag(i^j), j = -l..l,
@@ -63,9 +65,10 @@ from . import groups as G
 from .errors import ConfigError, TagMismatchError
 
 L_CAP = 12  # largest label; SO(3) label l reads the SU(2) tables at 2l <= 24
-# label entries stay below this size: square-and-multiply powers (at most 31
-# squarings, for det^(m-l)) round off by about |e| eps, so pi stays unitary to
-# about 1e-6 at 2**31 - 1, while at 2**62 its modulus grows to 1e157
+# label entries stay below this size: square-and-multiply powers (at most 32
+# squarings, for w^(2m-l) with |2m - l| up to 2**32 + 10) round off by about
+# |e| eps, so pi stays unitary to about 1e-6, while at 2**62 its modulus
+# grows to 1e157
 LABEL_BOUND = 2 ** 31
 
 _ENTRIES = "rep label entries must be integers below 2**31 in size"
@@ -254,20 +257,18 @@ def _characters(rep: Representation, payload: np.ndarray) -> np.ndarray:
 
 
 def _expansion(rep: Representation, payload: np.ndarray):
-    """(SU(2) label, term products, U(2)'s det^(m-l) or None) of rep on
-    payloads flattened to n points.  SO(3) reads label 2l: the terms have
-    even degree 2l, so the payload's sign cancels exactly."""
+    """(SU(2) label, term products of the SU(2) pair, U(2)'s centre factor
+    w^(2m-l) or None) of rep on payloads flattened to n points.  SO(3)
+    reads label 2l: the terms have even degree 2l, so the payload's sign
+    cancels exactly."""
     tag, l = rep.group.tag, rep.label[0]
-    if tag == G.U2:
-        u00, u01, u10, u11 = payload.reshape(-1, 4).T
-        det, e = u00 * u11 - u01 * u10, rep.label[1] - l
-        return l, _terms(l, u00, u11, u01, u10), (
-            _unit_power(det / np.abs(det), e) if e else None)
+    z = payload.reshape(-1, payload.shape[-1])
+    e = 2 * rep.label[1] - l if tag == G.U2 else 0
+    centre = _unit_power(z[:, 2] / np.abs(z[:, 2]), e) if e else None
     if tag == G.SO3:
         l *= 2
-    z = payload.reshape(-1, 2)
     z1, z2 = z[:, 0], z[:, 1]
-    return l, _terms(l, z1, np.conj(z1), z2, -np.conj(z2)), None
+    return l, _terms(l, z1, np.conj(z1), z2, -np.conj(z2)), centre
 
 
 def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
@@ -276,12 +277,11 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     tag = rep.group.tag
     if tag == G.TORUS:
         return _characters(rep, payload)[..., None, None]
-    batch = payload.shape[:-2] if tag == G.U2 else payload.shape[:-1]
-    l, terms, det = _expansion(rep, payload)
+    l, terms, centre = _expansion(rep, payload)
     out = (terms.T @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
-    if det is not None:
-        out *= det[:, None]
-    return out.reshape(batch + (rep.dim, rep.dim))
+    if centre is not None:
+        out *= centre[:, None]
+    return out.reshape(payload.shape[:-1] + (rep.dim, rep.dim))
 
 
 def rep_mean_payload(rep: Representation, payload: np.ndarray, weights: np.ndarray,
@@ -292,12 +292,13 @@ def rep_mean_payload(rep: Representation, payload: np.ndarray, weights: np.ndarr
 
     The term products are reduced against the weights (one GEMM per part)
     before anything is scattered: no per-point matrix exists.  U(2)'s
-    det^(m-l) folds into the weights, and the torus is weights @ characters.
+    centre factor folds into the weights, and the torus is weights @
+    characters.
     """
     torus = rep.group.tag == G.TORUS
-    l, vals, det = (0, _characters(rep, payload), None) if torus else _expansion(rep, payload)
-    if det is not None:
-        weights = weights * det
+    l, vals, centre = (0, _characters(rep, payload), None) if torus else _expansion(rep, payload)
+    if centre is not None:
+        weights = weights * centre
     head = vals[..., :split] @ weights[:, :split].T
     sums = np.stack((head, head + vals[..., split:] @ weights[:, split:].T))
     if torus:
@@ -414,11 +415,11 @@ def _quadrature_nodes(group: G.GroupSpec, n: int) -> tuple[np.ndarray, np.ndarra
         d = group.torus_dim
         payload = np.exp(2j * np.pi * D.quadrature_points(D.QuadratureSpec(n), d))
         return payload, np.full(payload.shape[0], 1.0 / n ** d)
-    # U2: circle times SU2 pushed through (z, g) -> z g
+    # U2: the SU2 nodes beside each circle node w, as triples (g, w)
     su2_payload, su2_w = su2_euler_nodes(n)
-    z = np.exp(2j * np.pi * np.arange(_U2_CIRCLE_NODES) / _U2_CIRCLE_NODES)
-    mats = G.su2_matrix(su2_payload)
-    payload = (z[:, None, None, None] * mats[None]).reshape(-1, 2, 2)
+    w = np.exp(2j * np.pi * np.arange(_U2_CIRCLE_NODES) / _U2_CIRCLE_NODES)
+    payload = np.concatenate([np.tile(su2_payload, (_U2_CIRCLE_NODES, 1)),
+                              np.repeat(w, len(su2_payload))[:, None]], axis=1)
     weights = np.tile(su2_w, _U2_CIRCLE_NODES) / _U2_CIRCLE_NODES
     return payload, weights
 

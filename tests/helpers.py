@@ -22,20 +22,22 @@ import liedeg.koopman as K
 import liedeg.reps as R
 from liedeg.errors import ConfigError, TagMismatchError
 
-# unitarity / orthogonality tolerances per group
-ELEMENT_TOL = {G.TORUS: 1e-12, G.SU2: 1e-12, G.SO3: 1e-10, G.U2: 1e-10}
+# unitarity tolerance of every group's elements
+ELEMENT_TOL = 1e-12
+# square-and-multiply powers z**e of unit z round off by about |e| eps
+POWER_TOL = 8 * np.finfo(float).eps
 
 
 def to_matrix(g: G.GroupElement) -> np.ndarray:
     """Matrix form of an element (torus -> diagonal matrix, SO3 -> the
-    rotation matrix of its payload)."""
+    rotation matrix of its payload, U2 -> w times the SU2 pair's matrix)."""
     tag = g.group.tag
     if tag == G.SU2:
         return G.su2_matrix(g.payload)
     if tag == G.SO3:
         return so3_matrix(g.payload)
     if tag == G.U2:
-        return g.payload
+        return g.payload[..., 2, None, None] * G.su2_matrix(g.payload[..., :2])
     d = g.group.torus_dim
     m = np.zeros(g.payload.shape[:-1] + (d, d), dtype=complex)
     idx = np.arange(d)
@@ -45,7 +47,7 @@ def to_matrix(g: G.GroupElement) -> np.ndarray:
 
 def validate_element(g: G.GroupElement, tol: float | None = None) -> float:
     dev = G.element_defect(g)
-    limit = ELEMENT_TOL[g.group.tag] if tol is None else tol
+    limit = ELEMENT_TOL if tol is None else tol
     if dev > limit:
         raise ConfigError(f"{g.group.name} element defect {dev:.3e} > {limit:.1e}")
     return dev
@@ -273,8 +275,9 @@ def iso_so3_torus_to_u2(R: G.GroupElement, w, branch: int = +1) -> G.GroupElemen
     if branch not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
     z = circle_sqrt(np.asarray(w, dtype=complex))
-    lift = G.su2_matrix(so3_to_su2(so3_matrix(R.payload)))
-    return G.GroupElement(G.U2_GROUP, branch * z[..., None, None] * lift)
+    lift = so3_to_su2(so3_matrix(R.payload))
+    z = np.broadcast_to(z, lift.shape[:-1])
+    return G.GroupElement(G.U2_GROUP, branch * np.concatenate([lift, z[..., None]], axis=-1))
 
 
 def torus_character_reference(payload: np.ndarray, q) -> np.ndarray:
@@ -289,17 +292,51 @@ def su2_from_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def u2_factor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u = z g on raw U(2) payloads: (det u, z, SU(2) payload of g), with
+    """u = z g on 2x2 unitaries: (det u, z, SU(2) payload of g), with
     z = circle_sqrt(det u) the one branch choice for sqrt(det u)."""
     det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
     z = circle_sqrt(det)
     return det, z, su2_from_matrix(u / z[..., None, None])
 
 
+def u2_payload(u: np.ndarray) -> np.ndarray:
+    """The triple (z1, z2, w) of 2x2 unitaries u = w g (`u2_factor`, w =
+    circle_sqrt(det u)): how `groups` stores U(2)."""
+    _, z, g = u2_factor(u)
+    return np.concatenate([g, z[..., None]], axis=-1)
+
+
+def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices, written out entry by entry; broadcasts as @
+    does.  The U(2) product of 2x2 payloads that the triples replaced."""
+    p = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in (0, 1):
+        for j in (0, 1):
+            out = p[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=out)
+            out += a[..., i, 1] * b[..., 1, j]
+    return p
+
+
+def polar_factor(m: np.ndarray) -> np.ndarray:
+    """The unitary polar factor U V^H of m = U S V^H: the U(2)
+    renormalization of 2x2 payloads that the triples replaced."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def exp_eigh(Z: np.ndarray) -> np.ndarray:
+    """exp(Z) of skew-Hermitian Z = iH by diagonalizing H: the U(2)
+    exponential that the trace split replaced."""
+    w, v = np.linalg.eigh(-1j * Z)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
 def u2_rep_reference(rep: R.Representation, u: np.ndarray) -> np.ndarray:
-    """The factorised U(2) irrep z^(2m - l) pi_l(u / z), z = sqrt(det u),
-    with the centre factor through numpy's complex pow: the reference for
-    `reps.rep_eval_payload`'s det^(m - l) Sym^l(u)."""
+    """The factorised U(2) irrep z^(2m - l) pi_l(u / z) of 2x2 unitaries u,
+    z = sqrt(det u), with the centre factor through numpy's complex pow:
+    the reference for `reps.rep_eval_payload`'s w^(2m - l) pi_l(g) on the
+    triples (g, w)."""
     l, m = rep.label
     _, z, g = u2_factor(u)
     return (z ** (2 * m - l))[..., None, None] * R.rep_eval_payload(R.su2_rep(l), g)

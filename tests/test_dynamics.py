@@ -938,25 +938,35 @@ def test_so3_x3_rotation_embeds_circle():
     assert np.max(np.abs(H.so3_matrix(below) - H.so3_matrix(above))) < 1e-10
 
 
+def _u2_value(c, phases):
+    """The 2x2 form of a U(2) cocycle's values: continuity is judged on the
+    element, as a triple and its negative name one element."""
+    return H.to_matrix(G.GroupElement(G.U2_GROUP, c.value(phases)))
+
+
 def test_u2_product_matched_parity_is_continuous():
     flow = D.default_flow(1)
     c = D.u2_product(flow, [1], [1], 0.4)
     eps = 1e-9
-    lo = c.value(np.array([[eps]]))[0]
-    hi = c.value(np.array([[1.0 - eps]]))[0]
+    lo = _u2_value(c, np.array([[eps]]))[0]
+    hi = _u2_value(c, np.array([[1.0 - eps]]))[0]
     assert np.max(np.abs(lo - hi)) < 1e-6
+    assert _jump_count(c) == 0
+    # k_torus is odd: w^2 = e(x) has no continuous root, so the payload's
+    # sign jumps once where the element does not
+    vals = c.value(np.linspace(0.0, 1.0, 2001)[:, None])
+    assert int(np.sum(np.max(np.abs(np.diff(vals, axis=0)), axis=-1) > 0.5)) == 1
     # closed form: diag(e^{i pi (kT+kR) x + i th/2}, e^{i pi (kT-kR) x - i th/2})
     ph = np.array([[0.3]])
-    u = c.value(ph)[0]
+    u = _u2_value(c, ph)[0]
     assert abs(u[0, 0] - np.exp(1j * (np.pi * 2 * 0.3 + 0.2))) < 1e-14
     assert abs(u[1, 1] - np.exp(-0.2j)) < 1e-14
     assert abs(u[0, 1]) == 0.0
 
 
 def _jump_count(c, n=2000):
-    ph = np.linspace(0.0, 1.0, n + 1)[:, None]
-    vals = c.value(ph)
-    jumps = np.max(np.abs(np.diff(vals, axis=0)), axis=tuple(range(1, vals.ndim)))
+    vals = _u2_value(c, np.linspace(0.0, 1.0, n + 1)[:, None])
+    jumps = np.max(np.abs(np.diff(vals, axis=0)), axis=(-2, -1))
     return int(np.sum(jumps > 0.5))
 
 
@@ -988,8 +998,9 @@ def test_u2_product_mismatch_lift_matches_iso(k_torus, k_rot, theta0):
     got = D.u2_product(flow, [k_torus], [k_rot], theta0).value(ph)
     R = G.GroupElement(G.SO3_GROUP, D.so3_x3_rotation(flow, [k_rot], theta0).value(ph))
     want = H.iso_so3_torus_to_u2(R, np.exp(2j * np.pi * k_torus * ph[:, 0]), +1).payload
-    # at rotation angles +-pi/2 the quaternion entries q0 and q3 tie in
-    # size, and q0, the first, leads the sign
+    # the same triple (lift(R), sqrt(w)): at rotation angles +-pi/2 the
+    # quaternion entries q0 and q3 tie in size, and q0, the first, leads
+    # the sign
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -1000,10 +1011,9 @@ def _mismatch_value_reference(kt, kr, theta0, phases):
     h = np.mod(h + np.pi / 2, np.pi) - np.pi / 2
     c, s = np.cos(h), np.sin(h)
     sign = np.where((np.abs(c) < np.abs(s) - G.LEAD_TIE) & (s < 0), -1.0, 1.0)
-    z = H.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt))) * sign
-    out = np.zeros(h.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = z * (c + 1j * s)
-    out[..., 1, 1] = z * (c - 1j * s)
+    out = np.zeros(h.shape + (3,), dtype=complex)
+    out[..., 0] = sign * (c + 1j * s)
+    out[..., 2] = H.circle_sqrt(G.unit_exp(2 * np.pi * (phases @ kt)))
     return out
 
 
@@ -1027,7 +1037,7 @@ def test_u2_scalar_su2_composition():
     c = D.u2_scalar_su2(flow, [2], inner)
     ph = RNG.random((8, 1))
     want = np.exp(4j * np.pi * ph[:, 0])[:, None, None] * G.su2_matrix(inner.value(ph))
-    assert np.max(np.abs(c.value(ph) - want)) < 1e-14
+    assert np.max(np.abs(_u2_value(c, ph) - want)) < 1e-14
     assert c.freq_bound == 4
     with pytest.raises(TagMismatchError):
         D.u2_scalar_su2(flow, [1], D.torus_monomial(flow, [1]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeg import groups as G
+from liedeg import reps
 from liedeg.errors import ConfigError, TagMismatchError
 from liedeg.rng import RngHandle
 
@@ -170,37 +171,84 @@ def test_so3_payloads_carry_the_3x3_bracket_and_metric(seed, n, log_scale):
     assert np.max(np.abs(inner - 0.5 * np.sum(S * T, axis=(-1, -2)))) <= 1e-14 * scale
 
 
+def _u2_matrix(payload):
+    return H.to_matrix(G.GroupElement(G.U2_GROUP, payload))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
        st.sampled_from(["batch-batch", "scalar-g", "scalar-z"]),
        st.floats(-3.0, 3.0))
 def test_u2_written_out_products_match_matmul(seed, n, shape, log_scale):
-    # any complex 2x2 payload, not only unitary or skew-Hermitian ones
+    # any complex triples, not only unitary ones: their 2x2 forms, w times
+    # [[z1, z2], [-conj(z2), conj(z1)]], are closed under @; Ad of a Haar
+    # triple on any complex 2x2 Z
     rng = np.random.default_rng(seed)
 
-    def draw():
-        return 10.0 ** log_scale * (rng.standard_normal((n, 2, 2))
-                                    + 1j * rng.standard_normal((n, 2, 2)))
+    def draw(*tail):
+        return 10.0 ** log_scale * (rng.standard_normal((n,) + tail)
+                                    + 1j * rng.standard_normal((n,) + tail))
 
     g = G.haar_sample(G.U2_GROUP, n, rng).payload
-    a, Z = draw(), draw()
+    a, b, Z = draw(3), draw(3), draw(2, 2)
     if shape == "scalar-g":
         g, a = g[0], a[0]
     elif shape == "scalar-z":
-        Z = Z[0]
-    tol = 1e-14 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(Z))) ** 2)
-    checks = [
-        (G.group_mul(G.GroupElement(G.U2_GROUP, a), G.GroupElement(G.U2_GROUP, Z)).payload,
-         a @ Z),
-        (G.ad(G.GroupElement(G.U2_GROUP, g), G.AlgebraElement(G.U2_GROUP, Z)).payload,
-         g @ Z @ np.conj(np.swapaxes(g, -1, -2))),
-    ]
-    for got, want in checks:
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= tol
-    gram = np.conj(np.swapaxes(Z, -1, -2)) @ Z
-    want = float(np.max(np.abs(gram - np.eye(2))))
-    assert abs(G.element_defect(G.GroupElement(G.U2_GROUP, Z)) - want) <= tol
+        b, Z = b[0], Z[0]
+    size = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    got = _u2_matrix(G.group_mul(G.GroupElement(G.U2_GROUP, a), G.GroupElement(G.U2_GROUP, b))
+                     .payload)
+    want = _u2_matrix(a) @ _u2_matrix(b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + size) ** 4
+    u = _u2_matrix(g)
+    got = G.ad(G.GroupElement(G.U2_GROUP, g), G.AlgebraElement(G.U2_GROUP, Z)).payload
+    want = u @ Z @ np.conj(np.swapaxes(u, -1, -2))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(Z)))
+    # the defect bounds the 2x2 form's distance from unitarity:
+    # |w|^2 (|z1|^2 + |z2|^2) is within (1 + defect)^3 of 1
+    d = G.element_defect(G.GroupElement(G.U2_GROUP, a))
+    ua = _u2_matrix(a)
+    gram = float(np.max(np.abs(np.conj(np.swapaxes(ua, -1, -2)) @ ua - np.eye(2))))
+    assert gram <= (1.0 + d) ** 3 - 1.0 + 1e-14 * (1.0 + size) ** 4
+    assert G.element_defect(G.GroupElement(G.U2_GROUP, g)) <= H.ELEMENT_TOL
+
+
+U2_REP_LABELS = [(0, 1), (1, 0), (2, 1), (2, 2), (3, -1), (4, 9), (12, 14)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.floats(-3.0, 1.0))
+def test_u2_triples_match_the_2x2_references(seed, n, log_scale):
+    """Haar triples (z1, z2, w) against the 2x2 forms they replaced,
+    through `helpers.to_matrix`: products by `helpers.mul2`, inverses by
+    the conjugate transpose, Ad by the mul2 sandwich, the exponential by
+    `helpers.exp_eigh`, renormalization by `helpers.polar_factor` and
+    the irreps by `helpers.u2_rep_reference`; a triple and its negative
+    give the same bits of pi."""
+    rng = np.random.default_rng(seed)
+    a, b = G.haar_sample(G.U2_GROUP, n, rng), G.haar_sample(G.U2_GROUP, n, rng)
+    ua, ub = H.to_matrix(a), H.to_matrix(b)
+    assert np.max(np.abs(H.to_matrix(G.group_mul(a, b)) - H.mul2(ua, ub))) <= 1e-14
+    assert np.max(np.abs(H.to_matrix(G.group_inv(a))
+                         - np.conj(np.swapaxes(ua, -1, -2)))) <= 1e-14
+    Z = 10.0 ** log_scale * _rand_alg(G.U2_GROUP, n, rng).payload
+    size = np.max(np.abs(Z))
+    sandwich = H.mul2(H.mul2(ua, Z), np.conj(np.swapaxes(ua, -1, -2)))
+    got = G.ad(a, G.AlgebraElement(G.U2_GROUP, Z)).payload
+    assert np.max(np.abs(got - sandwich)) <= 1e-14 * size
+    got = H.to_matrix(G.exp_alg(G.AlgebraElement(G.U2_GROUP, Z)))
+    assert np.max(np.abs(got - H.exp_eigh(Z))) <= 1e-14 * max(1.0, size)
+    drifted = a.payload * (1 + 1e-13)
+    got = H.to_matrix(G.renormalize(G.GroupElement(G.U2_GROUP, drifted)))
+    assert np.max(np.abs(got - H.polar_factor(_u2_matrix(drifted)))) <= 1e-14
+    for l, m in U2_REP_LABELS:
+        rep = reps.u2_rep(l, m)
+        got = reps.rep_eval_payload(rep, a.payload)
+        ref = H.u2_rep_reference(rep, ua)
+        assert np.max(np.abs(got - ref)) <= H.POWER_TOL * max(abs(2 * m - l), 1), (l, m)
+        assert np.array_equal(reps.rep_eval_payload(rep, -a.payload), got), (l, m)
 
 
 @pytest.mark.parametrize("shape", ["batch-batch", "scalar-a", "scalar-b"])
@@ -472,12 +520,12 @@ def test_iso_to_u2_example_and_inverse():
     # the payload of either sign maps to the canonical lift
     R = G.GroupElement(G.SO3_GROUP, -H.so3_to_su2(Rm))
     u = H.iso_so3_torus_to_u2(R, 1.0, +1)
-    assert np.allclose(u.payload, np.diag([np.exp(0.5j * alpha), np.exp(-0.5j * alpha)]),
+    assert np.allclose(H.to_matrix(u), np.diag([np.exp(0.5j * alpha), np.exp(-0.5j * alpha)]),
                        atol=1e-12)
     # round trip through the 2:1 split
     w = np.exp(2j * np.pi * 0.37)
     u2 = H.iso_so3_torus_to_u2(R, w, -1)
-    det, _, g = H.u2_factor(u2.payload)
+    det, _, g = H.u2_factor(H.to_matrix(u2))
     assert np.max(np.abs(H.so3_matrix(g) - Rm)) < 1e-12
     assert abs(det - w) < 1e-12
 

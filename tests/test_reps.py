@@ -83,9 +83,9 @@ def _c_matrix(l, u00, u11, u01, u10):
 
 
 def test_su2_matrix_matches_polynomial_substitution_oracle():
-    """On SU(2) pairs and on general complex 2x2 matrices, the form U(2)
-    reads straight from its payload; the points-first table of
-    `helpers.su2_table_reference` agrees."""
+    """On SU(2) pairs and on general complex 2x2 matrices, the form of
+    det^(m - l) Sym^l(u) that `_table_eval` keeps as the U(2) reference;
+    the points-first table of `helpers.su2_table_reference` agrees."""
     gen = RngHandle(4242).generator()
     for l in (1, 2, 3):
         for _ in range(5):
@@ -104,10 +104,12 @@ def test_su2_matrix_matches_polynomial_substitution_oracle():
 
 def _table_eval(rep, payload):
     """rep on raw payloads through `helpers.su2_table_reference`, SO(3) at
-    label 2l: the evaluation the term products replaced."""
+    label 2l, U(2) as det^(m - l) Sym^l(u) on the 2x2 form u: the
+    evaluation the term products replaced."""
     tag, l = rep.group.tag, rep.label[0]
     if tag == G.U2:
-        u00, u01, u10, u11 = (payload[..., i, j] for i in (0, 1) for j in (0, 1))
+        u = H.to_matrix(G.GroupElement(G.U2_GROUP, payload))
+        u00, u01, u10, u11 = (u[..., i, j] for i in (0, 1) for j in (0, 1))
         det = u00 * u11 - u01 * u10
         c = H.su2_table_reference(l, u00, u11, u01, u10) * R._scale(rep)
         return R._unit_power(det / np.abs(det), rep.label[1] - l)[..., None, None] * c
@@ -207,7 +209,7 @@ def test_paper_diagonal_formulas_exact():
     for _ in range(20):
         u1 = np.exp(2j * np.pi * gen.random())
         u2 = np.exp(2j * np.pi * gen.random())
-        ud = G.GroupElement(G.U2_GROUP, np.diag([u1, u2]))
+        ud = G.GroupElement(G.U2_GROUP, H.u2_payload(np.diag([u1, u2])))
         for (l, m) in [(1, 0), (2, 1), (3, -1), (4, 2)]:
             mat = R.rep_eval_payload(R.u2_rep(l, m), ud.payload)
             want = np.diag([u1 ** (m + j - l) * u2 ** (m - j) for j in range(l + 1)])
@@ -218,7 +220,8 @@ def test_u2_scalar_twist_consistency():
     g = _haar(G.SU2_GROUP, 40)
     gen = RngHandle(61).generator()
     z = np.exp(2j * np.pi * gen.random(40))
-    u = G.GroupElement(G.U2_GROUP, z[:, None, None] * G.su2_matrix(g.payload))
+    # the triple of the 2x2 form z g carries w = +-z
+    u = G.GroupElement(G.U2_GROUP, H.u2_payload(z[:, None, None] * G.su2_matrix(g.payload)))
     for (l, m) in [(1, 0), (2, 1), (3, 2), (4, -2)]:
         left = R.rep_eval_payload(R.u2_rep(l, m), u.payload)
         right = (z ** (2 * m - l))[:, None, None] * R.rep_eval_payload(R.su2_rep(l), g.payload)
@@ -517,10 +520,9 @@ def test_differential_eigenvalue_patterns():
 # integer powers: torus characters and U(2)'s centre factor
 # ---------------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
 # square-and-multiply and numpy's pow each round off by about |e| eps; the
 # largest ratio seen on 4,096 Haar draws is 2.6
-POWER_TOL = 8 * EPS
+POWER_TOL = H.POWER_TOL
 # the largest |2m - l| a U(2) label reaches
 E_MAX = 2 * (R.LABEL_BOUND - 1) + R.L_CAP
 _EXPONENTS = [0, 1, -1, 2, -2, 3, -3, 7, -7, 2 ** 31 - 1, 1 - 2 ** 31]
@@ -568,22 +570,23 @@ U2_LABELS = [(0, 0), (0, 1), (2, 1), (2, 2), (1, 1), (3, -1), (4, 9),
 def test_u2_centre_factor_matches_pow_reference(l, m):
     payload = _haar(G.U2_GROUP, 200, 4).payload
     got = R.rep_eval_payload(R.u2_rep(l, m), payload)
-    ref = H.u2_rep_reference(R.u2_rep(l, m), payload)
+    ref = H.u2_rep_reference(R.u2_rep(l, m), H.to_matrix(G.GroupElement(G.U2_GROUP, payload)))
     assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(2 * m - l), 1)
 
 
 @pytest.mark.parametrize("l, m", U2_LABELS)
 def test_u2_irreps_need_no_square_root_cut(l, m):
     """det u near -1, on both sides of circle_sqrt's branch cut: the
-    factorised form flips z's sign across it, and z^(2m - l) pi_l(u / z)
-    does not move, nor does det^(m - l) Sym^l(u)."""
-    g = G.su2_matrix(_haar(G.SU2_GROUP, 200, 11).payload)
+    reference's factorisation flips z's sign across it, while the triples
+    carry a continuous w, and z^(2m - l) pi_l(u / z) does not move; nor
+    does the payload's own sign move a bit of pi."""
     eps = np.linspace(-1e-9, 1e-9, 200)
-    z = 1j * G.unit_exp(eps / 2)  # det = z^2 = -e^(i eps)
-    u = z[:, None, None] * g
-    got = R.rep_eval_payload(R.u2_rep(l, m), u)
-    ref = H.u2_rep_reference(R.u2_rep(l, m), u)
+    w = 1j * G.unit_exp(eps / 2)  # det = w^2 = -e^(i eps)
+    payload = np.concatenate([_haar(G.SU2_GROUP, 200, 11).payload, w[:, None]], axis=-1)
+    got = R.rep_eval_payload(R.u2_rep(l, m), payload)
+    ref = H.u2_rep_reference(R.u2_rep(l, m), H.to_matrix(G.GroupElement(G.U2_GROUP, payload)))
     assert np.max(np.abs(got - ref)) <= POWER_TOL * max(abs(2 * m - l), 1)
+    assert np.array_equal(R.rep_eval_payload(R.u2_rep(l, m), -payload), got)
 
 
 @pytest.mark.parametrize("rep", [R.torus_rep([2 ** 31 - 1, 1 - 2 ** 31]),
@@ -601,8 +604,8 @@ def test_largest_labels_stay_unitary_homomorphisms(rep):
 @pytest.mark.parametrize("m", [2 ** 31 - 1, 1 - 2 ** 31])
 def test_largest_u2_labels_stay_unitary_off_the_group(monkeypatch, m):
     """Walked payloads leave the group by round-off.  Scaled by 1 + 1e-13,
-    det u has modulus 1 + 2e-13, and raised to m - l near 2**31 the
-    unnormalized det would scale pi by about 1 + 4e-4; the unit det / |det|
+    w has modulus 1 + 1e-13, and raised to 2m - l near 2**32 the
+    unnormalized w would scale pi by about 1 + 4e-4; the unit w / |w|
     keeps pi within the round-off of the largest labels."""
     haar = G.haar_sample
     monkeypatch.setattr(G, "haar_sample", lambda *a: G.GroupElement(
