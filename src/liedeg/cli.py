@@ -136,6 +136,9 @@ def _cmd_degree(args) -> int:
     # that it takes in the walk and the spread's 16-row blocks
     K.check_bytes(f"--points ({args.points} sample points)",
                   args.points * (8 * args.d + 8 + 40 * G.algebra_bytes(cocycle.group)))
+    if args.points > DG.SPREAD_MAX_POINTS:
+        raise ConfigError(f"--points ({args.points} sample points) is above the cap of "
+                          f"{DG.SPREAD_MAX_POINTS}: the spread compares every pair")
     rng = RngHandle(args.seed, stream=11).generator()
     points = D.BasePoint(rng.random((args.points, args.d)))
     field = DG.degree_field(cocycle, flow, points, N=args.n)

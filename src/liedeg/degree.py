@@ -200,6 +200,8 @@ class DegreeField:
 
 
 SPREAD_BLOCK_ROWS = 16
+# the spread compares every pair of points: 4,096 SU(2) points take about 1 s
+SPREAD_MAX_POINTS = 2 ** 12
 
 
 def _pairwise_spread(values: G.AlgebraElement) -> float:

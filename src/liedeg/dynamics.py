@@ -147,29 +147,6 @@ def quadrature_points(spec: QuadratureSpec, d: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
-def coarse_first_points(nodes: int, d: int, start: int, stop: int) -> np.ndarray:
-    """Points start..stop-1 of the (2 nodes)^d grid in coarse-first order:
-    the even nodes first, which are the nodes^d grid bit for bit and in its
-    own order (node 2j of 2 nodes is node j of nodes), then the other
-    parity classes in the same order.  A walk builds one block at a time,
-    so no whole grid exists."""
-    cls, local = np.divmod(np.arange(start, min(stop, (2 * nodes) ** d)), nodes ** d)
-    pts = np.empty((len(cls), d))
-    for k in range(d - 1, -1, -1):
-        local, j = np.divmod(local, nodes)
-        np.divide(2 * j + ((cls >> (d - 1 - k)) & 1), 2 * nodes, out=pts[:, k])
-    return pts
-
-
-def mode_waves(points: np.ndarray, modes) -> np.ndarray:
-    """(r, n) waves e(-m_i.x) at n points per mode m_i; ones for m = 0."""
-    waves = np.ones((len(modes), len(points)), dtype=complex)
-    for w, m in zip(waves, modes):
-        if any(m):
-            w[:] = G.unit_exp(-2 * np.pi * (points @ m))
-    return waves
-
-
 def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """chi_r(x) = exp(i (2 pi K_r . x + offsets_r)) per row r of the integer
     matrix K, offsets in radians, shape (..., rows): every fresh evaluation
@@ -272,53 +249,6 @@ def cocycle_iterate(c: Cocycle, flow: TranslationFlow, x: BasePoint, n: int,
     return G.maybe_renormalize(g)
 
 
-def transfer(transfers, phases: np.ndarray) -> G.GroupElement | None:
-    """zeta(phases), zeta the pointwise product of `transfers`; None for e."""
-    z = None
-    for t in transfers:
-        value = G.GroupElement(t.group, t.value(phases))
-        z = value if z is None else G.group_mul(z, value)
-    return z
-
-
-def walk_grids(c: Cocycle, flow: TranslationFlow, grids, n: int, size: int,
-               visitors: Callable) -> None:
-    """n steps from the (2 m)^d check grids of the node counts m in `grids`,
-    each once: the coarse-first blocks of `size` points of each grid
-    (`coarse_first_points`) are packed whole, in order, into walks of at
-    most `size` points, each built when it starts.  `visitors(m, start,
-    block)` gives the (transfers1, transfers2, visit) of the block of
-    points start.. of grid m; each step calls visit(k, payload) on the
-    block's rows of zeta1(x) phi^(k)(x) zeta2(F_k x)^{-1} (`transfer`)."""
-    d, batches, jobs = flow.dim, [[]], []
-    for m in grids:
-        for start in range(0, (2 * m) ** d, size):
-            length = min(size, (2 * m) ** d - start)
-            if sum(block[2] for block in batches[-1]) + length > size:
-                batches.append([])
-            batches[-1].append((m, start, length))
-
-    def step(k, phases, g):
-        for rows, z1, transfers2, visit in jobs:
-            h = G.GroupElement(g.group, g.payload[rows])
-            if z1 is not None:
-                h = G.group_mul(z1, h)
-            z2 = transfer(transfers2, phases[rows])
-            if z2 is not None:
-                h = G.group_mul(h, G.group_inv(z2))
-            visit(k, h.payload)
-
-    for batch in batches:
-        blocks = [coarse_first_points(m, d, start, start + size) for m, start, _ in batch]
-        ends = np.cumsum([length for *_, length in batch])
-        jobs = [(slice(end - len(pts), end), transfer(t1, pts), t2, visit)
-                for end, (m, start, _), pts in zip(ends, batch, blocks)
-                for t1, t2, visit in visitors(m, start, pts)]
-        x = BasePoint(np.concatenate(blocks))
-        del blocks  # the walker copies the points: hold them once
-        cocycle_iterate(c, flow, x, n, step)
-
-
 def _m_at(c: Cocycle, phases: np.ndarray) -> np.ndarray:
     """c's M-field at phases: its unbroadcast `m_const` when it has one."""
     return c.m_field(phases) if c.m_const is None else c.m_const
@@ -387,18 +317,26 @@ def cohomologous_build(delta: Cocycle, zeta: Cocycle, flow: TranslationFlow) -> 
 # built-in cocycle library
 # ---------------------------------------------------------------------------
 
-def _integers(k, need: str = "windings must be integers") -> np.ndarray:
-    """k as an int array; entries that are not integers (1.5, inf, nan,
-    bools, strings, values past the int range) are refused, while
-    integral floats such as 1.0 pass; `need` opens the refusal."""
+def _integers(k, need: str = "windings must be integers", kind=int,
+              shape: tuple | None = None) -> np.ndarray:
+    """k as an array of `kind` (int, or float for a real parameter) and, when
+    given, of `shape`; entries that are not (1.5 or values past the int range
+    as an int; inf, nan, bools and strings as either) are refused, while
+    integral floats such as 1.0 pass as ints; `need` opens the refusal."""
     arr, entries = np.asarray(k), np.asarray(k, dtype=object)
     # numpy promotes (True, 2) to ints, so bools are sought entry by entry
     bools = any(isinstance(e, (bool, np.bool_)) for e in entries.flat)
     with np.errstate(invalid="ignore"):
-        ints = arr.astype(int) if arr.dtype.kind in "iuf" and not bools else None
-    if ints is None or not np.array_equal(ints, arr):
+        out = arr.astype(kind) if arr.dtype.kind in "iuf" and not bools else None
+    if (out is None or not np.array_equal(out, arr) or not np.all(np.isfinite(out))
+            or shape not in (None, out.shape)):
         raise ConfigError(f"{need}, got {reprlib.repr(entries.tolist())}")
-    return ints
+    return out
+
+
+def _real(x, name: str) -> float:
+    """The real parameter `name` as a float, refused unless one finite real."""
+    return float(_integers(x, f"{name} must be one finite real", float, ()))
 
 
 def _winding(k, d):
@@ -464,7 +402,8 @@ def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
     if k.shape[1] != flow.dim:
         raise ConfigError(f"winding matrix needs {flow.dim} columns")
     dprime = k.shape[0]
-    th = np.zeros(dprime) if theta0 is None else np.asarray(theta0, dtype=float)
+    th = np.zeros(dprime) if theta0 is None else _integers(
+        theta0, f"theta0 needs one finite real per row of k ({dprime})", float, (dprime,))
     return _character_cocycle(G.torus_group(dprime), flow, k, 2 * np.pi * th, lambda chi: chi,
                               2j * np.pi * (k @ flow.alpha_array), int(np.max(np.abs(k))),
                               f"torus-monomial k={k.tolist()}")
@@ -472,7 +411,7 @@ def torus_monomial(flow: TranslationFlow, k, theta0=None) -> Cocycle:
 
 def su2_diagonal(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     """diag(e^{i theta(x)}, e^{-i theta(x)}) with theta = 2 pi k.x + theta0."""
-    k = _winding(k, flow.dim)
+    k, theta0 = _winding(k, flow.dim), _real(theta0, "theta0")
     mconst = G.su2_alg_from_components(
         np.array([0.0, 0.0, 2 * np.pi * float(k @ flow.alpha_array)]))
 
@@ -492,7 +431,7 @@ def su2_twisted_diagonal(flow: TranslationFlow, k, c0: float = 0.7) -> Cocycle:
     produces degree fields whose E3-component stays at cos(2 c0) times the
     norm, uniformly away from the degenerate straightening branches.
     """
-    k = _winding(k, flow.dim)
+    k, c0 = _winding(k, flow.dim), _real(c0, "c0")
     front = np.array([math.cos(c0), math.sin(c0)], dtype=complex)  # exp(c0 E1)
     mconst = 2 * np.pi * float(k @ flow.alpha_array) * G.ad(
         G.GroupElement(G.SU2_GROUP, front), G.AlgebraElement(G.SU2_GROUP, G.E3)).payload
@@ -518,6 +457,7 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
     """
     m1 = _winding(m1, flow.dim)
     m2 = _winding(m2, flow.dim)
+    c1, c2 = _real(c1, "c1"), _real(c2, "c2")
     t1p = 2 * np.pi * float(m1 @ flow.alpha_array)
     t2p = 2 * np.pi * float(m2 @ flow.alpha_array)
 
@@ -549,7 +489,7 @@ def su2_two_angle(flow: TranslationFlow, m1, m2, c1: float = 0.0,
 def so3_x3_rotation(flow: TranslationFlow, k, theta0: float = 0.0) -> Cocycle:
     """Rotation about the x3 axis by theta(x) = 2 pi k.x + theta0: the
     payload (sqrt(chi), 0), chi = e^{i theta}, a lift of either sign."""
-    k = _winding(k, flow.dim)
+    k, theta0 = _winding(k, flow.dim), _real(theta0, "theta0")
     mconst = G.so3_alg_from_components(
         np.array([0.0, 0.0, 2 * np.pi * float(k @ flow.alpha_array)]))
 
@@ -589,7 +529,7 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
     the payload.
     """
     kt = _winding(k_torus, flow.dim)
-    kr = _winding(k_rot, flow.dim)
+    kr, theta0 = _winding(k_rot, flow.dim), _real(theta0, "theta0")
     matched = bool(np.all((kt - kr) % 2 == 0))
     kp, km = kt + kr, kt - kr
     mconst = np.diag([1j * np.pi * float(kp @ flow.alpha_array),

@@ -43,7 +43,6 @@ identities below require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -126,7 +125,7 @@ def fiber_coefficients(psi: FiberVector, phases: np.ndarray) -> np.ndarray:
     """psi's coefficient stack (..., d_pi) at raw phases (..., d), point by
     point: the independent reference for the mean-series engine."""
     out = np.exp(2j * np.pi * (phases @ _modes(psi, phases.shape[-1]).T)) @ psi.vectors
-    z = D.transfer(psi.transfers, phases)
+    z = transfer(psi.transfers, phases)
     if z is not None:
         P = R.rep_eval_payload(psi.rep, G.group_inv(z).payload)
         out = np.einsum("...lk,...k->...l", P, out)
@@ -158,7 +157,9 @@ def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
 
     Raises TagMismatchError for a pair off one representation of c's group
     and, through `check_bytes` before any grid exists, ConfigError when the
-    representation values on the (2 nodes)^d check grid would not fit."""
+    representation values on the (2 nodes)^d check grid would not fit: what
+    the reference route (`koopman_apply_corr`) allocates.  The engine holds
+    SERIES_BLOCK points at a time, so for it the charge bounds the work."""
     if psi1.rep != psi2.rep:
         raise TagMismatchError("fiber vectors live on different representations")
     if psi1.rep.group != c.group:
@@ -200,47 +201,99 @@ def plan_series(pairs: Sequence[tuple], c: D.Cocycle,
                 flow: D.TranslationFlow, N_max: int, quadrature: D.QuadratureSpec) -> None:
     """Plan one walk for the series of every (psi1, psi2) in `pairs`, taken
     by the first `correlation_series` that reads one of them; it replaces
-    the walk planned before.  A series outside the plan plans its own."""
+    the walk planned before.  A series outside the plan plans its own.  The
+    walk is lazy so that it runs inside that first series, whose profile
+    (perfbench's series layer) then holds its point-steps and nodes."""
     _STAGE.clear()
     _STAGE.update(dict.fromkeys(_fiber(*pair, c, flow, N_max, quadrature) for pair in pairs))
 
 
+def coarse_first_points(nodes: int, d: int, start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1 of the (2 nodes)^d check grid in coarse-first
+    order: the even nodes first, which are the nodes^d grid bit for bit and
+    in its own order (node 2j of 2 nodes is node j of nodes), then the other
+    parity classes in the same order, so a block's nodes^d share is a
+    leading slice.  A walk builds one block at a time, so no whole grid
+    exists."""
+    cls, local = np.divmod(np.arange(start, min(stop, (2 * nodes) ** d)), nodes ** d)
+    pts = np.empty((len(cls), d))
+    for k in range(d - 1, -1, -1):
+        local, j = np.divmod(local, nodes)
+        np.divide(2 * j + ((cls >> (d - 1 - k)) & 1), 2 * nodes, out=pts[:, k])
+    return pts
+
+
+def mode_waves(points: np.ndarray, modes) -> np.ndarray:
+    """(r, n) waves e(-m_i.x) at n points per mode m_i; ones for m = 0."""
+    waves = np.ones((len(modes), len(points)), dtype=complex)
+    for w, m in zip(waves, modes):
+        if any(m):
+            w[:] = G.unit_exp(-2 * np.pi * (points @ m))
+    return waves
+
+
+def transfer(transfers, phases: np.ndarray) -> G.GroupElement | None:
+    """zeta(phases), zeta the pointwise product of `transfers`; None for e."""
+    z = None
+    for t in transfers:
+        value = G.GroupElement(t.group, t.value(phases))
+        z = value if z is None else G.group_mul(z, value)
+    return z
+
+
 def _walk_means(means: dict) -> None:
     """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
-    m of each fiber key in `means`, on its nodes^d grid and check grid, from
-    one `D.walk_grids` pass over the distinct grids.  A block has one (r, n)
-    weight matrix e(-m_i.x) per mode set and its nodes^d share is a leading
-    slice; each step adds the two weighted sums of `R.rep_mean_payload`, in
-    block order as a lone walk adds them, divided as np.mean divides.
-    `means` takes the read-only results once the walk is done."""
+    m of each fiber key in `means`, on its nodes^d grid and check grid: the
+    distinct check grids' coarse-first blocks of SERIES_BLOCK points, packed
+    whole and in order into walks of at most SERIES_BLOCK points.  Each step
+    adds each block's two e(-m.x)-weighted sums of `R.rep_mean_payload` of
+    zeta1(x) phi^(k)(x) zeta2(F_k x)^{-1}, in block order as a lone walk
+    adds them; they are divided as np.mean divides and handed over read-only."""
     c, flow, N_max = next(iter(means))[:3]
+    d = flow.dim
     walked = {key: np.empty((2, len(key[6]), N_max + 1, key[3].dim, key[3].dim), dtype=complex)
               for key in means}
+    batches = [[]]
+    for nodes in dict.fromkeys(key[-1] for key in means):
+        for start in range(0, (2 * nodes) ** d, SERIES_BLOCK):
+            length = min(SERIES_BLOCK, (2 * nodes) ** d - start)
+            if sum(block[2] for block in batches[-1]) + length > SERIES_BLOCK:
+                batches.append([])
+            batches[-1].append((nodes, start, length))
 
-    def visitors(nodes, start, block):
-        split = min(max(nodes ** flow.dim - start, 0), len(block))
-        fibers = [(key, out) for key, out in walked.items() if key[-1] == nodes]
-        # fibers with one set of mode differences share its waves
-        waves = {key[6]: D.mode_waves(block, key[6]) for key, _ in fibers}
-        return [(key[4], key[5], partial(_add_means, key[3], waves[key[6]], split, start, out))
-                for key, out in fibers]
+    def step(k, phases, g):
+        for rows, z1, transfers2, rep, waves, split, start, out in jobs:
+            h = G.GroupElement(g.group, g.payload[rows])
+            if z1 is not None:
+                h = G.group_mul(z1, h)
+            z2 = transfer(transfers2, phases[rows])
+            if z2 is not None:
+                h = G.group_mul(h, G.group_inv(z2))
+            sums = R.rep_mean_payload(rep, h.payload, waves, split)
+            if start:
+                out[:, :, k] += sums
+            else:
+                out[:, :, k] = sums
 
-    D.walk_grids(c, flow, dict.fromkeys(key[-1] for key in means), N_max + 1,
-                 SERIES_BLOCK, visitors)
+    for batch in batches:
+        blocks = [coarse_first_points(nodes, d, start, start + SERIES_BLOCK)
+                  for nodes, start, _ in batch]
+        jobs, end = [], 0
+        for (nodes, start, length), pts in zip(batch, blocks):
+            rows, end = slice(end, end + length), end + length
+            split = min(max(nodes ** d - start, 0), length)
+            # fibers with one set of mode differences share its waves
+            waves = {key[6]: mode_waves(pts, key[6]) for key in walked if key[-1] == nodes}
+            jobs += [(rows, transfer(key[4], pts), key[5], key[3], waves[key[6]], split,
+                      start, out) for key, out in walked.items() if key[-1] == nodes]
+        x = D.BasePoint(np.concatenate(blocks))
+        del blocks, pts  # the walker copies the points: hold them once
+        D.cocycle_iterate(c, flow, x, N_max + 1, step)
     for key, out in walked.items():
-        out[0] /= key[-1] ** flow.dim
-        out[1] /= (2 * key[-1]) ** flow.dim
+        out[0] /= key[-1] ** d
+        out[1] /= (2 * key[-1]) ** d
         out.flags.writeable = False
     means.update(walked)
-
-
-def _add_means(rep, weights, split, start, out, k, payload):
-    """Add one block's two weighted sums of pi at step k into out[:, :, k]."""
-    sums = R.rep_mean_payload(rep, payload, weights, split)
-    if start:
-        out[:, :, k] += sums
-    else:
-        out[:, :, k] = sums
 
 
 def _series(psi1: FiberVector, psi2: FiberVector, key: tuple) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from liedeg import acceptance, cli, scenarios
+from liedeg import degree as DG
 from liedeg import dynamics as D
 from liedeg import groups as G
 from liedeg import koopman as K
@@ -190,6 +191,30 @@ class TestDegreeCommand:
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    # each cocycle constructor's real parameter beside valid windings;
+    # torus-monomial's theta0 has one entry per row of k, given bare and in a list
+    @pytest.mark.parametrize("cocycle, params, name, form", [
+        ("torus-monomial", '"k": [[1]]', "theta0", "{}"),
+        ("torus-monomial", '"k": [[1]]', "theta0", "[{}]"),
+        ("su2-diagonal", '"k": 1', "theta0", "{}"),
+        ("su2-twisted-diagonal", '"k": 1', "c0", "{}"),
+        ("su2-two-angle", '"m1": 1, "m2": 0', "c1", "{}"),
+        ("su2-two-angle", '"m1": 1, "m2": 0', "c2", "{}"),
+        ("so3-x3-rotation", '"k": 1', "theta0", "{}"),
+        ("u2-product", '"k_torus": 1, "k_rot": 1', "theta0", "{}"),
+        ("u2-product", '"k_torus": 1, "k_rot": 0', "theta0", "{}"),
+        ("cohomologous-su2-pair", '"k": 1', "theta0", "{}"),
+        ("cohomologous-su2-pair", '"k": 1', "c0", "{}")])
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN", "[1, 2]", '"0.5"', "true"])
+    def test_bad_real_params(self, cocycle, params, name, form, bad, capsys):
+        # a non-finite, non-numeric or misshapen real is a config error,
+        # never a nan in the output or a silent broadcast
+        rc = cli.main(["degree", "--cocycle", cocycle, "--n", "10", "--points", "2",
+                       "--params", f'{{{params}, "{name}": {form.format(bad)}}}'])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {name} ")
+
     def test_unknown_cocycle(self, capsys):
         rc = cli.main(["degree", "--cocycle", "nope"])
         assert rc == 2
@@ -269,7 +294,7 @@ class TestCorrCommand:
         # whether built as a quadrature grid or coarse-first
         monkeypatch.setattr(K, "MAX_GRID_BYTES", 40 ** 2 * 16)
         built = []
-        real, real_coarse_first = D.quadrature_points, D.coarse_first_points
+        real, real_coarse_first = D.quadrature_points, K.coarse_first_points
 
         def recorded(spec, d):
             built.append(spec.nodes_per_dim)
@@ -280,7 +305,7 @@ class TestCorrCommand:
             return real_coarse_first(nodes, d, start, stop)
 
         monkeypatch.setattr(D, "quadrature_points", recorded)
-        monkeypatch.setattr(D, "coarse_first_points", recorded_coarse_first)
+        monkeypatch.setattr(K, "coarse_first_points", recorded_coarse_first)
         assert cli.main(["corr", "--cocycle", "torus-monomial",
                          "--params", '{"k": [[1, 0]]}', "--d", "2",
                          "--rep", "1", "--n-max", "4",
@@ -528,6 +553,28 @@ def test_oversized_points_refused_before_allocating(argv, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: --points (")
     assert err[0].endswith(f"bytes, above the cap of {K.MAX_GRID_BYTES}")
+
+
+@pytest.mark.parametrize("points, rc", [(3, 0), (4, 2)])
+def test_points_above_the_spread_cap_are_refused(points, rc, monkeypatch, capsys):
+    # the pairwise spread is quadratic in the points, so a count above
+    # SPREAD_MAX_POINTS is refused before any point is drawn
+    monkeypatch.setattr(DG, "SPREAD_MAX_POINTS", 3)
+    drawn, real = [], cli.RngHandle
+
+    def recorded(*args, **kwargs):
+        drawn.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "RngHandle", recorded)
+    assert cli.main(_TORUS_DEGREE + ["--n", "50", "--points", str(points)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc:
+        assert drawn == []
+        assert err == ["config error: --points (4 sample points) is above the cap of 3: "
+                       "the spread compares every pair"]
+    else:
+        assert len(drawn) == 1 and err == []
 
 
 @pytest.mark.parametrize("cocycle, params", [

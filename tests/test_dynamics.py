@@ -1068,71 +1068,3 @@ def test_integral_float_windings_are_accepted():
         a, b = build(flow, [1.0, -2.0]), build(flow, [1, -2])
         assert np.array_equal(a.value(x.phases), b.value(x.phases))
         assert a.freq_bound == b.freq_bound == 2
-
-
-def test_walk_grids_packs_whole_blocks_and_matches_lone_walks():
-    # blocks of 8 points: grid 3 (6 points) fills one walk, grid 5 (10 points)
-    # gives a full block and a 2-point one that shares the last walk with
-    # grid 2 (4 points); every visitor sees its block's rows bit for bit as a
-    # walk of that block alone, conjugated by its transfers
-    flow = D.default_flow(1)
-    c = D.cohomologous_build(D.su2_diagonal(flow, 1), D.su2_twisted_diagonal(flow, 1), flow)
-    zeta = D.su2_twisted_diagonal(flow, 2, c0=1.1)
-    n, seen, batches = 4, {}, []
-
-    def visitors(m, start, block):
-        def visit(tag):
-            return lambda k, payload: seen.setdefault((m, start, tag), []).append(payload.copy())
-        assert np.array_equal(block, D.coarse_first_points(m, 1, start, start + 8))
-        return [((), (), visit("plain")), ((zeta,), (zeta,), visit("conjugated"))]
-
-    walk = D.cocycle_iterate
-
-    def recorded(c, flow, x, n, visit=None, **kwargs):
-        batches.append(len(x.phases))
-        return walk(c, flow, x, n, visit, **kwargs)
-
-    before = dict(D.WALKS)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "cocycle_iterate", recorded)
-        D.walk_grids(c, flow, [3, 5, 2], n, 8, visitors)
-    assert batches == [6, 8, 6]
-    assert D.WALKS["walks"] - before["walks"] == 3
-    assert D.WALKS["point_steps"] - before["point_steps"] == 20 * n
-    assert sorted({key[:2] for key in seen}) == [(2, 0), (3, 0), (5, 0), (5, 8)]
-    for (m, start, tag), payloads in seen.items():
-        block = D.coarse_first_points(m, 1, start, start + 8)
-        alone = []
-
-        def visit(k, phases, g):
-            if tag == "conjugated":
-                z1 = G.GroupElement(G.SU2_GROUP, zeta.value(block))
-                z2 = G.GroupElement(G.SU2_GROUP, zeta.value(phases))
-                g = G.group_mul(G.group_mul(z1, g), G.group_inv(z2))
-            alone.append(g.payload.copy())
-
-        walk(c, flow, D.BasePoint(block), n, visit)
-        assert len(payloads) == n
-        assert all(np.array_equal(a, b) for a, b in zip(payloads, alone)), (m, start, tag)
-
-
-def test_transfer_is_the_ordered_pointwise_product():
-    flow = D.default_flow(1)
-    z1, z2 = D.su2_twisted_diagonal(flow, 1), D.su2_twisted_diagonal(flow, 2, c0=1.1)
-    pts = RNG.random((7, 1))
-    assert D.transfer((), pts) is None
-    want = G.group_mul(G.GroupElement(G.SU2_GROUP, z1.value(pts)),
-                       G.GroupElement(G.SU2_GROUP, z2.value(pts)))
-    assert np.array_equal(D.transfer((z1, z2), pts).payload, want.payload)
-
-
-def test_orbit_phases_and_mode_waves():
-    flow = D.default_flow(2)
-    q = np.array([2, -1])
-    turns = D.orbit_turns(flow, q[None])
-    want = [np.exp(2j * np.pi * turns(k)[0]) for k in range(6)]
-    assert np.array_equal(D.orbit_phases(flow, q, 6), want)
-    pts = RNG.random((5, 2))
-    waves = D.mode_waves(pts, ((0, 0), (1, -2)))
-    assert np.array_equal(waves[0], np.ones(5))
-    assert np.max(np.abs(waves[1] - np.exp(-2j * np.pi * (pts @ [1, -2])))) < 1e-15

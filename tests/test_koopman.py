@@ -459,13 +459,65 @@ def test_coarse_first_grid_leads_with_the_coarse_grid(nodes, d):
     # the leading nodes^d rows are that grid bit for bit, the whole is the
     # (2 nodes)^d grid reordered, and blocks of it tile it
     total = (2 * nodes) ** d
-    pts = D.coarse_first_points(nodes, d, 0, total + 5)
+    pts = K.coarse_first_points(nodes, d, 0, total + 5)
     assert np.array_equal(pts[:nodes ** d], D.quadrature_points(D.QuadratureSpec(nodes), d))
     fine = D.quadrature_points(D.QuadratureSpec(2 * nodes), d)
     assert np.array_equal(np.unique(pts, axis=0), np.unique(fine, axis=0))
     assert len(pts) == total == len(np.unique(pts, axis=0))
-    blocks = [D.coarse_first_points(nodes, d, s, s + 5) for s in range(0, total, 5)]
+    blocks = [K.coarse_first_points(nodes, d, s, s + 5) for s in range(0, total, 5)]
     assert np.array_equal(np.concatenate(blocks), pts)
+
+
+def test_walk_means_packs_whole_blocks_and_matches_lone_walks(monkeypatch):
+    # blocks of 8 points: grid 3 (6 points) fills one walk, grid 5 (10 points)
+    # gives a full block and a 2-point one that shares the last walk with
+    # grid 2 (4 points); every key's means are a walk of that key alone bit
+    # for bit, the conjugated key's and the plain one on its grid too
+    c = D.cohomologous_build(D.su2_diagonal(FLOW, 1), D.su2_twisted_diagonal(FLOW, 1), FLOW)
+    zeta = D.su2_twisted_diagonal(FLOW, 2, c0=1.1)
+    n, l1, l2 = 4, R.su2_rep(1), R.su2_rep(2)
+    keys = [(c, FLOW, n, l1, (), (), ((-1,), (0,), (1,)), 3),
+            (c, FLOW, n, l1, (), (), ((0,),), 5),
+            (c, FLOW, n, l1, (zeta,), (zeta,), ((0,),), 5),
+            (c, FLOW, n, l2, (), (), ((0,), (2,)), 2)]
+    monkeypatch.setattr(K, "SERIES_BLOCK", 8)
+    walk, batches = D.cocycle_iterate, []
+
+    def recorded(c, flow, x, n, visit=None, **kwargs):
+        batches.append(len(x.phases))
+        return walk(c, flow, x, n, visit, **kwargs)
+
+    means, before = dict.fromkeys(keys), dict(D.WALKS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "cocycle_iterate", recorded)
+        K._walk_means(means)
+    assert batches == [6, 8, 6]
+    assert D.WALKS["walks"] - before["walks"] == 3
+    assert D.WALKS["point_steps"] - before["point_steps"] == 20 * (n + 1)
+    for key in keys:
+        assert means[key].shape == (2, len(key[6]), n + 1, key[3].dim, key[3].dim)
+        assert np.array_equal(means[key], _walk_alone(key)), key
+
+
+def test_transfer_is_the_ordered_pointwise_product():
+    z1, z2 = D.su2_twisted_diagonal(FLOW, 1), D.su2_twisted_diagonal(FLOW, 2, c0=1.1)
+    pts = np.random.default_rng(20240816).random((7, 1))
+    assert K.transfer((), pts) is None
+    want = G.group_mul(G.GroupElement(G.SU2_GROUP, z1.value(pts)),
+                       G.GroupElement(G.SU2_GROUP, z2.value(pts)))
+    assert np.array_equal(K.transfer((z1, z2), pts).payload, want.payload)
+
+
+def test_orbit_phases_and_mode_waves():
+    flow = D.default_flow(2)
+    q = np.array([2, -1])
+    turns = D.orbit_turns(flow, q[None])
+    want = [np.exp(2j * np.pi * turns(k)[0]) for k in range(6)]
+    assert np.array_equal(D.orbit_phases(flow, q, 6), want)
+    pts = np.random.default_rng(20240816).random((5, 2))
+    waves = K.mode_waves(pts, ((0, 0), (1, -2)))
+    assert np.array_equal(waves[0], np.ones(5))
+    assert np.max(np.abs(waves[1] - np.exp(-2j * np.pi * (pts @ [1, -2])))) < 1e-15
 
 
 def test_nested_conjugation_walks_once(manufactured):
