@@ -124,14 +124,8 @@ def orbit_phases(flow: TranslationFlow, q, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Equispaced product grid on the torus, nodes_per_dim per dimension.
-
-    An equispaced rule with m > D nodes per dimension integrates a trig
-    polynomial of per-dimension degree D exactly (L. N. Trefethen and
-    J. A. C. Weideman, SIAM Review 56 (2014)).  The correlation sizing
-    (`koopman._sizing_nodes`) takes 2 * (coefficient degree + N * cocycle
-    degree) + 1 nodes: a margin over that condition, not the condition.
-    """
+    """Equispaced product grid on the torus, nodes_per_dim per dimension;
+    `koopman._fiber` says how many make a correlation rule exact."""
 
     nodes_per_dim: int
 
@@ -140,11 +134,25 @@ class QuadratureSpec:
             raise ConfigError("nodes_per_dim must be positive")
 
 
-def quadrature_points(spec: QuadratureSpec, d: int) -> np.ndarray:
-    """Grid phases, shape (nodes_per_dim^d, d); weights are uniform."""
+def quadrature_points(spec: QuadratureSpec, d: int, start: int = 0,
+                      stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 <= nodes_per_dim^d of the grid phases, the last
+    axis fastest, so a walk in blocks holds no whole grid; weights are uniform."""
     m = spec.nodes_per_dim
-    grids = np.meshgrid(*([np.arange(m) / m] * d), indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
+    index = np.arange(start, m ** d if stop is None else stop)
+    return np.stack([index // m ** (d - 1 - k) % m / m for k in range(d)], axis=-1)
+
+
+def grid_coefficients(values: np.ndarray, n: int, d: int) -> np.ndarray:
+    """|c_k|, k_j + n // 2 indexing axis j, of a field's Fourier coefficients
+    from its `values` on the n^d grid: a DFT matrix per axis, exact for
+    trigonometric polynomials of degree at most n // 2."""
+    k = np.arange(n) - n // 2
+    dft = G.unit_exp(-2 * np.pi * np.outer(k, np.arange(n)) / n) / n
+    out = values.reshape((n,) * d + values.shape[1:])
+    for axis in range(d):
+        out = np.moveaxis(np.tensordot(dft, out, axes=(1, axis)), 0, axis)
+    return np.abs(out)
 
 
 def characters(phases: np.ndarray, K: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -516,8 +524,9 @@ def u2_product(flow: TranslationFlow, k_torus, k_rot, theta0: float = 0.0) -> Co
              e^{i pi (k_torus-k_rot).x - i theta0/2});
 
     otherwise no continuous branch exists: the value falls back to the
-    pointwise principal-branch construction, whose jumps the correlation
-    series' grid-doubling estimates flag.
+    pointwise principal-branch construction, whose jumps put a Fourier tail
+    above the declared degree, which the correlation series' error bounds
+    flag.
 
     The payload is a triple (z1, 0, r), the element diag(r z1, r conj(z1)),
     with r the principal square root of the torus factor e(k_torus.x),

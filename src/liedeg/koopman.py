@@ -9,19 +9,19 @@ the row is a label, not an input: the module works on one fiber per
 representation, which the reports call row 0.
 
 Correlations <psi1, U^N psi2> reduce to base-torus integrals evaluated
-by equispaced quadrature, sized so trig-polynomial integrands are
-integrated exactly; a check grid with twice the nodes per dimension,
-which nests the grid so one walk yields both rules, supplies an error
-estimate for everything else.  Every fiber vector is a finite Fourier
-sum psi(x) = pi(zeta(x)^{-1}) sum_a e(q_a.x) v_a, e(t) = exp(2 pi i t),
-with zeta = e unless it was conjugated; as pi is a unitary homomorphism,
+by equispaced quadrature on one grid, exact when the cocycle and the
+transfers have the trig degrees they declare; each entry's error bound
+(`_excess`) is read from the Fourier tails above those degrees.  Every
+fiber vector is a finite Fourier sum psi(x) = pi(zeta(x)^{-1}) sum_a
+e(q_a.x) v_a, e(t) = exp(2 pi i t), with zeta = e unless it was
+conjugated; as pi is a unitary homomorphism,
 
     c_N = d_pi^{-1} sum_{a,b} e(q2_b.N alpha) v1_a^H Mhat_N(q1_a - q2_b) v2_b,
     Mhat_N(m) = mean_x e(-m.x) pi(zeta1(x) phi^(N)(x) zeta2(F_N x)^{-1}),
 
 so every pair reads the mean representation-matrix series.  phi^(N) on
 a grid does not depend on pi, so there is one walk per stage: the pairs
-that `plan_series` names share one walk of their fibers' check grids,
+that `plan_series` names share one walk of their fibers' grids,
 each grid once, and each fiber's means are reduced from its term
 products before they are scattered into a matrix.  The walk still runs
 under phi, so the check stays numerical and never assumes the
@@ -42,6 +42,7 @@ identities below require.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -55,8 +56,8 @@ from .errors import ConfigError, TagMismatchError
 
 ERR_FLAG_THRESHOLD = 1e-6
 MAX_GRID_BYTES = 2 ** 28  # one config-scaled array: grid points or their values
-# check-grid points per walk of `_walk_means`: a walk's arrays stay near
-# 0.3 MB for a two-row torus payload, and every d = 1 preset grid is one block
+# grid points per walk of `_walk_means`: a walk's arrays stay near 0.3 MB
+# for a torus payload, and every d = 1 preset grid is one block
 SERIES_BLOCK = 8192
 
 SUPPORTED = "SUPPORTED"
@@ -144,35 +145,6 @@ def check_bytes(field: str, need: int) -> None:
         raise ConfigError(f"{field} needs {need} bytes, above the cap of {MAX_GRID_BYTES}")
 
 
-def _sizing_nodes(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
-                  flow: D.TranslationFlow, N: int, floor: int) -> int:
-    """Node count of the correlation rule for trig-polynomial data.  The
-    integrand conj(phi1) pi(phi^(N)) (phi2 o F_N) has per-dimension trig
-    degree at most D = B1 + B2 + |N| * freq(cocycle) * weight(pi), and an
-    equispaced rule with m > D nodes per dimension integrates a trig
-    polynomial of degree D exactly (L. N. Trefethen and J. A. C. Weideman,
-    SIAM Review 56 (2014)).  The count 2 (max(B1, B2) + |N| freq weight)
-    + 1, at least `floor`, is the sizing in use, with a margin over that
-    condition; it is not the exactness condition itself.
-
-    Raises TagMismatchError for a pair off one representation of c's group
-    and, through `check_bytes` before any grid exists, ConfigError when the
-    representation values on the (2 nodes)^d check grid would not fit: what
-    the reference route (`koopman_apply_corr`) allocates.  The engine holds
-    SERIES_BLOCK points at a time, so for it the charge bounds the work."""
-    if psi1.rep != psi2.rep:
-        raise TagMismatchError("fiber vectors live on different representations")
-    if psi1.rep.group != c.group:
-        raise TagMismatchError("fiber and cocycle live on different groups")
-    f_eff = c.freq_bound * R.rep_weight(psi1.rep)
-    nodes = max(floor, 2 * (max(psi1.degree_bound, psi2.degree_bound)
-                            + abs(N) * f_eff) + 1)
-    check = 2 * nodes
-    check_bytes(f"correlation at N={N} (a {check}^{flow.dim}-node check grid of "
-                f"representation values)", check ** flow.dim * psi1.rep.dim ** 2 * 16)
-    return nodes
-
-
 def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                   flow: D.TranslationFlow, N: int, nodes: int) -> complex:
     """c_N on the nodes^d grid from per-point coefficients."""
@@ -187,13 +159,68 @@ def _corr_on_grid(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
 def _fiber(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle, flow: D.TranslationFlow,
            N_max: int, quadrature: D.QuadratureSpec) -> tuple:
     """The walk the pair's series reads: (c, flow, N_max, rep, transfers1,
-    transfers2, mode differences q1_a - q2_b, nodes)."""
-    nodes = _sizing_nodes(psi1, psi2, c, flow, N_max, quadrature.nodes_per_dim)
+    transfers2, mode differences q1_a - q2_b, nodes).  The integrand
+    conj(phi1) pi(phi^(N)) (phi2 o F_N) has per-dimension trig degree at most
+    D = B1 + B2 + |N_max| * freq(cocycle) * weight(pi), and an equispaced
+    rule with m > D nodes per dimension integrates it exactly (L. N.
+    Trefethen and J. A. C. Weideman, SIAM Review 56 (2014)): nodes is
+    m = D + 1, at least the quadrature's.  Raises TagMismatchError for a
+    pair off one representation of c's group and, by `check_bytes` before
+    any grid exists, ConfigError when pi on the m^d grid, which the
+    reference route allocates, would not fit."""
+    if psi1.rep != psi2.rep:
+        raise TagMismatchError("fiber vectors live on different representations")
+    if psi1.rep.group != c.group:
+        raise TagMismatchError("fiber and cocycle live on different groups")
+    nodes = max(quadrature.nodes_per_dim, psi1.degree_bound + psi2.degree_bound
+                + abs(N_max) * c.freq_bound * R.rep_weight(psi1.rep) + 1)
+    check_bytes(f"correlation at N={N_max} (a {nodes}^{flow.dim}-node grid of "
+                f"representation values)", nodes ** flow.dim * psi1.rep.dim ** 2 * 16)
     diffs = {tuple(qa - qb) for qa in _modes(psi1, flow.dim) for qb in _modes(psi2, flow.dim)}
     return c, flow, N_max, psi1.rep, psi1.transfers, psi2.transfers, tuple(sorted(diffs)), nodes
 
 
-# the planned walk: Mhat per fiber key of `_fiber`, None until it is walked
+def fourier_tail(t: D.Cocycle, rep: R.Representation, flow: D.TranslationFlow) -> float:
+    """tau(t, pi): the sum over |k|_inf > F of the largest entry of |c_k|,
+    c_k the Fourier coefficients of pi o t and F = t.freq_bound *
+    rep_weight(pi) its declared degree, read off t's values on the
+    (4F+1)^d grid as `dini_modulus` reads M's.  When pi o t has degree at
+    most 2F (no aliasing), it lies within tau of its degree-F part entry by
+    entry; a declaration that holds leaves round-off (one of 0 is trusted).
+    The size check charges the term table at d_pi^3 rows, at least its size."""
+    F = t.freq_bound * R.rep_weight(rep)
+    n, d = 4 * F + 1, flow.dim
+    check_bytes(f"the {n}^{d}-point Fourier-tail grid of {rep.name}",
+                n ** d * (8 * d + 48 + 16 * rep.dim ** 2 * (rep.dim + 2)))
+    values = R.rep_eval_payload(rep, t.value(D.quadrature_points(D.QuadratureSpec(n), d)))
+    C = np.max(D.grid_coefficients(values, n, d), axis=(-2, -1))
+    return float(np.sum(C[np.max(np.abs(np.indices(C.shape) - 2 * F), axis=0) > F]))
+
+
+def _excess(key: tuple, tail=fourier_tail) -> np.ndarray:
+    """delta_0..delta_|N_max| of a `_fiber` key, tau = `tail`: pi(zeta1(x)
+    phi^(N)(x) zeta2(F_N x)^{-1}) lies within delta_N = (1 + d_pi tau_phi)^N
+    prod_t (1 + d_pi tau_t) - 1, t over both fibers' transfers, of a trig
+    polynomial of degree F1 + N F + F2 in operator norm at every x: each
+    factor U is unitary and within e = d_pi tau of its degree-F part P, so
+    |P| <= 1 + e, and |UV - PQ| <= |U - P| |V| + |P| |V - Q| (pi(zeta^{-1})
+    = pi(zeta)^H has zeta's tail); the product is unitary, so delta_N <= 1
+    too.  With |v| = sum_a |v_a|, c_N's integrand then lies within d_pi^{-1}
+    |v1| |v2| delta_N of one of degree B1 + B2 + N F < m, which the m^d rule
+    integrates exactly, and on the rest the rule and the integral each stay
+    within that sup: `_bound`."""
+    c, flow, N_max, rep, transfers1, transfers2 = key[:6]
+    logs = sum(np.log1p(rep.dim * tail(t, rep, flow)) for t in transfers1 + transfers2)
+    logs = logs + np.arange(abs(N_max) + 1) * np.log1p(rep.dim * tail(c, rep, flow))
+    return np.minimum(np.expm1(logs), 1.0)
+
+
+def _bound(psi1: FiberVector, psi2: FiberVector, excess: np.ndarray) -> np.ndarray:
+    v1, v2 = (np.sum(np.linalg.norm(psi.vectors, axis=1)) for psi in (psi1, psi2))
+    return 2 * v1 * v2 / psi1.rep.dim * excess
+
+
+# the planned walk: (Mhat, `_excess`) per fiber key of `_fiber`, None until it is walked
 _STAGE = {}
 
 
@@ -206,21 +233,6 @@ def plan_series(pairs: Sequence[tuple], c: D.Cocycle,
     (perfbench's series layer) then holds its point-steps and nodes."""
     _STAGE.clear()
     _STAGE.update(dict.fromkeys(_fiber(*pair, c, flow, N_max, quadrature) for pair in pairs))
-
-
-def coarse_first_points(nodes: int, d: int, start: int, stop: int) -> np.ndarray:
-    """Points start..stop-1 of the (2 nodes)^d check grid in coarse-first
-    order: the even nodes first, which are the nodes^d grid bit for bit and
-    in its own order (node 2j of 2 nodes is node j of nodes), then the other
-    parity classes in the same order, so a block's nodes^d share is a
-    leading slice.  A walk builds one block at a time, so no whole grid
-    exists."""
-    cls, local = np.divmod(np.arange(start, min(stop, (2 * nodes) ** d)), nodes ** d)
-    pts = np.empty((len(cls), d))
-    for k in range(d - 1, -1, -1):
-        local, j = np.divmod(local, nodes)
-        np.divide(2 * j + ((cls >> (d - 1 - k)) & 1), 2 * nodes, out=pts[:, k])
-    return pts
 
 
 def mode_waves(points: np.ndarray, modes) -> np.ndarray:
@@ -243,99 +255,92 @@ def transfer(transfers, phases: np.ndarray) -> G.GroupElement | None:
 
 def _walk_means(means: dict) -> None:
     """Mhat_0(m)..Mhat_N_max(m) of the module docstring per mode difference
-    m of each fiber key in `means`, on its nodes^d grid and check grid: the
-    distinct check grids' coarse-first blocks of SERIES_BLOCK points, packed
-    whole and in order into walks of at most SERIES_BLOCK points.  Each step
-    adds each block's two e(-m.x)-weighted sums of `R.rep_mean_payload` of
-    zeta1(x) phi^(k)(x) zeta2(F_k x)^{-1}, in block order as a lone walk
-    adds them; they are divided as np.mean divides and handed over read-only."""
+    m of each fiber key in `means` on its nodes^d grid, and its `_excess`:
+    the distinct grids' blocks of SERIES_BLOCK points, packed whole and in
+    order into walks of at most SERIES_BLOCK points, each step adding each
+    block's e(-m.x)-weighted sums of `R.rep_mean_payload` of zeta1(x)
+    phi^(k)(x) zeta2(F_k x)^{-1} in block order as a lone walk adds them."""
     c, flow, N_max = next(iter(means))[:3]
     d = flow.dim
-    walked = {key: np.empty((2, len(key[6]), N_max + 1, key[3].dim, key[3].dim), dtype=complex)
+    tail = functools.cache(fourier_tail)
+    excess = {key: _excess(key, tail) for key in means}  # size-checked before any walk
+    walked = {key: np.empty((len(key[6]), N_max + 1, key[3].dim, key[3].dim), dtype=complex)
               for key in means}
     batches = [[]]
     for nodes in dict.fromkeys(key[-1] for key in means):
-        for start in range(0, (2 * nodes) ** d, SERIES_BLOCK):
-            length = min(SERIES_BLOCK, (2 * nodes) ** d - start)
+        for start in range(0, nodes ** d, SERIES_BLOCK):
+            length = min(SERIES_BLOCK, nodes ** d - start)
             if sum(block[2] for block in batches[-1]) + length > SERIES_BLOCK:
                 batches.append([])
             batches[-1].append((nodes, start, length))
 
     def step(k, phases, g):
-        for rows, z1, transfers2, rep, waves, split, start, out in jobs:
+        for rows, z1, transfers2, rep, waves, start, out in jobs:
             h = G.GroupElement(g.group, g.payload[rows])
             if z1 is not None:
                 h = G.group_mul(z1, h)
             z2 = transfer(transfers2, phases[rows])
             if z2 is not None:
                 h = G.group_mul(h, G.group_inv(z2))
-            sums = R.rep_mean_payload(rep, h.payload, waves, split)
+            sums = R.rep_mean_payload(rep, h.payload, waves)
             if start:
-                out[:, :, k] += sums
+                out[:, k] += sums
             else:
-                out[:, :, k] = sums
+                out[:, k] = sums
 
     for batch in batches:
-        blocks = [coarse_first_points(nodes, d, start, start + SERIES_BLOCK)
-                  for nodes, start, _ in batch]
+        blocks = [D.quadrature_points(D.QuadratureSpec(nodes), d, start, start + length)
+                  for nodes, start, length in batch]
         jobs, end = [], 0
         for (nodes, start, length), pts in zip(batch, blocks):
             rows, end = slice(end, end + length), end + length
-            split = min(max(nodes ** d - start, 0), length)
             # fibers with one set of mode differences share its waves
             waves = {key[6]: mode_waves(pts, key[6]) for key in walked if key[-1] == nodes}
-            jobs += [(rows, transfer(key[4], pts), key[5], key[3], waves[key[6]], split,
-                      start, out) for key, out in walked.items() if key[-1] == nodes]
+            jobs += [(rows, transfer(key[4], pts), key[5], key[3], waves[key[6]], start, out)
+                     for key, out in walked.items() if key[-1] == nodes]
         x = D.BasePoint(np.concatenate(blocks))
         del blocks, pts  # the walker copies the points: hold them once
         D.cocycle_iterate(c, flow, x, N_max + 1, step)
     for key, out in walked.items():
-        out[0] /= key[-1] ** d
-        out[1] /= (2 * key[-1]) ** d
-        out.flags.writeable = False
-    means.update(walked)
+        out /= key[-1] ** d
+        out.flags.writeable = False  # handed over read-only
+        means[key] = out, excess[key]
 
 
-def _series(psi1: FiberVector, psi2: FiberVector, key: tuple) -> list[np.ndarray]:
-    """Rows c_0..c_N_max on the nodes^d grid and its check grid of the
-    pair's `_fiber` key: the sum over mode pairs of the module docstring,
-    on Mhat from the planned walk, or from a walk of the pair's fiber alone
-    when the plan does not hold it."""
+def _series(psi1: FiberVector, psi2: FiberVector, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """c_0..c_N_max on the nodes^d grid of the pair's `_fiber` key, the sum
+    over mode pairs of the module docstring, and their `_bound`s, on Mhat
+    from the planned walk, or from a walk of the pair's fiber alone when
+    the plan does not hold it."""
     if key not in _STAGE:
         _STAGE.clear()
         _STAGE[key] = None
     if _STAGE[key] is None:
         _walk_means(_STAGE)
     flow, N_max, diffs = key[1], key[2], key[6]
-    q1, q2 = _modes(psi1, flow.dim), _modes(psi2, flow.dim)
-    rows = []
-    for M_r in _STAGE[key]:
-        terms = []
-        for qb, v2 in zip(q2, psi2.vectors):
-            for qa, v1 in zip(q1, psi1.vectors):
-                terms.append(np.einsum("l,nlk,k->n", np.conj(v1),
-                                       M_r[diffs.index(tuple(qa - qb))], v2))
-                if any(qb):
-                    terms[-1] *= D.orbit_phases(flow, qb, N_max + 1)
-        rows.append(sum(terms[1:], terms[0]) / psi1.rep.dim)
-    return rows
+    M, excess = _STAGE[key]
+    terms = []
+    for qb, v2 in zip(_modes(psi2, flow.dim), psi2.vectors):
+        for qa, v1 in zip(_modes(psi1, flow.dim), psi1.vectors):
+            terms.append(np.einsum("l,nlk,k->n", np.conj(v1), M[diffs.index(tuple(qa - qb))], v2))
+            if any(qb):
+                terms[-1] *= D.orbit_phases(flow, qb, N_max + 1)
+    return sum(terms[1:], terms[0]) / psi1.rep.dim, _bound(psi1, psi2, excess)
 
 
 def koopman_apply_corr(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N: int,
                        quadrature: D.QuadratureSpec) -> tuple[complex, float]:
-    """c_N = <psi1, U^N psi2> by quadrature, plus a grid-doubling error
-    estimate |value - value on the (2 nodes)^d grid|, each walked apart
-    from per-point coefficients: any N, the reference for the engine."""
-    nodes = _sizing_nodes(psi1, psi2, c, flow, N, quadrature.nodes_per_dim)
-    value = _corr_on_grid(psi1, psi2, c, flow, N, nodes)
-    check = _corr_on_grid(psi1, psi2, c, flow, N, 2 * nodes)
-    return value, abs(value - check)
+    """c_N = <psi1, U^N psi2> from per-point coefficients on the grid of the
+    engine, any N, and the engine's error bound at |N|: its reference."""
+    key = _fiber(psi1, psi2, c, flow, N, quadrature)
+    return (_corr_on_grid(psi1, psi2, c, flow, N, key[-1]),
+            float(_bound(psi1, psi2, _excess(key))[-1]))
 
 
 @dataclass
 class CorrelationSeries:
-    """c_N for N = 0..N_max with per-N error estimates."""
+    """c_N for N = 0..N_max with per-N error bounds."""
 
     values: np.ndarray
     err_estimates: np.ndarray
@@ -356,20 +361,19 @@ class CorrelationSeries:
 def correlation_series(psi1: FiberVector, psi2: FiberVector, c: D.Cocycle,
                        flow: D.TranslationFlow, N_max: int,
                        quadrature: D.QuadratureSpec) -> CorrelationSeries:
-    """c_N for N = 0..N_max; entries whose grid-doubling estimate exceeds
+    """c_N for N = 0..N_max; entries whose error bound exceeds
     ERR_FLAG_THRESHOLD are listed in `flagged` (and kept, not hidden).
 
-    One grid sized for N_max serves every N (an equispaced rule exact
-    at N_max's degree is exact below it).  Its check grid has twice the
-    nodes per dimension and nests it, so one walk yields both rules; the
-    blind spot is aliasing onto even multiples of the node count only,
-    which moves both rules alike.  The pair reads the walk `plan_series`
+    One grid sized for N_max serves every N (an equispaced rule exact at
+    N_max's degree is exact below it).  The bound (`_excess`) is read from
+    the Fourier tails of the cocycle and the transfers above their declared
+    degrees, so a flag means that a declaration fails or that pi o cocycle
+    is no trig polynomial at all.  The pair reads the walk `plan_series`
     planned for it, or one of its fiber alone (see `_series`).
     """
     if N_max < 1:
         raise ConfigError("N_max must be >= 1")
-    values, check = _series(psi1, psi2, _fiber(psi1, psi2, c, flow, N_max, quadrature))
-    errs = np.abs(values - check)
+    values, errs = _series(psi1, psi2, _fiber(psi1, psi2, c, flow, N_max, quadrature))
     return CorrelationSeries(values, errs,
                              np.flatnonzero(errs > ERR_FLAG_THRESHOLD).tolist())
 
@@ -416,7 +420,7 @@ def dini_modulus(c: D.Cocycle, reps: Sequence[R.Representation],
     dpi(M(x))| the modulus of continuity of the AC verdict.
 
     M's entries, and so dpi(M)'s, are trigonometric polynomials of degree
-    at most 2f per dimension, f = c.freq_bound: a DFT matrix per axis reads
+    at most 2f per dimension, f = c.freq_bound: `D.grid_coefficients` reads
     their Fourier coefficients c_k, |k_j| <= 2f, off one sample of M on the
     n^d grid, n = 4f + 1, without aliasing.  A constant field (`c.m_const`)
     is its own c_0 and is not sampled.  With C_k the largest entry of |c_k|
@@ -427,37 +431,28 @@ def dini_modulus(c: D.Cocycle, reps: Sequence[R.Representation],
         integral = sum_k C_k g(a_k),  g(a) = a (a <= 2), 2 + 2 ln(a/2) else;
 
     `m_sup` is the norm of the entrywise sums of M's own |c_k|.  The bounds
-    hold for the declared freq_bound, which the quadrature sizing trusts too.
+    hold for the declared freq_bound, which `fourier_tail` tests on values.
     """
     d = flow.dim
-    if c.m_const is not None:  # its own c_0: nothing to sample or transform
-        n, M, axes = 1, c.m_const[None], ()
+    if c.m_const is not None:  # its own c_0: a 1^d grid, nothing to sample
+        n, M = 1, c.m_const[None]
     else:
-        n, axes = 4 * c.freq_bound + 1, range(d)
+        n = 4 * c.freq_bound + 1
         dim = max((r.dim for r in reps), default=1)  # dpi(M) and its transform
         check_bytes(f"the cocycle's {n}^{d}-point regularity grid",
                     n ** d * (8 * d + G.algebra_bytes(c.group) + 32 * dim ** 2))
         M = np.asarray(c.m_field(D.quadrature_points(D.QuadratureSpec(n), d)))
     k = np.arange(n) - n // 2
-    dft = G.unit_exp(-2 * np.pi * np.outer(k, np.arange(n)) / n) / n
-
-    def coefficients(values):
-        """|c_k| on the (n,) * d grid of k, from values on the node grid."""
-        out = values.reshape((n,) * d + values.shape[1:])
-        for axis in axes:
-            out = np.moveaxis(np.tensordot(dft, out, axes=(1, axis)), 0, axis)
-        return np.abs(out)
-
     # i E has algebra_inner's entry weights for every group, the torus too
-    E = coefficients(M).reshape((n ** d,) + M.shape[1:]).sum(axis=0)
+    E = D.grid_coefficients(M, n, d).reshape((n ** d,) + M.shape[1:]).sum(axis=0)
     m_sup = float(G.algebra_norm(G.AlgebraElement(c.group, 1j * E)))
     rates = 2 * np.pi * np.abs(sum(np.ix_(*(k * a for a in flow.alpha_array))))
     g = np.where(rates <= 2, rates, 2 + 2 * np.log(np.maximum(rates, 2) / 2))
     out = []
     for rep in reps:
         # dpi reads real coordinates, so it acts on M before the transform
-        C = np.max(coefficients(R.rep_differential(rep, G.AlgebraElement(c.group, M))),
-                   axis=(-2, -1))
+        C = np.max(D.grid_coefficients(R.rep_differential(rep, G.AlgebraElement(c.group, M)),
+                                       n, d), axis=(-2, -1))
         out.append({"m_sup": m_sup, "dm_sup": float(np.sum(C)),
                     "integral": float(np.sum(C * g)), "weights": C, "rates": rates})
     return out

@@ -284,27 +284,22 @@ def rep_eval_payload(rep: Representation, payload: np.ndarray) -> np.ndarray:
     return out.reshape(payload.shape[:-1] + (rep.dim, rep.dim))
 
 
-def rep_mean_payload(rep: Representation, payload: np.ndarray, weights: np.ndarray,
-                     split: int) -> np.ndarray:
-    """Weighted sums of pi over n points, shape (2, r, d, d): entry [0, i]
-    is sum_{x < split} w_i(x) pi(g(x)) and entry [1, i] the sum over all n
-    points, for payloads of n points and the (r, n) complex `weights`.
-
-    The term products are reduced against the weights (one GEMM per part)
-    before anything is scattered: no per-point matrix exists.  U(2)'s
-    centre factor folds into the weights, and the torus is weights @
-    characters.
-    """
+def rep_mean_payload(rep: Representation, payload: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Weighted sums sum_x w_i(x) pi(g(x)), shape (r, d, d), for payloads of
+    n points and the (r, n) complex `weights`.  The term products are
+    reduced against the weights (one GEMM) before anything is scattered: no
+    per-point matrix exists.  U(2)'s centre factor folds into the weights,
+    and the torus is weights @ characters."""
     torus = rep.group.tag == G.TORUS
     l, vals, centre = (0, _characters(rep, payload), None) if torus else _expansion(rep, payload)
     if centre is not None:
         weights = weights * centre
-    head = vals[..., :split] @ weights[:, :split].T
-    sums = np.stack((head, head + vals[..., split:] @ weights[:, split:].T))
+    sums = vals @ weights.T
     if torus:
-        return sums[..., None, None]
-    out = (np.swapaxes(sums, 1, 2) @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
-    return out.reshape(sums.shape[0], weights.shape[0], rep.dim, rep.dim)
+        return sums[:, None, None]
+    out = (sums.T @ _su2_table(l)[0]) * _scale(rep).reshape(-1)
+    return out.reshape(weights.shape[0], rep.dim, rep.dim)
 
 
 def rep_eval(rep: Representation, g: G.GroupElement) -> np.ndarray:

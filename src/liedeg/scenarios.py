@@ -285,8 +285,8 @@ def default_config(name: str, seed: int | None = None,
     with l even, where the product cocycle's sign ambiguity cancels.
     Odd-l fibers of a half-winding rotation factor have no continuous
     lift, so their correlation integrands are discontinuous and the
-    fixed-size quadrature error flags would fire by construction; study
-    those through the library API where the flags stay visible.
+    error bounds would flag every N >= 1 by construction; study those
+    through the library API where the flags stay visible.
     """
     if name == "custom":
         raise ConfigError("the 'custom' scenario requires an explicit "

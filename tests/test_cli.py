@@ -272,7 +272,7 @@ class TestCorrCommand:
 
     def test_oversized_grid_is_refused_before_allocation(self, monkeypatch,
                                                          capsys):
-        # N = 1000 at winding 3 and weight 3 needs a 36002^2-node check grid
+        # N = 1000 at winding 3 and weight 3 needs a 9001^2-node grid
         real = D.quadrature_points
 
         def bounded(spec, d):
@@ -289,23 +289,18 @@ class TestCorrCommand:
 
     @pytest.mark.parametrize("nodes, rc", [(20, 0), (21, 2)])
     def test_check_grid_refusal_boundary(self, nodes, rc, monkeypatch, capsys):
-        # a 40^2-node check grid fits a cap of exactly its bytes; at one
-        # node more (42^2) the request is refused before any grid exists,
-        # whether built as a quadrature grid or coarse-first
-        monkeypatch.setattr(K, "MAX_GRID_BYTES", 40 ** 2 * 16)
+        # a 20^2-node grid fits a cap of exactly its bytes; at one node more
+        # (21^2) the request is refused before any grid exists, the 5^2-node
+        # grid of the cocycle's Fourier tail included, which comes first
+        monkeypatch.setattr(K, "MAX_GRID_BYTES", 20 ** 2 * 16)
         built = []
-        real, real_coarse_first = D.quadrature_points, K.coarse_first_points
+        real = D.quadrature_points
 
-        def recorded(spec, d):
+        def recorded(spec, d, *block):
             built.append(spec.nodes_per_dim)
-            return real(spec, d)
-
-        def recorded_coarse_first(nodes, d, start, stop):
-            built.append(2 * nodes)
-            return real_coarse_first(nodes, d, start, stop)
+            return real(spec, d, *block)
 
         monkeypatch.setattr(D, "quadrature_points", recorded)
-        monkeypatch.setattr(K, "coarse_first_points", recorded_coarse_first)
         assert cli.main(["corr", "--cocycle", "torus-monomial",
                          "--params", '{"k": [[1, 0]]}', "--d", "2",
                          "--rep", "1", "--n-max", "4",
@@ -314,9 +309,27 @@ class TestCorrCommand:
         if rc:
             assert built == []
             assert len(err) == 1 and err[0].startswith("config error:")
-            assert "42^2-node check grid" in err[0]
+            assert "21^2-node grid" in err[0]
         else:
-            assert built == [40] and err == []
+            assert built == [5, 20] and err == []
+
+    def test_oversized_tail_grid_is_refused_before_allocation(self, monkeypatch, capsys):
+        # at N = 1 the 32^2-node grid of su2 l = 12 fits, but the declared
+        # degree F = 24 needs a 97^2-point Fourier-tail grid of term tables:
+        # refused before the walk builds its grid
+        built, real = [], D.quadrature_points
+
+        def recorded(spec, d, *block):
+            built.append(spec.nodes_per_dim)
+            return real(spec, d, *block)
+
+        monkeypatch.setattr(D, "quadrature_points", recorded)
+        rc = cli.main(["corr", "--cocycle", "su2-two-angle",
+                       "--params", '{"m1": [1, 0], "m2": [0, 1]}', "--d", "2",
+                       "--rep", "12", "--n-max", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and built == []
+        assert len(err) == 1 and "97^2-point Fourier-tail grid" in err[0]
 
     @pytest.mark.parametrize("flagged", [[0], [0, 2]])
     def test_warning_counts_every_flagged_entry(self, flagged, monkeypatch,
@@ -454,7 +467,9 @@ _FUZZ_FLAGS = {
     # 2^19 torus sample points are charged 2^19 * 656 bytes, above the 2^28 cap
     "degree": {"--n": _int_flag(1), "--points": _int_flag(1, 2 ** 19), "--seed": _SEED,
                **_COCYCLE_FLAGS},
-    "corr": {"--n-max": _int_flag(1, 2 ** 23), "--nodes": _int_flag(1, 2 ** 24),
+    # the base's torus fiber is charged m * 16 bytes, m = max(nodes, n_max + 1),
+    # above the 2^28 cap from n_max = 2^24 or nodes = 2^24 + 1
+    "corr": {"--n-max": _int_flag(1, 2 ** 24), "--nodes": _int_flag(1, 2 ** 24 + 1),
              "--slot": _int_flag(0, 1), "--rep": st.one_of(_NON_NUMERIC, st.just("")),
              **_COCYCLE_FLAGS},
     "rep-check": {"--samples": _int_flag(1, 2 ** 21), "--nodes": _int_flag(0, 2 ** 10),

@@ -39,6 +39,18 @@ def test_imports_are_stdlib_numpy_or_liedeg(path):
     assert not bad, bad
 
 
+def test_fourier_coefficients_have_one_transform():
+    # the regularity certificate and the Fourier tails read coefficients
+    # through dynamics.grid_coefficients, a DFT matrix per axis: no module
+    # reaches for numpy.fft, and no second transform appears
+    calls = {p.stem: {node.func.attr for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+             for p in MODULES}
+    assert not any("fft" in p.read_text() for p in MODULES)
+    assert {stem for stem, attrs in calls.items() if "grid_coefficients" in attrs} == {"koopman"}
+    assert {stem for stem, attrs in calls.items() if "tensordot" in attrs} == {"dynamics"}
+
+
 def _package_imports(path: Path) -> set[str]:
     """Sibling modules that `path` imports with `from . import m` or
     `from .m import name`, lazy imports inside functions included."""

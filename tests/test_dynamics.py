@@ -201,6 +201,33 @@ def test_quadrature_points_shape_and_exactness():
     assert abs(np.mean(const) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("nodes", [1, 6, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadrature_blocks_tile_the_grid(nodes, d):
+    # the rows are the product grid, last axis fastest, bit for bit, and
+    # blocks of them tile it as a walk in blocks reads it
+    total = nodes ** d
+    pts = D.quadrature_points(D.QuadratureSpec(nodes), d)
+    grids = np.meshgrid(*([np.arange(nodes) / nodes] * d), indexing="ij")
+    assert np.array_equal(pts, np.stack([g.ravel() for g in grids], axis=-1))
+    blocks = [D.quadrature_points(D.QuadratureSpec(nodes), d, s, min(s + 5, total))
+              for s in range(0, total, 5)]
+    assert np.array_equal(np.concatenate(blocks), pts)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_coefficients_read_a_trig_polynomial(d):
+    # the DFT per axis returns |c_k| at k + n // 2 for every |k_j| <= n // 2
+    n, k = 9, np.array([3, -4][:d])
+    pts = D.quadrature_points(D.QuadratureSpec(n), d)
+    values = (0.5 + 2 * np.exp(2j * np.pi * pts @ k))[:, None, None]
+    C = D.grid_coefficients(values, n, d)[..., 0, 0]
+    want = np.zeros((n,) * d)
+    want[(n // 2,) * d] = 0.5
+    want[tuple(k + n // 2)] = 2.0
+    assert np.max(np.abs(C - want)) < 1e-14
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ConfigError):
         D.QuadratureSpec(0)

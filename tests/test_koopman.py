@@ -257,14 +257,36 @@ def test_series_structure_and_csv(manufactured):
 
 
 def test_series_flags_discontinuous_integrands():
-    # parity-mismatched lift has branch jumps: quadrature cannot be exact
-    # and the grid-doubling estimate must say so
+    # the parity-mismatched lift has branch jumps, so pi o phi has a Fourier
+    # tail of order one above its declared degree at odd l: every N >= 1 is
+    # flagged, and N = 0, where no factor of phi enters, is not
     u2m = D.u2_product(FLOW, [1], [2])
-    rep = R.u2_rep(1, 1)
-    probe = K.constant_fiber(rep, np.array([1.0, 1.0]) / np.sqrt(2))
-    s = K.correlation_series(probe, probe, u2m, FLOW, 5, QUAD)
-    assert len(s.flagged) >= 3
-    assert s.err_estimates.max() > K.ERR_FLAG_THRESHOLD
+    n_max = 20
+    for l, tail in ((1, 0.99), (3, 1.25)):
+        rep = R.u2_rep(l, 1)
+        assert abs(K.fourier_tail(u2m, rep, FLOW) - tail) < 0.01, l
+        probe = K.constant_fiber(rep, np.ones(rep.dim) / np.sqrt(rep.dim))
+        s = K.correlation_series(probe, probe, u2m, FLOW, n_max, QUAD)
+        assert s.flagged == list(range(1, n_max + 1)), l
+        assert s.err_estimates[0] == 0.0, l
+
+
+def test_series_flags_an_understated_degree():
+    # a cocycle that declares one degree too few has a tail of order one
+    # above it on the (4F+1)-node grid, so its series is flagged at every
+    # N >= 1; the grid it is sized by is then no longer exact
+    c = D.su2_two_angle(FLOW, [1], [2])
+    assert c.freq_bound == 3  # exp(theta1 E1) exp(theta2 E2) has degree 1 + 2
+    low = dataclasses.replace(c, freq_bound=c.freq_bound - 1)
+    rep = R.su2_rep(1)
+    assert K.fourier_tail(c, rep, FLOW) < 1e-14
+    assert K.fourier_tail(low, rep, FLOW) > 0.1
+    probe = K.constant_fiber(rep, [1.0, 0.0])
+    n_max = 6
+    s = K.correlation_series(probe, probe, low, FLOW, n_max, D.QuadratureSpec(4))
+    assert s.flagged == list(range(1, n_max + 1)) and s.err_estimates[0] == 0.0
+    exact = K.correlation_series(probe, probe, c, FLOW, n_max, D.QuadratureSpec(4))
+    assert exact.flagged == [] and np.max(exact.err_estimates) < 1e-12
 
 
 def _series_reference_case(name, manufactured):
@@ -336,7 +358,8 @@ def _mean_series_cases(manufactured):
     "plain-conjugated"])
 def test_mean_series_matches_per_point_walk(manufactured, name):
     # every pair kind reads one mean-series walk, which agrees with the
-    # per-point evaluation on both of its grids and with the per-N reference
+    # per-point evaluation on its grid and with the per-N reference, and
+    # whose error bound is the per-N route's, at round-off for built-ins
     cases = {case[0]: case[1:] for case in _mean_series_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     n_max = 12
@@ -345,15 +368,15 @@ def test_mean_series_matches_per_point_walk(manufactured, name):
         s = K.correlation_series(psi1, psi2, c, flow, n_max, QUAD)
     assert walk.call_count == 1
     assert len(K._STAGE) == 1  # a plan of the pair's fiber alone
-    nodes = K._sizing_nodes(psi1, psi2, c, flow, n_max, QUAD.nodes_per_dim)
+    nodes = K._fiber(psi1, psi2, c, flow, n_max, QUAD)[-1]
     for n in range(n_max + 1):
         ref = K._corr_on_grid(psi1, psi2, c, flow, n, nodes)
-        check = K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)
         assert abs(s.values[n] - ref) <= 1e-14, (name, n)
-        assert abs(s.err_estimates[n] - abs(ref - check)) <= 1e-14, (name, n)
+    assert np.all(np.diff(s.err_estimates) >= 0) and s.err_estimates[-1] <= 1e-12
     for n in (0, 1, 5, n_max):
-        value, _ = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
+        value, err = K.koopman_apply_corr(psi1, psi2, c, flow, n, QUAD)
         assert abs(s.values[n] - value) <= 1e-14, (name, n)
+        assert abs(err - s.err_estimates[n]) <= 1e-15 * s.err_estimates[n], (name, n)
 
 
 def _mode_differences(psi1, psi2, d):
@@ -375,8 +398,8 @@ def _walk_alone(key):
 
 
 def _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes):
-    """M^_0(m)..M^_n_max(m) from a walk of the nodes^d grid alone: the
-    reference for the nested walk's coarse rule."""
+    """M^_0(m)..M^_n_max(m) from a per-point walk of the nodes^d grid as one
+    batch: the reference for the engine's blocked walk."""
     rep, diffs = psi1.rep, _mode_differences(psi1, psi2, flow.dim)
     pts = D.quadrature_points(D.QuadratureSpec(nodes), flow.dim)
     out = np.empty((len(diffs), n_max + 1, rep.dim, rep.dim), dtype=complex)
@@ -415,71 +438,57 @@ def _nested_cases(manufactured):
 @pytest.mark.parametrize("name", ["su2-d1-mean", "su2-d1-grid", "torus-d2-mean",
                                   "torus-d2-grid"])
 def test_nested_walk_matches_one_grid_walks(manufactured, name, nodes):
-    # the coarse rule of one (2n)^d walk is the n^d-grid walk up to the
-    # order of the sums (3.4e-16 at most measured); the check rule agrees
-    # with a per-N evaluation on the (2n)^d grid
+    # on the n^d grid and on the (2n)^d grid that nests it, the engine's
+    # means are the one-grid walk's up to the order of the sums, and its
+    # series is the per-N evaluation on that grid
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     n_max = 6
     diffs = _mode_differences(psi1, psi2, flow.dim)
     assert (diffs == ((0,) * flow.dim,)) == name.endswith("mean")
-    key = _fiber_key(psi1, psi2, c, flow, n_max, nodes)
-    M = _walk_alone(key)
-    ref = _one_grid_mean_series(psi1, psi2, c, flow, n_max, nodes)
-    assert np.allclose(M[0], ref, rtol=0.0, atol=1e-15)
-    _, check = K._series(psi1, psi2, key)
-    for n in range(n_max + 1):
-        assert abs(check[n] - K._corr_on_grid(psi1, psi2, c, flow, n, 2 * nodes)) <= 1e-14
+    for grid in (nodes, 2 * nodes):
+        key = _fiber_key(psi1, psi2, c, flow, n_max, grid)
+        M, _ = _walk_alone(key)
+        ref = _one_grid_mean_series(psi1, psi2, c, flow, n_max, grid)
+        assert np.allclose(M, ref, rtol=0.0, atol=1e-15)
+        values, _ = K._series(psi1, psi2, key)
+        for n in range(n_max + 1):
+            assert abs(values[n] - K._corr_on_grid(psi1, psi2, c, flow, n, grid)) <= 1e-14
 
 
 
 @pytest.mark.parametrize("name", ["su2-d1-grid", "torus-d2-grid"])
 def test_mean_series_blocks_match_one_block(manufactured, name, monkeypatch):
-    # the check grid walked in blocks of SERIES_BLOCK points gives the means
-    # of one whole-grid walk up to the order of the sums; one block holds the
-    # last coarse points and the first fine ones, and the coarse rule is
-    # still the one-grid walk's
+    # the grid walked in blocks of SERIES_BLOCK points, the last one short,
+    # gives the means of one whole-grid walk up to the order of the sums,
+    # which are the one-grid per-point walk's
     cases = {case[0]: case[1:] for case in _nested_cases(manufactured)}
     c, flow, psi1, psi2 = cases[name]
     key = _fiber_key(psi1, psi2, c, flow, 6, 7)
-    assert 14 ** flow.dim <= K.SERIES_BLOCK and 7 ** flow.dim % 5
-    whole = _walk_alone(key)
+    assert 7 ** flow.dim <= K.SERIES_BLOCK and 7 ** flow.dim % 5
+    whole, excess = _walk_alone(key)
     monkeypatch.setattr(K, "SERIES_BLOCK", 5)
     with mock.patch.object(D, "cocycle_iterate", wraps=D.cocycle_iterate) as walk:
-        blocked = _walk_alone(key)
-    assert walk.call_count == -(-14 ** flow.dim // 5)
+        blocked, blocked_excess = _walk_alone(key)
+    assert walk.call_count == -(-7 ** flow.dim // 5)
     assert np.max(np.abs(blocked - whole)) <= 1e-15 * max(1.0, np.max(np.abs(whole)))
+    assert np.array_equal(blocked_excess, excess)
     ref = _one_grid_mean_series(psi1, psi2, c, flow, 6, 7)
-    assert np.allclose(blocked[0], ref, rtol=0.0, atol=1e-15)
-
-
-@pytest.mark.parametrize("nodes", [1, 6, 7])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_coarse_first_grid_leads_with_the_coarse_grid(nodes, d):
-    # the leading nodes^d rows are that grid bit for bit, the whole is the
-    # (2 nodes)^d grid reordered, and blocks of it tile it
-    total = (2 * nodes) ** d
-    pts = K.coarse_first_points(nodes, d, 0, total + 5)
-    assert np.array_equal(pts[:nodes ** d], D.quadrature_points(D.QuadratureSpec(nodes), d))
-    fine = D.quadrature_points(D.QuadratureSpec(2 * nodes), d)
-    assert np.array_equal(np.unique(pts, axis=0), np.unique(fine, axis=0))
-    assert len(pts) == total == len(np.unique(pts, axis=0))
-    blocks = [K.coarse_first_points(nodes, d, s, s + 5) for s in range(0, total, 5)]
-    assert np.array_equal(np.concatenate(blocks), pts)
+    assert np.allclose(blocked, ref, rtol=0.0, atol=1e-15)
 
 
 def test_walk_means_packs_whole_blocks_and_matches_lone_walks(monkeypatch):
-    # blocks of 8 points: grid 3 (6 points) fills one walk, grid 5 (10 points)
-    # gives a full block and a 2-point one that shares the last walk with
-    # grid 2 (4 points); every key's means are a walk of that key alone bit
-    # for bit, the conjugated key's and the plain one on its grid too
+    # blocks of 8 points: grid 6 fills one walk, grid 10 gives a full block
+    # and a 2-point one that shares the last walk with grid 4; every key's
+    # means are a walk of that key alone bit for bit, the conjugated key's
+    # and the plain one on its grid too
     c = D.cohomologous_build(D.su2_diagonal(FLOW, 1), D.su2_twisted_diagonal(FLOW, 1), FLOW)
     zeta = D.su2_twisted_diagonal(FLOW, 2, c0=1.1)
     n, l1, l2 = 4, R.su2_rep(1), R.su2_rep(2)
-    keys = [(c, FLOW, n, l1, (), (), ((-1,), (0,), (1,)), 3),
-            (c, FLOW, n, l1, (), (), ((0,),), 5),
-            (c, FLOW, n, l1, (zeta,), (zeta,), ((0,),), 5),
-            (c, FLOW, n, l2, (), (), ((0,), (2,)), 2)]
+    keys = [(c, FLOW, n, l1, (), (), ((-1,), (0,), (1,)), 6),
+            (c, FLOW, n, l1, (), (), ((0,),), 10),
+            (c, FLOW, n, l1, (zeta,), (zeta,), ((0,),), 10),
+            (c, FLOW, n, l2, (), (), ((0,), (2,)), 4)]
     monkeypatch.setattr(K, "SERIES_BLOCK", 8)
     walk, batches = D.cocycle_iterate, []
 
@@ -495,8 +504,11 @@ def test_walk_means_packs_whole_blocks_and_matches_lone_walks(monkeypatch):
     assert D.WALKS["walks"] - before["walks"] == 3
     assert D.WALKS["point_steps"] - before["point_steps"] == 20 * (n + 1)
     for key in keys:
-        assert means[key].shape == (2, len(key[6]), n + 1, key[3].dim, key[3].dim)
-        assert np.array_equal(means[key], _walk_alone(key)), key
+        M, excess = means[key]
+        assert M.shape == (len(key[6]), n + 1, key[3].dim, key[3].dim)
+        assert excess.shape == (n + 1,)
+        alone = _walk_alone(key)
+        assert np.array_equal(M, alone[0]) and np.array_equal(excess, alone[1]), key
 
 
 def test_transfer_is_the_ordered_pointwise_product():
@@ -616,8 +628,9 @@ def test_engine_matches_per_point_reference(data, group, d, l):
 
 
 def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
-    # four conjugated probes of su2 l=4 share one walk of the check grid
-    # and one representation evaluation per step
+    # four conjugated probes of su2 l=4 share one walk of their grid and
+    # one representation evaluation per step, beside one evaluation per
+    # Fourier tail: the cocycle's and the transfer's
     _, zeta, phi = manufactured
     rep, n_max = R.su2_rep(4), 10
     M_star = G.AlgebraElement(G.SU2_GROUP, 2 * np.pi * ALPHA * G.E3)
@@ -645,10 +658,10 @@ def test_mixing_verdict_walks_one_fiber_once(manufactured, monkeypatch):
     assert calls["walks"] == 1
     assert calls["evals"] <= (n_max + 1) + 4
     assert len(K._STAGE) == 1  # the memo holds one plan: this fiber's
-    nodes = K._sizing_nodes(probes[0], probes[0], phi, FLOW, n_max, QUAD.nodes_per_dim)
-    M = K._STAGE[(phi, FLOW, n_max, rep, (zeta,), (zeta,), ((0,),), nodes)]
+    nodes = K._fiber(probes[0], probes[0], phi, FLOW, n_max, QUAD)[-1]
+    M, _ = K._STAGE[(phi, FLOW, n_max, rep, (zeta,), (zeta,), ((0,),), nodes)]
     assert calls["walks"] == 1  # read off the memo
-    assert M.shape == (2, 1, n_max + 1, 5, 5) and not M.flags.writeable
+    assert M.shape == (1, n_max + 1, 5, 5) and not M.flags.writeable
     with pytest.raises(ValueError):
         M[0, 0, 0, 0] = 0.0
 
